@@ -13,11 +13,13 @@ can be diffed and archived. Exit codes are part of the contract:
     3  a model file or model definition is unsound
     4  an exploration or enumeration exceeded its budget
 
-`replay` re-executes the first failing witness from a saved JSON
-report against a freshly rebuilt model, dumping the states it passes
-through and naming the condition that breaks. A report whose model
-files changed, or one that records a pass, is rejected as unusable
-rather than half-replayed.
+`replay` reads the first failing witness of a saved JSON report back
+into the library's witness object against a freshly rebuilt model,
+re-executes its traces, dumping the states they pass through, and
+re-checks the condition with the library's own predicate for it. A
+report whose model files changed, one that records a pass, and a
+witness that is damaged or no longer violates its condition are
+rejected as unusable rather than half-replayed.
 
 There is no --seed flag: every search in the toolkit is canonical, so
 two runs of the same command explore identical orders and report
@@ -27,11 +29,15 @@ identical witnesses.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
+import itertools
 import json
 import os.path
 import sys
 import time
+import types
+import typing
 from typing import Any, Callable, Sequence
 
 from ifsec.core import (
@@ -43,10 +49,9 @@ from ifsec.core import (
     State,
     UsageError,
     render_value,
-    value_key,
 )
 from ifsec.models import REGISTRY, get_model
-from ifsec.noninterference import NICounterexample, check_ni
+from ifsec.noninterference import NICounterexample, check_ni, ni_violated
 from ifsec.refinement import (
     C1Witness,
     C2Witness,
@@ -58,8 +63,15 @@ from ifsec.refinement import (
     LemmaWitness,
     RefinementPair,
     RelyGuaranteeSpec,
+    c1_violated,
+    c2_violated,
+    c3_violated,
+    c4_violated,
+    c5_violated,
+    c6_violated,
     check_compositional,
     check_simulation,
+    lemma_violated,
 )
 from ifsec.specfile import (
     elaborate_model,
@@ -71,7 +83,10 @@ from ifsec.unwinding import (
     LRViolation,
     SCViolation,
     Scope,
+    UnwindingReport,
     check_unwinding,
+    lr_violated,
+    sc_violated,
     scope_reachable,
     scope_universe,
 )
@@ -173,140 +188,68 @@ def _warn_missing_reflexive(loaded: LoadedTarget) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Witness serialization
+# Witness encoding
 # ---------------------------------------------------------------------------
 
-def _labels(trace: Sequence[ActionId]) -> list[str]:
-    return [a.display() for a in trace]
+#: Witness dataclass -> the `type` tag of its JSON.
+_WITNESS_TYPES: dict[type, str] = {
+    LRViolation: "lr",
+    SCViolation: "sc",
+    NICounterexample: "ni",
+    C1Witness: "c1",
+    C2Witness: "c2",
+    C3Witness: "c3",
+    C4Witness: "c4",
+    C5Witness: "c5",
+    C6Witness: "c6",
+    CrossCheck: "cross-check",
+    LemmaWitness: "lemma",
+}
+
+#: Fields holding observed values, which JSON carries rendered.
+_VIEW_FIELDS = ("full_view", "purged_view")
+
+#: Witness type -> (trace field, state field): the CLI adds the trace
+#: that the check's scope exploration took to each state, or null when
+#: the scope is the declared universe.
+_SCOPE_TRACES = {
+    "lr": (("trace", "state"),),
+    "sc": (("trace1", "s1"), ("trace2", "s2")),
+}
 
 
-def _serials(states: Sequence[State]) -> list[str]:
-    return [s.serialize() for s in states]
+def _encode(value: Any) -> Any:
+    if isinstance(value, State):
+        return value.serialize()
+    if isinstance(value, ActionId):
+        return value.display()
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
 
 
-def _lr_json(v: LRViolation, scope: Scope) -> dict[str, Any]:
-    trace = scope.trace_to(v.state)
-    return {
-        "type": "lr",
-        "action": v.action.display(),
-        "domain": v.domain,
-        "state": v.state.serialize(),
-        "successor": v.successor.serialize(),
-        "trace": None if trace is None else _labels(trace),
-    }
-
-
-def _sc_json(v: SCViolation, scope: Scope) -> dict[str, Any]:
-    trace1 = scope.trace_to(v.s1)
-    trace2 = scope.trace_to(v.s2)
-    return {
-        "type": "sc",
-        "action": v.action.display(),
-        "domain": v.domain,
-        "s1": v.s1.serialize(),
-        "s2": v.s2.serialize(),
-        "s1_successor": v.s1_successor.serialize(),
-        "s2_successor": v.s2_successor.serialize(),
-        "trace1": None if trace1 is None else _labels(trace1),
-        "trace2": None if trace2 is None else _labels(trace2),
-    }
-
-
-def _ni_json(c: NICounterexample) -> dict[str, Any]:
-    return {
-        "type": "ni",
-        "domain": c.domain,
-        "trace": _labels(c.trace),
-        "purged": _labels(c.purged),
-        "full_finals": _serials(c.full_finals),
-        "purged_finals": _serials(c.purged_finals),
-        "full_view": [render_value(v) for v in c.full_view],
-        "purged_view": [render_value(v) for v in c.purged_view],
-    }
-
-
-def _sim_witness_json(witness: object) -> dict[str, Any]:
-    if isinstance(witness, C1Witness):
-        return {
-            "type": "c1",
-            "concrete_initial": witness.concrete_initial.serialize(),
-            "abstract_initial": witness.abstract_initial.serialize(),
-        }
-    if isinstance(witness, C2Witness):
-        return {
-            "type": "c2",
-            "trace": _labels(witness.trace),
-            "action": witness.action.display(),
-            "state": witness.state.serialize(),
-            "abstract_state": witness.abstract_state.serialize(),
-            "successor": witness.successor.serialize(),
-        }
-    if isinstance(witness, C3Witness):
-        return {
-            "type": "c3",
-            "trace": _labels(witness.trace),
-            "action": witness.action.display(),
-            "abstract_action": witness.abstract_action.display(),
-            "state": witness.state.serialize(),
-            "abstract_state": witness.abstract_state.serialize(),
-            "successor": witness.successor.serialize(),
-            "abstract_candidates": _serials(witness.abstract_candidates),
-        }
-    if isinstance(witness, C4Witness):
-        return {
-            "type": "c4",
-            "action": witness.action.display(),
-            "abstract_action": witness.abstract_action.display(),
-            "concrete_domain": witness.concrete_domain,
-            "abstract_domain": witness.abstract_domain,
-        }
-    if isinstance(witness, C5Witness):
-        return {"type": "c5", "source": witness.source,
-                "target": witness.target}
-    if isinstance(witness, C6Witness):
-        return {
-            "type": "c6",
-            "domain": witness.domain,
-            "first": [witness.first[0].serialize(),
-                      witness.first[1].serialize()],
-            "second": [witness.second[0].serialize(),
-                       witness.second[1].serialize()],
-            "first_trace": _labels(witness.first_trace),
-            "second_trace": _labels(witness.second_trace),
-            "concrete_indist": witness.concrete_indist,
-            "abstract_indist": witness.abstract_indist,
-        }
-    if isinstance(witness, CrossCheck):
-        return {
-            "type": "cross-check",
-            "abstract_unwinding_ok": witness.abstract_unwinding_ok,
-            "concrete_unwinding_ok": witness.concrete_unwinding_ok,
-        }
-    if isinstance(witness, LemmaWitness):
-        return {
-            "type": "lemma",
-            "component": witness.component,
-            "trace": _labels(witness.trace),
-            "state": witness.state.serialize(),
-            "abstract_state": None if witness.abstract_state is None
-            else witness.abstract_state.serialize(),
-            "action": None if witness.action is None
-            else witness.action.display(),
-            "successor": None if witness.successor is None
-            else witness.successor.serialize(),
-            "abstract_successor": None if witness.abstract_successor is None
-            else witness.abstract_successor.serialize(),
-            "reason": witness.reason,
-            "level": witness.level,
-            "other_component": witness.other_component,
-        }
-    return {"type": "opaque", "detail": repr(witness)}
+def _witness_json(witness: Any, scope: Scope | None) -> dict[str, Any]:
+    """One walk over the witness dataclass's fields: states by their
+    serialization, actions by their label, tuples as lists. With the
+    scope an lr or sc witness was found in, its scope traces are added."""
+    tag = _WITNESS_TYPES[type(witness)]
+    out: dict[str, Any] = {"type": tag}
+    for field in dataclasses.fields(witness):
+        value = getattr(witness, field.name)
+        if field.name in _VIEW_FIELDS:
+            out[field.name] = [render_value(v) for v in value]
+        else:
+            out[field.name] = _encode(value)
+    for trace_field, state_field in _SCOPE_TRACES.get(tag, ()) if scope else ():
+        trace = scope.trace_to(getattr(witness, state_field))
+        out[trace_field] = None if trace is None else _encode(trace)
+    return out
 
 
 def _verdict_check(name: str, verdict) -> dict[str, Any]:
     witness = None
     if verdict.witness is not None:
-        witness = _sim_witness_json(verdict.witness)
+        witness = _witness_json(verdict.witness, None)
     return {"name": name, "status": verdict.status, "note": verdict.note,
             "witness": witness}
 
@@ -315,31 +258,33 @@ def _verdict_check(name: str, verdict) -> dict[str, Any]:
 # Check runners
 # ---------------------------------------------------------------------------
 
+def _unwind(system: SecureSystem, args) -> UnwindingReport:
+    if args.universe:
+        scope = scope_universe(system)
+    else:
+        scope = scope_reachable(system, depth=args.depth, budget=args.budget)
+    domains = [args.domain] if args.domain else None
+    return check_unwinding(system, scope=scope, domains=domains)
+
+
+def _level_checks(loaded: LoadedTarget, label: str, report: UnwindingReport,
+                  counters: dict[str, int]) -> list[dict[str, Any]]:
+    prefix = f"{label}-" if len(loaded.levels) > 1 else ""
+    counters[f"{label}_scope_states"] = report.scope_size
+    return [{
+        "name": f"{prefix}{name}",
+        "status": "pass" if violation is None else "fail",
+        "note": f"scope: {report.scope_tag}",
+        "witness": None if violation is None
+        else _witness_json(violation, report.scope),
+    } for name, violation in (("lr", report.lr), ("sc", report.sc))]
+
+
 def _unwinding_checks(loaded: LoadedTarget, args,
                       counters: dict[str, int]) -> list[dict[str, Any]]:
     checks: list[dict[str, Any]] = []
-    domains = [args.domain] if args.domain else None
     for label, system in loaded.levels:
-        if args.universe:
-            scope = scope_universe(system)
-        else:
-            scope = scope_reachable(system, depth=args.depth,
-                                    budget=args.budget)
-        report = check_unwinding(system, scope=scope, domains=domains)
-        prefix = f"{label}-" if len(loaded.levels) > 1 else ""
-        counters[f"{label}_scope_states"] = report.scope_size
-        checks.append({
-            "name": f"{prefix}lr",
-            "status": "fail" if report.lr else "pass",
-            "note": f"scope: {report.scope_tag}",
-            "witness": _lr_json(report.lr, scope) if report.lr else None,
-        })
-        checks.append({
-            "name": f"{prefix}sc",
-            "status": "fail" if report.sc else "pass",
-            "note": f"scope: {report.scope_tag}",
-            "witness": _sc_json(report.sc, scope) if report.sc else None,
-        })
+        checks += _level_checks(loaded, label, _unwind(system, args), counters)
     return checks
 
 
@@ -355,7 +300,7 @@ def _ni_checks(loaded: LoadedTarget, args,
         counters[f"{label}_traces"] = result.traces_checked
         witness = None
         if result.counterexample is not None:
-            witness = _ni_json(result.counterexample)
+            witness = _witness_json(result.counterexample, None)
         checks.append({
             "name": f"{prefix}ni",
             "status": "pass" if result.ok else "fail",
@@ -373,7 +318,14 @@ def _refine_checks(loaded: LoadedTarget, args,
               for name, verdict in report.conditions().items()]
     checks.append(_verdict_check("refinement", report.refinement))
     checks.append(_verdict_check("cross-check", report.cross_check))
-    checks.extend(_unwinding_checks(loaded, args, counters))
+    # The levels the cross-check already unwound are rendered, and their
+    # explorations dropped, before any other level is unwound.
+    unwound = {label: _level_checks(loaded, label, unwinding, counters)
+               for label, unwinding in report.unwinding.items()}
+    del report
+    for label, system in loaded.levels:
+        checks += unwound.get(label) or _level_checks(
+            loaded, label, _unwind(system, args), counters)
     return checks
 
 
@@ -402,7 +354,7 @@ _RUNNERS: dict[str, Callable] = {
 _KIND_FLAGS = {
     "unwinding": {"depth", "domain", "universe"},
     "ni": {"max_len", "domain"},
-    "refine": {"depth"},
+    "refine": set(),
     "compositional": set(),
 }
 
@@ -589,24 +541,163 @@ def _system_for(loaded: LoadedTarget, check_name: str) -> SecureSystem:
     return loaded.levels[0][1]
 
 
-def _action_index(system: SecureSystem) -> dict[str, ActionId]:
-    return {a.display(): a for a in system.machine.actions}
+def _stale(what: str) -> UsageError:
+    return UsageError(f"{what}; the report is stale")
 
 
-def _actions_from(system: SecureSystem, labels: Sequence[str]) -> list[ActionId]:
-    index = _action_index(system)
-    out = []
-    for label in labels:
-        action = index.get(label)
-        if action is None:
-            raise UsageError(f"the rebuilt model has no action {label!r}; "
-                             "the report is stale")
-        out.append(action)
-    return out
+#: Witness type -> the runs replay re-executes from the initial state
+#: and prints: (title, trace field, anchors). The anchors are state
+#: fields the run must end at: the last one in the run's last state
+#: set, the one before it a step earlier; a pair anchors by its
+#: concrete state. A run shorter than its anchors (lemma 4's guarantee
+#: moves, which lie on no trace) is not printed. NI runs stutter on
+#: disabled actions, as `check_ni` does; the others take raw steps.
+_RUNS = {
+    "lr": (("run to the violating state ({check})", "trace", ("state",)),),
+    "sc": (("run to the first state ({check})", "trace1", ("s1",)),
+           ("run to the second state ({check})", "trace2", ("s2",))),
+    "ni": (("full trace", "trace", ()), ("purged trace", "purged", ())),
+    "c1": (),
+    "c2": (("concrete run (ends at the breaking step)", "trace",
+            ("state", "successor")),),
+    "c3": (("concrete run (ends at the unmatched step)", "trace",
+            ("state", "successor")),),
+    "c4": (),
+    "c5": (),
+    "c6": (("first concrete run", "first_trace", ("first",)),
+           ("second concrete run", "second_trace", ("second",))),
+    "lemma": (("{level} run (ends at the offending step)", "trace",
+               ("state", "successor")),),
+}
+
+#: Witness type -> the library predicate that re-checks it: on the
+#: witness's level for lr, sc and ni, on the refinement pair for c1-c6.
+#: Lemma witnesses go to `lemma_violated` with the contracts.
+_VIOLATED: dict[str, Callable[[Any, Any], bool]] = {
+    "lr": lr_violated,
+    "sc": sc_violated,
+    "ni": ni_violated,
+    "c1": c1_violated,
+    "c2": c2_violated,
+    "c3": c3_violated,
+    "c4": c4_violated,
+    "c5": c5_violated,
+    "c6": c6_violated,
+}
+
+#: Witness type -> (summary, the witness fields shown as facts). The
+#: summary is formatted with the witness's JSON fields.
+_EXPLAIN = {
+    "lr": ("action {action!r} changes what domain {domain!r} observes, "
+           "with no policy edge to allow it",
+           ("action", "domain", "successor")),
+    "sc": ("two states that domain {domain!r} cannot tell apart become "
+           "distinguishable after {action!r}",
+           ("action", "domain", "s1_successor", "s2_successor")),
+    "ni": ("dropping the actions that domain {domain!r} may not learn "
+           "about changes what it observes",
+           ("domain", "full_view", "purged_view")),
+    "c1": ("the two initial states are not related",
+           ("concrete_initial", "abstract_initial")),
+    "c2": ("silent action {action!r} leaves the state relation while the "
+           "abstract side stands still",
+           ("action", "abstract_state", "state", "successor")),
+    "c3": ("no abstract step on {abstract_action!r} matches the concrete "
+           "step {action!r}",
+           ("action", "abstract_action", "abstract_candidates")),
+    "c4": ("{action!r} belongs to domain {concrete_domain!r} but its "
+           "abstract image {abstract_action!r} belongs to "
+           "{abstract_domain!r}",
+           ("action", "abstract_action", "concrete_domain",
+            "abstract_domain")),
+    "c5": ("policy edge {source} -> {target} exists on only one level",
+           ("source", "target")),
+    "c6": ("domain {domain!r} tells a pair of runs apart on one level but "
+           "not the other",
+           ("domain", "concrete_indist", "abstract_indist")),
+    "lemma": ("component {component!r}: {reason}",
+              ("component", "reason", "state", "successor",
+               "other_component")),
+}
+
+
+class _Decoder:
+    """Reads a witness's JSON back into the library's witness dataclass.
+
+    Each field is read by its type: an action by its label among the
+    level's actions, a state by its serialization among the states the
+    replay's runs pass through and then the level's universe (or its
+    states), an observed value by its rendering among what the
+    witness's domain observes at the end of the runs. Fields named
+    `abstract_*`, and the second state of a pair, are read on the
+    abstract level. A missing, null or mistyped field is a UsageError.
+    """
+
+    def __init__(self, raw: dict[str, Any], system: SecureSystem,
+                 abstract: SecureSystem | None) -> None:
+        self.raw = raw
+        self.system = system
+        self.abstract = abstract
+        self.visited: list[State] = []
+        self.ends: list[State] = []
+        self.read: dict[str, Any] = {}
+
+    def field(self, name: str, hint: Any) -> Any:
+        if name not in self.raw:
+            raise UsageError(f"the witness has no field {name!r}")
+        system = self.abstract if name.startswith("abstract_") else self.system
+        value = self.read[name] = self.value(hint, self.raw[name], name, system)
+        if name == "domain" and value not in system.config.domains:
+            raise _stale(f"the rebuilt model has no domain {value!r}")
+        return value
+
+    def witness(self, cls: type) -> Any:
+        hints = typing.get_type_hints(cls)
+        return cls(**{f.name: self.field(f.name, hints[f.name])
+                      for f in dataclasses.fields(cls)})
+
+    def value(self, hint: Any, raw: Any, name: str, system: SecureSystem) -> Any:
+        args = typing.get_args(hint)
+        if typing.get_origin(hint) is types.UnionType:
+            if raw is None and type(None) in args:
+                return None
+            hint = next(a for a in args if a is not type(None))
+            args = typing.get_args(hint)
+        if typing.get_origin(hint) is tuple:
+            if not isinstance(raw, list) or (args[-1] is not Ellipsis
+                                              and len(raw) != len(args)):
+                raise UsageError(f"witness field {name!r} has the wrong shape")
+            if args[-1] is Ellipsis:
+                return tuple(self.value(args[0], v, name, system) for v in raw)
+            return tuple(self.value(a, v, name, level) for a, v, level
+                         in zip(args, raw, (system, self.abstract)))
+        if type(raw) is not (str if hint in (ActionId, State, object) else hint):
+            raise UsageError(f"witness field {name!r} has the wrong shape")
+        if hint is ActionId:
+            for action in system.machine.actions:
+                if action.display() == raw:
+                    return action
+            raise _stale(f"the rebuilt model has no action {raw!r}")
+        if hint is State:
+            pool = system.machine.universe or system.machine.states
+            if system is self.system:
+                pool = itertools.chain(self.visited, pool)
+            for state in pool:
+                if state.serialize() == raw:
+                    return state
+            raise _stale(f"witness state {raw!r} is not a state of the "
+                         "rebuilt model")
+        if hint is object:
+            for state in self.ends:
+                seen = system.config.observe(self.read["domain"], state)
+                if render_value(seen) == raw:
+                    return seen
+            raise _stale(f"no run ends where the witness observes {raw!r}")
+        return raw
 
 
 def _execute(system: SecureSystem, actions: Sequence[ActionId],
-             start: Sequence[State], total: bool = False) -> list[tuple[State, ...]]:
+             start: Sequence[State], total: bool) -> list[tuple[State, ...]]:
     current = frozenset(start)
     sets = [tuple(sorted(current))]
     step = system.machine.step_total if total else system.machine.step
@@ -615,387 +706,101 @@ def _execute(system: SecureSystem, actions: Sequence[ActionId],
         for state in current:
             nxt.update(step(state, action))
         if not nxt:
-            raise UsageError(
-                f"witness trace does not execute: {action.display()!r} is "
-                "disabled at this point; the report is stale")
+            raise _stale(f"witness trace does not execute: "
+                         f"{action.display()!r} is disabled at this point")
         current = frozenset(nxt)
         sets.append(tuple(sorted(current)))
     return sets
 
 
-def _find_state(candidates: Sequence[State], serial: str, what: str) -> State:
-    for state in candidates:
-        if state.serialize() == serial:
-            return state
-    raise UsageError(f"{what} from the report does not match the rebuilt "
-                     "model; the report is stale")
-
-
 def _run_payload(labels: Sequence[str] | None,
                  sets: Sequence[tuple[State, ...]]) -> list[dict[str, Any]]:
-    steps = [{"action": None, "states": _serials(sets[0])}]
+    steps = [{"action": None, "states": [s.serialize() for s in sets[0]]}]
     for i, label in enumerate(labels or [], start=1):
-        steps.append({"action": label, "states": _serials(sets[i])})
+        steps.append({"action": label,
+                      "states": [s.serialize() for s in sets[i]]})
     return steps
 
 
-def _replay_lr(loaded: LoadedTarget, check: dict[str, Any],
-               witness: dict[str, Any]) -> dict[str, Any]:
-    system = _system_for(loaded, check["name"])
-    labels = witness.get("trace")
-    if labels is None:
-        state = _find_state(system.machine.universe or system.machine.states,
-                            witness["state"], "witness state")
-        sets = [tuple([state])]
+def _replay(loaded: LoadedTarget, data: dict[str, Any], name: str,
+            raw: dict[str, Any]) -> dict[str, Any]:
+    """Decode the witness `raw` of failing check `name`, re-execute its
+    runs, and re-check it with the library's predicate."""
+    tag = raw["type"]
+    cls = next(c for c, t in _WITNESS_TYPES.items() if t == tag)
+    if tag in ("lr", "sc", "ni"):
+        system = subject = _system_for(loaded, name)
+    elif loaded.pair is None or (tag == "lemma" and loaded.rg is None):
+        raise _stale(f"a {tag} witness needs a refinement target with the "
+                     "contracts it speaks about")
     else:
-        sets = _execute(system, _actions_from(system, labels),
-                        [system.machine.initial])
-        state = _find_state(sets[-1], witness["state"], "witness state")
-    action = _actions_from(system, [witness["action"]])[0]
-    successors = system.machine.step(state, action)
-    successor = _find_state(successors, witness["successor"],
-                            "witness successor")
-    domain = witness["domain"]
-    before = system.config.observe(domain, state)
-    after = system.config.observe(domain, successor)
-    if before == after:
-        raise UsageError("the recorded observation change no longer "
-                         "reproduces; the report is stale")
-    return {
-        "condition": "lr",
-        "summary": (f"action {witness['action']!r} changes what domain "
-                    f"{domain!r} observes, with no policy edge to allow it"),
-        "runs": [{"title": f"run to the violating state ({check['name']})",
-                  "steps": _run_payload(labels, sets)}],
-        "facts": {
-            "action": witness["action"],
-            "domain": domain,
-            "observation_before": render_value(before),
-            "observation_after": render_value(after),
-            "successor": successor.serialize(),
-        },
-    }
-
-
-def _replay_sc(loaded: LoadedTarget, check: dict[str, Any],
-               witness: dict[str, Any]) -> dict[str, Any]:
-    system = _system_for(loaded, check["name"])
-    runs = []
-    states = []
-    for slot, trace_key, state_key in (("first", "trace1", "s1"),
-                                       ("second", "trace2", "s2")):
-        labels = witness.get(trace_key)
-        if labels is None:
-            state = _find_state(
-                system.machine.universe or system.machine.states,
-                witness[state_key], f"{slot} witness state")
-            sets = [tuple([state])]
+        subject = loaded.pair
+        system = subject.abstract if raw.get("level") == "abstract" \
+            else subject.concrete
+    decoder = _Decoder(raw, system,
+                       None if loaded.pair is None else loaded.pair.abstract)
+    scope_traces = dict(_SCOPE_TRACES.get(tag, ()))
+    universe = (data.get("options") or {}).get("universe") is True
+    traced = []
+    for title, trace_field, anchors in _RUNS[tag]:
+        if trace_field in scope_traces:
+            trace = decoder.field(trace_field, tuple[ActionId, ...] | None)
+            if (trace is None) != universe:
+                raise UsageError(f"witness field {trace_field!r} does not "
+                                 "fit the scope the report records")
         else:
-            sets = _execute(system, _actions_from(system, labels),
-                            [system.machine.initial])
-            state = _find_state(sets[-1], witness[state_key],
-                                f"{slot} witness state")
-        states.append(state)
-        runs.append({"title": f"run to the {slot} state ({check['name']})",
-                     "steps": _run_payload(labels, sets)})
-    action = _actions_from(system, [witness["action"]])[0]
-    domain = witness["domain"]
-    s1, s2 = states
-    succ1 = _find_state(system.machine.step(s1, action),
-                        witness["s1_successor"], "first successor")
-    succ2 = _find_state(system.machine.step(s2, action),
-                        witness["s2_successor"], "second successor")
-    same_before = system.config.observe(domain, s1) \
-        == system.config.observe(domain, s2)
-    same_after = system.config.observe(domain, succ1) \
-        == system.config.observe(domain, succ2)
-    if not same_before or same_after:
-        raise UsageError("the recorded distinguishability no longer "
-                         "reproduces; the report is stale")
-    return {
-        "condition": "sc",
-        "summary": (f"two states that domain {domain!r} cannot tell apart "
-                    f"become distinguishable after {witness['action']!r}"),
-        "runs": runs,
-        "facts": {
-            "action": witness["action"],
-            "domain": domain,
-            "s1_successor": succ1.serialize(),
-            "s2_successor": succ2.serialize(),
-        },
-    }
-
-
-def _replay_ni(loaded: LoadedTarget, check: dict[str, Any],
-               witness: dict[str, Any]) -> dict[str, Any]:
-    system = _system_for(loaded, check["name"])
-    domain = witness["domain"]
-
-    def view(states: Sequence[State]) -> list[str]:
-        image = {system.config.observe(domain, s) for s in states}
-        return [render_value(v) for v in sorted(image, key=value_key)]
+            trace = decoder.field(trace_field, tuple[ActionId, ...])
+        sets = None
+        if trace is not None:
+            sets = _execute(system, trace, [system.machine.initial],
+                            tag == "ni")
+            decoder.visited += [s for states in sets for s in states]
+            decoder.ends += sets[-1]
+        traced.append((title, trace_field, anchors, sets))
+    witness = decoder.witness(cls)
 
     runs = []
-    finals = []
-    for title, key in (("full trace", "trace"), ("purged trace", "purged")):
-        labels = witness[key]
-        sets = _execute(system, _actions_from(system, labels),
-                        [system.machine.initial], total=True)
-        finals.append(sets[-1])
-        runs.append({"title": title, "steps": _run_payload(labels, sets)})
-    full_view, purged_view = view(finals[0]), view(finals[1])
-    if full_view != witness["full_view"] \
-            or purged_view != witness["purged_view"] \
-            or full_view == purged_view:
-        raise UsageError("the recorded view difference no longer "
-                         "reproduces; the report is stale")
-    return {
-        "condition": "ni",
-        "summary": (f"dropping the actions that domain {domain!r} may not "
-                    "learn about changes what it observes"),
-        "runs": runs,
-        "facts": {
-            "domain": domain,
-            "full_view": full_view,
-            "purged_view": purged_view,
-        },
-    }
-
-
-def _require_pair(loaded: LoadedTarget) -> RefinementPair:
-    if loaded.pair is None:
-        raise UsageError("report kind needs a two-level target; "
-                         "the report is stale")
-    return loaded.pair
-
-
-def _replay_c1(loaded: LoadedTarget, check: dict[str, Any],
-               witness: dict[str, Any]) -> dict[str, Any]:
-    pair = _require_pair(loaded)
-    ci = pair.concrete.machine.initial
-    ai = pair.abstract.machine.initial
-    if ci.serialize() != witness["concrete_initial"] \
-            or ai.serialize() != witness["abstract_initial"] \
-            or pair.alpha.holds(ci, ai):
-        raise UsageError("the recorded initial-state mismatch no longer "
-                         "reproduces; the report is stale")
-    return {
-        "condition": "c1",
-        "summary": "the two initial states are not related",
-        "runs": [],
-        "facts": {"concrete_initial": ci.serialize(),
-                  "abstract_initial": ai.serialize()},
-    }
-
-
-def _replay_c2(loaded: LoadedTarget, check: dict[str, Any],
-               witness: dict[str, Any]) -> dict[str, Any]:
-    pair = _require_pair(loaded)
-    system = pair.concrete
-    labels = witness["trace"]
-    if not labels or labels[-1] != witness["action"]:
-        raise UsageError("witness trace does not end at the failing action; "
-                         "the report is stale")
-    actions = _actions_from(system, labels)
-    sets = _execute(system, actions, [system.machine.initial])
-    state = _find_state(sets[-2], witness["state"], "witness state")
-    successor = _find_state(system.machine.step(state, actions[-1]),
-                            witness["successor"], "witness successor")
-    abstract_state = _find_state(pair.abstract.machine.states,
-                                 witness["abstract_state"],
-                                 "abstract witness state")
-    if not pair.alpha.holds(state, abstract_state) \
-            or pair.alpha.holds(successor, abstract_state):
-        raise UsageError("the recorded relation break no longer reproduces; "
-                         "the report is stale")
-    return {
-        "condition": "c2",
-        "summary": (f"silent action {witness['action']!r} leaves the state "
-                    "relation while the abstract side stands still"),
-        "runs": [{"title": "concrete run (ends at the breaking step)",
-                  "steps": _run_payload(labels, sets)}],
-        "facts": {
-            "action": witness["action"],
-            "abstract_state": abstract_state.serialize(),
-            "state": state.serialize(),
-            "successor": successor.serialize(),
-        },
-    }
-
-
-def _replay_c3(loaded: LoadedTarget, check: dict[str, Any],
-               witness: dict[str, Any]) -> dict[str, Any]:
-    pair = _require_pair(loaded)
-    system = pair.concrete
-    labels = witness["trace"]
-    if not labels or labels[-1] != witness["action"]:
-        raise UsageError("witness trace does not end at the failing action; "
-                         "the report is stale")
-    actions = _actions_from(system, labels)
-    sets = _execute(system, actions, [system.machine.initial])
-    state = _find_state(sets[-2], witness["state"], "witness state")
-    successor = _find_state(system.machine.step(state, actions[-1]),
-                            witness["successor"], "witness successor")
-    abstract_state = _find_state(pair.abstract.machine.states,
-                                 witness["abstract_state"],
-                                 "abstract witness state")
-    abstract_action = _actions_from(pair.abstract,
-                                    [witness["abstract_action"]])[0]
-    candidates = pair.abstract.machine.step(abstract_state, abstract_action)
-    if any(pair.alpha.holds(successor, c) for c in candidates):
-        raise UsageError("the recorded missing abstract match no longer "
-                         "reproduces; the report is stale")
-    return {
-        "condition": "c3",
-        "summary": (f"no abstract step on {witness['abstract_action']!r} "
-                    f"matches the concrete step {witness['action']!r}"),
-        "runs": [{"title": "concrete run (ends at the unmatched step)",
-                  "steps": _run_payload(labels, sets)}],
-        "facts": {
-            "action": witness["action"],
-            "abstract_action": witness["abstract_action"],
-            "abstract_candidates": _serials(candidates),
-        },
-    }
-
-
-def _replay_c4(loaded: LoadedTarget, check: dict[str, Any],
-               witness: dict[str, Any]) -> dict[str, Any]:
-    pair = _require_pair(loaded)
-    action = _actions_from(pair.concrete, [witness["action"]])[0]
-    abstract_action = _actions_from(pair.abstract,
-                                    [witness["abstract_action"]])[0]
-    cd = pair.concrete.config.domain_of(action)
-    ad = pair.abstract.config.domain_of(abstract_action)
-    if cd == ad or cd != witness["concrete_domain"] \
-            or ad != witness["abstract_domain"]:
-        raise UsageError("the recorded domain mismatch no longer reproduces; "
-                         "the report is stale")
-    return {
-        "condition": "c4",
-        "summary": (f"{witness['action']!r} belongs to domain {cd!r} but its "
-                    f"abstract image {witness['abstract_action']!r} belongs "
-                    f"to {ad!r}"),
-        "runs": [],
-        "facts": {
-            "action": witness["action"],
-            "abstract_action": witness["abstract_action"],
-            "concrete_domain": cd,
-            "abstract_domain": ad,
-        },
-    }
-
-
-def _replay_c5(loaded: LoadedTarget, check: dict[str, Any],
-               witness: dict[str, Any]) -> dict[str, Any]:
-    pair = _require_pair(loaded)
-    edge = (witness["source"], witness["target"])
-    concrete_has = edge in pair.concrete.config.policy
-    abstract_has = edge in pair.abstract.config.policy
-    if concrete_has == abstract_has:
-        raise UsageError("the recorded policy difference no longer "
-                         "reproduces; the report is stale")
-    return {
-        "condition": "c5",
-        "summary": (f"policy edge {edge[0]} -> {edge[1]} exists on only one "
-                    "level"),
-        "runs": [],
-        "facts": {"source": edge[0], "target": edge[1],
-                  "concrete_has_edge": concrete_has,
-                  "abstract_has_edge": abstract_has},
-    }
-
-
-def _replay_c6(loaded: LoadedTarget, check: dict[str, Any],
-               witness: dict[str, Any]) -> dict[str, Any]:
-    pair = _require_pair(loaded)
-    system = pair.concrete
-    domain = witness["domain"]
-    runs = []
-    pairs = []
-    for slot, trace_key, pair_key in (("first", "first_trace", "first"),
-                                      ("second", "second_trace", "second")):
-        labels = witness[trace_key]
-        sets = _execute(system, _actions_from(system, labels),
-                        [system.machine.initial])
-        cstate = _find_state(sets[-1], witness[pair_key][0],
-                             f"{slot} concrete state")
-        astate = _find_state(pair.abstract.machine.states,
-                             witness[pair_key][1], f"{slot} abstract state")
-        pairs.append((cstate, astate))
-        runs.append({"title": f"{slot} concrete run",
-                     "steps": _run_payload(labels, sets)})
-    (c1s, a1s), (c2s, a2s) = pairs
-    concrete_indist = pair.concrete.config.observe(domain, c1s) \
-        == pair.concrete.config.observe(domain, c2s)
-    abstract_indist = pair.abstract.config.observe(domain, a1s) \
-        == pair.abstract.config.observe(domain, a2s)
-    if concrete_indist != witness["concrete_indist"] \
-            or abstract_indist != witness["abstract_indist"] \
-            or concrete_indist == abstract_indist:
-        raise UsageError("the recorded observation disagreement no longer "
-                         "reproduces; the report is stale")
-    return {
-        "condition": "c6",
-        "summary": (f"domain {domain!r} tells a pair of runs apart on one "
-                    "level but not the other"),
-        "runs": runs,
-        "facts": {
-            "domain": domain,
-            "concrete_indist": concrete_indist,
-            "abstract_indist": abstract_indist,
-        },
-    }
-
-
-def _replay_lemma(loaded: LoadedTarget, check: dict[str, Any],
-                  witness: dict[str, Any]) -> dict[str, Any]:
-    pair = _require_pair(loaded)
-    level = witness.get("level", "concrete")
-    system = pair.abstract if level == "abstract" else pair.concrete
-    labels = witness["trace"]
-    runs = []
-    if labels:
-        actions = _actions_from(system, labels)
-        sets = _execute(system, actions, [system.machine.initial])
-        anchor = sets[-2] if witness.get("action") else sets[-1]
-        _find_state(anchor, witness["state"], "witness state")
-        if witness.get("action") and witness.get("successor"):
-            _find_state(sets[-1], witness["successor"], "witness successor")
-        runs.append({"title": f"{level} run (ends at the offending step)",
-                     "steps": _run_payload(labels, sets)})
+    for title, trace_field, anchors, sets in traced:
+        if sets is None:
+            sets = [(getattr(witness, scope_traces[trace_field]),)]
+        elif len(sets) < len(anchors):
+            continue
+        for states, anchor in zip(reversed(sets), reversed(anchors)):
+            state = getattr(witness, anchor)
+            if isinstance(state, tuple):
+                state = state[0]
+            if state not in states:
+                raise _stale(f"the witness's {anchor} is not where its "
+                             "trace leads")
+        title = title.format(check=name, level=raw.get("level"))
+        runs.append({"title": title,
+                     "steps": _run_payload(raw[trace_field], sets)})
+    if tag == "lemma":
+        violated = lemma_violated(loaded.pair, loaded.rg, name, witness)
     else:
-        pool = system.machine.universe or system.machine.states
-        _find_state(pool, witness["state"], "witness state")
-        if witness.get("successor"):
-            _find_state(pool, witness["successor"], "witness successor")
+        violated = _VIOLATED[tag](subject, witness)
+    if not violated:
+        raise _stale(f"the recorded {tag} violation no longer reproduces")
+
+    encoded = _witness_json(witness, None)
+    summary, shown = _EXPLAIN[tag]
+    facts = {key: encoded[key] for key in shown}
+    if tag == "lr":
+        observe = system.config.observe
+        facts["observation_before"] = render_value(
+            observe(witness.domain, witness.state))
+        facts["observation_after"] = render_value(
+            observe(witness.domain, witness.successor))
+    if tag == "c5":
+        edge = (witness.source, witness.target)
+        facts["concrete_has_edge"] = edge in loaded.pair.concrete.config.policy
+        facts["abstract_has_edge"] = edge in loaded.pair.abstract.config.policy
     return {
-        "condition": check["name"],
-        "summary": (f"component {witness['component']!r}: "
-                    f"{witness['reason']}"),
+        "condition": name if tag == "lemma" else tag,
+        "summary": summary.format(**encoded),
         "runs": runs,
-        "facts": {
-            "component": witness["component"],
-            "reason": witness["reason"],
-            "state": witness["state"],
-            "successor": witness.get("successor"),
-            "other_component": witness.get("other_component"),
-        },
+        "facts": facts,
     }
-
-
-_REPLAYERS: dict[str, Callable] = {
-    "lr": _replay_lr,
-    "sc": _replay_sc,
-    "ni": _replay_ni,
-    "c1": _replay_c1,
-    "c2": _replay_c2,
-    "c3": _replay_c3,
-    "c4": _replay_c4,
-    "c5": _replay_c5,
-    "c6": _replay_c6,
-    "lemma": _replay_lemma,
-}
 
 
 def _print_replay_text(outcome: dict[str, Any]) -> None:
@@ -1022,40 +827,31 @@ def _print_replay_text(outcome: dict[str, Any]) -> None:
 
 def cmd_replay(args) -> int:
     data = _load_report(args.report)
-    failing = [c for c in data.get("checks", [])
-               if c.get("status") == "fail"]
+    checks = data.get("checks")
+    failing = [c for c in checks if isinstance(c, dict)
+               and c.get("status") == "fail"] if isinstance(checks, list) else []
     if not failing:
         raise UsageError("the report records a pass; there is no violation "
                          "to replay")
     check = failing[0]
     witness = check.get("witness")
-    if not witness or "type" not in witness:
+    if not isinstance(witness, dict) or "type" not in witness:
         raise UsageError("the failing check carries no witness to replay")
-    replayer = _REPLAYERS.get(witness["type"])
-    if replayer is None:
+    if not isinstance(check.get("name"), str) \
+            or not isinstance(witness["type"], str) \
+            or witness["type"] not in _RUNS:
         raise UsageError(f"cannot replay witness type {witness['type']!r}")
     loaded = _rebuild_target(data)
-    outcome = replayer(loaded, check, witness)
+    outcome = _replay(loaded, data, check["name"], witness)
     outcome.update({
         "kind": data["kind"],
-        "target": data["target"],
+        "target": data.get("target"),
         "check": check["name"],
         "reproduced": True,
     })
     if args.json:
-        _print_json({
-            "schema": SCHEMA,
-            "command": "replay",
-            "report": args.report,
-            "kind": outcome["kind"],
-            "target": outcome["target"],
-            "check": outcome["check"],
-            "condition": outcome["condition"],
-            "summary": outcome["summary"],
-            "reproduced": True,
-            "runs": outcome["runs"],
-            "facts": outcome["facts"],
-        })
+        _print_json({"schema": SCHEMA, "command": "replay",
+                     "report": args.report, **outcome})
     else:
         _print_replay_text(outcome)
     return 0
@@ -1088,7 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(refine/compositional take a refinement file)")
     check_p.add_argument("--depth", type=int, default=None, metavar="N",
                          help="bound the reachability scope at depth N "
-                              "(unwinding, refine)")
+                              "(unwinding)")
     check_p.add_argument("--max-len", dest="max_len", type=int, default=None,
                          metavar="L",
                          help=f"trace length bound for ni "

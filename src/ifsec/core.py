@@ -437,8 +437,3 @@ def build_machine(initial: State, actions: Iterable[ActionId],
         initial=initial,
         universe=None if universe is None else tuple(sorted(set(universe))),
     )
-
-
-def trace_display(trace: Iterable[ActionId]) -> list[str]:
-    """Render a trace as a list of action display strings for reports."""
-    return [a.display() for a in trace]

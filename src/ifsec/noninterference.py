@@ -28,6 +28,7 @@ from ifsec.core import (
     UsageError,
     Value,
     equidom,
+    run,
     sort_actions,
     value_key,
 )
@@ -39,6 +40,7 @@ __all__ = [
     "TheoremCrossCheck",
     "check_ni",
     "ipurge",
+    "ni_violated",
     "sources",
     "validate_unwinding_theorem",
 ]
@@ -140,6 +142,22 @@ class TheoremCrossCheck:
 def _view(config: InfoFlowConfig, d: str, states: Iterable[State]) -> tuple[Value, ...]:
     image = {config.observe(d, s) for s in states}
     return tuple(sorted(image, key=value_key))
+
+
+def ni_violated(system: SecureSystem, c: NICounterexample) -> bool:
+    """True when `c` is a trace that breaks noninterference as recorded:
+    `c.purged` is `ipurge` of `c.trace` for `c.domain`, the finals and
+    views are those of the two stuttering runs from the initial state,
+    and the domain can tell the two final state sets apart."""
+    machine, config = system.machine, system.config
+    full = run(machine, [machine.initial], c.trace)
+    purged = run(machine, [machine.initial], c.purged)
+    return (c.purged == ipurge(c.trace, c.domain, config)
+            and c.full_finals == tuple(sorted(full))
+            and c.purged_finals == tuple(sorted(purged))
+            and c.full_view == _view(config, c.domain, full)
+            and c.purged_view == _view(config, c.domain, purged)
+            and not equidom(config, c.domain, full, purged))
 
 
 def _checked_domains(config: InfoFlowConfig, domains: Iterable[str] | None) -> tuple[str, ...]:

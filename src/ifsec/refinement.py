@@ -44,8 +44,9 @@ from ifsec.core import (
     SecureSystem,
     State,
     Value,
+    indist,
 )
-from ifsec.unwinding import check_unwinding
+from ifsec.unwinding import UnwindingReport, check_unwinding
 
 __all__ = [
     "TAU",
@@ -58,12 +59,19 @@ __all__ = [
     "SimulationReport",
     "Verdict",
     "Zeta",
+    "c1_violated",
+    "c2_violated",
+    "c3_violated",
+    "c4_violated",
+    "c5_violated",
+    "c6_violated",
     "check_alpha_preserves_indist",
     "check_compositional",
     "check_domain_preservation",
     "check_policy_inclusion",
     "check_simulation",
     "joint_explore",
+    "lemma_violated",
     "total_relation",
 ]
 
@@ -397,24 +405,94 @@ def _pair_trace(parent: Mapping[Pair, tuple[Pair, ActionId]], pair: Pair) -> tup
     return tuple(steps)
 
 
+def c1_violated(pair: RefinementPair, w: C1Witness) -> bool:
+    """True when `w` records the two initial states and alpha does not
+    relate them."""
+    return (w == C1Witness(pair.concrete.machine.initial,
+                           pair.abstract.machine.initial)
+            and not pair.alpha.holds(w.concrete_initial, w.abstract_initial))
+
+
+def _related_step(pair: RefinementPair, w: C2Witness | C3Witness | LemmaWitness
+                  ) -> bool:
+    """Whether `w.trace` ends in a concrete step on `w.action` from
+    `w.state`, which alpha relates to `w.abstract_state`, to
+    `w.successor`."""
+    return (w.trace[-1:] == (w.action,)
+            and w.successor in pair.concrete.machine.step(w.state, w.action)
+            and pair.alpha.holds(w.state, w.abstract_state))
+
+
+def c2_violated(pair: RefinementPair, w: C2Witness) -> bool:
+    """True when `w`'s trace ends in a silent step from a related pair
+    to a successor that alpha no longer relates to the same abstract
+    state."""
+    return (pair.zeta.is_silent(w.action) and _related_step(pair, w)
+            and not pair.alpha.holds(w.successor, w.abstract_state))
+
+
+def c3_violated(pair: RefinementPair, w: C3Witness) -> bool:
+    """True when `w`'s trace ends in a mapped step from a related pair
+    that no abstract step on zeta's image of the action matches:
+    `w.abstract_candidates` are all the abstract successors and alpha
+    relates none of them to the concrete successor."""
+    return (pair.zeta.map(w.action) == w.abstract_action
+            and _related_step(pair, w)
+            and w.abstract_candidates == pair.abstract.machine.step(
+                w.abstract_state, w.abstract_action)
+            and _abstract_witness(pair.alpha, w.abstract_candidates,
+                                  w.successor) is None)
+
+
+def c4_violated(pair: RefinementPair, w: C4Witness) -> bool:
+    """True when zeta maps `w.action` to `w.abstract_action` and the
+    two act for the different domains `w` records."""
+    return (pair.zeta.map(w.action) == w.abstract_action
+            and pair.concrete.config.domain_of(w.action) == w.concrete_domain
+            and pair.abstract.config.domain_of(w.abstract_action)
+            == w.abstract_domain
+            and w.concrete_domain != w.abstract_domain)
+
+
+def c5_violated(pair: RefinementPair, w: C5Witness) -> bool:
+    """True when the abstract policy has the edge `w` and the concrete
+    policy lacks it."""
+    edge = (w.source, w.target)
+    return (edge in pair.abstract.config.policy
+            and edge not in pair.concrete.config.policy)
+
+
+def c6_violated(pair: RefinementPair, w: C6Witness) -> bool:
+    """True when `w`'s two pairs are related and `w.domain` tells them
+    apart at exactly one level, the one `w` records."""
+    (s1, sigma1), (s2, sigma2) = w.first, w.second
+    views = (indist(pair.concrete.config, w.domain, s1, s2),
+             indist(pair.abstract.config, w.domain, sigma1, sigma2))
+    return (pair.alpha.holds(s1, sigma1) and pair.alpha.holds(s2, sigma2)
+            and views == (w.concrete_indist, w.abstract_indist)
+            and views[0] != views[1])
+
+
 def check_domain_preservation(pair: RefinementPair) -> Verdict:
     """c4: a mapped action acts for the same domain at both levels."""
     for action in pair.concrete.machine.actions:
         image = pair.zeta.map(action)
         if image is TAU:
             continue
-        cd = pair.concrete.config.domain_of(action)
-        ad = pair.abstract.config.domain_of(image)
-        if cd != ad:
-            return Verdict.failed(C4Witness(action, image, cd, ad))
+        witness = C4Witness(action, image,
+                            pair.concrete.config.domain_of(action),
+                            pair.abstract.config.domain_of(image))
+        if c4_violated(pair, witness):
+            return Verdict.failed(witness)
     return Verdict.passed()
 
 
 def check_policy_inclusion(pair: RefinementPair) -> Verdict:
     """c5: every abstract flow edge is also a concrete flow edge."""
-    extra = sorted(pair.abstract.config.policy - pair.concrete.config.policy)
-    if extra:
-        return Verdict.failed(C5Witness(*extra[0]))
+    for edge in sorted(pair.abstract.config.policy):
+        witness = C5Witness(*edge)
+        if c5_violated(pair, witness):
+            return Verdict.failed(witness)
     return Verdict.passed()
 
 
@@ -479,7 +557,7 @@ class SimulationReport:
     refinement: Verdict
     cross_check: Verdict
     pair_count: int
-    scope_tag: str = "joint-reachable"
+    unwinding: Mapping[str, UnwindingReport]
 
     @property
     def ok(self) -> bool:
@@ -498,7 +576,9 @@ def check_simulation(pair: RefinementPair,
     that passes, requires the concrete system to pass it too. A passing
     simulation with a passing abstract system and a failing concrete
     one means the checker (or the theory it leans on) is broken; that
-    surfaces as a failed cross_check verdict, never silently.
+    surfaces as a failed cross_check verdict, never silently. The
+    unwinding reports the cross-check ran are handed back in
+    `unwinding`, by level, so a caller need not run them again.
     """
     exploration = joint_explore(pair, budget=budget)
     c4 = check_domain_preservation(pair)
@@ -508,11 +588,18 @@ def check_simulation(pair: RefinementPair,
     else:
         c6 = Verdict.skipped("requires the pair set from a clean exploration")
     verdicts = [exploration.c1, exploration.c2, exploration.c3, c4, c5, c6]
+    pair_count = len(exploration.pairs)
+    # The pair set is no longer needed; free it before the unwinding
+    # runs explore each level.
+    del exploration
+    unwinding: dict[str, UnwindingReport] = {}
     if all(v.ok for v in verdicts):
         refinement = Verdict.passed()
-        abstract_report = check_unwinding(pair.abstract, budget=budget)
+        abstract_report = unwinding["abstract"] = check_unwinding(
+            pair.abstract, budget=budget)
         if abstract_report.ok:
-            concrete_report = check_unwinding(pair.concrete, budget=budget)
+            concrete_report = unwinding["concrete"] = check_unwinding(
+                pair.concrete, budget=budget)
             if concrete_report.ok:
                 cross = Verdict("pass", CrossCheck(True, True),
                                 "abstract and concrete unwinding both pass")
@@ -528,12 +615,13 @@ def check_simulation(pair: RefinementPair,
                    if v.status == "fail"]
         refinement = Verdict.failed(None, "failed conditions: " + ", ".join(failing))
         cross = Verdict.skipped("simulation did not pass")
+    c1, c2, c3 = verdicts[:3]
     return SimulationReport(
-        c1=exploration.c1, c2=exploration.c2, c3=exploration.c3,
-        c4=c4, c5=c5, c6=c6,
+        c1=c1, c2=c2, c3=c3, c4=c4, c5=c5, c6=c6,
         refinement=refinement,
         cross_check=cross,
-        pair_count=len(exploration.pairs),
+        pair_count=pair_count,
+        unwinding=unwinding,
     )
 
 
@@ -616,8 +704,7 @@ def check_compositional(pair: RefinementPair, rg: RelyGuaranteeSpec,
     """
     exploration = joint_explore(pair, budget=budget)
     mc = pair.concrete.machine
-    ma = pair.abstract.machine
-    alpha, zeta = pair.alpha, pair.zeta
+    zeta = pair.zeta
     components = tuple(sorted(rg.contracts))
 
     if not exploration.c1.ok:
@@ -638,58 +725,37 @@ def check_compositional(pair: RefinementPair, rg: RelyGuaranteeSpec,
             for successor in mc.step(s, action):
                 steps_by[mover].append((current, action, successor))
 
-    lemma1 = lemma2 = lemma3 = None
+    own_failures: dict[str, Verdict] = {}
+    lemma3 = None
+
+    def failed(component: str, current: Pair, action: ActionId,
+               successor: State, reason: str, abstract_successor: State | None,
+               other: str | None) -> Verdict:
+        return Verdict.failed(LemmaWitness(
+            component=component, other_component=other,
+            trace=exploration.trace_to(current) + (action,),
+            state=current[0], abstract_state=current[1], action=action,
+            successor=successor, abstract_successor=abstract_successor,
+            reason=reason,
+        ))
 
     for mover in components:
         contract = rg.contracts[mover]
         for current, action, successor in steps_by[mover]:
             s, sigma = current
             image = zeta.map(action)
-            if image is TAU:
-                if lemma1 is None:
-                    if not contract.guarantee(s, successor):
-                        lemma1 = Verdict.failed(LemmaWitness(
-                            component=mover,
-                            trace=exploration.trace_to(current) + (action,),
-                            state=s, abstract_state=sigma, action=action,
-                            successor=successor, abstract_successor=None,
-                            reason="silent step leaves the component's guarantee",
-                        ))
-                    elif not alpha.holds(successor, sigma):
-                        lemma1 = Verdict.failed(LemmaWitness(
-                            component=mover,
-                            trace=exploration.trace_to(current) + (action,),
-                            state=s, abstract_state=sigma, action=action,
-                            successor=successor, abstract_successor=None,
-                            reason="silent step breaks the state relation",
-                        ))
-            else:
-                witness = None
-                for sigma2 in ma.step(sigma, image):
-                    if alpha.holds(successor, sigma2) and \
-                            contract.abstract_guarantee(sigma, sigma2):
-                        witness = sigma2
-                        break
-                if witness is not None:
-                    abstract_moves_by[mover].add((sigma, witness))
-                if lemma2 is None:
-                    if not contract.guarantee(s, successor):
-                        lemma2 = Verdict.failed(LemmaWitness(
-                            component=mover,
-                            trace=exploration.trace_to(current) + (action,),
-                            state=s, abstract_state=sigma, action=action,
-                            successor=successor, abstract_successor=None,
-                            reason="mapped step leaves the component's guarantee",
-                        ))
-                    elif witness is None:
-                        lemma2 = Verdict.failed(LemmaWitness(
-                            component=mover,
-                            trace=exploration.trace_to(current) + (action,),
-                            state=s, abstract_state=sigma, action=action,
-                            successor=successor, abstract_successor=None,
-                            reason="no abstract step lands in alpha within "
-                                   "the abstract guarantee",
-                        ))
+            match = None
+            if image is not TAU:
+                match = _mapped_match(pair, contract, sigma, image, successor)
+                if match is not None:
+                    abstract_moves_by[mover].add((sigma, match))
+            lemma = "lemma1" if image is TAU else "lemma2"
+            if lemma not in own_failures:
+                reason = _own_step_failure(pair, contract, current, image,
+                                           successor, match)
+                if reason is not None:
+                    own_failures[lemma] = failed(mover, current, action,
+                                                 successor, reason, None, None)
 
     for observer in components:
         if lemma3 is not None:
@@ -699,54 +765,18 @@ def check_compositional(pair: RefinementPair, rg: RelyGuaranteeSpec,
             if mover == observer or lemma3 is not None:
                 continue
             for current, action, successor in steps_by[mover]:
-                s, sigma = current
-                if not contract.rely(s, successor):
-                    lemma3 = Verdict.failed(LemmaWitness(
-                        component=observer, other_component=mover,
-                        trace=exploration.trace_to(current) + (action,),
-                        state=s, abstract_state=sigma, action=action,
-                        successor=successor, abstract_successor=None,
-                        reason="environment step breaks the concrete rely",
-                    ))
-                    break
-                image = zeta.map(action)
-                if image is TAU:
-                    counterpart: State | None = sigma
-                else:
-                    counterpart = _abstract_witness(alpha, ma.step(sigma, image), successor)
-                if counterpart is None:
-                    lemma3 = Verdict.failed(LemmaWitness(
-                        component=observer, other_component=mover,
-                        trace=exploration.trace_to(current) + (action,),
-                        state=s, abstract_state=sigma, action=action,
-                        successor=successor, abstract_successor=None,
-                        reason="environment step has no abstract counterpart",
-                    ))
-                    break
-                if not contract.abstract_rely(sigma, counterpart):
-                    lemma3 = Verdict.failed(LemmaWitness(
-                        component=observer, other_component=mover,
-                        trace=exploration.trace_to(current) + (action,),
-                        state=s, abstract_state=sigma, action=action,
-                        successor=successor, abstract_successor=counterpart,
-                        reason="environment step breaks the abstract rely",
-                    ))
-                    break
-                if not alpha.holds(successor, counterpart):
-                    lemma3 = Verdict.failed(LemmaWitness(
-                        component=observer, other_component=mover,
-                        trace=exploration.trace_to(current) + (action,),
-                        state=s, abstract_state=sigma, action=action,
-                        successor=successor, abstract_successor=counterpart,
-                        reason="environment step leaves the state relation",
-                    ))
+                failure = _environment_failure(pair, contract, current,
+                                               action, successor)
+                if failure is not None:
+                    lemma3 = failed(observer, current, action, successor,
+                                    *failure, mover)
                     break
 
     lemma4, lemma4_note = _check_compatibility(
         exploration, rg, components, steps_by, abstract_moves_by)
 
-    lemma1 = lemma1 or Verdict.passed()
-    lemma2 = lemma2 or Verdict.passed()
+    lemma1 = own_failures.get("lemma1") or Verdict.passed()
+    lemma2 = own_failures.get("lemma2") or Verdict.passed()
     lemma3 = lemma3 or Verdict.passed()
 
     all_pass = all(v.ok for v in (lemma1, lemma2, lemma3, lemma4))
@@ -805,29 +835,153 @@ def _check_compatibility(
             if other == mover:
                 continue
             other_contract = rg.contracts[other]
-            for s, s2 in moves:
-                if not other_contract.rely(s, s2):
-                    verdict = Verdict.failed(LemmaWitness(
-                        component=mover, other_component=other,
-                        trace=(), state=s, abstract_state=None,
-                        action=None, successor=s2, abstract_successor=None,
-                        reason="a concrete guarantee move breaks the rely",
-                        level="concrete",
-                    ))
-                    break
-            if verdict is not None:
-                break
-            for a, a2 in abstract_moves:
-                if not other_contract.abstract_rely(a, a2):
-                    verdict = Verdict.failed(LemmaWitness(
-                        component=mover, other_component=other,
-                        trace=(), state=a, abstract_state=None,
-                        action=None, successor=a2, abstract_successor=None,
-                        reason="an abstract guarantee move breaks the rely",
-                        level="abstract",
-                    ))
+            for level, level_moves in (("concrete", moves),
+                                       ("abstract", abstract_moves)):
+                for s, s2 in level_moves:
+                    reason = _rely_failure(other_contract, level, s, s2)
+                    if reason is not None:
+                        verdict = Verdict.failed(LemmaWitness(
+                            component=mover, other_component=other,
+                            trace=(), state=s, abstract_state=None,
+                            action=None, successor=s2,
+                            abstract_successor=None, reason=reason,
+                            level=level,
+                        ))
+                        break
+                if verdict is not None:
                     break
             if verdict is not None:
                 break
     note = "guarantee moves: " + "; ".join(sources)
     return (verdict or Verdict.passed(), note)
+
+
+# ---------------------------------------------------------------------------
+# Lemma instances: one step (lemmas 1-3) or one guarantee move (lemma 4).
+# Each returns why the instance fails, or None; check_compositional and
+# lemma_violated share them.
+# ---------------------------------------------------------------------------
+
+def _own_step_failure(pair: RefinementPair, contract: ComponentContract,
+                      current: Pair, image: ActionId | _Tau, successor: State,
+                      match: State | None) -> str | None:
+    """Lemma 1 (a silent step) or lemma 2 (a mapped step, given its
+    abstract match) on a step of the contract's own component."""
+    s, sigma = current
+    if not contract.guarantee(s, successor):
+        kind = "silent" if image is TAU else "mapped"
+        return f"{kind} step leaves the component's guarantee"
+    if image is TAU and not pair.alpha.holds(successor, sigma):
+        return "silent step breaks the state relation"
+    if image is not TAU and match is None:
+        return "no abstract step lands in alpha within the abstract guarantee"
+    return None
+
+
+def _mapped_match(pair: RefinementPair, contract: ComponentContract,
+                  sigma: State, image: ActionId, successor: State) -> State | None:
+    """The first abstract step on `image` landing in alpha within the
+    abstract guarantee."""
+    for sigma2 in pair.abstract.machine.step(sigma, image):
+        if pair.alpha.holds(successor, sigma2) and \
+                contract.abstract_guarantee(sigma, sigma2):
+            return sigma2
+    return None
+
+
+def _environment_failure(pair: RefinementPair, contract: ComponentContract,
+                         current: Pair, action: ActionId, successor: State
+                         ) -> tuple[str, State | None] | None:
+    """Lemma 3 on another component's step, against the contract's
+    relies; the abstract counterpart comes with the reason once found."""
+    s, sigma = current
+    if not contract.rely(s, successor):
+        return ("environment step breaks the concrete rely", None)
+    image = pair.zeta.map(action)
+    if image is TAU:
+        counterpart: State | None = sigma
+    else:
+        counterpart = _abstract_witness(
+            pair.alpha, pair.abstract.machine.step(sigma, image), successor)
+    if counterpart is None:
+        return ("environment step has no abstract counterpart", None)
+    if not contract.abstract_rely(sigma, counterpart):
+        return ("environment step breaks the abstract rely", counterpart)
+    if not pair.alpha.holds(successor, counterpart):
+        return ("environment step leaves the state relation", counterpart)
+    return None
+
+
+def _rely_failure(contract: ComponentContract, level: str,
+                  s: State, s2: State) -> str | None:
+    """Lemma 4 on another component's guarantee move at `level`."""
+    rely = contract.rely if level == "concrete" else contract.abstract_rely
+    article = "a" if level == "concrete" else "an"
+    return None if rely(s, s2) else f"{article} {level} guarantee move breaks the rely"
+
+
+def _is_guarantee_move(pair: RefinementPair, rg: RelyGuaranteeSpec,
+                       component: str, level: str, s: State, s2: State) -> bool:
+    """Whether `component`'s declared enumerator at `level` yields
+    (s, s2) or, without one, one of its actions steps there (by its
+    zeta image at the abstract level)."""
+    contract = rg.contracts[component]
+    concrete = level == "concrete"
+    declared = (contract.guarantee_moves if concrete
+                else contract.abstract_guarantee_moves)
+    if declared is not None:
+        return s2 in declared(s)
+    machine = (pair.concrete if concrete else pair.abstract).machine
+    return any(
+        image is not TAU and s2 in machine.step(s, image)
+        for action in pair.concrete.machine.actions
+        if rg.component(action) == component
+        for image in [action if concrete else pair.zeta.map(action)])
+
+
+def lemma_violated(pair: RefinementPair, rg: RelyGuaranteeSpec, lemma: str,
+                   w: LemmaWitness) -> bool:
+    """True when `w` is an instance that fails rely-guarantee lemma
+    `lemma` ("lemma1" to "lemma4", see `check_compositional`) for the
+    reason, counterpart and components it records.
+
+    Lemmas 1 to 3 speak about a concrete step from a related pair at
+    the end of `w.trace`; lemma 4 about a guarantee move at `w.level`.
+    """
+    if w.component not in rg.contracts or w.successor is None:
+        return False
+    contract = rg.contracts[w.component]
+    if lemma == "lemma4":
+        if w.other_component not in rg.contracts \
+                or w.other_component == w.component \
+                or w.level not in ("concrete", "abstract") \
+                or not _is_guarantee_move(pair, rg, w.component, w.level,
+                                          w.state, w.successor):
+            return False
+        reason = _rely_failure(rg.contracts[w.other_component], w.level,
+                               w.state, w.successor)
+        return reason is not None and w == LemmaWitness(
+            w.component, (), w.state, None, None, w.successor, None, reason,
+            w.level, w.other_component)
+    if w.action is None or w.abstract_state is None \
+            or not _related_step(pair, w):
+        return False
+    current = (w.state, w.abstract_state)
+    mover = rg.component(w.action)
+    own = mover == w.component
+    image = pair.zeta.map(w.action)
+    if lemma == "lemma3" and not own:
+        failure = _environment_failure(pair, contract, current, w.action,
+                                       w.successor)
+    elif own and lemma == ("lemma1" if image is TAU else "lemma2"):
+        match = None if image is TAU else _mapped_match(
+            pair, contract, w.abstract_state, image, w.successor)
+        reason = _own_step_failure(pair, contract, current, image,
+                                   w.successor, match)
+        failure = None if reason is None else (reason, None)
+    else:
+        return False
+    return failure is not None and w == LemmaWitness(
+        w.component, w.trace, w.state, w.abstract_state, w.action,
+        w.successor, failure[1], failure[0], "concrete",
+        None if own else mover)

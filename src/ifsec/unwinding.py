@@ -25,6 +25,7 @@ from .core import (
     State,
     UsageError,
     explore,
+    indist,
 )
 
 
@@ -79,13 +80,20 @@ class SCViolation:
 class UnwindingReport:
     lr: LRViolation | None
     sc: SCViolation | None
-    scope_tag: str
-    scope_size: int
+    scope: Scope
     stutter: bool
 
     @property
     def ok(self) -> bool:
         return self.lr is None and self.sc is None
+
+    @property
+    def scope_tag(self) -> str:
+        return self.scope.tag
+
+    @property
+    def scope_size(self) -> int:
+        return len(self.scope.states)
 
 
 def _domains(system: SecureSystem, domains: Iterable[str] | None) -> tuple[str, ...]:
@@ -96,6 +104,31 @@ def _domains(system: SecureSystem, domains: Iterable[str] | None) -> tuple[str, 
         if d not in system.config.domains:
             raise UsageError(f"unknown domain {d!r}")
     return chosen
+
+
+def lr_violated(system: SecureSystem, v: LRViolation) -> bool:
+    """True when `v` is an instance that breaks local respect: the
+    acting domain may not flow to `v.domain`, yet the step from
+    `v.state` to `v.successor` changes what `v.domain` observes."""
+    config = system.config
+    return (not config.allows(config.domain_of(v.action), v.domain)
+            and v.successor in system.machine.step(v.state, v.action)
+            and not indist(config, v.domain, v.state, v.successor))
+
+
+def sc_violated(system: SecureSystem, v: SCViolation) -> bool:
+    """True when `v` is an instance that breaks step consistency: the
+    premise holds for `v.s1` and `v.s2` (equal `v.domain` view, and
+    equal acting-domain view when that domain may flow to `v.domain`),
+    yet their successors under `v.action` differ in `v.domain`'s view."""
+    config, step = system.config, system.machine.step
+    acting = config.domain_of(v.action)
+    return (indist(config, v.domain, v.s1, v.s2)
+            and (not config.allows(acting, v.domain)
+                 or indist(config, acting, v.s1, v.s2))
+            and v.s1_successor in step(v.s1, v.action)
+            and v.s2_successor in step(v.s2, v.action)
+            and not indist(config, v.domain, v.s1_successor, v.s2_successor))
 
 
 def check_lr(system: SecureSystem, scope: Scope,
@@ -197,7 +230,6 @@ def check_unwinding(system: SecureSystem, scope: Scope | None = None,
     return UnwindingReport(
         lr=check_lr(system, scope, domains),
         sc=check_sc(system, scope, domains),
-        scope_tag=scope.tag,
-        scope_size=len(scope.states),
+        scope=scope,
         stutter=has_stutter(system, scope),
     )

@@ -189,12 +189,24 @@ def run(capsys):
 
 @pytest.fixture()
 def saved_report(run, tmp_path):
-    def save(*argv):
+    def save(*argv, edit=None):
+        """Save the --json report of `argv`; `edit` overwrites fields of
+        the first failing witness, as a hand-edited report would."""
         code, out, _ = run(*argv, "--json")
+        if edit:
+            data = json.loads(out)
+            failing = next(c for c in data["checks"] if c["status"] == "fail")
+            failing["witness"].update(edit)
+            out = json.dumps(data)
         path = tmp_path / "report.json"
         path.write_text(out, encoding="utf-8")
         return code, str(path)
     return save
+
+
+def assert_stale(code, err):
+    assert code == 2
+    assert "no longer reproduces" in err and "stale" in err
 
 
 class TestList:
@@ -282,6 +294,7 @@ class TestExitCodes:
         ("check", "ni", "toy", "--depth", "2"),
         ("check", "refine", "toy", "--domain", "hi"),
         ("check", "refine", "toy", "--universe"),
+        ("check", "refine", "toy", "--depth", "2"),
         ("check", "compositional", "toy", "--depth", "2"),
     ])
     def test_stray_flag_is_two(self, run, models, argv):
@@ -429,11 +442,16 @@ class TestReportShape:
 
 
 class TestReplay:
-    def test_lr_witness_reproduces(self, run, saved_report, models):
+    # Edited so that it describes no violation: hi -> hi is allowed.
+    @pytest.mark.parametrize("edit", [None, {"domain": "hi"}])
+    def test_lr_witness_reproduces(self, run, saved_report, models, edit):
         code, report = saved_report("check", "unwinding",
-                                    str(models / "leaky.ifs"))
+                                    str(models / "leaky.ifs"), edit=edit)
         assert code == 1
-        code, out, _ = run("replay", report)
+        code, out, err = run("replay", report)
+        if edit:
+            assert_stale(code, err)
+            return
         assert code == 0
         assert "reproduced lr" in out
         assert "'toggle'" in out and "'lo'" in out
@@ -446,10 +464,17 @@ class TestReplay:
         assert code == 0
         assert "reproduced sc" in out
 
-    def test_ni_witness_reproduces(self, run, saved_report, models):
-        code, report = saved_report("check", "ni", str(models / "leaky.ifs"))
+    # Edited so that it describes no violation: for hi, ipurge keeps
+    # `toggle`, so nothing is purged.
+    @pytest.mark.parametrize("edit", [None, {"domain": "hi"}])
+    def test_ni_witness_reproduces(self, run, saved_report, models, edit):
+        code, report = saved_report("check", "ni", str(models / "leaky.ifs"),
+                                    edit=edit)
         assert code == 1
-        code, out, _ = run("replay", report)
+        code, out, err = run("replay", report)
+        if edit:
+            assert_stale(code, err)
+            return
         assert code == 0
         assert "reproduced ni" in out
         assert "full trace" in out and "purged trace" in out
@@ -467,11 +492,18 @@ class TestReplay:
         assert code == 0
         assert "reproduced c2" in out
 
-    def test_lemma_witness_reproduces(self, run, saved_report, models):
+    # Edited so that it blames a component whose step it is not, for a
+    # reason no lemma gives.
+    @pytest.mark.parametrize("edit", [
+        None, {"component": "worker", "reason": "made up"}])
+    def test_lemma_witness_reproduces(self, run, saved_report, models, edit):
         code, report = saved_report("check", "compositional",
-                                    str(models / "pair_badg.ifs"))
+                                    str(models / "pair_badg.ifs"), edit=edit)
         assert code == 1
-        code, out, _ = run("replay", report)
+        code, out, err = run("replay", report)
+        if edit:
+            assert_stale(code, err)
+            return
         assert code == 0
         assert "reproduced lemma1" in out
         assert "janitor" in out

@@ -7,6 +7,8 @@ examples below before the implementation existed.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from ifsec.core import ActionId, BudgetError, InfoFlowConfig, SecureSystem, State, StateMachine
@@ -14,6 +16,7 @@ from ifsec.noninterference import (
     NIResult,
     check_ni,
     ipurge,
+    ni_violated,
     sources,
     validate_unwinding_theorem,
 )
@@ -229,6 +232,11 @@ class TestCheckNI:
         assert result.counterexample.trace == (ActionId("h"),)
         assert result.counterexample.domain == "lo"
         assert result.counterexample.purged == ()
+        # The replay predicate agrees; hi, who may learn of h, has no
+        # counterexample in the same trace.
+        assert ni_violated(leaky_system(), result.counterexample)
+        assert not ni_violated(leaky_system(),
+                               replace(result.counterexample, domain="hi"))
 
     def test_quiet_system_passes(self):
         result = check_ni(quiet_system(), 4)

@@ -6,6 +6,8 @@ witness was worked out by hand on paper before running anything.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from ifsec.core import (
@@ -24,12 +26,19 @@ from ifsec.refinement import (
     RefinementPair,
     RelyGuaranteeSpec,
     Zeta,
+    c1_violated,
+    c2_violated,
+    c3_violated,
+    c4_violated,
+    c5_violated,
+    c6_violated,
     check_alpha_preserves_indist,
     check_compositional,
     check_domain_preservation,
     check_policy_inclusion,
     check_simulation,
     joint_explore,
+    lemma_violated,
     total_relation,
 )
 
@@ -116,6 +125,7 @@ class TestJointExplore:
         )
         exploration = joint_explore(pair)
         assert exploration.c1.status == "fail"
+        assert c1_violated(pair, exploration.c1.witness)
         assert exploration.c2.status == "skipped"
         assert exploration.pairs == ()
 
@@ -133,6 +143,8 @@ class TestJointExplore:
         assert witness.action == INC
         assert witness.trace == (INC,)
         assert witness.successor == State({"x": 1})
+        assert c2_violated(pair, witness)
+        assert not c2_violated(pair, replace(witness, trace=()))
         assert exploration.c3.status == "skipped"
 
     def test_mapped_step_with_no_abstract_step_fails_c3(self):
@@ -155,6 +167,8 @@ class TestJointExplore:
         assert witness.abstract_action == INC
         assert witness.abstract_candidates == ()
         assert witness.trace == (INC,)
+        assert c3_violated(pair, witness)
+        assert not c3_violated(pair, replace(witness, successor=witness.state))
 
     def test_budget_is_enforced(self):
         with pytest.raises(BudgetError):
@@ -185,6 +199,9 @@ class TestStaticConditions:
         assert verdict.witness.action == send
         assert verdict.witness.concrete_domain == "t1"
         assert verdict.witness.abstract_domain == "t2"
+        assert c4_violated(pair, verdict.witness)
+        assert not c4_violated(pair, replace(verdict.witness,
+                                             abstract_domain="t1"))
 
     def test_domain_preservation_vacuous_when_all_silent(self):
         pair = RefinementPair(
@@ -216,6 +233,8 @@ class TestStaticConditions:
         verdict = check_policy_inclusion(pair)
         assert verdict.status == "fail"
         assert (verdict.witness.source, verdict.witness.target) == ("a", "b")
+        assert c5_violated(pair, verdict.witness)
+        assert not c5_violated(pair, replace(verdict.witness, target="a"))
 
         empty_abstract = SecureSystem(
             StateMachine((s0,), (), {}, s0),
@@ -252,6 +271,8 @@ class TestIndistPreservation:
         assert witness.first == (c0, State({"y": 0}))
         assert witness.second == (c1, State({"y": 0}))
         assert witness.second_trace == (flip,)
+        assert c6_violated(pair, witness)
+        assert not c6_violated(pair, replace(witness, second=witness.first))
 
     def test_identity_alpha_preserves_views(self):
         pair = identity_pair(mod2_system())
@@ -269,6 +290,9 @@ class TestSimulationReport:
         assert report.cross_check.witness.abstract_unwinding_ok is True
         assert report.cross_check.witness.concrete_unwinding_ok is True
         assert report.pair_count == 2
+        # The cross-check hands back the unwinding it ran, per level.
+        assert sorted(report.unwinding) == ["abstract", "concrete"]
+        assert all(u.ok for u in report.unwinding.values())
 
     def test_simulation_of_an_insecure_system_still_holds(self):
         # Refinement is about level correspondence, not security: the
@@ -289,6 +313,7 @@ class TestSimulationReport:
         assert report.cross_check.ok
         assert report.cross_check.witness.abstract_unwinding_ok is False
         assert report.cross_check.witness.concrete_unwinding_ok is None
+        assert list(report.unwinding) == ["abstract"]
 
     def test_failing_condition_names_itself_and_skips_cross_check(self):
         flip = ActionId("flip")
@@ -306,6 +331,7 @@ class TestSimulationReport:
         assert report.c6.status == "fail"
         assert "c6" in report.refinement.note
         assert report.cross_check.status == "skipped"
+        assert report.unwinding == {}
 
     def test_reports_are_deterministic(self):
         first = check_simulation(identity_pair(mod2_system()))
@@ -375,9 +401,14 @@ class TestCompositional:
         witness = report.lemma3.witness
         assert witness.component == "a" and witness.other_component == "b"
         assert witness.reason == "environment step breaks the concrete rely"
+        assert lemma_violated(pair, rg, "lemma3", witness)
+        assert not lemma_violated(pair, rg, "lemma1", witness)
+        assert not lemma_violated(pair, rg, "lemma3",
+                                  replace(witness, component="b"))
         # The same move is b's witnessed guarantee behavior, so the
         # compatibility lemma fails on it too.
         assert report.lemma4.status == "fail"
+        assert lemma_violated(pair, rg, "lemma4", report.lemma4.witness)
         assert report.cross_check.status == "skipped"
 
     def test_widened_guarantee_is_caught_without_a_machine_step(self):
@@ -408,6 +439,10 @@ class TestCompositional:
         assert witness.level == "concrete"
         assert witness.successor["x"] == 9
         assert "b: declared/witnessed" in report.lemma4.note
+        assert lemma_violated(pair, rg, "lemma4", witness)
+        # a declares no moves and its step never touches x.
+        assert not lemma_violated(pair, rg, "lemma4", replace(
+            witness, component="a", other_component="b"))
 
     def test_missing_contract_is_a_model_error(self):
         system = two_component_system(hit_changes_x=False)

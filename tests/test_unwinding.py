@@ -9,6 +9,8 @@ paper before the checks existed.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from ifsec.core import ActionId, InfoFlowConfig, SecureSystem, State, StateMachine, UsageError
@@ -18,6 +20,8 @@ from ifsec.unwinding import (
     check_lr,
     check_sc,
     check_unwinding,
+    lr_violated,
+    sc_violated,
     scope_reachable,
     scope_universe,
 )
@@ -105,6 +109,10 @@ class TestLocalRespect:
         assert violation == LRViolation(
             action=H, domain="lo", state=State({"x": 0}), successor=State({"x": 1})
         )
+        # The replay predicate agrees, and rejects the same step seen
+        # by hi, whom hi's actions may inform.
+        assert lr_violated(system, violation)
+        assert not lr_violated(system, replace(violation, domain="hi"))
 
     def test_total_policy_leaves_nothing_to_check(self):
         domains = ("hi", "lo")
@@ -139,6 +147,9 @@ class TestStepConsistency:
             s1_successor=State({"face": "heads"}),
             s2_successor=State({"face": "tails"}),
         )
+        assert sc_violated(system, violation)
+        assert not sc_violated(system, replace(
+            violation, s2_successor=violation.s1_successor))
 
     def test_leaky_machine_is_still_step_consistent(self):
         # The leak is a local-respect failure; each premise class here

@@ -134,7 +134,9 @@ def _resolve_ref(base_dir: str, ref: str) -> str:
 def load_target(kind: str, target: str, params: dict[str, int],
                 budget: int | None) -> LoadedTarget:
     if target in REGISTRY:
-        bundle = get_model(target, **params)
+        # For ni, --budget counts traces, not states.
+        bundle = get_model(target, budget=None if kind == "ni" else budget,
+                           **params)
         info = {
             "source": "builtin",
             "name": target,

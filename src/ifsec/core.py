@@ -15,12 +15,16 @@ Conventions used throughout the package:
 - All iteration orders are canonical: actions sort by (label, payload),
   states by their serialization, exploration is breadth-first with sorted
   action order.  Identical inputs always produce identical outputs.
+- Every state and pair search is an `Exploration`: FIFO over the
+  successors in the order the caller adds them, so the caller's
+  successor order alone fixes the discovery order, the first-reaching
+  parent edges and the witness traces; never iterate a set there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 #: Exploration ceiling applied when a caller does not pass an explicit budget.
 DEFAULT_STATE_BUDGET = 2_000_000
@@ -322,118 +326,122 @@ def run(machine: StateMachine, states: Iterable[State],
     return current
 
 
-@dataclass
 class Exploration:
-    """Breadth-first reachability result with parent pointers.
+    """Breadth-first search bookkeeping shared by every state and pair search.
 
-    `order` lists states in discovery order; `parent` maps each non-initial
-    state to the (predecessor, action) edge on a shortest path from the
-    initial state, which checkers use to reconstruct witness traces.
+    `order` lists nodes in discovery order and is also the FIFO queue:
+    iterating the exploration yields `order` while the caller grows it
+    with `add`.  `parent` maps each discovered node to the (predecessor,
+    action) edge that first reached it, None for the initial node; it is
+    the seen set, and `trace_to` walks it back to a shortest trace.
+    `depth` is the BFS depth of the node being expanded.
     """
 
-    order: tuple[State, ...]
-    parent: dict[State, tuple[State, ActionId]]
-    depth: dict[State, int]
-    truncated_at_depth: bool = False
+    def __init__(self, initial: Hashable, budget: int | None = None,
+                 noun: str = "states") -> None:
+        self.order: list = [initial]
+        self.parent: dict[Hashable, tuple[Hashable, ActionId] | None] = {
+            initial: None}
+        self.depth = 0
+        self._limit = DEFAULT_STATE_BUDGET if budget is None else budget
+        self._noun = noun
 
-    def trace_to(self, state: State) -> tuple[ActionId, ...]:
+    def __iter__(self) -> Iterator:
+        self.depth = 0
+        level_end = 1  # index of the first node one level deeper
+        # A list iterator also yields the items appended while it runs.
+        for i, node in enumerate(self.order):
+            if i == level_end:
+                self.depth += 1
+                level_end = len(self.order)
+            yield node
+
+    def add(self, node: Hashable, parent: Hashable, action: ActionId) -> None:
+        """Record `node` as reached from `parent` by `action`, unless seen.
+
+        Raises BudgetError when `node` would be one more than the budget.
+        """
+        if node in self.parent:
+            return
+        if len(self.order) >= self._limit:
+            raise BudgetError(
+                f"budget of {self._limit} {self._noun} exceeded at BFS depth "
+                f"{self.depth + 1} (raise --budget or shrink the model)")
+        self.parent[node] = (parent, action)
+        self.order.append(node)
+
+    def trace_to(self, node: Hashable) -> tuple[ActionId, ...]:
         steps: list[ActionId] = []
-        cursor = state
-        while cursor in self.parent:
-            cursor, action = self.parent[cursor]
+        edge = self.parent[node]
+        while edge is not None:
+            node, action = edge
             steps.append(action)
+            edge = self.parent[node]
         steps.reverse()
         return tuple(steps)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Exploration) and \
+            (self.order, self.parent) == (other.order, other.parent)
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 def explore(machine: StateMachine, depth: int | None = None,
             budget: int | None = None) -> Exploration:
     """BFS over `step` successors in canonical action order.
 
-    Raises BudgetError once more than `budget` states have been discovered
+    States at depth `depth` are discovered but not expanded.  Raises
+    BudgetError once more than `budget` states have been discovered
     (default DEFAULT_STATE_BUDGET).
     """
-    limit = DEFAULT_STATE_BUDGET if budget is None else budget
-    order: list[State] = [machine.initial]
-    parent: dict[State, tuple[State, ActionId]] = {}
-    depths: dict[State, int] = {machine.initial: 0}
-    frontier = [machine.initial]
-    truncated = False
-    while frontier:
-        if depth is not None and depths[frontier[0]] >= depth:
-            truncated = True
+    search = Exploration(machine.initial, budget)
+    for state in search:
+        if depth is not None and search.depth >= depth:
             break
-        nxt: list[State] = []
-        for state in frontier:
-            d = depths[state]
-            for action in machine.actions:
-                for succ in machine.transitions.get((state, action), ()):
-                    if succ in depths:
-                        continue
-                    depths[succ] = d + 1
-                    parent[succ] = (state, action)
-                    order.append(succ)
-                    if len(order) > limit:
-                        raise BudgetError(
-                            f"state budget exceeded: more than {limit} states "
-                            f"reachable (raise --budget or shrink the model)")
-                    nxt.append(succ)
-        frontier = nxt
-    return Exploration(tuple(order), parent, depths, truncated)
+        for action in machine.actions:
+            for succ in machine.transitions.get((state, action), ()):
+                search.add(succ, state, action)
+    return search
 
 
 def reachable(machine: StateMachine, depth: int | None = None,
               budget: int | None = None) -> tuple[State, ...]:
     """Reachable states in BFS discovery order (see `explore`)."""
-    return explore(machine, depth=depth, budget=budget).order
+    return tuple(explore(machine, depth=depth, budget=budget).order)
 
 
 # ---------------------------------------------------------------------------
 # Machine construction
 # ---------------------------------------------------------------------------
 
-def build_machine(initial: State, actions: Iterable[ActionId],
-                  step_fn: Callable[[State, ActionId], Iterable[State]],
-                  budget: int | None = None,
-                  universe: Iterable[State] | None = None,
-                  prune_actions: bool = False) -> StateMachine:
-    """Materialize an explicit StateMachine from a step function by BFS.
+def build_machine(initial: State,
+                  successors: Callable[[State], Iterable[tuple[ActionId, State]]],
+                  budget: int | None = None) -> StateMachine:
+    """Materialize an explicit StateMachine by BFS from `initial`.
 
-    The resulting machine's `states` is the reachable set, sorted.  With
-    `prune_actions`, actions that are enabled in no reachable state are
-    dropped from the alphabet; dropped actions could only ever stutter, so
-    no trace- or step-quantified verdict changes, while bounded-trace
-    enumeration gets the smaller alphabet it budgets on.
+    `successors` yields the (action, successor) steps of a state.  Steps
+    are grouped by action in first-appearance order and each group is
+    sorted, which fixes the discovery order.  The machine's `states` is
+    the reachable set, sorted, and its alphabet is the set of actions
+    enabled in some reachable state: an action that never fires would
+    only stutter, so leaving it out changes no verdict while bounded-trace
+    enumeration budgets on the real alphabet.
     """
-    limit = DEFAULT_STATE_BUDGET if budget is None else budget
-    action_order = sort_actions(actions)
+    search = Exploration(initial, budget)
     transitions: dict[tuple[State, ActionId], tuple[State, ...]] = {}
-    seen: set[State] = {initial}
-    frontier = [initial]
-    used: set[ActionId] = set()
-    while frontier:
-        nxt: list[State] = []
-        for state in frontier:
-            for action in action_order:
-                successors = tuple(sorted(set(step_fn(state, action))))
-                if not successors:
-                    continue
-                transitions[(state, action)] = successors
-                used.add(action)
-                for succ in successors:
-                    if succ not in seen:
-                        seen.add(succ)
-                        if len(seen) > limit:
-                            raise BudgetError(
-                                f"state budget exceeded while building machine: "
-                                f"more than {limit} states")
-                        nxt.append(succ)
-        frontier = nxt
-    kept = tuple(a for a in action_order if a in used) if prune_actions else action_order
+    for state in search:
+        grouped: dict[ActionId, set[State]] = {}
+        for action, succ in successors(state):
+            grouped.setdefault(action, set()).add(succ)
+        for action, succs in grouped.items():
+            targets = tuple(sorted(succs))
+            transitions[(state, action)] = targets
+            for succ in targets:
+                search.add(succ, state, action)
     return StateMachine(
-        states=tuple(sorted(seen)),
-        actions=kept,
+        states=tuple(sorted(search.order)),
+        actions=sort_actions({a for (_, a) in transitions}),
         transitions=transitions,
         initial=initial,
-        universe=None if universe is None else tuple(sorted(set(universe))),
     )

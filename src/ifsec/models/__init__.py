@@ -77,8 +77,11 @@ def model_names() -> tuple[str, ...]:
     return tuple(REGISTRY)
 
 
-def get_model(name: str, **params) -> ModelBundle:
-    """Build a registered model, validating the parameter names."""
+def get_model(name: str, budget: int | None = None, **params) -> ModelBundle:
+    """Build a registered model, validating the parameter names.
+
+    `budget` caps the states of each level's build (BudgetError beyond).
+    """
     entry = REGISTRY.get(name)
     if entry is None:
         known = ", ".join(REGISTRY)
@@ -88,4 +91,4 @@ def get_model(name: str, **params) -> ModelBundle:
             raise UsageError(
                 f"model {name!r} does not take parameter {key!r}; "
                 f"it takes: {', '.join(entry.params) or 'none'}")
-    return entry.build(**params)
+    return entry.build(budget=budget, **params)

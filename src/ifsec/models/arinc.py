@@ -120,11 +120,13 @@ class ArincConfig:
 
 
 def build_arinc(config: ArincConfig | None = None, variant: str = "secure",
-                capacity: int | None = None) -> ModelBundle:
+                capacity: int | None = None,
+                budget: int | None = None) -> ModelBundle:
     """Build one of the partitioned-kernel bundles.
 
     `capacity` overrides every channel's buffer bound; the topology
-    itself is part of :class:`ArincConfig`.
+    itself is part of :class:`ArincConfig`.  `budget` caps the states of
+    each level's build.
     """
     if variant not in VARIANTS:
         raise UsageError(
@@ -311,11 +313,11 @@ def build_arinc(config: ArincConfig | None = None, variant: str = "secure",
     concrete = compile_system(
         ConcurrentSystem(cpus, {c: tuple(v) for c, v in concrete_pool.items()},
                          concrete_vars),
-        domains, policy, observe("obuf"))
+        domains, policy, observe("obuf"), budget)
     abstract = compile_system(
         ConcurrentSystem(cpus, {c: tuple(v) for c, v in abstract_pool.items()},
                          abstract_vars),
-        domains, policy, observe("qbuf"))
+        domains, policy, observe("qbuf"), budget)
 
     def related(c: State, a: State) -> bool:
         for sched in scheds:

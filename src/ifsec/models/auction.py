@@ -59,8 +59,12 @@ def winner(top: Value, reserve: int) -> Value:
     return top if top is not None and top[1] > reserve else None
 
 
-def build_auction(users: int = 2, bids: tuple[int, ...] = (1, 2)) -> ModelBundle:
-    """Build the auction bundle for `users` bidders over the `bids` amounts."""
+def build_auction(users: int = 2, bids: tuple[int, ...] = (1, 2),
+                  budget: int | None = None) -> ModelBundle:
+    """Build the auction bundle for `users` bidders over the `bids` amounts.
+
+    `budget` caps the states of each level's build.
+    """
     if not 1 <= users <= 3:
         raise UsageError("users must be between 1 and 3")
     if not 1 <= len(bids) <= 3:
@@ -156,10 +160,10 @@ def build_auction(users: int = 2, bids: tuple[int, ...] = (1, 2)) -> ModelBundle
 
     concrete = compile_system(
         ConcurrentSystem(components, concrete_pool, concrete_vars),
-        domains, policy, observe("oblog", "obid"))
+        domains, policy, observe("oblog", "obid"), budget)
     abstract = compile_system(
         ConcurrentSystem(components, abstract_pool, abstract_vars),
-        domains, policy, observe("log", "maxbid"))
+        domains, policy, observe("log", "maxbid"), budget)
 
     def related(c: State, a: State) -> bool:
         for var in ("status", "reserve", "sealed", "res"):

@@ -60,12 +60,13 @@ DESCRIPTIONS = {
 
 
 def build_demo(threads: int = 3, capacity: int = 1, messages: int = 1,
-               variant: str = "secure") -> ModelBundle:
+               variant: str = "secure", budget: int | None = None) -> ModelBundle:
     """Build one of the message-ring bundles.
 
     `threads`, `capacity` and `messages` bound the ring size, the queue
     length and the message alphabet; they are kept small because every
-    checker here enumerates states or traces explicitly.
+    checker here enumerates states or traces explicitly.  `budget` caps
+    the states of each level's build.
     """
     if variant not in VARIANTS:
         raise UsageError(
@@ -209,10 +210,10 @@ def build_demo(threads: int = 3, capacity: int = 1, messages: int = 1,
 
     concrete = compile_system(
         ConcurrentSystem(names, concrete_pool, concrete_vars),
-        names, policy, concrete_observe)
+        names, policy, concrete_observe, budget)
     abstract = compile_system(
         ConcurrentSystem(names, abstract_pool, abstract_vars),
-        names, policy, abstract_observe)
+        names, policy, abstract_observe, budget)
 
     def related(c: State, a: State) -> bool:
         for t in names:

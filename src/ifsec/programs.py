@@ -21,16 +21,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from .core import (
-    DEFAULT_STATE_BUDGET,
     ActionId,
-    BudgetError,
     InfoFlowConfig,
     ModelError,
     SecureSystem,
     State,
-    StateMachine,
     Value,
-    sort_actions,
+    build_machine,
 )
 
 #: Partial state update: maps a state to the variable assignments to apply.
@@ -312,13 +309,11 @@ def compile_system(system: ConcurrentSystem,
                    budget: int | None = None) -> SecureSystem:
     """Build the explicit interleaving machine and pair it with its policy.
 
-    The machine's alphabet is the set of actions enabled in at least one
-    reachable state; an action that never fires would stutter everywhere,
-    so dropping it changes no checker verdict while keeping bounded-trace
-    enumeration honest about the real alphabet.
+    Successors are listed component by component, events in pool order,
+    and `build_machine` explores them; its alphabet is the set of actions
+    enabled in at least one reachable state.
     """
     system.validate()
-    limit = DEFAULT_STATE_BUDGET if budget is None else budget
 
     tables = _Compilation()
     initial_vars = dict(system.initial)
@@ -327,7 +322,6 @@ def compile_system(system: ConcurrentSystem,
     initial = State(initial_vars)
 
     dom_of: dict[ActionId, str] = {}
-    transitions: dict[tuple[State, ActionId], tuple[State, ...]] = {}
 
     def successors(state: State) -> list[tuple[ActionId, State]]:
         out: list[tuple[ActionId, State]] = []
@@ -354,37 +348,11 @@ def compile_system(system: ConcurrentSystem,
                     out.append((action, stepped.assign({_pc_var(comp): pc_next})))
         return out
 
-    seen = {initial}
-    frontier = [initial]
-    while frontier:
-        nxt: list[State] = []
-        for state in frontier:
-            grouped: dict[ActionId, set[State]] = {}
-            for action, succ in successors(state):
-                grouped.setdefault(action, set()).add(succ)
-            for action, succs in grouped.items():
-                transitions[(state, action)] = tuple(sorted(succs))
-                for succ in succs:
-                    if succ not in seen:
-                        seen.add(succ)
-                        if len(seen) > limit:
-                            raise BudgetError(
-                                f"state budget exceeded while compiling: "
-                                f"more than {limit} states")
-                        nxt.append(succ)
-        frontier = nxt
-
-    actions = sort_actions({a for (_, a) in transitions})
-    machine = StateMachine(
-        states=tuple(sorted(seen)),
-        actions=actions,
-        transitions=transitions,
-        initial=initial,
-    )
+    machine = build_machine(initial, successors, budget)
     config = InfoFlowConfig(
         domains=tuple(sorted(set(domains))),
         policy=frozenset(policy),
-        dom={a: dom_of[a] for a in actions},
+        dom={a: dom_of[a] for a in machine.actions},
         observe=observe,
     )
     return SecureSystem(machine, config)

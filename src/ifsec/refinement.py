@@ -32,14 +32,12 @@ level down, so the checker follows it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from ifsec.core import (
-    DEFAULT_STATE_BUDGET,
     ActionId,
-    BudgetError,
+    Exploration,
     ModelError,
     SecureSystem,
     State,
@@ -272,14 +270,14 @@ class LemmaWitness:
 class JointExploration:
     """Alpha pairs discovered from the initial pair, plus c1..c3 verdicts.
 
-    `pairs` is in discovery (breadth-first) order; `parent` lets each
+    `pairs` is in discovery (breadth-first) order; `search` lets each
     pair be replayed as a concrete trace from the initial pair. When a
     verdict fails the exploration stopped there, so `pairs` holds the
     prefix discovered up to the violation.
     """
 
     pairs: tuple[Pair, ...]
-    parent: Mapping[Pair, tuple[Pair, ActionId]]
+    search: Exploration
     c1: Verdict
     c2: Verdict
     c3: Verdict
@@ -289,7 +287,7 @@ class JointExploration:
         return self.c1.ok and self.c2.ok and self.c3.ok
 
     def trace_to(self, pair: Pair) -> tuple[ActionId, ...]:
-        return _pair_trace(self.parent, pair)
+        return self.search.trace_to(pair)
 
 
 def _abstract_witness(alpha: Alpha, candidates: Iterable[State],
@@ -315,94 +313,55 @@ def joint_explore(pair: RefinementPair,
     mc = pair.concrete.machine
     ma = pair.abstract.machine
     alpha, zeta = pair.alpha, pair.zeta
-    limit = DEFAULT_STATE_BUDGET if budget is None else budget
 
     start = (mc.initial, ma.initial)
+    search = Exploration(start, budget, noun="related state pairs")
     if not alpha.holds(*start):
         skip = Verdict.skipped("exploration aborted: initial pair unrelated")
-        return JointExploration(
-            pairs=(),
-            parent={},
-            c1=Verdict.failed(C1Witness(*start)),
-            c2=skip,
-            c3=skip,
-        )
+        return JointExploration((), search, Verdict.failed(C1Witness(*start)),
+                                skip, skip)
 
-    parent: dict[Pair, tuple[Pair, ActionId]] = {}
-    seen = {start}
-    order = [start]
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
+    def result(c2: Verdict, c3: Verdict) -> JointExploration:
+        return JointExploration(tuple(search.order), search, Verdict.passed(),
+                                c2, c3)
+
+    for current in search:
         s, sigma = current
         for action in mc.actions:
             image = zeta.map(action)
             for successor in mc.step(s, action):
                 if image is TAU:
                     if not alpha.holds(successor, sigma):
-                        witness = C2Witness(
-                            trace=_pair_trace(parent, current) + (action,),
-                            action=action,
-                            state=s,
-                            abstract_state=sigma,
-                            successor=successor,
-                        )
-                        return JointExploration(
-                            pairs=tuple(order),
-                            parent=parent,
-                            c1=Verdict.passed(),
-                            c2=Verdict.failed(witness),
-                            c3=Verdict.skipped("exploration aborted at the silent-step failure"),
-                        )
+                        return result(
+                            Verdict.failed(C2Witness(
+                                trace=search.trace_to(current) + (action,),
+                                action=action,
+                                state=s,
+                                abstract_state=sigma,
+                                successor=successor,
+                            )),
+                            Verdict.skipped(
+                                "exploration aborted at the silent-step failure"))
                     nxt = (successor, sigma)
                 else:
                     candidates = ma.step(sigma, image)
                     sigma2 = _abstract_witness(alpha, candidates, successor)
                     if sigma2 is None:
-                        witness = C3Witness(
-                            trace=_pair_trace(parent, current) + (action,),
-                            action=action,
-                            abstract_action=image,
-                            state=s,
-                            abstract_state=sigma,
-                            successor=successor,
-                            abstract_candidates=tuple(candidates),
-                        )
-                        return JointExploration(
-                            pairs=tuple(order),
-                            parent=parent,
-                            c1=Verdict.passed(),
-                            c2=Verdict.skipped("exploration aborted at the mapped-step failure"),
-                            c3=Verdict.failed(witness),
-                        )
+                        return result(
+                            Verdict.skipped(
+                                "exploration aborted at the mapped-step failure"),
+                            Verdict.failed(C3Witness(
+                                trace=search.trace_to(current) + (action,),
+                                action=action,
+                                abstract_action=image,
+                                state=s,
+                                abstract_state=sigma,
+                                successor=successor,
+                                abstract_candidates=tuple(candidates),
+                            )))
                     nxt = (successor, sigma2)
-                if nxt not in seen:
-                    if len(seen) >= limit:
-                        raise BudgetError(
-                            f"state budget exceeded: more than {limit} related "
-                            "state pairs reachable (raise --budget or shrink the model)"
-                        )
-                    seen.add(nxt)
-                    parent[nxt] = (current, action)
-                    order.append(nxt)
-                    queue.append(nxt)
-    return JointExploration(
-        pairs=tuple(order),
-        parent=parent,
-        c1=Verdict.passed(),
-        c2=Verdict.passed(),
-        c3=Verdict.passed(),
-    )
-
-
-def _pair_trace(parent: Mapping[Pair, tuple[Pair, ActionId]], pair: Pair) -> tuple[ActionId, ...]:
-    steps: list[ActionId] = []
-    cursor = pair
-    while cursor in parent:
-        cursor, action = parent[cursor]
-        steps.append(action)
-    steps.reverse()
-    return tuple(steps)
+                search.add(nxt, current, action)
+    return result(Verdict.passed(), Verdict.passed())
 
 
 def c1_violated(pair: RefinementPair, w: C1Witness) -> bool:

@@ -67,6 +67,7 @@ from ifsec.core import (
     DEFAULT_STATE_BUDGET,
     ActionId,
     BudgetError,
+    Exploration,
     InfoFlowConfig,
     ModelError,
     ParseError,
@@ -856,20 +857,14 @@ def elaborate_model(doc: ModelDocument, budget: int | None = None) -> SecureSyst
             if successors:
                 transitions[(state, action)] = tuple(sorted(successors))
 
-    seen = {initial}
-    frontier = [initial]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for action in actions:
-                for succ in transitions.get((state, action), ()):
-                    if succ not in seen:
-                        seen.add(succ)
-                        nxt.append(succ)
-        frontier = nxt
+    search = Exploration(initial, budget)
+    for state in search:
+        for action in actions:
+            for succ in transitions.get((state, action), ()):
+                search.add(succ, state, action)
 
     machine = StateMachine(
-        states=tuple(sorted(seen)),
+        states=tuple(sorted(search.order)),
         actions=actions,
         transitions=transitions,
         initial=initial,

@@ -38,7 +38,7 @@ class Scope:
     exploration: Exploration | None = None
 
     def trace_to(self, state: State) -> tuple[ActionId, ...] | None:
-        if self.exploration is None or state not in self.exploration.depth:
+        if self.exploration is None or state not in self.exploration.parent:
             return None
         return self.exploration.trace_to(state)
 

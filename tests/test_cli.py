@@ -283,6 +283,14 @@ class TestExitCodes:
         assert code == 4
         assert "budget" in err
 
+    @pytest.mark.parametrize("kind", ["unwinding", "refine", "compositional"])
+    def test_budget_bounds_builtin_builds(self, run, kind):
+        code, _, err = run("check", kind, "demo-insecure-counter",
+                           "--budget", "100")
+        assert code == 4
+        assert "budget of 100 states exceeded at BFS depth" in err
+        assert "--budget" in err
+
     def test_invalid_kind_is_argparse_exit_two(self, models):
         with pytest.raises(SystemExit) as exc:
             main(["check", "nosuchkind", str(models / "toy.ifs")])

@@ -22,6 +22,8 @@ from ifsec.core import (
     render_value,
     sort_actions,
 )
+from ifsec.programs import Basic, ConcurrentSystem, Event, compile_system
+from ifsec.refinement import Alpha, RefinementPair, Zeta, joint_explore
 
 
 def tiny_machine() -> StateMachine:
@@ -219,26 +221,93 @@ class TestReachability:
         assert run(m, {m.initial}, trace) == frozenset({target})
 
 
+TICK = ActionId("tick")
+
+
+def _counter(modulus: int, budget=None) -> StateMachine:
+    return build_machine(State({"n": 0}), lambda s: [
+        (TICK, s.assign({"n": (s["n"] + 1) % modulus}))], budget=budget)
+
+
 class TestBuildMachine:
-    def test_build_from_step_function_matches_explicit(self):
-        def step_fn(s: State, a: ActionId):
-            if a.label == "tick":
-                return (s.assign({"x": 1 - s["x"]}),)
-            return ()
+    def test_build_from_successor_function_matches_explicit(self):
+        tick = ActionId("tick")
+        s0, s1 = State({"x": 0}), State({"x": 1})
+        m = build_machine(s0, lambda s: [(tick, s.assign({"x": 1 - s["x"]}))])
+        assert m.states == (s0, s1)
+        assert m.transitions == {(s0, tick): (s1,), (s1, tick): (s0,)}
 
-        m = build_machine(State({"x": 0}), [ActionId("tick"), ActionId("halt")], step_fn)
-        assert len(m.states) == 2
-        assert m.actions == (ActionId("halt"), ActionId("tick"))
+    def test_alphabet_is_the_enabled_actions(self):
+        tick, halt = ActionId("tick"), ActionId("halt")
+        m = build_machine(State({"x": 0}),
+                          lambda s: [(tick, s.assign({"x": 1}))] if s["x"] == 0 else [])
+        assert m.actions == (tick,)
+        assert not m.has_action(halt)
 
-    def test_prune_drops_never_enabled_actions(self):
-        def step_fn(s: State, a: ActionId):
-            if a.label == "tick":
-                return (s.assign({"x": 1 - s["x"]}),)
-            return ()
+    def test_discovery_follows_sorted_groups_not_yield_order(self):
+        # Successors of one action are sorted before they are explored,
+        # so the yield order within a group cannot change the search.
+        go, stop = ActionId("go"), ActionId("stop")
+        s0 = State({"x": 0})
 
-        m = build_machine(State({"x": 0}), [ActionId("tick"), ActionId("halt")],
-                          step_fn, prune_actions=True)
-        assert m.actions == (ActionId("tick"),)
+        def successors(s, reverse):
+            if s["x"] != 0:
+                return []
+            outs = [(go, s.assign({"x": v})) for v in (1, 2, 3)]
+            return [(stop, s.assign({"x": 9}))] + (outs[::-1] if reverse else outs)
+
+        for reverse in (False, True):
+            m = build_machine(s0, lambda s: successors(s, reverse))
+            assert m.transitions[(s0, go)] == tuple(
+                State({"x": v}) for v in (1, 2, 3))
+            ex = explore(m)
+            # explore walks actions in sorted order: go before stop.
+            assert [s["x"] for s in ex.order] == [0, 1, 2, 3, 9]
+
+    def test_build_budget_error_names_limit_and_depth(self):
+        with pytest.raises(BudgetError, match=r"budget of 3 states exceeded "
+                                              r"at BFS depth 3.*--budget"):
+            _counter(100, budget=3)
+
+
+def _explored(budget):
+    return len(explore(tiny_machine(), budget=budget).order)
+
+
+def _built(budget):
+    return len(_counter(5, budget).states)
+
+
+def _compiled(budget):
+    bump = Basic(lambda s: {"n": (s["n"] + 1) % 3}, "bump")
+    system = ConcurrentSystem(("k",), {"k": (Event("e", lambda s: True, bump,
+                                                  "d"),)}, {"n": 0})
+    return len(compile_system(system, ["d"], [("d", "d")], lambda d, s: None,
+                              budget=budget).machine.states)
+
+
+def _joint(budget):
+    machine = _counter(4)
+    system = SecureSystem(machine, InfoFlowConfig(
+        ("d",), frozenset({("d", "d")}), {TICK: "d"}, lambda d, s: s["n"]))
+    pair = RefinementPair(system, system,
+                          Alpha.from_predicate(lambda c, a: c == a, "equality"),
+                          Zeta.identity(machine.actions))
+    return len(joint_explore(pair, budget=budget).pairs)
+
+
+class TestBudgetBoundary:
+    """Every search admits exactly `budget` nodes: N passes, N-1 raises."""
+
+    @pytest.mark.parametrize("search", [_explored, _built, _compiled, _joint],
+                             ids=["explore", "build_machine", "compile_system",
+                                  "joint_explore"])
+    def test_exact_budget_passes_one_less_raises(self, search):
+        size = search(None)
+        assert size > 1
+        assert search(size) == size
+        with pytest.raises(BudgetError, match=f"budget of {size - 1} "):
+            search(size - 1)
 
 
 class TestConfigValidation:

@@ -5,7 +5,9 @@ its text report are compared with the files under `tests/golden/`, and
 when the check fails, so are the JSON and text output of `ifsec replay`
 on that report. Together the fixtures emit every witness type the CLI
 writes: lr (reachable and universe scope), sc, ni, c1 to c6 and a
-rely-guarantee lemma. The c1 and c3 to c6 fixtures are variants of the
+rely-guarantee lemma. Two fixtures also run as `python -m ifsec.cli`
+children under hash seeds 0 and 1, which the in-process tests never
+see. The c1 and c3 to c6 fixtures are variants of the
 `PAIR` refinement from test_cli.py whose abstract model is edited so
 that exactly that condition is the first to fail.
 
@@ -25,13 +27,16 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import pathlib
 import re
+import subprocess
 import sys
 import tempfile
 
 import pytest
 
+import ifsec
 from ifsec.cli import main
 from test_cli import ABSTRACT, CONCRETE, LEAKY, PAIR, PAIR_BAD_GUARANTEE, ROLL
 
@@ -95,14 +100,24 @@ def cli(*argv: str) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def cli_process(*argv: str, hash_seed: str) -> tuple[int, str, str]:
+    """Run `python -m ifsec.cli` in a child under the given hash seed."""
+    src = os.path.dirname(os.path.dirname(ifsec.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "ifsec.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def check_argv(name: str, directory: pathlib.Path) -> list[str]:
     return ["check"] + [a.replace("@", str(directory)) if a.startswith("@")
                         else a for a in FIXTURES[name]]
 
 
-def save_report(name: str, directory: pathlib.Path) -> tuple[int, pathlib.Path]:
+def save_report(name: str, directory: pathlib.Path,
+                run=cli) -> tuple[int, pathlib.Path]:
     """Run fixture `name` with --json and save its report."""
-    code, out, _ = cli(*check_argv(name, directory), "--json")
+    code, out, _ = run(*check_argv(name, directory), "--json")
     path = directory / f"{name}.report.json"
     path.write_text(out, encoding="utf-8")
     return code, path
@@ -115,14 +130,14 @@ def normalise(text: str, directory: pathlib.Path) -> str:
     return re.sub(r"\b[0-9a-f]{64}\b", "<sha256>", masked)
 
 
-def outputs(name: str, directory: pathlib.Path) -> dict[str, str]:
+def outputs(name: str, directory: pathlib.Path, run=cli) -> dict[str, str]:
     """Golden file name -> normalised output, for fixture `name`."""
-    code, report = save_report(name, directory)
+    code, report = save_report(name, directory, run)
     found = {f"{name}.check.json": report.read_text(encoding="utf-8"),
-             f"{name}.check.txt": cli(*check_argv(name, directory))[1]}
+             f"{name}.check.txt": run(*check_argv(name, directory))[1]}
     if code == 1:
-        found[f"{name}.replay.json"] = cli("replay", str(report), "--json")[1]
-        found[f"{name}.replay.txt"] = cli("replay", str(report))[1]
+        found[f"{name}.replay.json"] = run("replay", str(report), "--json")[1]
+        found[f"{name}.replay.txt"] = run("replay", str(report))[1]
     return {key: normalise(text, directory) for key, text in found.items()}
 
 
@@ -135,6 +150,19 @@ def model_dir(tmp_path):
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_output_matches_golden(name, model_dir):
     for filename, text in outputs(name, model_dir).items():
+        expected = (GOLDEN / filename).read_text(encoding="utf-8")
+        assert text == expected, filename
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+@pytest.mark.parametrize("name", ["sc", "c6"])
+def test_output_matches_golden_under_other_hash_seeds(name, hash_seed,
+                                                      model_dir):
+    # The in-process tests above only ever see this process's hash seed.
+    def run(*argv):
+        return cli_process(*argv, hash_seed=hash_seed)
+
+    for filename, text in outputs(name, model_dir, run).items():
         expected = (GOLDEN / filename).read_text(encoding="utf-8")
         assert text == expected, filename
 

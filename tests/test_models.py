@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from ifsec.core import ModelError, UsageError
+from ifsec.core import BudgetError, ModelError, UsageError
 from ifsec.models import (
     REGISTRY,
     ArincConfig,
@@ -51,6 +51,12 @@ def test_unknown_model_is_a_usage_error():
 def test_unknown_parameter_is_a_usage_error():
     with pytest.raises(UsageError, match="does not take parameter"):
         get_model("arinc", threads=2)
+
+
+def test_budget_bounds_the_build():
+    with pytest.raises(BudgetError, match="budget of 100 states"):
+        get_model("demo-insecure-counter", budget=100)
+    assert get_model("demo", budget=10_000, threads=2).pair.concrete
 
 
 def test_parameters_reach_the_builder():

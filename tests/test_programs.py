@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import ifsec
 
 from ifsec.core import ActionId, BudgetError, ModelError, State
 from ifsec.programs import (
@@ -199,6 +205,35 @@ class TestCompile:
         )
         with pytest.raises(BudgetError):
             compile_system(cs, ["d"], [("d", "d")], lambda d, s: None, budget=50)
+
+    def test_pc_numbering_does_not_depend_on_hash_seed(self):
+        # Both outcomes of `pick` get the same pc; which of the two
+        # states is expanded first decides whether `e#2` names the
+        # x=1 branch or the x=0 one, so it must not follow set order.
+        script = (
+            "from ifsec.core import State\n"
+            "from ifsec.programs import (Atomic, Basic, Cond, "
+            "ConcurrentSystem, Event, compile_system, seq)\n"
+            "def setv(var, value, label):\n"
+            "    return Basic(lambda s: {var: value}, label)\n"
+            "body = seq(Atomic(lambda s: [{'x': 0}, {'x': 1}], 'pick'),\n"
+            "           Cond(lambda s: s['x'] == 1,\n"
+            "                seq(setv('y', 1, 'a'), setv('y', 2, 'c')),\n"
+            "                seq(setv('y', 3, 'b'), setv('y', 4, 'd'))))\n"
+            "cs = ConcurrentSystem(('k',), {'k': (Event('e', lambda s: True, "
+            "body, 'd'),)}, {'x': 0, 'y': 0})\n"
+            "m = compile_system(cs, ['d'], [('d', 'd')], lambda d, s: None)\n"
+            "print('\\n'.join(s.serialize() for s in m.machine.states))\n"
+        )
+        src = os.path.dirname(os.path.dirname(ifsec.__file__))
+        outputs = set()
+        for seed in range(8):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, outputs
+        assert "pc.k=e#2;x=0;y=3" in outputs.pop()
 
     def test_reserved_invoke_label_rejected(self):
         cs = ConcurrentSystem(

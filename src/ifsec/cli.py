@@ -133,10 +133,10 @@ def _resolve_ref(base_dir: str, ref: str) -> str:
 
 def load_target(kind: str, target: str, params: dict[str, int],
                 budget: int | None) -> LoadedTarget:
+    # For ni, --budget counts traces, not states.
+    state_budget = None if kind == "ni" else budget
     if target in REGISTRY:
-        # For ni, --budget counts traces, not states.
-        bundle = get_model(target, budget=None if kind == "ni" else budget,
-                           **params)
+        bundle = get_model(target, budget=state_budget, **params)
         info = {
             "source": "builtin",
             "name": target,
@@ -176,7 +176,7 @@ def load_target(kind: str, target: str, params: dict[str, int],
             pair, rg,
         )
 
-    system = elaborate_model(load_model(target), budget=budget)
+    system = elaborate_model(load_model(target), budget=state_budget)
     info = {"source": "file", "path": target, "files": files}
     return LoadedTarget(info, [("model", system)], None, None)
 

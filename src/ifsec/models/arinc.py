@@ -31,8 +31,7 @@ from ifsec.core import ModelError, SecureSystem, State, UsageError, Value
 from ifsec.models.common import (
     ModelBundle,
     contracts_spec,
-    frame_guarantee,
-    machine_moves,
+    frame_contract,
     pc_aligned,
     zeta_from_rule,
 )
@@ -44,7 +43,7 @@ from ifsec.programs import (
     lock_acquire,
     seq,
 )
-from ifsec.refinement import TAU, Alpha, ComponentContract, RefinementPair
+from ifsec.refinement import TAU, Alpha, RefinementPair
 
 VARIANTS = ("secure", "queuing_mode", "port_id")
 
@@ -357,53 +356,12 @@ def build_arinc(config: ArincConfig | None = None, variant: str = "secure",
 
 def _rely_guarantee(concrete: SecureSystem, cpus, sched_of_cpu, parts_on, channels):
     """Core contracts: own scheduling state plus lock-guarded channel buffers."""
-
-    def guarantee(cpu: str):
-        own_parts = set(parts_on(cpu))
-
-        def allowed_change(s: State, s2: State, var: str) -> bool:
-            kind, _, rest = var.partition(".")
-            if var == f"pc.{cpu}":
-                return True
-            if kind == "cur":
-                return rest == sched_of_cpu[cpu]
-            if kind == "st":
-                return rest in own_parts
-            if kind == "qlock":
-                return s[var] == cpu or s2[var] == cpu
-            if kind in ("qbuf", "obuf"):
-                return s[f"qlock.{rest}"] == cpu
-            return False
-
-        return frame_guarantee(allowed_change)
-
-    def rely(cpu: str):
-        own_parts = parts_on(cpu)
-        sched = sched_of_cpu[cpu]
-
-        def holds(s: State, s2: State) -> bool:
-            if s2[f"pc.{cpu}"] != s[f"pc.{cpu}"]:
-                return False
-            if s2[f"cur.{sched}"] != s[f"cur.{sched}"]:
-                return False
-            for p in own_parts:
-                if s2[f"st.{p}"] != s[f"st.{p}"]:
-                    return False
-            for ch in channels:
-                if s[f"qlock.{ch}"] == cpu:
-                    for var in (f"qlock.{ch}", f"qbuf.{ch}", f"obuf.{ch}"):
-                        if s2[var] != s[var]:
-                            return False
-            return True
-
-        return holds
-
-    contracts = {
-        cpu: ComponentContract(
-            rely=rely(cpu),
-            guarantee=guarantee(cpu),
-            guarantee_moves=machine_moves(concrete, cpu),
-        )
+    locks = {f"qlock.{ch}": (f"qbuf.{ch}", f"obuf.{ch}") for ch in channels}
+    return contracts_spec({
+        cpu: frame_contract(
+            concrete, cpu,
+            owned=[f"pc.{cpu}", f"cur.{sched_of_cpu[cpu]}",
+                   *(f"st.{p}" for p in parts_on(cpu))],
+            locks=locks)
         for cpu in cpus
-    }
-    return contracts_spec(contracts)
+    })

@@ -19,8 +19,7 @@ from ifsec.core import SecureSystem, State, UsageError, Value
 from ifsec.models.common import (
     ModelBundle,
     contracts_spec,
-    frame_guarantee,
-    machine_moves,
+    frame_contract,
     pc_aligned,
     zeta_from_rule,
 )
@@ -32,7 +31,7 @@ from ifsec.programs import (
     lock_acquire,
     seq,
 )
-from ifsec.refinement import TAU, Alpha, ComponentContract, RefinementPair
+from ifsec.refinement import TAU, Alpha, RefinementPair
 
 RESERVE_PRICE = 1
 
@@ -207,50 +206,10 @@ def build_auction(users: int = 2, bids: tuple[int, ...] = (1, 2),
 
 def _rely_guarantee(concrete: SecureSystem, names: tuple[str, ...]):
     """Ledger contracts: bidders write under the lock, the service owns the rest."""
-
-    ledger_vars = ("lock", "log", "maxbid", "oblog", "obid")
-
-    def user_guarantee(u: str):
-        def allowed_change(s: State, s2: State, var: str) -> bool:
-            if var == f"pc.{u}":
-                return True
-            if var == "lock":
-                return s[var] == u or s2[var] == u
-            if var in ledger_vars:
-                return s["lock"] == u
-            return False
-
-        return frame_guarantee(allowed_change)
-
-    def user_rely(u: str):
-        def holds(s: State, s2: State) -> bool:
-            if s2[f"pc.{u}"] != s[f"pc.{u}"]:
-                return False
-            if s["lock"] == u:
-                for var in ledger_vars:
-                    if s2[var] != s[var]:
-                        return False
-            return True
-
-        return holds
-
-    def service_guarantee(s: State, s2: State, var: str) -> bool:
-        return var in ("pc.auc", "status", "reserve", "sealed", "res")
-
-    def service_rely(s: State, s2: State) -> bool:
-        return s2["pc.auc"] == s["pc.auc"]
-
-    contracts = {
-        u: ComponentContract(
-            rely=user_rely(u),
-            guarantee=user_guarantee(u),
-            guarantee_moves=machine_moves(concrete, u),
-        )
-        for u in names
-    }
-    contracts["auc"] = ComponentContract(
-        rely=service_rely,
-        guarantee=frame_guarantee(service_guarantee),
-        guarantee_moves=machine_moves(concrete, "auc"),
-    )
+    ledger = {"lock": ("log", "maxbid", "oblog", "obid")}
+    contracts = {u: frame_contract(concrete, u, owned=[f"pc.{u}"], locks=ledger)
+                 for u in names}
+    contracts["auc"] = frame_contract(
+        concrete, "auc", owned=["pc.auc"],
+        shared=["status", "reserve", "sealed", "res"])
     return contracts_spec(contracts)

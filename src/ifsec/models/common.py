@@ -5,7 +5,7 @@ abstract system tied together by a refinement pair, plus (where the model
 declares one) a rely-guarantee spec for the compositional checker. The
 helpers here cover the parts all three model families repeat: program-counter
 alignment between the two levels, building zeta from step-label rules, and
-frame-style rely/guarantee predicates.
+frame contracts declared by the variables a component owns, shares and locks.
 """
 
 from __future__ import annotations
@@ -18,13 +18,14 @@ from ifsec.programs import IDLE, INVOKE
 from ifsec.refinement import (
     TAU,
     ComponentContract,
+    Locks,
     RefinementPair,
     RelyGuaranteeSpec,
     Zeta,
     _Tau,
+    frame_guarantee,
+    frame_rely,
 )
-
-Relation = Callable[[State, State], bool]
 
 # A zeta rule maps (component, event name, step label) to one of:
 #   None      -> the abstract action with the same full label
@@ -118,24 +119,6 @@ def zeta_from_rule(concrete: SecureSystem, abstract: SecureSystem,
     return Zeta(mapping)
 
 
-def changed_vars(before: State, after: State) -> tuple[str, ...]:
-    return tuple(v for v in before.names if before[v] != after[v])
-
-
-def frame_guarantee(allowed: Callable[[State, State, str], bool]) -> Relation:
-    """Guarantee that permits a step iff every changed variable is allowed.
-
-    `allowed(before, after, var)` judges one changed variable; unchanged
-    variables are never consulted, so a frame condition reads as a list
-    of positive permissions.
-    """
-
-    def guarantee(before: State, after: State) -> bool:
-        return all(allowed(before, after, v) for v in changed_vars(before, after))
-
-    return guarantee
-
-
 def machine_moves(system: SecureSystem,
                   component: str) -> Callable[[State], tuple[State, ...]]:
     """Enumerate the successors a component's own actions reach.
@@ -154,6 +137,25 @@ def machine_moves(system: SecureSystem,
         return tuple(sorted(out))
 
     return moves
+
+
+def frame_contract(system: SecureSystem, component: str, owned: Iterable[str],
+                   shared: Iterable[str] = (),
+                   locks: Locks | None = None) -> ComponentContract:
+    """Contract of a component declared by the variables it touches.
+
+    The guarantee allows changes to the `owned` and `shared` variables,
+    to a lock in `locks` the component takes or releases, and to what a
+    lock it holds guards. The rely fixes the owned variables and, while
+    the component holds a lock, that lock and what it guards; shared
+    variables are left free.
+    """
+    owned = tuple(owned)
+    return ComponentContract(
+        rely=frame_rely(owned, component, locks),
+        guarantee=frame_guarantee((*owned, *shared), component, locks),
+        guarantee_moves=machine_moves(system, component),
+    )
 
 
 def contracts_spec(contracts: Mapping[str, ComponentContract]) -> RelyGuaranteeSpec:

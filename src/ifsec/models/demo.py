@@ -29,8 +29,7 @@ from ifsec.core import SecureSystem, State, UsageError, Value
 from ifsec.models.common import (
     ModelBundle,
     contracts_spec,
-    frame_guarantee,
-    machine_moves,
+    frame_contract,
     pc_aligned,
     zeta_from_rule,
 )
@@ -42,7 +41,7 @@ from ifsec.programs import (
     lock_acquire,
     seq,
 )
-from ifsec.refinement import TAU, Alpha, ComponentContract, RefinementPair
+from ifsec.refinement import TAU, Alpha, RefinementPair
 
 VARIANTS = ("secure", "insecure_counter", "insecure_fullstatus")
 
@@ -251,42 +250,12 @@ def build_demo(threads: int = 3, capacity: int = 1, messages: int = 1,
 
 
 def _rely_guarantee(concrete: SecureSystem, names: tuple[str, ...]):
-    """Lock-discipline contracts: write a queue only while holding its lock."""
-
-    def guarantee(t: str):
-        def allowed_change(s: State, s2: State, var: str) -> bool:
-            kind, _, owner = var.partition(".")
-            if var == f"pc.{t}":
-                return True
-            if kind == "cnt":
-                return True
-            if kind == "lock":
-                return s[var] == t or s2[var] == t
-            if kind in ("que", "obq"):
-                return s[f"lock.{owner}"] == t
-            return False
-
-        return frame_guarantee(allowed_change)
-
-    def rely(t: str):
-        def holds(s: State, s2: State) -> bool:
-            if s2[f"pc.{t}"] != s[f"pc.{t}"]:
-                return False
-            for u in names:
-                if s[f"lock.{u}"] == t:
-                    for var in (f"lock.{u}", f"que.{u}", f"obq.{u}"):
-                        if s2[var] != s[var]:
-                            return False
-            return True
-
-        return holds
-
-    contracts = {
-        t: ComponentContract(
-            rely=rely(t),
-            guarantee=guarantee(t),
-            guarantee_moves=machine_moves(concrete, t),
-        )
+    """Lock-discipline contracts: each thread owns its pc, shares the
+    counters, and writes a queue only while holding its lock."""
+    counters = [f"cnt.{u}" for u in names]
+    locks = {f"lock.{u}": (f"que.{u}", f"obq.{u}") for u in names}
+    return contracts_spec({
+        t: frame_contract(concrete, t, owned=[f"pc.{t}"], shared=counters,
+                          locks=locks)
         for t in names
-    }
-    return contracts_spec(contracts)
+    })

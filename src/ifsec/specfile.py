@@ -85,6 +85,9 @@ from ifsec.refinement import (
     RefinementPair,
     RelyGuaranteeSpec,
     Zeta,
+    frame_guarantee,
+    frame_rely,
+    pair_table,
     total_relation,
 )
 
@@ -924,20 +927,26 @@ def _elaborate_alpha(doc: RefinementDocument, concrete_doc: ModelDocument,
         text = ", ".join(f"{cv} == {av}" for cv, av in constraints)
         return Alpha.from_predicate(related, f"match {text}")
     if doc.alpha_pairs:
-        pairs = []
-        for cserial, aserial in doc.alpha_pairs:
-            cstate, astate = _parse_serial(cserial), _parse_serial(aserial)
-            if set(cstate.names) != concrete_vars:
-                raise ModelError(
-                    f"alpha pair state {cserial!r} does not bind exactly the "
-                    "concrete variables")
-            if set(astate.names) != abstract_vars:
-                raise ModelError(
-                    f"alpha pair state {aserial!r} does not bind exactly the "
-                    "abstract variables")
-            pairs.append((cstate, astate))
-        return Alpha.from_pairs(pairs)
+        return Alpha.from_pairs(_state_pairs(
+            doc.alpha_pairs, "alpha", concrete_vars, abstract_vars, "abstract"))
     return Alpha.from_predicate(total_relation, "total")
+
+
+def _state_pairs(pairs: Iterable[tuple[str, str]], where: str,
+                 left_vars: set[str], right_vars: set[str],
+                 right_level: str = "concrete") -> list[tuple[State, State]]:
+    """The states of `pair:` lines. The left side of each pair must
+    bind exactly the concrete variables and the right side those of
+    `right_level`, in any order."""
+    def state(serial: str, names: set[str], level: str) -> State:
+        parsed = _parse_serial(serial)
+        if set(parsed.names) != names:
+            raise ModelError(f"{where} pair state {serial!r} does not bind "
+                             f"exactly the {level} variables")
+        return parsed
+
+    return [(state(left, left_vars, "concrete"),
+             state(right, right_vars, right_level)) for left, right in pairs]
 
 
 def _elaborate_zeta(doc: RefinementDocument, concrete: SecureSystem,
@@ -969,43 +978,26 @@ def _elaborate_contracts(doc: RefinementDocument, concrete_doc: ModelDocument,
     known = set(component_map.values())
     var_names = {v.name for v in concrete_doc.variables}
 
-    specs: dict[str, dict[str, RelationSpec]] = {}
+    relations = {}
     for component, kind, spec in doc.contracts:
+        where = f"[{kind} {component}]"
         if component not in known:
-            raise ModelError(
-                f"[{kind} {component}] names a component no action maps to")
-        if spec.frame is not None:
-            for var in spec.frame:
-                if var not in var_names:
-                    raise ModelError(
-                        f"[{kind} {component}] frame names unknown variable "
-                        f"{var!r}")
-        specs.setdefault(component, {})[kind] = spec
-
-    def relation(component: str, kind: str):
-        spec = specs.get(component, {}).get(kind)
-        if spec is None:
-            return total_relation
-        if spec.frame is not None:
-            frame = frozenset(spec.frame)
-            if kind == "rely":
-                def keeps(s: State, t: State) -> bool:
-                    return all(t[v] == s[v] for v in frame)
-                return keeps
-
-            def may(s: State, t: State) -> bool:
-                return all(v in frame for v in s.names if s[v] != t[v])
-            return may
-        table = frozenset((c, a) for c, a in spec.pairs or ())
-
-        def listed(s: State, t: State) -> bool:
-            return (s.serialize(), t.serialize()) in table
-        return listed
+            raise ModelError(f"{where} names a component no action maps to")
+        if spec.frame is None:
+            relations[component, kind] = pair_table(_state_pairs(
+                spec.pairs or (), where, var_names, var_names))
+            continue
+        for var in spec.frame:
+            if var not in var_names:
+                raise ModelError(
+                    f"{where} frame names unknown variable {var!r}")
+        frame = frame_rely if kind == "rely" else frame_guarantee
+        relations[component, kind] = frame(spec.frame)
 
     contracts = {
         component: ComponentContract(
-            rely=relation(component, "rely"),
-            guarantee=relation(component, "guarantee"),
+            rely=relations.get((component, "rely"), total_relation),
+            guarantee=relations.get((component, "guarantee"), total_relation),
         )
         for component in sorted(known)
     }

@@ -161,6 +161,33 @@ PAIR_BAD_GUARANTEE = PAIR.replace(
     "[guarantee janitor]\nmay: y\n", "[guarantee janitor]\nmay: x\n")
 
 
+def pair_with_worker_rely(lines: str) -> str:
+    """PAIR with the worker's rely given by explicit `pair:` lines."""
+    return PAIR.replace("[rely worker]\nkeeps: x\n", "[rely worker]\n" + lines)
+
+
+#: A 1,000-assignment model with one action: 5 traces of length <= 4.
+WIDE = """\
+[domains]
+lo
+
+[policy]
+lo -> lo
+
+[state]
+a in {0, 1, 2, 3, 4, 5, 6, 7, 8, 9} = 0
+b in {0, 1, 2, 3, 4, 5, 6, 7, 8, 9} = 0
+c in {0, 1, 2, 3, 4, 5, 6, 7, 8, 9} = 0
+
+[actions]
+act tick lo
+  a=0 -> a:=1
+
+[observe]
+lo: a
+"""
+
+
 @pytest.fixture()
 def models(tmp_path):
     files = {
@@ -291,6 +318,27 @@ class TestExitCodes:
         assert "budget of 100 states exceeded at BFS depth" in err
         assert "--budget" in err
 
+    def test_ni_budget_counts_traces_not_assignments(self, run, tmp_path):
+        wide = tmp_path / "wide.ifs"
+        wide.write_text(WIDE, encoding="utf-8")
+        code, out, err = run("check", "ni", str(wide), "--budget", "500",
+                             "--json")
+        assert code == 0, err
+        assert json.loads(out)["counters"]["model_traces"] == 5
+        code, _, err = run("check", "unwinding", str(wide), "--budget", "500")
+        assert code == 4
+        assert "declared state space has 1000 assignments (limit 500)" in err
+
+    def test_contract_pair_binding_other_variables_is_three(self, run,
+                                                            models):
+        path = models / "pair_z.ifs"
+        path.write_text(pair_with_worker_rely(
+            "pair: x=0;y=0;z=0 ~ x=0;y=1;z=0\n"), encoding="utf-8")
+        code, _, err = run("check", "compositional", str(path))
+        assert code == 3
+        assert "[rely worker] pair state" in err
+        assert "does not bind exactly the concrete variables" in err
+
     def test_invalid_kind_is_argparse_exit_two(self, models):
         with pytest.raises(SystemExit) as exc:
             main(["check", "nosuchkind", str(models / "toy.ifs")])
@@ -390,6 +438,19 @@ class TestCheckBehavior:
         names = [c["name"] for c in json.loads(out)["checks"]]
         assert names == ["lemma1", "lemma2", "lemma3", "lemma4",
                          "cross-check"]
+
+    @pytest.mark.parametrize("template", ["x={x};y={y} ~ x={x};y={z}",
+                                          "y={y};x={x} ~ y={z};x={x}"])
+    def test_contract_pairs_bind_variables_in_any_order(self, run, models,
+                                                        template):
+        # The worker relies on exactly the janitor's steps, which flip y.
+        lines = "".join("pair: " + template.format(x=x, y=y, z=1 - y) + "\n"
+                        for x in (0, 1) for y in (0, 1))
+        path = models / "pair_table.ifs"
+        path.write_text(pair_with_worker_rely(lines), encoding="utf-8")
+        code, out, err = run("check", "compositional", str(path))
+        assert code == 0, out + err
+        assert "lemma3: pass" in out
 
     def test_missing_reflexive_edge_warns_on_stderr(self, run, models):
         _, _, err = run("check", "unwinding",

@@ -37,6 +37,8 @@ from ifsec.refinement import (
     check_domain_preservation,
     check_policy_inclusion,
     check_simulation,
+    frame_guarantee,
+    frame_rely,
     joint_explore,
     lemma_violated,
     total_relation,
@@ -337,6 +339,65 @@ class TestSimulationReport:
         first = check_simulation(identity_pair(mod2_system()))
         second = check_simulation(identity_pair(mod2_system()))
         assert first == second
+
+
+#: Component t owns pc, shares cnt, and takes lock, which guards q.
+LOCKS = {"lock": ("q",)}
+OWNED, SHARED = ("pc",), ("cnt",)
+FRAME_START = {"pc": 0, "cnt": 0, "lock": None, "q": 0, "r": 0}
+
+
+def frame_step(before: dict, after: dict) -> tuple[State, State]:
+    start = State({**FRAME_START, **before})
+    return start, start.assign(after)
+
+
+class TestFrames:
+    """frame_rely is the environment's step seen by t; frame_guarantee
+    is t's own step."""
+
+    @pytest.mark.parametrize("before,after,guarantee,rely", [
+        # An owned variable: t may change it, the environment may not.
+        ({}, {"pc": 1}, True, False),
+        # A shared variable: t may change it and so may the environment.
+        ({}, {"cnt": 1}, True, True),
+        # Nobody declared r.
+        ({}, {"r": 1}, False, True),
+        # A guarded variable changes under t only while t holds its lock.
+        ({"lock": "t"}, {"q": 1}, True, False),
+        ({"lock": "u"}, {"q": 1}, False, True),
+        ({}, {"q": 1}, False, True),
+        # The lock changes under t only when t takes or releases it.
+        ({}, {"lock": "t"}, True, True),
+        ({"lock": "t"}, {"lock": None}, True, False),
+        ({}, {"lock": "u"}, False, True),
+        ({"lock": "u"}, {"lock": None}, False, True),
+        ({"lock": "t"}, {"lock": None, "q": 1}, True, False),
+        # No change at all is always fine.
+        ({"lock": "t"}, {}, True, True),
+    ])
+    def test_lock_discipline(self, before, after, guarantee, rely):
+        step = frame_step(before, after)
+        assert frame_guarantee(OWNED + SHARED, "t", LOCKS)(*step) is guarantee
+        assert frame_rely(OWNED, "t", LOCKS)(*step) is rely
+
+    @pytest.mark.parametrize("before,after,may,keeps", [
+        ({}, {"pc": 1}, True, False),
+        ({}, {"q": 1}, False, True),
+        ({"lock": "t"}, {"q": 1}, False, True),
+        ({}, {"lock": "t"}, False, True),
+        ({}, {"pc": 1, "q": 1}, False, False),
+        ({}, {}, True, True),
+    ])
+    def test_without_locks_frames_are_plain(self, before, after, may, keeps):
+        # `may: pc` and `keeps: pc` in a model file.
+        step = frame_step(before, after)
+        assert frame_guarantee(["pc"])(*step) is may
+        assert frame_rely(["pc"])(*step) is keeps
+
+    def test_locks_need_a_holder(self):
+        with pytest.raises(ModelError, match="holds them"):
+            frame_rely(OWNED, locks=LOCKS)
 
 
 def two_component_system(hit_changes_x: bool) -> SecureSystem:

@@ -131,12 +131,9 @@ dirty -> tau
 poke -> poke
 """
 
-CONTRACTS = """\
-[components]
-cleanup: janitor
-dirty: janitor
-poke: worker
+COMPONENTS = "[components]\ncleanup: janitor\ndirty: janitor\npoke: worker\n"
 
+CONTRACTS = COMPONENTS + """
 [rely janitor]
 keeps: y
 
@@ -526,9 +523,16 @@ class TestElaborateRefinement:
           "[rely ghost]\nkeeps: x\n"),
          "no action maps to"),
         (("[alpha]\nmatch: x == x\n", ZETA_FULL,
-          "[components]\ncleanup: janitor\ndirty: janitor\npoke: worker\n",
+          COMPONENTS,
           "[guarantee janitor]\nmay: zz\n"),
          "unknown variable 'zz'"),
+        (("[alpha]\nmatch: x == x\n", ZETA_FULL, COMPONENTS,
+          "[rely worker]\npair: x=0;y=0;z=0 ~ x=0;y=1;z=0\n"),
+         "\\[rely worker\\] pair state 'x=0;y=0;z=0' does not bind exactly "
+         "the concrete variables"),
+        (("[alpha]\nmatch: x == x\n", ZETA_FULL, COMPONENTS,
+          "[rely worker]\npair: x=0;y=0 ~ x=1\n"),
+         "\\[rely worker\\] pair state 'x=1' does not bind exactly"),
     ])
     def test_elaboration_errors(self, model_dir, sections, fragment):
         doc = parse_refinement(refinement_text(*sections))
@@ -541,7 +545,7 @@ class TestElaborateRefinement:
             "pair: x=0;y=0 ~ x=0\n"
             "pair: x=1;y=0 ~ x=1\n",
             ZETA_FULL,
-            "[components]\ncleanup: janitor\ndirty: janitor\npoke: worker\n",
+            COMPONENTS,
             "[rely janitor]\npair: x=0;y=0 ~ x=0;y=0\n",
             "[guarantee janitor]\nmay: y\n",
         ))

@@ -7,6 +7,20 @@ Purging is the classic intransitive recursion: walking the trace from
 the right, an action survives exactly when its domain may flow, possibly
 through later actions, to the observer.
 
+`check_ni` does not run trace by trace. For each observer `d` it searches
+breadth first over nodes (full-run state set, purged-run state set,
+guessed sources of the rest of the trace, whether an action was dropped
+yet), the automaton construction for IP-security of Eggert, van der
+Meyden, Schnoor and Wilke (S&P 2011). In guess `S`, an action `a` of
+domain `w` is kept exactly when `w` is in `S`, and the search moves to
+each guess `S'` for which `sources(α) == S'` gives `sources(a·α) == S`,
+whatever the rest `α` is. That `S` is unique (`S' ∪ {w}` when `w` is
+outside `S'` and flows into it, else `S'`), so a trace has exactly one
+path that ends on the guess `{d}`, the sources of the empty rest, and
+along it the purged run is the run of `ipurge`. A node seen in an
+earlier layer is not expanded again, so the work is bounded by the
+nodes, not by the traces.
+
 `validate_unwinding_theorem` cross-checks this bounded search against
 the unwinding conditions: unwinding passing while a bounded
 counterexample exists means one of the two checkers is broken, and the
@@ -103,10 +117,9 @@ class NICounterexample:
 class NIResult:
     """Outcome of a bounded noninterference search.
 
-    `stutter` records whether any run performed by this search treated a
-    disabled action as a no-op; a purged trace can reach states where an
-    action the full trace relied on is not enabled, so this is common
-    and worth surfacing rather than a defect.
+    `traces_checked` counts the traces the search covered: every trace
+    up to `max_len` on a pass, and on a failure every trace that sorts
+    before the counterexample (shorter first), plus the counterexample.
     """
 
     ok: bool
@@ -115,7 +128,6 @@ class NIResult:
     max_len: int
     domains: tuple[str, ...]
     actions: tuple[ActionId, ...]
-    stutter: bool
 
 
 @dataclass(frozen=True)
@@ -160,6 +172,40 @@ def ni_violated(system: SecureSystem, c: NICounterexample) -> bool:
             and not equidom(config, c.domain, full, purged))
 
 
+def _guesses(config: InfoFlowConfig, d: str, owners: Sequence[str]):
+    """The guessed-sources automaton of observer `d`; `owners[i]` is the
+    domain of action `i`.
+
+    Returns every value `sources(α, d)` can take, sorted, and for each
+    such guess a row with one (kept, next guesses) pair per action. A
+    next guess outside the family can never end on `{d}`, so it is left
+    out; an empty tuple means the guess is dead.
+    """
+    def flows(w: str, targets: frozenset[str]) -> bool:
+        return any(config.allows(w, v) for v in targets)
+
+    family = {frozenset([d])}
+    todo = list(family)
+    while todo:
+        guess = todo.pop()
+        for w in set(owners) - guess:
+            if flows(w, guess) and guess | {w} not in family:
+                family.add(guess | {w})
+                todo.append(guess | {w})
+    moves = {}
+    for guess in family:
+        row = []
+        for w in owners:
+            if w not in guess:
+                row.append((False, () if flows(w, guess) else (guess,)))
+            elif guess - {w} in family:  # then w flows into guess - {w}
+                row.append((True, (guess, guess - {w})))
+            else:
+                row.append((True, (guess,)))
+        moves[guess] = row
+    return sorted(family, key=sorted), moves
+
+
 def _checked_domains(config: InfoFlowConfig, domains: Iterable[str] | None) -> tuple[str, ...]:
     if domains is None:
         return tuple(sorted(config.domains))
@@ -180,11 +226,12 @@ def check_ni(
 ) -> NIResult:
     """Search all traces up to `max_len` for a purge-visible difference.
 
-    Traces are enumerated shortest first and lexicographically within a
-    length, and domains in name order, so the reported counterexample is
-    canonical: no shorter trace fails, and no same-length trace that
-    sorts earlier does. Raises BudgetError before enumerating anything
-    if the trace count would exceed the budget.
+    The reported counterexample is canonical: no shorter trace fails, no
+    same-length trace that sorts earlier (in `sort_actions` order) does,
+    and no domain earlier by name fails on the same trace. A trace its
+    purge leaves whole is never a counterexample, even when its run ends
+    in states the domain tells apart. Raises BudgetError before
+    searching if the trace count would exceed the budget.
     """
     if max_len < 0:
         raise UsageError("trace length bound must be >= 0")
@@ -208,82 +255,71 @@ def check_ni(
         )
 
     initial = frozenset([machine.initial])
-    checked = 0
-    stuttered = False
+    owners = [config.domain_of(a) for a in acts]
+    succ: list[dict[frozenset[State], frozenset[State]]] = [{} for _ in acts]
 
-    def advance(states: frozenset[State], a: ActionId) -> frozenset[State]:
-        nonlocal stuttered
-        out: set[State] = set()
-        for s in states:
-            succ = machine.step(s, a)
-            if succ:
-                out.update(succ)
-            else:
-                stuttered = True
-                out.add(s)
-        return frozenset(out)
+    def advance(i: int, states: frozenset[State]) -> frozenset[State]:
+        nxt = succ[i].get(states)
+        if nxt is None:
+            nxt = succ[i][states] = run(machine, states, (acts[i],))
+        return nxt
 
-    purged_runs: dict[tuple[ActionId, ...], frozenset[State]] = {}
-
-    def run_traced(trace: tuple[ActionId, ...]) -> frozenset[State]:
-        # Many full traces purge to the same subsequence, so purged
-        # runs are memoized by trace. A cache hit loses no stutter
-        # information: the same trace stutters identically every time.
-        cached = purged_runs.get(trace)
-        if cached is not None:
-            return cached
-        states = initial
-        for a in trace:
-            states = advance(states, a)
-        purged_runs[trace] = states
-        return states
-
-    def leaf(trace: tuple[ActionId, ...], finals: frozenset[State]) -> NICounterexample | None:
-        nonlocal checked
-        checked += 1
-        for d in doms:
-            purged = ipurge(trace, d, config)
-            if purged == trace:
-                continue
-            purged_finals = run_traced(purged)
-            if equidom(config, d, finals, purged_finals):
-                continue
-            return NICounterexample(
-                trace=trace,
-                domain=d,
-                purged=purged,
-                full_finals=tuple(sorted(finals)),
-                purged_finals=tuple(sorted(purged_finals)),
-                full_view=_view(config, d, finals),
-                purged_view=_view(config, d, purged_finals),
-            )
+    def search(d: str, bound: int) -> tuple[int, ...] | None:
+        # Breadth-first over (full, purged, guess, dropped); a layer is in
+        # the order of each node's least reaching trace, and a node seen
+        # in an earlier layer is not expanded again.
+        starts, moves = _guesses(config, d, owners)
+        target = frozenset([d])
+        layer = [((initial, initial, g, False), ()) for g in starts]
+        seen = {node for node, _ in layer}
+        for _ in range(bound):
+            nxt = []
+            for (full, purged, guess, dropped), trace in layer:
+                for i, (kept, guesses) in enumerate(moves[guess]):
+                    node_full = advance(i, full)
+                    node_purged = advance(i, purged) if kept else purged
+                    node_dropped = dropped or not kept
+                    for g in guesses:
+                        node = (node_full, node_purged, g, node_dropped)
+                        if node in seen:
+                            continue
+                        seen.add(node)
+                        if g == target and node_dropped and not equidom(
+                                config, d, node_full, node_purged):
+                            return trace + (i,)
+                        nxt.append((node, trace + (i,)))
+            layer = nxt
         return None
 
-    def dfs(
-        trace: tuple[ActionId, ...], states: frozenset[State], remaining: int
-    ) -> NICounterexample | None:
-        if remaining == 0:
-            return leaf(trace, states)
-        for a in acts:
-            found = dfs(trace + (a,), advance(states, a), remaining - 1)
-            if found is not None:
-                return found
-        return None
-
-    counterexample: NICounterexample | None = None
-    for length in range(max_len + 1):
-        counterexample = dfs((), initial, length)
-        if counterexample is not None:
-            break
-
+    best: tuple[tuple[int, ...], str] | None = None
+    for d in doms:
+        found = search(d, max_len if best is None else len(best[0]))
+        if found is not None and (best is None
+                                  or (len(found), found) < (len(best[0]), best[0])):
+            best = (found, d)
+    if best is None:
+        return NIResult(True, None, total, max_len, doms, acts)
+    indices, d = best
+    trace = tuple(acts[i] for i in indices)
+    purged = ipurge(trace, d, config)
+    finals = run(machine, initial, trace)
+    purged_finals = run(machine, initial, purged)
+    rank = sum(i * width**k for k, i in enumerate(reversed(indices)))
     return NIResult(
-        ok=counterexample is None,
-        counterexample=counterexample,
-        traces_checked=checked,
+        ok=False,
+        counterexample=NICounterexample(
+            trace=trace,
+            domain=d,
+            purged=purged,
+            full_finals=tuple(sorted(finals)),
+            purged_finals=tuple(sorted(purged_finals)),
+            full_view=_view(config, d, finals),
+            purged_view=_view(config, d, purged_finals),
+        ),
+        traces_checked=sum(width**k for k in range(len(trace))) + rank + 1,
         max_len=max_len,
         domains=doms,
         actions=acts,
-        stutter=stuttered,
     )
 
 

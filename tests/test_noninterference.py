@@ -2,7 +2,8 @@
 
 The oracle for sources/ipurge is the literal recursion, transcribed here
 independently of the module under test and evaluated by hand on the frozen
-examples below before the implementation existed.
+examples below before the implementation existed. The oracle for
+`check_ni` is the trace enumerator it replaced, `oracle_check_ni`.
 """
 
 from __future__ import annotations
@@ -10,9 +11,24 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ifsec.core import ActionId, BudgetError, InfoFlowConfig, SecureSystem, State, StateMachine
+from ifsec.core import (
+    ActionId,
+    BudgetError,
+    InfoFlowConfig,
+    SecureSystem,
+    State,
+    StateMachine,
+    equidom,
+    run,
+    sort_actions,
+    value_key,
+)
+from ifsec.models import get_model
 from ifsec.noninterference import (
+    NICounterexample,
     NIResult,
     check_ni,
     ipurge,
@@ -20,6 +36,7 @@ from ifsec.noninterference import (
     sources,
     validate_unwinding_theorem,
 )
+from ifsec.unwinding import check_unwinding
 
 
 def oracle_sources(trace, d, cfg):
@@ -44,6 +61,56 @@ def oracle_ipurge(trace, d, cfg):
     if cfg.dom[a] in oracle_sources(trace, d, cfg):
         return (a,) + oracle_ipurge(trace[1:], d, cfg)
     return oracle_ipurge(trace[1:], d, cfg)
+
+
+def oracle_check_ni(system, max_len, *, domains=None, actions=None):
+    """The trace enumerator that `check_ni` replaced.
+
+    Runs every trace up to `max_len`, shortest first and in action order
+    within a length, and at each one purges it for every domain in name
+    order. The first (trace, domain) whose full and purged runs the
+    domain can tell apart is the counterexample; a trace its purge
+    leaves whole is skipped. `traces_checked` counts the traces run.
+    """
+    machine, config = system.machine, system.config
+    doms = tuple(sorted(config.domains if domains is None else set(domains)))
+    acts = sort_actions(machine.actions if actions is None else set(actions))
+    initial = frozenset([machine.initial])
+    checked = 0
+
+    def view(d, states):
+        return tuple(sorted({config.observe(d, s) for s in states}, key=value_key))
+
+    def leaf(trace, finals):
+        nonlocal checked
+        checked += 1
+        for d in doms:
+            purged = ipurge(trace, d, config)
+            if purged == trace:
+                continue
+            purged_finals = run(machine, initial, purged)
+            if equidom(config, d, finals, purged_finals):
+                continue
+            return NICounterexample(
+                trace, d, purged, tuple(sorted(finals)), tuple(sorted(purged_finals)),
+                view(d, finals), view(d, purged_finals))
+        return None
+
+    def dfs(trace, states, remaining):
+        if remaining == 0:
+            return leaf(trace, states)
+        for a in acts:
+            found = dfs(trace + (a,), run(machine, states, (a,)), remaining - 1)
+            if found is not None:
+                return found
+        return None
+
+    counterexample = None
+    for length in range(max_len + 1):
+        counterexample = dfs((), initial, length)
+        if counterexample is not None:
+            break
+    return NIResult(counterexample is None, counterexample, checked, max_len, doms, acts)
 
 
 def ring_config() -> InfoFlowConfig:
@@ -232,6 +299,7 @@ class TestCheckNI:
         assert result.counterexample.trace == (ActionId("h"),)
         assert result.counterexample.domain == "lo"
         assert result.counterexample.purged == ()
+        assert result.traces_checked == 2
         # The replay predicate agrees; hi, who may learn of h, has no
         # counterexample in the same trace.
         assert ni_violated(leaky_system(), result.counterexample)
@@ -278,3 +346,134 @@ class TestTheoremValidation:
         report = validate_unwinding_theorem(leaky_system(), 3)
         assert not report.unwinding_ok and not report.ni_ok
         assert report.consistent and report.alarm is None
+
+
+def two_domain_system(states, transitions, observe) -> SecureSystem:
+    """hi -/-> lo over actions h (hi) and l, a (lo); x names the state."""
+    acts = {a: ActionId(a) for a in sorted({a for _, a in transitions})}
+    machine = StateMachine(
+        states=tuple(State({"x": x}) for x in states),
+        actions=tuple(acts.values()),
+        transitions={(State({"x": x}), acts[a]): tuple(State({"x": y}) for y in ys)
+                     for (x, a), ys in transitions.items()},
+        initial=State({"x": states[0]}),
+    )
+    cfg = InfoFlowConfig(
+        domains=("hi", "lo"),
+        policy=frozenset({("hi", "hi"), ("lo", "lo")}),
+        dom={act: "hi" if a == "h" else "lo" for a, act in acts.items()},
+        observe=lambda d, s: observe(s["x"]) if d == "lo" else None,
+    )
+    return SecureSystem(machine, cfg)
+
+
+class TestProductSearch:
+    def test_whole_trace_with_two_observations_is_not_a_leak(self):
+        # l reaches x=1 or x=2, which lo tells apart, so the full run is
+        # not equidom with itself. The trace [l] purges nothing for lo
+        # and passes; [h, l] purges the h, leaves the very same runs,
+        # and fails: its purged run is a different trace.
+        system = two_domain_system(
+            (0, 1, 2), {(0, "h"): (0,), (0, "l"): (1, 2)}, lambda x: x)
+        assert check_ni(system, 1).ok
+        result = check_ni(system, 2)
+        c = result.counterexample
+        assert (c.trace, c.domain, c.purged) == (
+            (ActionId("h"), ActionId("l")), "lo", (ActionId("l"),))
+        assert c.full_view == c.purged_view == (1, 2)
+        assert ni_violated(system, c)
+        assert result == oracle_check_ni(system, 2)
+
+    def test_traces_checked_counts_up_to_a_later_witness(self):
+        # a, h, l over x = 2*armed + flipped: l arms, h flips only once
+        # armed, lo sees flipped. Length 1 passes; at length 2 the first
+        # failure is [l, h], at rank 2*3 + 1 among the nine traces.
+        system = two_domain_system(
+            (0, 1, 2, 3),
+            {(x, "a"): (x,) for x in range(4)}
+            | {(0, "h"): (0,), (1, "h"): (1,), (2, "h"): (3,), (3, "h"): (2,)}
+            | {(0, "l"): (2,), (1, "l"): (3,), (2, "l"): (2,), (3, "l"): (3,)},
+            lambda x: x % 2)
+        result = check_ni(system, 4)
+        assert result.counterexample.trace == (ActionId("l"), ActionId("h"))
+        assert result.traces_checked == (1 + 3) + (2 * 3 + 1) + 1
+        assert result == oracle_check_ni(system, 4)
+
+
+@st.composite
+def small_systems(draw):
+    """A random machine: 2..4 domains under a policy that need not be
+    reflexive, 1..3 actions, and a chain of 1..5 states x where each
+    step moves at most one place and may be disabled or nondeterministic.
+    A domain observes how many of up to two cut points x has passed, so
+    an observation takes up to three values and a leak may need several
+    steps to show."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    domains = tuple(f"d{i}" for i in range(n))
+    policy = frozenset((u, v) for u in domains for v in domains if draw(st.booleans()))
+    actions = tuple(ActionId(f"a{i}") for i in range(draw(st.integers(1, 3))))
+    states = tuple(State({"x": i}) for i in range(draw(st.integers(1, 5))))
+    transitions = {}
+    for s in states:
+        near = [t for t in states if abs(t["x"] - s["x"]) <= 1]
+        for a in actions:
+            succ = draw(st.frozensets(st.sampled_from(near), max_size=2))
+            if succ:
+                transitions[(s, a)] = tuple(sorted(succ))
+    cuts = {d: draw(st.lists(st.integers(1, 4), max_size=2)) for d in domains}
+    machine = StateMachine(states=states, actions=actions,
+                           transitions=transitions, initial=states[0])
+    cfg = InfoFlowConfig(domains, policy,
+                         {a: draw(st.sampled_from(domains)) for a in actions},
+                         observe=lambda d, s: sum(s["x"] >= c for c in cuts[d]))
+    chosen_domains = draw(st.lists(st.sampled_from(domains), min_size=1, unique=True))
+    chosen_actions = draw(st.lists(st.sampled_from(actions), unique=True))
+    return SecureSystem(machine, cfg), chosen_domains, chosen_actions
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(small_systems())
+def test_product_search_matches_trace_enumeration(example):
+    """The whole NIResult equals the enumerator's at every bound up to
+    5, over all domains and actions and over a chosen subset of each."""
+    system, doms, acts = example
+    for max_len in range(6):
+        for kwargs in ({}, {"domains": doms}, {"actions": acts},
+                       {"domains": doms, "actions": acts}):
+            assert check_ni(system, max_len, **kwargs) == oracle_check_ni(
+                system, max_len, **kwargs)
+
+
+class TestUnwindingDisagreement:
+    """The open disagreement between unwinding and bounded NI.
+
+    Unwinding passes on these shipped levels, yet bounded NI fails at a
+    longer length: in each witness the full run stutters on a disabled
+    action and the purged run does not, which the unwinding conditions
+    over raw steps do not see. Until that is settled these tests record
+    the witnesses as they stand; each level's unwinding pass is asserted
+    beside its NI failure.
+    """
+
+    @staticmethod
+    def failing(model, level, domain, max_len):
+        system = getattr(get_model(model), level)
+        assert check_unwinding(system).ok
+        result = check_ni(system, max_len, domains=[domain], trace_budget=10**40)
+        assert not result.ok and ni_violated(system, result.counterexample)
+        assert check_ni(system, max_len - 1, domains=[domain], trace_budget=10**40).ok
+        return result.counterexample
+
+    def test_arinc_abstract_p12_at_length_7(self):
+        c = self.failing("arinc", "abstract", "p12", 7)
+        assert [a.display() for a in c.trace] == [
+            "cpu1/Core_Init/invoke", "cpu1/Core_Init/init",
+            "cpu1/Schedule(p11)/invoke", "cpu1/Schedule(p11)/dispatch",
+            "cpu1/Send_QMsg(ps,m1)/invoke",
+            "cpu1/Schedule(p12)/invoke", "cpu1/Schedule(p12)/dispatch"]
+
+    def test_arinc_concrete_p11_at_length_16(self):
+        assert len(self.failing("arinc", "concrete", "p11", 16).trace) == 16
+
+    def test_demo_concrete_t1_at_length_14(self):
+        assert len(self.failing("demo", "concrete", "t1", 14).trace) == 14

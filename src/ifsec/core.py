@@ -24,7 +24,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
 
 #: Exploration ceiling applied when a caller does not pass an explicit budget.
 DEFAULT_STATE_BUDGET = 2_000_000
@@ -108,66 +108,103 @@ def value_key(value: Value) -> tuple:
     return (rank, value)
 
 
+class _Schema:
+    """The sorted variable names that states share, with their positions.
+
+    A state made by `State(...)` gets a new schema; every state derived
+    from it by `assign` shares it, so all states of one machine hold one
+    name table between them.
+    """
+
+    __slots__ = ("names", "index", "hash")
+
+    def __init__(self, names: tuple[str, ...]) -> None:
+        self.names = names
+        self.index = {name: i for i, name in enumerate(names)}
+        self.hash = hash(names)
+
+
+def _name(item: tuple[str, Value]) -> str:
+    return item[0]
+
+
 class State:
     """An immutable finite map from variable names to values.
 
+    A state is a values tuple over a schema of sorted variable names.
     Serialization is `name=value` pairs sorted by name and joined with
     semicolons; it is the canonical order used for witness selection.
     """
 
-    __slots__ = ("_items", "_index", "_hash", "_serial")
+    __slots__ = ("_schema", "_values", "_hash", "_serial")
 
     def __init__(self, assignment: Mapping[str, Value] | Iterable[tuple[str, Value]]):
         if isinstance(assignment, Mapping):
-            items = tuple(sorted(assignment.items()))
-        else:
-            items = tuple(sorted(assignment))
-        self._items = items
-        self._index = {name: i for i, (name, _) in enumerate(items)}
-        if len(self._index) != len(items):
+            assignment = assignment.items()
+        items = sorted(assignment, key=_name)
+        schema = _Schema(tuple(name for name, _ in items))
+        if len(schema.index) != len(items):
             raise ModelError("duplicate variable name in state")
-        self._hash = hash(items)
+        self._set(schema, tuple(value for _, value in items))
+
+    def _set(self, schema: _Schema, values: tuple) -> None:
+        self._schema = schema
+        self._values = values
+        self._hash = hash((schema.hash, values))
         self._serial: str | None = None
 
     @property
     def items(self) -> tuple[tuple[str, Value], ...]:
-        return self._items
+        return tuple(zip(self._schema.names, self._values))
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self._items)
+        return self._schema.names
+
+    @property
+    def values(self) -> tuple[Value, ...]:
+        """The values, in the order of `names`."""
+        return self._values
 
     def __contains__(self, name: str) -> bool:
-        return name in self._index
+        return name in self._schema.index
 
     def __getitem__(self, name: str) -> Value:
         try:
-            return self._items[self._index[name]][1]
+            return self._values[self._schema.index[name]]
         except KeyError:
             raise UsageError(f"state has no variable {name!r}") from None
 
     def get(self, name: str, default: Value = None) -> Value:
-        i = self._index.get(name)
-        return default if i is None else self._items[i][1]
+        i = self._schema.index.get(name)
+        return default if i is None else self._values[i]
 
     def assign(self, updates: Mapping[str, Value]) -> "State":
         """Return a copy with the given variables replaced."""
-        new = list(self._items)
+        new = list(self._values)
+        index = self._schema.index
         for name, value in updates.items():
-            i = self._index.get(name)
+            i = index.get(name)
             if i is None:
                 raise UsageError(f"state has no variable {name!r}")
-            new[i] = (name, value)
-        return State(new)
+            new[i] = value
+        state = State.__new__(State)
+        state._set(self._schema, tuple(new))
+        return state
 
     def serialize(self) -> str:
         if self._serial is None:
             self._serial = ";".join(
-                f"{name}={render_value(value)}" for name, value in self._items)
+                f"{name}={render_value(value)}"
+                for name, value in zip(self._schema.names, self._values))
         return self._serial
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, State) and self._items == other._items
+        if self is other:
+            return True
+        return (isinstance(other, State) and self._values == other._values
+                and (self._schema is other._schema
+                     or self._schema.names == other._schema.names))
 
     def __hash__(self) -> int:
         return self._hash
@@ -185,6 +222,13 @@ class ActionId:
 
     label: str
     payload: Value = None
+
+    def __post_init__(self) -> None:
+        # Actions key every transition table and domain map; hash once.
+        object.__setattr__(self, "_hash", hash((self.label, self.payload)))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
     def sort_key(self) -> tuple:
         return (self.label, value_key(self.payload))
@@ -206,33 +250,112 @@ def sort_actions(actions: Iterable[ActionId]) -> tuple[ActionId, ...]:
 # Machines
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class StateMachine:
     """An explicit machine: states, actions, set-valued step, initial state.
 
-    `transitions` only stores non-empty successor tuples; each tuple is
-    sorted.  `states` is the machine's state set in sorted order (for built
-    machines this is the reachable set).  `universe` optionally carries a
-    larger declared state space for universe-scoped checks.
+    A machine is indexed.  `by_id` numbers every state it knows, its
+    states, its universe and every successor, 0..n-1 in serialization
+    order, so ids do not depend on hashing; `id_of` maps back.  Each
+    state is one object: every successor is the `by_id` entry.
+    `successor_ids[k]` is the table of `actions[k]`: it maps the id of
+    each state that enables the action to its successor ids, keys in
+    ascending order, no empty entries.  `state_ids` (for built machines
+    the reachable set) and `universe_ids` (an optional larger declared
+    state space for universe-scoped checks) are ascending; `states` and
+    `universe` are their states in that order.  `transitions` is a
+    read-only (state, action) -> successors view of the tables.
+
+    The constructor indexes a machine given as a transition mapping;
+    builders that number the states themselves call `from_tables`.
     """
 
-    states: tuple[State, ...]
-    actions: tuple[ActionId, ...]
-    transitions: Mapping[tuple[State, ActionId], tuple[State, ...]]
-    initial: State
-    universe: tuple[State, ...] | None = None
+    def __init__(self, states: Iterable[State], actions: Iterable[ActionId],
+                 transitions: Mapping[tuple[State, ActionId], tuple[State, ...]],
+                 initial: State,
+                 universe: Iterable[State] | None = None) -> None:
+        known = {initial, *states, *(universe or ())}
+        for (state, _), successors in transitions.items():
+            known.add(state)
+            known.update(successors)
+        by_id = tuple(sorted(known, key=State.serialize))
+        ids = {state: i for i, state in enumerate(by_id)}
+        actions = tuple(actions)
+        tables: list[dict[int, tuple[int, ...]]] = [{} for _ in actions]
+        position = {action: k for k, action in enumerate(actions)}
+        for (state, action), successors in sorted(
+                transitions.items(), key=lambda item: ids[item[0][0]]):
+            if action not in position:
+                raise ModelError(
+                    f"transition on undeclared action {action.display()!r}")
+            if successors:
+                tables[position[action]][ids[state]] = tuple(
+                    ids[s] for s in successors)
+        self._index(by_id, ids, actions, tables, ids[initial],
+                    sorted({ids[s] for s in states}),
+                    None if universe is None else sorted({ids[s] for s in universe}))
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_action_set", frozenset(self.actions))
+    @classmethod
+    def from_tables(cls, by_id: tuple[State, ...], actions: tuple[ActionId, ...],
+                    successor_ids: Iterable[dict[int, tuple[int, ...]]],
+                    initial_id: int, state_ids: Iterable[int] | None = None,
+                    universe_ids: Iterable[int] | None = None) -> "StateMachine":
+        """A machine over tables already laid out as the class describes;
+        `state_ids` defaults to every id."""
+        machine = cls.__new__(cls)
+        machine._index(by_id, {state: i for i, state in enumerate(by_id)},
+                       actions, successor_ids, initial_id, state_ids,
+                       universe_ids)
+        return machine
+
+    def _index(self, by_id, ids, actions, successor_ids, initial_id,
+               state_ids, universe_ids) -> None:
+        def states_of(chosen: tuple[int, ...]) -> tuple[State, ...]:
+            if len(chosen) == len(by_id):
+                return by_id
+            return tuple(by_id[i] for i in chosen)
+
+        self.by_id: tuple[State, ...] = by_id
+        self._ids: dict[State, int] = ids
+        self.actions: tuple[ActionId, ...] = tuple(actions)
+        self._position = {action: k for k, action in enumerate(self.actions)}
+        self.successor_ids: tuple[dict[int, tuple[int, ...]], ...] = tuple(
+            successor_ids)
+        self.initial_id = initial_id
+        self.initial = by_id[initial_id]
+        self.state_ids: tuple[int, ...] = tuple(
+            range(len(by_id)) if state_ids is None else state_ids)
+        self.states = states_of(self.state_ids)
+        self.universe_ids: tuple[int, ...] | None = None
+        self.universe: tuple[State, ...] | None = None
+        if universe_ids is not None:
+            self.universe_ids = tuple(universe_ids)
+            self.universe = states_of(self.universe_ids)
+
+    def __repr__(self) -> str:
+        return (f"StateMachine({len(self.states)} states, "
+                f"{len(self.actions)} actions)")
+
+    @property
+    def transitions(self) -> Mapping[tuple[State, ActionId], tuple[State, ...]]:
+        return _Transitions(self)
+
+    def id_of(self, state: State) -> int | None:
+        """The id of `state`, or None when the machine does not know it."""
+        return self._ids.get(state)
 
     def has_action(self, action: ActionId) -> bool:
-        return action in self._action_set  # type: ignore[attr-defined]
+        return action in self._position
 
     def step(self, state: State, action: ActionId) -> tuple[State, ...]:
         """Raw successors of `state` under `action`; empty when disabled."""
-        if not self.has_action(action):
+        k = self._position.get(action)
+        if k is None:
             raise UsageError(f"unknown action {action.display()!r}")
-        return self.transitions.get((state, action), ())
+        successors = self.successor_ids[k].get(self._ids.get(state))
+        if not successors:
+            return ()
+        by_id = self.by_id
+        return tuple([by_id[j] for j in successors])
 
     def step_total(self, state: State, action: ActionId) -> tuple[State, ...]:
         """Stuttering form of `step`: a disabled action yields the state itself."""
@@ -240,7 +363,51 @@ class StateMachine:
         return successors if successors else (state,)
 
     def enabled(self, state: State) -> tuple[ActionId, ...]:
-        return tuple(a for a in self.actions if (state, a) in self.transitions)
+        i = self._ids.get(state)
+        return tuple(a for a, table in zip(self.actions, self.successor_ids)
+                     if i in table)
+
+
+class _Transitions(Mapping):
+    """The (state, action) -> successor states view of a machine."""
+
+    def __init__(self, machine: StateMachine) -> None:
+        self._machine = machine
+
+    def __getitem__(self, key: tuple[State, ActionId]) -> tuple[State, ...]:
+        state, action = key
+        machine = self._machine
+        successors = machine.step(state, action) \
+            if machine.has_action(action) else ()
+        if not successors:
+            raise KeyError(key)
+        return successors
+
+    def __iter__(self) -> Iterator[tuple[State, ActionId]]:
+        machine = self._machine
+        for action, table in zip(machine.actions, machine.successor_ids):
+            for i in table:
+                yield machine.by_id[i], action
+
+    def __len__(self) -> int:
+        return sum(map(len, self._machine.successor_ids))
+
+
+class _Classes(dict):
+    """State id -> observation class of one domain, filled on first lookup."""
+
+    def __init__(self, observe: Callable[[str, State], Value], domain: str,
+                 by_id: tuple[State, ...]) -> None:
+        super().__init__()
+        self._observe = observe
+        self._domain = domain
+        self._by_id = by_id
+        self._class_of: dict[Value, int] = {}
+
+    def __missing__(self, i: int) -> int:
+        view = self._observe(self._domain, self._by_id[i])
+        c = self[i] = self._class_of.setdefault(view, len(self._class_of))
+        return c
 
 
 @dataclass(frozen=True)
@@ -251,6 +418,23 @@ class InfoFlowConfig:
     policy: frozenset[tuple[str, str]]
     dom: Mapping[ActionId, str]
     observe: Callable[[str, State], Value]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_classes", {})
+
+    def classes(self, machine: StateMachine, domain: str) -> Mapping[int, int]:
+        """`domain`'s observation class of each state id of `machine`.
+
+        Two ids share a class exactly when `domain` observes equal values
+        in their states.  `observe` runs once per (domain, state), at the
+        first lookup of the id, and the table stays with the config.
+        """
+        tables = self._classes  # type: ignore[attr-defined]
+        table = tables.get((machine, domain))
+        if table is None:
+            table = tables[(machine, domain)] = _Classes(
+                self.observe, domain, machine.by_id)
+        return table
 
     def allows(self, source: str, target: str) -> bool:
         return (source, target) in self.policy
@@ -331,17 +515,18 @@ class Exploration:
 
     `order` lists nodes in discovery order and is also the FIFO queue:
     iterating the exploration yields `order` while the caller grows it
-    with `add`.  `parent` maps each discovered node to the (predecessor,
-    action) edge that first reached it, None for the initial node; it is
-    the seen set, and `trace_to` walks it back to a shortest trace.
-    `depth` is the BFS depth of the node being expanded.
+    with `add`.  `index` maps each discovered node to its position in
+    `order`, its dense BFS id; it is the seen set.  `edges[k]` is the
+    (parent position, action) edge that first reached `order[k]`, None
+    for the initial node, and `trace_to` walks them back to a shortest
+    trace.  `depth` is the BFS depth of the node being expanded.
     """
 
     def __init__(self, initial: Hashable, budget: int | None = None,
                  noun: str = "states") -> None:
         self.order: list = [initial]
-        self.parent: dict[Hashable, tuple[Hashable, ActionId] | None] = {
-            initial: None}
+        self.index: dict[Hashable, int] = {initial: 0}
+        self.edges: list[tuple[int, ActionId] | None] = [None]
         self.depth = 0
         self._limit = DEFAULT_STATE_BUDGET if budget is None else budget
         self._noun = noun
@@ -356,59 +541,78 @@ class Exploration:
                 level_end = len(self.order)
             yield node
 
-    def add(self, node: Hashable, parent: Hashable, action: ActionId) -> None:
-        """Record `node` as reached from `parent` by `action`, unless seen.
+    def add(self, node: Hashable, parent: Hashable, action: ActionId) -> int:
+        """Record `node` as reached from `parent` by `action`, unless seen,
+        and return its position in `order`.
 
         Raises BudgetError when `node` would be one more than the budget.
         """
-        if node in self.parent:
-            return
-        if len(self.order) >= self._limit:
+        k = self.index.get(node)
+        if k is not None:
+            return k
+        k = len(self.order)
+        if k >= self._limit:
             raise BudgetError(
                 f"budget of {self._limit} {self._noun} exceeded at BFS depth "
                 f"{self.depth + 1} (raise --budget or shrink the model)")
-        self.parent[node] = (parent, action)
+        self.index[node] = k
+        self.edges.append((self.index[parent], action))
         self.order.append(node)
+        return k
 
     def trace_to(self, node: Hashable) -> tuple[ActionId, ...]:
         steps: list[ActionId] = []
-        edge = self.parent[node]
+        edge = self.edges[self.index[node]]
         while edge is not None:
-            node, action = edge
+            k, action = edge
             steps.append(action)
-            edge = self.parent[node]
+            edge = self.edges[k]
         steps.reverse()
         return tuple(steps)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Exploration) and \
-            (self.order, self.parent) == (other.order, other.parent)
+            (self.order, self.edges) == (other.order, other.edges)
 
     __hash__ = None  # type: ignore[assignment]
 
 
 def explore(machine: StateMachine, depth: int | None = None,
             budget: int | None = None) -> Exploration:
-    """BFS over `step` successors in canonical action order.
+    """BFS over the machine's state ids in canonical action order.
 
+    The exploration's nodes are ids (`machine.by_id` has their states).
     States at depth `depth` are discovered but not expanded.  Raises
     BudgetError once more than `budget` states have been discovered
     (default DEFAULT_STATE_BUDGET).
     """
-    search = Exploration(machine.initial, budget)
-    for state in search:
+    return explore_ids(machine.initial_id, machine.actions,
+                       machine.successor_ids, depth, budget)
+
+
+def explore_ids(initial_id: int, actions: Iterable[ActionId],
+                successor_ids: Iterable[Mapping[int, tuple[int, ...]]],
+                depth: int | None = None,
+                budget: int | None = None) -> Exploration:
+    """`explore` over bare successor tables, one per action."""
+    search = Exploration(initial_id, budget)
+    columns = tuple(zip(actions, successor_ids))
+    for i in search:
         if depth is not None and search.depth >= depth:
             break
-        for action in machine.actions:
-            for succ in machine.transitions.get((state, action), ()):
-                search.add(succ, state, action)
+        for action, table in columns:
+            successors = table.get(i)
+            if successors:
+                for j in successors:
+                    search.add(j, i, action)
     return search
 
 
 def reachable(machine: StateMachine, depth: int | None = None,
               budget: int | None = None) -> tuple[State, ...]:
     """Reachable states in BFS discovery order (see `explore`)."""
-    return tuple(explore(machine, depth=depth, budget=budget).order)
+    by_id = machine.by_id
+    return tuple(by_id[i] for i in explore(machine, depth, budget).order)
 
 
 # ---------------------------------------------------------------------------
@@ -429,19 +633,31 @@ def build_machine(initial: State,
     enumeration budgets on the real alphabet.
     """
     search = Exploration(initial, budget)
-    transitions: dict[tuple[State, ActionId], tuple[State, ...]] = {}
+    # rows[k]: the (action, successor positions) steps of search.order[k];
+    # a successor equal to a discovered state is dropped for that state.
+    rows: list = []
     for state in search:
         grouped: dict[ActionId, set[State]] = {}
         for action, succ in successors(state):
             grouped.setdefault(action, set()).add(succ)
-        for action, succs in grouped.items():
-            targets = tuple(sorted(succs))
-            transitions[(state, action)] = targets
-            for succ in targets:
-                search.add(succ, state, action)
-    return StateMachine(
-        states=tuple(sorted(search.order)),
-        actions=sort_actions({a for (_, a) in transitions}),
-        transitions=transitions,
-        initial=initial,
-    )
+        rows.append([
+            (action, tuple([search.add(succ, state, action) for succ in (
+                sorted(succs, key=State.serialize) if len(succs) > 1
+                else succs)]))
+            for action, succs in grouped.items()])
+    order = search.order
+    serial = [state.serialize() for state in order]
+    ranked = sorted(range(len(order)), key=serial.__getitem__)
+    new_id = [0] * len(order)
+    for i, k in enumerate(ranked):
+        new_id[k] = i
+    tables: dict[ActionId, dict[int, tuple[int, ...]]] = {
+        action: {} for action in sort_actions(
+            {action for row in rows for action, _ in row})}
+    for i, k in enumerate(ranked):
+        for action, targets in rows[k]:
+            tables[action][i] = tuple([new_id[j] for j in targets])
+        rows[k] = None
+    return StateMachine.from_tables(
+        tuple(order[k] for k in ranked), tuple(tables), tables.values(),
+        new_id[0])

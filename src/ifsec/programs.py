@@ -157,7 +157,8 @@ def prog_step(prog: Prog, state: State) -> tuple[tuple[str, Prog, State], ...]:
         return ((prog.label, Done, state.assign(prog.update(state))),)
     if isinstance(prog, Atomic):
         outcomes = tuple(state.assign(u) for u in prog.relation(state))
-        return tuple((prog.label, Done, s2) for s2 in sorted(set(outcomes)))
+        return tuple((prog.label, Done, s2)
+                     for s2 in sorted(set(outcomes), key=State.serialize))
     if isinstance(prog, Await):
         if not prog.pred(state):
             return ()
@@ -321,12 +322,20 @@ def compile_system(system: ConcurrentSystem,
         initial_vars[_pc_var(comp)] = IDLE
     initial = State(initial_vars)
 
-    dom_of: dict[ActionId, str] = {}
+    # One ActionId per label, with the domain its event resolved to.
+    interned: dict[str, tuple[ActionId, str]] = {}
+
+    def action_of(label: str, domain: str) -> ActionId:
+        entry = interned.get(label)
+        if entry is None:
+            entry = interned[label] = (ActionId(label), domain)
+        return entry[0]
 
     def successors(state: State) -> list[tuple[ActionId, State]]:
         out: list[tuple[ActionId, State]] = []
         for comp in system.components:
-            pc = state[_pc_var(comp)]
+            pc_var = _pc_var(comp)
+            pc = state[pc_var]
             if pc == IDLE:
                 for event in system.pool[comp]:
                     if not event.guard(state):
@@ -334,25 +343,23 @@ def compile_system(system: ConcurrentSystem,
                     domain = event.resolve_domain(state)
                     name = event.label if event.domain_is_static() \
                         else f"{event.label}@{domain}"
-                    action = ActionId(f"{comp}/{name}/{INVOKE}")
-                    dom_of[action] = domain
+                    action = action_of(f"{comp}/{name}/{INVOKE}", domain)
                     pc_next = tables.pc_value(comp, event, name, event.body, state)
-                    out.append((action, state.assign({_pc_var(comp): pc_next})))
+                    out.append((action, state.assign({pc_var: pc_next})))
             else:
                 event, name, residual = tables.decode[(comp, pc)]
-                domain = dom_of[ActionId(f"{comp}/{name}/{INVOKE}")]
+                _, domain = interned[f"{comp}/{name}/{INVOKE}"]
                 for label, rest, stepped in prog_step(residual, state):
-                    action = ActionId(f"{comp}/{name}/{label}")
-                    dom_of[action] = domain
+                    action = action_of(f"{comp}/{name}/{label}", domain)
                     pc_next = tables.pc_value(comp, event, name, rest, stepped)
-                    out.append((action, stepped.assign({_pc_var(comp): pc_next})))
+                    out.append((action, stepped.assign({pc_var: pc_next})))
         return out
 
     machine = build_machine(initial, successors, budget)
     config = InfoFlowConfig(
         domains=tuple(sorted(set(domains))),
         policy=frozenset(policy),
-        dom={a: dom_of[a] for a in machine.actions},
+        dom={a: interned[a.label][1] for a in machine.actions},
         observe=observe,
     )
     return SecureSystem(machine, config)

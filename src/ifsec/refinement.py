@@ -154,7 +154,7 @@ def frame_guarantee(allowed: Iterable[str], holder: str | None = None,
     guard = {v: lock for lock, guarded in locks.items() for v in guarded}
 
     def guarantee(before: State, after: State) -> bool:
-        for (name, value), (_, new) in zip(before.items, after.items):
+        for name, value, new in zip(before.names, before.values, after.values):
             if value == new or name in allowed:
                 continue
             if name in locks:

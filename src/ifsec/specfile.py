@@ -67,7 +67,6 @@ from ifsec.core import (
     DEFAULT_STATE_BUDGET,
     ActionId,
     BudgetError,
-    Exploration,
     InfoFlowConfig,
     ModelError,
     ParseError,
@@ -75,6 +74,7 @@ from ifsec.core import (
     State,
     StateMachine,
     Value,
+    explore_ids,
     render_value,
     sort_actions,
 )
@@ -841,38 +841,32 @@ def elaborate_model(doc: ModelDocument, budget: int | None = None) -> SecureSyst
             "shrink a value set or raise --budget")
 
     names = [v.name for v in doc.variables]
-    universe = tuple(sorted(
-        State(dict(zip(names, combo)))
-        for combo in itertools.product(*(v.values for v in doc.variables))))
     initial = State({v.name: v.initial for v in doc.variables})
+    universe = tuple(sorted(
+        (initial.assign(dict(zip(names, combo)))
+         for combo in itertools.product(*(v.values for v in doc.variables))),
+        key=State.serialize))
+    ids = {state: i for i, state in enumerate(universe)}
 
     actions = sort_actions(ActionId(a.label) for a in doc.actions)
     by_label = {a.label: a for a in doc.actions}
-    transitions: dict[tuple[State, ActionId], tuple[State, ...]] = {}
-    for state in universe:
-        for action in actions:
-            decl = by_label[action.label]
+    tables: list[dict[int, tuple[int, ...]]] = []
+    for action in actions:
+        rules = [(rule.pre, dict(rule.post))
+                 for rule in by_label[action.label].rules]
+        table = {}
+        for i, state in enumerate(universe):
             successors = {
-                state.assign(dict(rule.post))
-                for rule in decl.rules
-                if all(state[var] == value for var, value in rule.pre)
-            }
+                ids[state.assign(post)] for pre, post in rules
+                if all(state[var] == value for var, value in pre)}
             if successors:
-                transitions[(state, action)] = tuple(sorted(successors))
+                table[i] = tuple(sorted(successors))
+        tables.append(table)
 
-    search = Exploration(initial, budget)
-    for state in search:
-        for action in actions:
-            for succ in transitions.get((state, action), ()):
-                search.add(succ, state, action)
-
-    machine = StateMachine(
-        states=tuple(sorted(search.order)),
-        actions=actions,
-        transitions=transitions,
-        initial=initial,
-        universe=universe,
-    )
+    search = explore_ids(ids[initial], actions, tables, budget=budget)
+    machine = StateMachine.from_tables(
+        universe, actions, tables, ids[initial],
+        state_ids=sorted(search.order), universe_ids=range(len(universe)))
     views = {domain: vars_ for domain, vars_ in doc.observe}
 
     def observe(domain: str, state: State) -> Value:

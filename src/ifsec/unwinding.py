@@ -15,14 +15,15 @@ relation: a disabled action contributes no instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass, field
 
 from .core import (
     ActionId,
     Exploration,
     SecureSystem,
     State,
+    StateMachine,
     UsageError,
     explore,
     indist,
@@ -31,31 +32,43 @@ from .core import (
 
 @dataclass(frozen=True)
 class Scope:
-    """The states a check quantifies over, with its provenance tag."""
+    """The states a check quantifies over, with its provenance tag.
 
-    states: tuple[State, ...]
+    `ids` are the machine's ids of the scoped states, ascending, which is
+    serialization order; a reachable scope keeps its exploration, whose
+    nodes are those ids.
+    """
+
+    machine: StateMachine = field(compare=False, repr=False)
+    ids: tuple[int, ...]
     tag: str
     exploration: Exploration | None = None
 
+    @property
+    def states(self) -> tuple[State, ...]:
+        by_id = self.machine.by_id
+        return tuple(by_id[i] for i in self.ids)
+
     def trace_to(self, state: State) -> tuple[ActionId, ...] | None:
-        if self.exploration is None or state not in self.exploration.parent:
+        i = self.machine.id_of(state)
+        if self.exploration is None or i not in self.exploration.index:
             return None
-        return self.exploration.trace_to(state)
+        return self.exploration.trace_to(i)
 
 
 def scope_reachable(system: SecureSystem, depth: int | None = None,
                     budget: int | None = None) -> Scope:
     ex = explore(system.machine, depth=depth, budget=budget)
     tag = "reachable" if depth is None else f"reachable(depth={depth})"
-    return Scope(tuple(sorted(ex.order)), tag, ex)
+    return Scope(system.machine, tuple(sorted(ex.order)), tag, ex)
 
 
 def scope_universe(system: SecureSystem) -> Scope:
-    universe = system.machine.universe
-    if universe is None:
+    machine = system.machine
+    if machine.universe_ids is None:
         raise UsageError(
             "this model declares no state universe; run without --universe")
-    return Scope(tuple(sorted(universe)), "universe", None)
+    return Scope(machine, machine.universe_ids, "universe", None)
 
 
 @dataclass(frozen=True)
@@ -93,7 +106,7 @@ class UnwindingReport:
 
     @property
     def scope_size(self) -> int:
-        return len(self.scope.states)
+        return len(self.scope.ids)
 
 
 def _domains(system: SecureSystem, domains: Iterable[str] | None) -> tuple[str, ...]:
@@ -131,6 +144,20 @@ def sc_violated(system: SecureSystem, v: SCViolation) -> bool:
             and not indist(config, v.domain, v.s1_successor, v.s2_successor))
 
 
+def _enabled(table: Mapping[int, tuple[int, ...]],
+             scope: Scope) -> list[tuple[int, tuple[int, ...]]]:
+    """The (id, successor ids) rows of `table` whose state is in the
+    scope, ids ascending. Walks whichever of the two is shorter."""
+    if len(scope.ids) < len(table):
+        get = table.get
+        return [(i, successors) for i in scope.ids
+                if (successors := get(i))]
+    member = bytearray(len(scope.machine.by_id))
+    for i in scope.ids:
+        member[i] = 1
+    return [(i, successors) for i, successors in table.items() if member[i]]
+
+
 def check_lr(system: SecureSystem, scope: Scope,
              domains: Iterable[str] | None = None) -> LRViolation | None:
     """First (least) local-respect violation in the scope, or None.
@@ -140,22 +167,21 @@ def check_lr(system: SecureSystem, scope: Scope,
     canonical witness.
     """
     machine, config = system.machine, system.config
-    observe = config.observe
-    for action in machine.actions:
+    chosen = _domains(system, domains)
+    for action, table in zip(machine.actions, machine.successor_ids):
         acting = config.domain_of(action)
-        blocked = [d for d in _domains(system, domains)
-                   if not config.allows(acting, d)]
+        blocked = [d for d in chosen if not config.allows(acting, d)]
         if not blocked:
             continue
+        rows = _enabled(table, scope)
         for domain in blocked:
-            for state in scope.states:
-                successors = machine.transitions.get((state, action))
-                if not successors:
-                    continue
-                before = observe(domain, state)
-                for succ in successors:
-                    if observe(domain, succ) != before:
-                        return LRViolation(action, domain, state, succ)
+            view = config.classes(machine, domain)
+            for i, successors in rows:
+                before = view[i]
+                for j in successors:
+                    if view[j] != before:
+                        return LRViolation(action, domain, machine.by_id[i],
+                                           machine.by_id[j])
     return None
 
 
@@ -171,51 +197,51 @@ def check_sc(system: SecureSystem, scope: Scope,
     ordered state pair within the first such class.
     """
     machine, config = system.machine, system.config
-    observe = config.observe
-    for action in machine.actions:
+    chosen = _domains(system, domains)
+    for action, table in zip(machine.actions, machine.successor_ids):
         acting = config.domain_of(action)
-        for domain in _domains(system, domains):
-            relevant = config.allows(acting, domain)
-            groups: dict[object, list[State]] = {}
-            for state in scope.states:
-                if (state, action) not in machine.transitions:
-                    continue
-                key = (observe(domain, state),
-                       observe(acting, state) if relevant else None)
-                groups.setdefault(key, []).append(state)
-            violating: list[list[State]] = []
-            for members in groups.values():
-                views = set()
-                for state in members:
-                    for succ in machine.transitions[(state, action)]:
-                        views.add(observe(domain, succ))
-                    if len(views) > 1:
-                        violating.append(members)
-                        break
+        rows = _enabled(table, scope)
+        if not rows:
+            continue
+        for domain in chosen:
+            view = config.classes(machine, domain)
+            if config.allows(acting, domain):
+                acting_view = config.classes(machine, acting)
+                premise = [(view[i], acting_view[i]) for i, _ in rows]
+            else:
+                premise = [view[i] for i, _ in rows]
+            # The successor view each premise class met first; rows are
+            # ascending, so classes are met in order of least member.
+            seen: dict = {}
+            violating = set()
+            for key, (_, successors) in zip(premise, rows):
+                for j in successors:
+                    first = seen.setdefault(key, view[j])
+                    if first != view[j]:
+                        violating.add(key)
             if not violating:
                 continue
-            # Scope states are sorted, so members[0] is each class's least
-            # state; every member of a violating class is part of some
-            # offending pair, making this pick canonical.
-            members = min(violating, key=lambda ms: ms[0])
-            for s1 in members:
-                for succ1 in machine.transitions[(s1, action)]:
-                    view1 = observe(domain, succ1)
-                    for s2 in members:
-                        for succ2 in machine.transitions[(s2, action)]:
-                            if observe(domain, succ2) != view1:
-                                return SCViolation(action, domain,
-                                                   s1, s2, succ1, succ2)
+            key = next(k for k in seen if k in violating)
+            members = [row for row, k in zip(rows, premise) if k == key]
+            for i1, successors1 in members:
+                for j1 in successors1:
+                    for i2, successors2 in members:
+                        for j2 in successors2:
+                            if view[j2] != view[j1]:
+                                by_id = machine.by_id
+                                return SCViolation(
+                                    action, domain, by_id[i1], by_id[i2],
+                                    by_id[j1], by_id[j2])
     return None
 
 
 def has_stutter(system: SecureSystem, scope: Scope) -> bool:
     """True when some scoped state leaves some action disabled."""
-    machine = system.machine
-    for state in scope.states:
-        for action in machine.actions:
-            if (state, action) not in machine.transitions:
-                return True
+    for table in system.machine.successor_ids:
+        # A table with fewer keys than the scope has ids misses one.
+        if len(table) < len(scope.ids) or any(
+                i not in table for i in scope.ids):
+            return True
     return False
 
 

@@ -216,7 +216,7 @@ class TestReachability:
         m = tiny_machine()
         ex = explore(m)
         target = State({"x": 1, "y": 1})
-        trace = ex.trace_to(target)
+        trace = ex.trace_to(m.id_of(target))
         assert len(trace) == 2
         assert run(m, {m.initial}, trace) == frozenset({target})
 
@@ -262,7 +262,7 @@ class TestBuildMachine:
                 State({"x": v}) for v in (1, 2, 3))
             ex = explore(m)
             # explore walks actions in sorted order: go before stop.
-            assert [s["x"] for s in ex.order] == [0, 1, 2, 3, 9]
+            assert [m.by_id[i]["x"] for i in ex.order] == [0, 1, 2, 3, 9]
 
     def test_build_budget_error_names_limit_and_depth(self):
         with pytest.raises(BudgetError, match=r"budget of 3 states exceeded "

@@ -2,13 +2,17 @@
 
 `bench/tracer.py` rebinds each function named in its ENTRY_POINTS by
 name at run time, so a rename or a deletion in `ifsec` would otherwise
-surface only as an AttributeError in a traced benchmark run.
+surface only as an AttributeError in a traced benchmark run. Its
+COUNTERS read sizes off what those functions return, so each one is
+also run on a real return value here: a change of representation that
+breaks a counter fails this test rather than a traced run.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -37,3 +41,71 @@ def test_entry_point_exists(module_name, name):
 def test_every_counter_has_an_entry_point():
     hooked = {name for names in tracer.ENTRY_POINTS.values() for name in names}
     assert set(tracer.COUNTERS) <= hooked
+
+
+TOY = """\
+[domains]
+hi
+lo
+
+[policy]
+hi -> hi
+lo -> hi
+lo -> lo
+
+[state]
+x in {0, 1} = 0
+y in {0, 1} = 0
+
+[actions]
+act poke lo
+  x=0 -> x:=1
+act toggle hi
+  y=0 -> y:=1
+  y=1 -> y:=0
+
+[observe]
+hi: x y
+lo: x
+"""
+
+
+def counted_calls():
+    """Arguments for one real call of each entry point that COUNTERS
+    counts, by entry point name."""
+    from ifsec.programs import Basic, ConcurrentSystem, Event
+    from ifsec.refinement import Alpha, RefinementPair, Zeta
+    from ifsec.specfile import elaborate_model, parse_model
+
+    bump = Basic(lambda s: {"n": (s["n"] + 1) % 3}, "bump")
+    program = ConcurrentSystem(
+        ("k",), {"k": (Event("e", lambda s: True, bump, "d"),)}, {"n": 0})
+    compiled = (program, ["d"], [("d", "d")], lambda d, s: s["n"])
+    toy = elaborate_model(parse_model(TOY))
+    pair = RefinementPair(toy, toy,
+                          Alpha.from_predicate(lambda c, a: c == a, "equality"),
+                          Zeta.identity(toy.machine.actions))
+    return {
+        "compile_system": compiled,
+        "elaborate_model": (parse_model(TOY),),
+        "explore": (toy.machine,),
+        "scope_reachable": (toy,),
+        "scope_universe": (toy,),
+        "check_unwinding": (toy,),
+        "check_ni": (toy, 2),
+        "joint_explore": (pair,),
+    }
+
+
+def entry_point(name):
+    for module_name, names in tracer.ENTRY_POINTS.items():
+        if name in names:
+            return getattr(importlib.import_module(module_name), name)
+    raise LookupError(name)
+
+
+@pytest.mark.parametrize("name", sorted(tracer.COUNTERS))
+def test_counter_reads_a_real_return_value(name):
+    args = counted_calls()[name]
+    counts = tracer.COUNTERS[name](entry_point(name)(*args), args, {})
+    assert counts and json.loads(json.dumps(counts)) == counts

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
+import subprocess
+import sys
+
 import pytest
+
+import ifsec
 
 from ifsec.core import (
     ActionId,
@@ -22,8 +29,10 @@ from ifsec.core import (
     render_value,
     sort_actions,
 )
+from ifsec.models import get_model
 from ifsec.programs import Basic, ConcurrentSystem, Event, compile_system
 from ifsec.refinement import Alpha, RefinementPair, Zeta, joint_explore
+from ifsec.specfile import elaborate_model, parse_model
 
 
 def tiny_machine() -> StateMachine:
@@ -90,6 +99,30 @@ class TestState:
     def test_unsupported_value_rejected(self):
         with pytest.raises(ModelError):
             State({"x": 1.5}).serialize()
+
+    def test_equality_and_hash_do_not_depend_on_construction(self):
+        # Three schemas: a mapping, pairs in another order, and a state
+        # derived by assign from a third.
+        s = State({"x": 0, "y": "a"})
+        t = State([("y", "a"), ("x", 0)])
+        u = State({"y": "a", "x": 5}).assign({"x": 0})
+        assert s == t == u and hash(s) == hash(t) == hash(u)
+        assert len({s, t, u}) == 1
+        assert s.items == (("x", 0), ("y", "a")) and s.names == ("x", "y")
+        assert s.serialize() == t.serialize() == u.serialize() == "x=0;y=a"
+        assert s != State({"x": 0, "z": "a"}) and s != State({"x": 0})
+        assert s != ("x", 0)
+
+    def test_lookup_and_errors(self):
+        s = State({"x": 0, "y": "a"})
+        assert s["y"] == "a" and s.get("x") == 0 and s.get("q", 7) == 7
+        assert "x" in s and "q" not in s
+        with pytest.raises(UsageError, match="state has no variable 'q'"):
+            s["q"]
+        with pytest.raises(UsageError, match="state has no variable 'q'"):
+            s.assign({"q": 1})
+        with pytest.raises(ModelError, match="duplicate variable name in state"):
+            State([("x", 0), ("x", "a")])
 
 
 class TestActionId:
@@ -341,3 +374,132 @@ class TestConfigValidation:
         )
         with pytest.raises(ModelError):
             SecureSystem(m, cfg)
+
+
+#: A declared universe of 12 assignments, 6 of them reachable, with a
+#: nondeterministic action and one that is enabled only off the
+#: reachable set.
+SPARSE = """\
+[domains]
+hi
+lo
+
+[policy]
+hi -> hi
+lo -> hi
+lo -> lo
+
+[state]
+x in {0, 1, 2} = 0
+y in {a, b} = a
+z in {0, 1} = 0
+
+[actions]
+act step lo
+  x=0 -> x:=1
+  x=0 -> x:=2
+  x=1 -> x:=0
+act flip hi
+  y=a -> y:=b
+  y=b, z=1 -> y:=a
+act set hi
+  z=1 -> z:=0
+
+[observe]
+hi: x y z
+lo: x
+"""
+
+
+@pytest.fixture(scope="module")
+def machines():
+    demo = get_model("demo", capacity=2)
+    return {"demo concrete": demo.concrete.machine,
+            "demo abstract": demo.abstract.machine,
+            "sparse.ifs": elaborate_model(parse_model(SPARSE)).machine,
+            "mapping": tiny_machine()}
+
+
+def transition_digest(machine: StateMachine) -> tuple[int, str]:
+    """Entry count and SHA-256 prefix of the sorted listing of the
+    transitions view, one `state action -> successors` line per entry,
+    successors in their stored order."""
+    lines = sorted(
+        f"{s.serialize()} {a.display()} -> "
+        + " ".join(t.serialize() for t in successors)
+        for (s, a), successors in machine.transitions.items())
+    return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+class TestIndexedMachine:
+    def test_every_state_is_one_object(self, machines):
+        for name, m in machines.items():
+            canonical = {id(s) for s in m.by_id}
+            assert len(canonical) == len(m.by_id), name
+            assert all(id(s) in canonical for s in m.states), name
+            assert all(id(s) in canonical for s in m.universe or ()), name
+            assert id(m.initial) in canonical, name
+            for (state, action), successors in m.transitions.items():
+                assert id(state) in canonical, name
+                for succ in successors:
+                    assert succ is m.by_id[m.id_of(succ)], name
+                assert m.step(state, action) == successors
+
+    def test_ids_follow_serialization_order(self, machines):
+        for name, m in machines.items():
+            serials = [s.serialize() for s in m.by_id]
+            assert serials == sorted(serials), name
+            assert all(m.id_of(s) == i for i, s in enumerate(m.by_id))
+            assert list(m.state_ids) == sorted(set(m.state_ids)), name
+            assert m.states == tuple(m.by_id[i] for i in m.state_ids)
+            assert m.initial is m.by_id[m.initial_id]
+            assert len(m.successor_ids) == len(m.actions)
+            for table in m.successor_ids:
+                assert list(table) == sorted(table), name
+                assert all(table.values()), name
+
+    def test_transitions_view_matches_the_dict_builder(self, machines):
+        # Recorded from the (state, action)-keyed dictionaries that
+        # build_machine and elaborate_model filled before the tables.
+        assert transition_digest(machines["demo concrete"]) == (
+            22356, "1c499a5b868e596b")
+        assert transition_digest(machines["demo abstract"]) == (
+            2916, "773da30e2a8edd5d")
+        assert transition_digest(machines["sparse.ifs"]) == (
+            23, "339132fbd5db9340")
+        sparse = machines["sparse.ifs"]
+        assert (len(sparse.states), len(sparse.universe)) == (6, 12)
+
+    def test_view_is_a_read_only_mapping(self):
+        m = tiny_machine()
+        s, tick, halt = m.initial, ActionId("tick"), ActionId("halt")
+        assert (s, tick) in m.transitions and (s, halt) not in m.transitions
+        assert (s, ActionId("nope")) not in m.transitions
+        assert len(m.transitions) == 8 == len(list(m.transitions))
+        assert m.transitions == {k: m.transitions[k] for k in m.transitions}
+        with pytest.raises(TypeError):
+            m.transitions[(s, tick)] = ()
+
+    def test_ids_do_not_depend_on_the_hash_seed(self):
+        code = (
+            "import hashlib\n"
+            "from ifsec.models import get_model\n"
+            "from ifsec.specfile import elaborate_model, parse_model\n"
+            "import sys\n"
+            "bundle = get_model('demo')\n"
+            "machines = [bundle.concrete.machine, bundle.abstract.machine,\n"
+            "            elaborate_model(parse_model(sys.stdin.read())).machine]\n"
+            "text = repr([([s.serialize() for s in m.by_id], m.state_ids,\n"
+            "              m.universe_ids, m.initial_id,\n"
+            "              [sorted(t.items()) for t in m.successor_ids])\n"
+            "             for m in machines])\n"
+            "print(hashlib.sha256(text.encode()).hexdigest())\n")
+        src = os.path.dirname(os.path.dirname(ifsec.__file__))
+        digests = set()
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", code], input=SPARSE,
+                                  env=env, capture_output=True, text=True,
+                                  check=True)
+            digests.add(proc.stdout)
+        assert len(digests) == 1

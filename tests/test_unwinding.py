@@ -12,14 +12,18 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifsec.core import ActionId, InfoFlowConfig, SecureSystem, State, StateMachine, UsageError
+from ifsec.models import get_model
 from ifsec.unwinding import (
     LRViolation,
     SCViolation,
     check_lr,
     check_sc,
     check_unwinding,
+    has_stutter,
     lr_violated,
     sc_violated,
     scope_reachable,
@@ -273,3 +277,142 @@ class TestReport:
         assert not report.ok and report.lr is not None
         assert report.scope_tag == "reachable(depth=0)"
         assert report.scope_size == 1
+
+
+# ---------------------------------------------------------------------------
+# The checks over state ids against the State-keyed loops they replaced
+# ---------------------------------------------------------------------------
+
+def _oracle_domains(system, domains):
+    if domains is None:
+        return tuple(sorted(system.config.domains))
+    return tuple(sorted(domains))
+
+
+def oracle_check_lr(system, scope, domains=None):
+    """Local respect over `scope.states` and the (state, action) view."""
+    machine, config = system.machine, system.config
+    observe = config.observe
+    for action in machine.actions:
+        acting = config.domain_of(action)
+        blocked = [d for d in _oracle_domains(system, domains)
+                   if not config.allows(acting, d)]
+        for domain in blocked:
+            for state in scope.states:
+                successors = machine.transitions.get((state, action))
+                if not successors:
+                    continue
+                before = observe(domain, state)
+                for succ in successors:
+                    if observe(domain, succ) != before:
+                        return LRViolation(action, domain, state, succ)
+    return None
+
+
+def oracle_check_sc(system, scope, domains=None):
+    """Step consistency by premise classes of states, as `check_sc`
+    documents it, over `scope.states` and the (state, action) view."""
+    machine, config = system.machine, system.config
+    observe = config.observe
+    for action in machine.actions:
+        acting = config.domain_of(action)
+        for domain in _oracle_domains(system, domains):
+            relevant = config.allows(acting, domain)
+            groups: dict = {}
+            for state in scope.states:
+                if (state, action) not in machine.transitions:
+                    continue
+                key = (observe(domain, state),
+                       observe(acting, state) if relevant else None)
+                groups.setdefault(key, []).append(state)
+            violating = []
+            for members in groups.values():
+                views = set()
+                for state in members:
+                    for succ in machine.transitions[(state, action)]:
+                        views.add(observe(domain, succ))
+                    if len(views) > 1:
+                        violating.append(members)
+                        break
+            if not violating:
+                continue
+            members = min(violating, key=lambda ms: ms[0])
+            for s1 in members:
+                for succ1 in machine.transitions[(s1, action)]:
+                    view1 = observe(domain, succ1)
+                    for s2 in members:
+                        for succ2 in machine.transitions[(s2, action)]:
+                            if observe(domain, succ2) != view1:
+                                return SCViolation(action, domain,
+                                                   s1, s2, succ1, succ2)
+    return None
+
+
+def oracle_has_stutter(system, scope):
+    machine = system.machine
+    return any((state, action) not in machine.transitions
+               for state in scope.states for action in machine.actions)
+
+
+@st.composite
+def universe_systems(draw):
+    """A random machine over x in 0..2 and y in 0..1 with all six
+    assignments as its universe, so some are usually unreachable: 1..3
+    actions, each disabled or stepping to up to three states anywhere,
+    2..3 domains under a policy that need not be reflexive, and
+    observations drawn per (domain, state) from three values. Returns it
+    with a scope (reachable, reachable to a depth, or the universe) and
+    a domain subset or None."""
+    universe = [State({"x": x, "y": y}) for x in range(3) for y in range(2)]
+    domains = tuple(f"d{i}" for i in range(draw(st.integers(2, 3))))
+    policy = frozenset((u, v) for u in domains for v in domains
+                       if draw(st.booleans()))
+    actions = tuple(ActionId(f"a{i}") for i in range(draw(st.integers(1, 3))))
+    transitions = {}
+    for s in universe:
+        for a in actions:
+            succ = draw(st.lists(st.sampled_from(universe), max_size=3,
+                                 unique=True))
+            if succ:
+                transitions[(s, a)] = tuple(sorted(succ))
+    views = {(d, s): draw(st.integers(0, 2)) for d in domains for s in universe}
+    machine = StateMachine(states=universe, actions=actions,
+                           transitions=transitions,
+                           initial=draw(st.sampled_from(universe)),
+                           universe=universe)
+    config = InfoFlowConfig(domains, policy,
+                            {a: draw(st.sampled_from(domains)) for a in actions},
+                            observe=lambda d, s: views[(d, s)])
+    system = SecureSystem(machine, config)
+    kind = draw(st.sampled_from(["reachable", "depth", "universe"]))
+    if kind == "universe":
+        scope = scope_universe(system)
+    else:
+        scope = scope_reachable(
+            system, depth=draw(st.integers(0, 3)) if kind == "depth" else None)
+    chosen = draw(st.one_of(st.none(), st.lists(
+        st.sampled_from(domains), min_size=1, unique=True)))
+    return system, scope, chosen
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(universe_systems())
+def test_id_checks_match_state_oracles(example):
+    """lr and sc over state ids give the oracle's witness, or its pass,
+    on every scope and domain subset; the stutter flag agrees too."""
+    system, scope, chosen = example
+    assert check_lr(system, scope, chosen) == oracle_check_lr(
+        system, scope, chosen)
+    assert check_sc(system, scope, chosen) == oracle_check_sc(
+        system, scope, chosen)
+    assert has_stutter(system, scope) == oracle_has_stutter(system, scope)
+
+
+@pytest.mark.parametrize("name", ["demo", "demo-insecure-fullstatus", "arinc",
+                                  "arinc-port-id", "auction"])
+def test_id_checks_match_state_oracles_on_builtins(name):
+    bundle = get_model(name)
+    for system in (bundle.abstract, bundle.concrete):
+        scope = scope_reachable(system)
+        assert check_lr(system, scope) == oracle_check_lr(system, scope)
+        assert check_sc(system, scope) == oracle_check_sc(system, scope)

@@ -19,12 +19,21 @@ Conventions used throughout the package:
   successors in the order the caller adds them, so the caller's
   successor order alone fixes the discovery order, the first-reaching
   parent edges and the witness traces; never iterate a set there.
+- A machine is indexed: its states are numbered 0..n-1 in serialization
+  order (`by_id`), each state is one object, and each action has one
+  table from a state id to its successor ids.  Reachability and the
+  unwinding checks run on those ids and on per-(domain, state id)
+  observation classes (`InfoFlowConfig.classes`); `State` objects are
+  what `step`, the `transitions` view, scopes and witnesses hand out.
+- The states of one machine share a schema, the sorted variable names
+  with their positions; a state is a values tuple over it, and
+  `assign` copies the values without sorting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
+from dataclasses import dataclass
 
 #: Exploration ceiling applied when a caller does not pass an explicit budget.
 DEFAULT_STATE_BUDGET = 2_000_000
@@ -290,9 +299,10 @@ class StateMachine:
             if successors:
                 tables[position[action]][ids[state]] = tuple(
                     ids[s] for s in successors)
-        self._index(by_id, ids, actions, tables, ids[initial],
-                    sorted({ids[s] for s in states}),
-                    None if universe is None else sorted({ids[s] for s in universe}))
+        self._lay_out(by_id, actions, tables, ids[initial],
+                      sorted({ids[s] for s in states}),
+                      None if universe is None
+                      else sorted({ids[s] for s in universe}))
 
     @classmethod
     def from_tables(cls, by_id: tuple[State, ...], actions: tuple[ActionId, ...],
@@ -302,34 +312,31 @@ class StateMachine:
         """A machine over tables already laid out as the class describes;
         `state_ids` defaults to every id."""
         machine = cls.__new__(cls)
-        machine._index(by_id, {state: i for i, state in enumerate(by_id)},
-                       actions, successor_ids, initial_id, state_ids,
-                       universe_ids)
+        machine._lay_out(by_id, actions, successor_ids, initial_id,
+                         range(len(by_id)) if state_ids is None else state_ids,
+                         universe_ids)
         return machine
 
-    def _index(self, by_id, ids, actions, successor_ids, initial_id,
-               state_ids, universe_ids) -> None:
+    def _lay_out(self, by_id, actions, successor_ids, initial_id, state_ids,
+                 universe_ids) -> None:
         def states_of(chosen: tuple[int, ...]) -> tuple[State, ...]:
             if len(chosen) == len(by_id):
                 return by_id
             return tuple(by_id[i] for i in chosen)
 
         self.by_id: tuple[State, ...] = by_id
-        self._ids: dict[State, int] = ids
+        self._ids = {state: i for i, state in enumerate(by_id)}
         self.actions: tuple[ActionId, ...] = tuple(actions)
         self._position = {action: k for k, action in enumerate(self.actions)}
         self.successor_ids: tuple[dict[int, tuple[int, ...]], ...] = tuple(
             successor_ids)
         self.initial_id = initial_id
         self.initial = by_id[initial_id]
-        self.state_ids: tuple[int, ...] = tuple(
-            range(len(by_id)) if state_ids is None else state_ids)
+        self.state_ids: tuple[int, ...] = tuple(state_ids)
         self.states = states_of(self.state_ids)
-        self.universe_ids: tuple[int, ...] | None = None
-        self.universe: tuple[State, ...] | None = None
-        if universe_ids is not None:
-            self.universe_ids = tuple(universe_ids)
-            self.universe = states_of(self.universe_ids)
+        self.universe_ids = None if universe_ids is None else tuple(universe_ids)
+        self.universe = None if universe_ids is None \
+            else states_of(self.universe_ids)
 
     def __repr__(self) -> str:
         return (f"StateMachine({len(self.states)} states, "
@@ -633,8 +640,8 @@ def build_machine(initial: State,
     enumeration budgets on the real alphabet.
     """
     search = Exploration(initial, budget)
-    # rows[k]: the (action, successor positions) steps of search.order[k];
-    # a successor equal to a discovered state is dropped for that state.
+    # rows[k]: the steps of search.order[k], each successor kept only as
+    # its position in the search, so the search's object is the state.
     rows: list = []
     for state in search:
         grouped: dict[ActionId, set[State]] = {}

@@ -216,8 +216,8 @@ def check_sc(system: SecureSystem, scope: Scope,
             violating = set()
             for key, (_, successors) in zip(premise, rows):
                 for j in successors:
-                    first = seen.setdefault(key, view[j])
-                    if first != view[j]:
+                    after = view[j]
+                    if seen.setdefault(key, after) != after:
                         violating.add(key)
             if not violating:
                 continue

@@ -282,6 +282,8 @@ class StateMachine:
                  transitions: Mapping[tuple[State, ActionId], tuple[State, ...]],
                  initial: State,
                  universe: Iterable[State] | None = None) -> None:
+        states = tuple(states)
+        universe = None if universe is None else tuple(universe)
         known = {initial, *states, *(universe or ())}
         for (state, _), successors in transitions.items():
             known.add(state)

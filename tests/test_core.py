@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -10,7 +11,6 @@ import sys
 import pytest
 
 import ifsec
-
 from ifsec.core import (
     ActionId,
     BudgetError,
@@ -130,6 +130,12 @@ class TestActionId:
         acts = [ActionId("b"), ActionId("a", 2), ActionId("a", 1), ActionId("a")]
         assert sort_actions(acts) == (
             ActionId("a"), ActionId("a", 1), ActionId("a", 2), ActionId("b"))
+
+    def test_hash_follows_equality(self):
+        a = ActionId("send", ("t2", "m1"))
+        b = dataclasses.replace(ActionId("send"), payload=("t2", "m1"))
+        assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+        assert a != ActionId("send") and a != ActionId("recv", ("t2", "m1"))
 
     def test_display_includes_payload(self):
         assert ActionId("send", ("t2", "m1")).display() == "send:[t2,m1]"

@@ -17,6 +17,10 @@ import pathlib
 
 import pytest
 
+from ifsec.programs import Basic, ConcurrentSystem, Event
+from ifsec.refinement import Alpha, RefinementPair, Zeta
+from ifsec.specfile import elaborate_model, parse_model
+
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
@@ -73,10 +77,6 @@ lo: x
 def counted_calls():
     """Arguments for one real call of each entry point that COUNTERS
     counts, by entry point name."""
-    from ifsec.programs import Basic, ConcurrentSystem, Event
-    from ifsec.refinement import Alpha, RefinementPair, Zeta
-    from ifsec.specfile import elaborate_model, parse_model
-
     bump = Basic(lambda s: {"n": (s["n"] + 1) % 3}, "bump")
     program = ConcurrentSystem(
         ("k",), {"k": (Event("e", lambda s: True, bump, "d"),)}, {"n": 0})

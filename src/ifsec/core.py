@@ -21,10 +21,12 @@ Conventions used throughout the package:
   parent edges and the witness traces; never iterate a set there.
 - A machine is indexed: its states are numbered 0..n-1 in serialization
   order (`by_id`), each state is one object, and each action has one
-  table from a state id to its successor ids.  Reachability and the
-  unwinding checks run on those ids and on per-(domain, state id)
+  table from a state id to its successor ids.  Reachability, the
+  unwinding checks, the refinement joint search, c6 and the
+  rely-guarantee lemmas run on those ids and on per-(domain, state id)
   observation classes (`InfoFlowConfig.classes`); `State` objects are
-  what `step`, the `transitions` view, scopes and witnesses hand out.
+  what `step`, the `transitions` view, scopes and witnesses hand out,
+  and what the user's relations (alpha, relies, guarantees) are given.
 - The states of one machine share a schema, the sorted variable names
   with their positions; a state is a values tuple over it, and
   `assign` copies the values without sorting.
@@ -403,19 +405,26 @@ class _Transitions(Mapping):
 
 
 class _Classes(dict):
-    """State id -> observation class of one domain, filled on first lookup."""
+    """State id -> observation class of one domain, filled on first lookup.
+
+    Entries are keyed by the machine's own int objects, so a caller that
+    computes an id (say by `divmod`) adds no int to the table.
+    """
 
     def __init__(self, observe: Callable[[str, State], Value], domain: str,
-                 by_id: tuple[State, ...]) -> None:
+                 machine: StateMachine) -> None:
         super().__init__()
         self._observe = observe
         self._domain = domain
-        self._by_id = by_id
+        self._by_id = machine.by_id
+        self._ids = machine._ids
         self._class_of: dict[Value, int] = {}
 
     def __missing__(self, i: int) -> int:
-        view = self._observe(self._domain, self._by_id[i])
-        c = self[i] = self._class_of.setdefault(view, len(self._class_of))
+        state = self._by_id[i]
+        view = self._observe(self._domain, state)
+        c = self[self._ids[state]] = self._class_of.setdefault(
+            view, len(self._class_of))
         return c
 
 
@@ -442,7 +451,7 @@ class InfoFlowConfig:
         table = tables.get((machine, domain))
         if table is None:
             table = tables[(machine, domain)] = _Classes(
-                self.observe, domain, machine.by_id)
+                self.observe, domain, machine)
         return table
 
     def allows(self, source: str, target: str) -> bool:

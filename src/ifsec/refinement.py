@@ -23,6 +23,12 @@ report raises an alarm rather than trusting the theorem if it does not.
 that let the simulation be established one component at a time, and
 cross-validates them against the joint exploration the same way.
 
+The joint search runs on pairs of machine state ids and records the
+abstract state each concrete step is matched with. c6 compares the two
+levels' observation classes over the id pairs, and the lemmas read the
+joint search's step record instead of stepping the machines and
+evaluating alpha again.
+
 The policy-direction convention deserves a note: c5 requires the
 abstract policy to be a subset of the concrete one. Folklore phrases
 refinement as the implementation being stricter; the subset direction
@@ -32,8 +38,9 @@ level down, so the checker follows it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping
 
 from ifsec.core import (
     ActionId,
@@ -41,7 +48,7 @@ from ifsec.core import (
     ModelError,
     SecureSystem,
     State,
-    Value,
+    StateMachine,
     indist,
 )
 from ifsec.unwinding import UnwindingReport, check_unwinding
@@ -120,6 +127,36 @@ def _lock_table(locks: Locks | None,
     return {lock: tuple(guarded) for lock, guarded in (locks or {}).items()}
 
 
+class _Positions:
+    """A frame's variable positions in each schema it meets.
+
+    `layout` turns a schema's name -> position table into the frame's
+    positions; it runs once per schema names tuple. A call yields None
+    when the schema lacks a variable the frame names, or when the two
+    states do not share their names: the frame then reads them by name.
+    """
+
+    def __init__(self, layout: Callable[[Mapping[str, int]], object]) -> None:
+        self._layout = layout
+        self._seen: dict[tuple[str, ...], object] = {}
+        self._names: tuple[str, ...] | None = None
+        self._where: object = None
+
+    def __call__(self, before: State, after: State) -> object:
+        names = before.names
+        if names is not self._names:
+            if names not in self._seen:
+                try:
+                    self._seen[names] = self._layout(
+                        {name: k for k, name in enumerate(names)})
+                except KeyError:
+                    self._seen[names] = None
+            self._names, self._where = names, self._seen[names]
+        if after.names is not names and after.names != names:
+            return None
+        return self._where
+
+
 def frame_rely(fixed: Iterable[str], holder: str | None = None,
                locks: Locks | None = None) -> Relation:
     """Rely of a component: the environment leaves `fixed` unchanged.
@@ -132,12 +169,39 @@ def frame_rely(fixed: Iterable[str], holder: str | None = None,
     frames = tuple((lock, (lock, *guarded))
                    for lock, guarded in _lock_table(locks, holder).items())
 
-    def rely(before: State, after: State) -> bool:
+    def by_name(before: State, after: State) -> bool:
         return (all(after[v] == before[v] for v in fixed)
                 and all(after[v] == before[v] for lock, frame in frames
                         if before[lock] == holder for v in frame))
 
+    def getter(names: Iterable[str], index: Mapping[str, int]):
+        """The values of `names`, read off a values tuple."""
+        positions = [index[v] for v in names]
+        return itemgetter(*positions) if positions else lambda values: ()
+
+    positions = _Positions(lambda index: (
+        getter(fixed, index),
+        tuple((index[lock], getter(frame, index)) for lock, frame in frames)))
+
+    def rely(before: State, after: State) -> bool:
+        where = positions(before, after)
+        if where is None:
+            return by_name(before, after)
+        kept, held = where
+        old, new = before.values, after.values
+        if kept(new) != kept(old):
+            return False
+        for lock, frame in held:
+            if old[lock] == holder and frame(new) != frame(old):
+                return False
+        return True
+
     return rely
+
+
+#: Rules of `frame_guarantee` for a position: a lock, or a variable
+#: nobody may change. A guarded variable's rule is its lock's position.
+_LOCK, _KEPT = -1, -2
 
 
 def frame_guarantee(allowed: Iterable[str], holder: str | None = None,
@@ -153,7 +217,7 @@ def frame_guarantee(allowed: Iterable[str], holder: str | None = None,
     locks = _lock_table(locks, holder)
     guard = {v: lock for lock, guarded in locks.items() for v in guarded}
 
-    def guarantee(before: State, after: State) -> bool:
+    def by_name(before: State, after: State) -> bool:
         for name, value, new in zip(before.names, before.values, after.values):
             if value == new or name in allowed:
                 continue
@@ -161,6 +225,27 @@ def frame_guarantee(allowed: Iterable[str], holder: str | None = None,
                 if holder not in (value, new):
                     return False
             elif name not in guard or before[guard[name]] != holder:
+                return False
+        return True
+
+    positions = _Positions(lambda index: tuple(
+        (k, _LOCK if name in locks
+         else index[guard[name]] if name in guard else _KEPT)
+        for name, k in index.items() if name not in allowed))
+
+    def guarantee(before: State, after: State) -> bool:
+        rules = positions(before, after)
+        if rules is None:
+            return by_name(before, after)
+        old, new = before.values, after.values
+        for k, rule in rules:
+            value, changed = old[k], new[k]
+            if value == changed:
+                continue
+            if rule == _LOCK:
+                if holder not in (value, changed):
+                    return False
+            elif rule == _KEPT or old[rule] != holder:
                 return False
         return True
 
@@ -336,14 +421,27 @@ class LemmaWitness:
 class JointExploration:
     """Alpha pairs discovered from the initial pair, plus c1..c3 verdicts.
 
-    `pairs` is in discovery (breadth-first) order; `search` lets each
-    pair be replayed as a concrete trace from the initial pair. When a
-    verdict fails the exploration stopped there, so `pairs` holds the
-    prefix discovered up to the violation.
+    The search runs on machine ids: a node is the concrete id times
+    `width`, the abstract machine's state count, plus the abstract id.
+    `pairs` lists the discovered pairs as states, in discovery
+    (breadth-first) order, and `trace_to` replays a pair as a concrete
+    trace from the initial pair. When a verdict fails the search
+    stopped there, so the pairs are the prefix discovered up to the
+    violation.
+
+    `matches` is the step record. A step from pair (i, a) on a silent
+    action is matched with a itself. For each step on a mapped action
+    the search took, in search order (pair, then concrete action, then
+    successor), `matches` holds the abstract id it was matched with:
+    the first related candidate. The first `expanded` pairs had all
+    their steps taken.
     """
 
-    pairs: tuple[Pair, ...]
+    concrete: StateMachine = field(repr=False)
+    abstract: StateMachine = field(repr=False)
     search: Exploration
+    matches: list[int] = field(repr=False)
+    expanded: int
     c1: Verdict
     c2: Verdict
     c3: Verdict
@@ -352,8 +450,32 @@ class JointExploration:
     def ok(self) -> bool:
         return self.c1.ok and self.c2.ok and self.c3.ok
 
+    @property
+    def width(self) -> int:
+        return len(self.abstract.by_id)
+
+    @property
+    def nodes(self) -> list[int]:
+        """The discovered pairs as nodes, in discovery order."""
+        return self.search.order if self.c1.ok else []
+
+    @property
+    def pair_count(self) -> int:
+        return len(self.nodes)
+
+    @property
+    def pairs(self) -> tuple[Pair, ...]:
+        return tuple([self.pair_at(node) for node in self.nodes])
+
+    def pair_at(self, node: int) -> Pair:
+        i, a = divmod(node, self.width)
+        return self.concrete.by_id[i], self.abstract.by_id[a]
+
     def trace_to(self, pair: Pair) -> tuple[ActionId, ...]:
-        return self.search.trace_to(pair)
+        i, a = self.concrete.id_of(pair[0]), self.abstract.id_of(pair[1])
+        if i is None or a is None:
+            raise KeyError(pair)
+        return self.search.trace_to(i * self.width + a)
 
 
 def _abstract_witness(alpha: Alpha, candidates: Iterable[State],
@@ -361,6 +483,35 @@ def _abstract_witness(alpha: Alpha, candidates: Iterable[State],
     for sigma2 in candidates:
         if alpha.holds(successor, sigma2):
             return sigma2
+    return None
+
+
+def _columns(pair: RefinementPair) -> list[tuple]:
+    """Per concrete action: the action, its successor table, and the
+    successor table of its zeta image (None when silent)."""
+    abstract = dict(zip(pair.abstract.machine.actions,
+                        pair.abstract.machine.successor_ids))
+    machine = pair.concrete.machine
+    columns = []
+    for action, table in zip(machine.actions, machine.successor_ids):
+        image = pair.zeta.map(action)
+        columns.append((action, table, None if image is TAU else abstract[image]))
+    return columns
+
+
+def _match(pair: RefinementPair, targets: Mapping[int, tuple[int, ...]] | None,
+           a: int, successor: State) -> int | None:
+    """The abstract id a step from abstract id `a` to `successor` is
+    matched with: for a silent step (`targets` None) `a` itself, if
+    alpha still relates them; for a mapped one the first successor of
+    `a` in the image's table `targets` that alpha relates. None when
+    there is none."""
+    holds, by_id = pair.alpha.holds, pair.abstract.machine.by_id
+    if targets is None:
+        return a if holds(successor, by_id[a]) else None
+    for m in targets.get(a, ()):
+        if holds(successor, by_id[m]):
+            return m
     return None
 
 
@@ -375,59 +526,55 @@ def joint_explore(pair: RefinementPair,
     what exploration continues from. Pair discovery order, action
     order, and successor order are all canonical, so the first
     violation found is the same on every run and its trace is shortest.
+    The search runs on state ids and records each step's match.
     """
     mc = pair.concrete.machine
     ma = pair.abstract.machine
-    alpha, zeta = pair.alpha, pair.zeta
+    width = len(ma.by_id)
+    search = Exploration(mc.initial_id * width + ma.initial_id, budget,
+                         noun="related state pairs")
+    matches: list[int] = []
 
-    start = (mc.initial, ma.initial)
-    search = Exploration(start, budget, noun="related state pairs")
-    if not alpha.holds(*start):
+    def result(expanded: int, c1: Verdict, c2: Verdict,
+               c3: Verdict) -> JointExploration:
+        return JointExploration(mc, ma, search, matches, expanded, c1, c2, c3)
+
+    if not pair.alpha.holds(mc.initial, ma.initial):
         skip = Verdict.skipped("exploration aborted: initial pair unrelated")
-        return JointExploration((), search, Verdict.failed(C1Witness(*start)),
-                                skip, skip)
+        return result(0, Verdict.failed(C1Witness(mc.initial, ma.initial)),
+                      skip, skip)
 
-    def result(c2: Verdict, c3: Verdict) -> JointExploration:
-        return JointExploration(tuple(search.order), search, Verdict.passed(),
-                                c2, c3)
+    columns = _columns(pair)
+    for k, node in enumerate(search):
+        i, a = divmod(node, width)
+        for action, table, targets in columns:
+            for j in table.get(i, ()):
+                successor = mc.by_id[j]
+                m = _match(pair, targets, a, successor)
+                if m is None:
+                    return result(k, Verdict.passed(), *_joint_failure(
+                        pair, search.trace_to(node) + (action,), action,
+                        mc.by_id[i], ma.by_id[a], successor))
+                if targets is not None:
+                    matches.append(m)
+                search.add(j * width + m, node, action)
+    return result(len(search.order), Verdict.passed(), Verdict.passed(),
+                  Verdict.passed())
 
-    for current in search:
-        s, sigma = current
-        for action in mc.actions:
-            image = zeta.map(action)
-            for successor in mc.step(s, action):
-                if image is TAU:
-                    if not alpha.holds(successor, sigma):
-                        return result(
-                            Verdict.failed(C2Witness(
-                                trace=search.trace_to(current) + (action,),
-                                action=action,
-                                state=s,
-                                abstract_state=sigma,
-                                successor=successor,
-                            )),
-                            Verdict.skipped(
-                                "exploration aborted at the silent-step failure"))
-                    nxt = (successor, sigma)
-                else:
-                    candidates = ma.step(sigma, image)
-                    sigma2 = _abstract_witness(alpha, candidates, successor)
-                    if sigma2 is None:
-                        return result(
-                            Verdict.skipped(
-                                "exploration aborted at the mapped-step failure"),
-                            Verdict.failed(C3Witness(
-                                trace=search.trace_to(current) + (action,),
-                                action=action,
-                                abstract_action=image,
-                                state=s,
-                                abstract_state=sigma,
-                                successor=successor,
-                                abstract_candidates=tuple(candidates),
-                            )))
-                    nxt = (successor, sigma2)
-                search.add(nxt, current, action)
-    return result(Verdict.passed(), Verdict.passed())
+
+def _joint_failure(pair: RefinementPair, trace: tuple[ActionId, ...],
+                   action: ActionId, s: State, sigma: State,
+                   successor: State) -> tuple[Verdict, Verdict]:
+    """The c2 and c3 verdicts when the last step of `trace`, on `action`
+    from (s, sigma) to `successor`, has no abstract match."""
+    image = pair.zeta.map(action)
+    if image is TAU:
+        return (Verdict.failed(C2Witness(trace, action, s, sigma, successor)),
+                Verdict.skipped("exploration aborted at the silent-step failure"))
+    return (Verdict.skipped("exploration aborted at the mapped-step failure"),
+            Verdict.failed(C3Witness(
+                trace, action, image, s, sigma, successor,
+                pair.abstract.machine.step(sigma, image))))
 
 
 def c1_violated(pair: RefinementPair, w: C1Witness) -> bool:
@@ -530,36 +677,39 @@ def check_alpha_preserves_indist(pair: RefinementPair,
     the map from concrete view to abstract view over the pair set is a
     well-defined injective function per domain; the first conflict in
     (domain, sorted pair) order is the witness, which makes the verdict
-    symmetric in the two offending pairs.
+    symmetric in the two offending pairs. Views are compared as the
+    levels' observation classes (`InfoFlowConfig.classes`) of the ids;
+    nodes sort as (concrete id, abstract id), which is pair order.
     """
-    observe_c = pair.concrete.config.observe
-    observe_a = pair.abstract.config.observe
-    ordered = sorted(exploration.pairs)
+    mc, ma = pair.concrete.machine, pair.abstract.machine
+    width = exploration.width
+    ordered = sorted(exploration.nodes)
     for domain in sorted(pair.concrete.config.domains):
-        forward: dict[Value, tuple[Value, Pair]] = {}
-        backward: dict[Value, tuple[Value, Pair]] = {}
-        for p in ordered:
-            s, sigma = p
-            cview = observe_c(domain, s)
-            aview = observe_a(domain, sigma)
+        concrete_view = pair.concrete.config.classes(mc, domain)
+        abstract_view = pair.abstract.config.classes(ma, domain)
+        forward: dict[int, tuple[int, int]] = {}
+        backward: dict[int, tuple[int, int]] = {}
+        for node in ordered:
+            i, a = divmod(node, width)
+            cview, aview = concrete_view[i], abstract_view[a]
+            conflict = None
             if cview in forward and forward[cview][0] != aview:
-                earlier = forward[cview][1]
+                conflict = forward[cview][1], True
+            elif aview in backward and backward[aview][0] != cview:
+                conflict = backward[aview][1], False
+            if conflict is not None:
+                earlier, concrete_indist = conflict
+                first, second = (exploration.pair_at(earlier),
+                                 exploration.pair_at(node))
                 return Verdict.failed(C6Witness(
-                    domain=domain, first=earlier, second=p,
-                    first_trace=exploration.trace_to(earlier),
-                    second_trace=exploration.trace_to(p),
-                    concrete_indist=True, abstract_indist=False,
+                    domain=domain, first=first, second=second,
+                    first_trace=exploration.search.trace_to(earlier),
+                    second_trace=exploration.search.trace_to(node),
+                    concrete_indist=concrete_indist,
+                    abstract_indist=not concrete_indist,
                 ))
-            if aview in backward and backward[aview][0] != cview:
-                earlier = backward[aview][1]
-                return Verdict.failed(C6Witness(
-                    domain=domain, first=earlier, second=p,
-                    first_trace=exploration.trace_to(earlier),
-                    second_trace=exploration.trace_to(p),
-                    concrete_indist=False, abstract_indist=True,
-                ))
-            forward.setdefault(cview, (aview, p))
-            backward.setdefault(aview, (cview, p))
+            forward.setdefault(cview, (aview, node))
+            backward.setdefault(aview, (cview, node))
     return Verdict.passed()
 
 
@@ -613,7 +763,7 @@ def check_simulation(pair: RefinementPair,
     else:
         c6 = Verdict.skipped("requires the pair set from a clean exploration")
     verdicts = [exploration.c1, exploration.c2, exploration.c3, c4, c5, c6]
-    pair_count = len(exploration.pairs)
+    pair_count = exploration.pair_count
     # The pair set is no longer needed; free it before the unwinding
     # runs explore each level.
     del exploration
@@ -726,13 +876,17 @@ def check_compositional(pair: RefinementPair, rg: RelyGuaranteeSpec,
     always a lemma 3 failure too; with the total abstract relies of
     every model file and built-in, no CLI target fails lemma 4 alone.
 
+    The lemmas read the joint search's step record (`JointExploration.
+    steps`): a step's abstract match is the one the search chose, so
+    alpha runs again only for lemma 2's later candidates when the
+    abstract guarantee rejects the first, and for the steps of pairs
+    the search did not expand because c2 or c3 failed.
+
     When all four pass, the joint exploration's silent and mapped step
     conditions must also pass; the report cross-checks that implication
     and flags a violation as an alarm.
     """
     exploration = joint_explore(pair, budget=budget)
-    mc = pair.concrete.machine
-    zeta = pair.zeta
     components = tuple(sorted(rg.contracts))
 
     if not exploration.c1.ok:
@@ -744,47 +898,55 @@ def check_compositional(pair: RefinementPair, rg: RelyGuaranteeSpec,
             components=components,
         )
 
-    steps_by: dict[str, list[tuple[Pair, ActionId, State]]] = {k: [] for k in components}
-    abstract_moves_by: dict[str, set[tuple[State, State]]] = {k: set() for k in components}
-    for current in exploration.pairs:
-        s, sigma = current
-        for action in mc.actions:
-            mover = rg.component(action)
-            for successor in mc.step(s, action):
-                steps_by[mover].append((current, action, successor))
+    mc, ma = pair.concrete.machine, pair.abstract.machine
+    movers = [rg.component(action) for action in mc.actions]
+    images = [pair.zeta.map(action) for action in mc.actions]
+    steps_by = _steps_by(pair, exploration, movers, components)
+    abstract_moves_by: dict[str, set[tuple[int, int]]] = {
+        k: set() for k in components}
+    nodes, width = exploration.nodes, exploration.width
 
-    own_failures: dict[str, Verdict] = {}
-    lemma3 = None
+    def steps(mover: str) -> Iterator[tuple[int, int, Pair, State, State | None]]:
+        """`mover`'s steps: the pair's position and the action's index,
+        then the pair, successor and counterpart as states."""
+        for k, x, j, m in zip(*steps_by[mover]):
+            yield (k, x, exploration.pair_at(nodes[k]), mc.by_id[j],
+                   None if m is None else ma.by_id[m])
 
-    def failed(component: str, current: Pair, action: ActionId,
-               successor: State, reason: str, abstract_successor: State | None,
-               other: str | None) -> Verdict:
+    def failed(component: str, k: int, x: int, successor: State, reason: str,
+               abstract_successor: State | None, other: str | None) -> Verdict:
+        s, sigma = exploration.pair_at(nodes[k])
+        action = mc.actions[x]
         return Verdict.failed(LemmaWitness(
             component=component, other_component=other,
-            trace=exploration.trace_to(current) + (action,),
-            state=current[0], abstract_state=current[1], action=action,
+            trace=exploration.search.trace_to(nodes[k]) + (action,),
+            state=s, abstract_state=sigma, action=action,
             successor=successor, abstract_successor=abstract_successor,
             reason=reason,
         ))
 
+    own_failures: dict[str, Verdict] = {}
     for mover in components:
         contract = rg.contracts[mover]
-        for current, action, successor in steps_by[mover]:
-            s, sigma = current
-            image = zeta.map(action)
-            match = None
-            if image is not TAU:
-                match = _mapped_match(pair, contract, sigma, image, successor)
+        for k, x, current, successor, counterpart in steps(mover):
+            image = images[x]
+            if image is TAU:
+                lemma, match = "lemma1", counterpart
+            else:
+                lemma = "lemma2"
+                match = _mapped_match(pair, contract, current[1], image,
+                                      successor, counterpart)
                 if match is not None:
-                    abstract_moves_by[mover].add((sigma, match))
-            lemma = "lemma1" if image is TAU else "lemma2"
+                    abstract_moves_by[mover].add(
+                        (nodes[k] % width, ma.id_of(match)))
             if lemma not in own_failures:
-                reason = _own_step_failure(pair, contract, current, image,
+                reason = _own_step_failure(contract, current, image,
                                            successor, match)
                 if reason is not None:
-                    own_failures[lemma] = failed(mover, current, action,
-                                                 successor, reason, None, None)
+                    own_failures[lemma] = failed(mover, k, x, successor,
+                                                 reason, None, None)
 
+    lemma3 = None
     for observer in components:
         if lemma3 is not None:
             break
@@ -792,12 +954,11 @@ def check_compositional(pair: RefinementPair, rg: RelyGuaranteeSpec,
         for mover in components:
             if mover == observer or lemma3 is not None:
                 continue
-            for current, action, successor in steps_by[mover]:
-                failure = _environment_failure(pair, contract, current,
-                                               action, successor)
+            for k, x, current, successor, counterpart in steps(mover):
+                failure = _environment_failure(contract, current, images[x],
+                                               successor, counterpart)
                 if failure is not None:
-                    lemma3 = failed(observer, current, action, successor,
-                                    *failure, mover)
+                    lemma3 = failed(observer, k, x, successor, *failure, mover)
                     break
 
     lemma4, lemma4_note = _check_compatibility(
@@ -823,42 +984,82 @@ def check_compositional(pair: RefinementPair, rg: RelyGuaranteeSpec,
         lemma1=lemma1, lemma2=lemma2, lemma3=lemma3,
         lemma4=Verdict(lemma4.status, lemma4.witness, lemma4_note),
         cross_check=cross,
-        pair_count=len(exploration.pairs),
+        pair_count=exploration.pair_count,
         components=components,
     )
+
+
+#: A component's steps as four lists in search order: the pair's
+#: position, the action's index, the successor id and the abstract id
+#: the step is matched with (None when alpha relates none).
+Steps = tuple[list[int], list[int], list[int], list]
+
+
+def _steps_by(pair: RefinementPair, exploration: JointExploration,
+              movers: list[str], components: tuple[str, ...]
+              ) -> dict[str, Steps]:
+    """Every step from a discovered pair, by the component of its
+    action. The joint search's record gives the matches of the pairs it
+    expanded; alpha matches the steps of the others here."""
+    by_id = pair.concrete.machine.by_id
+    recorded = iter(exploration.matches)
+    groups: dict[str, Steps] = {k: ([], [], [], []) for k in components}
+    columns = [(x, table, targets, groups[movers[x]])
+               for x, (_, table, targets) in enumerate(_columns(pair))]
+    for k, node in enumerate(exploration.nodes):
+        i, a = divmod(node, exploration.width)
+        known = k < exploration.expanded
+        for x, table, targets, (ks, xs, js, ms) in columns:
+            for j in table.get(i, ()):
+                if not known:
+                    m = _match(pair, targets, a, by_id[j])
+                else:
+                    m = a if targets is None else next(recorded)
+                ks.append(k)
+                xs.append(x)
+                js.append(j)
+                ms.append(m)
+    return groups
 
 
 def _check_compatibility(
     exploration: JointExploration,
     rg: RelyGuaranteeSpec,
     components: tuple[str, ...],
-    steps_by: Mapping[str, list[tuple[Pair, ActionId, State]]],
-    abstract_moves_by: Mapping[str, set[tuple[State, State]]],
+    steps_by: Mapping[str, Steps],
+    abstract_moves_by: Mapping[str, set[tuple[int, int]]],
 ) -> tuple[Verdict, str]:
-    """Lemma 4: guarantee of each component within every other's rely."""
-    concrete_states = sorted({p[0] for p in exploration.pairs})
-    abstract_states = sorted({p[1] for p in exploration.pairs})
+    """Lemma 4: guarantee of each component within every other's rely.
+
+    Witnessed moves sort as id pairs, which is state pair order."""
+    cby, aby = exploration.concrete.by_id, exploration.abstract.by_id
+    nodes, width = exploration.nodes, exploration.width
+    concrete_ids = sorted({node // width for node in nodes})
+    abstract_ids = sorted({node % width for node in nodes})
     sources: list[str] = []
     verdict: Verdict | None = None
     for mover in components:
         contract = rg.contracts[mover]
-        if contract.guarantee_moves is not None:
-            moves = [(s, s2) for s in concrete_states
-                     for s2 in sorted(contract.guarantee_moves(s))]
-            concrete_source = "declared"
-        else:
-            moves = sorted((p[0][0], p[2]) for p in steps_by[mover])
-            concrete_source = "witnessed"
-        if contract.abstract_guarantee_moves is not None:
-            abstract_moves = [(a, a2) for a in abstract_states
-                              for a2 in sorted(contract.abstract_guarantee_moves(a))]
-            abstract_source = "declared"
-        else:
-            abstract_moves = sorted(abstract_moves_by[mover])
-            abstract_source = "witnessed"
-        sources.append(f"{mover}: {concrete_source}/{abstract_source}")
+        declared, abstract_declared = (contract.guarantee_moves,
+                                       contract.abstract_guarantee_moves)
+        sources.append(
+            f"{mover}: {'witnessed' if declared is None else 'declared'}/"
+            f"{'witnessed' if abstract_declared is None else 'declared'}")
         if verdict is not None:
             continue
+        if declared is not None:
+            moves = [(cby[i], s2) for i in concrete_ids
+                     for s2 in sorted(declared(cby[i]))]
+        else:
+            ks, _, js, _ = steps_by[mover]
+            moves = [(cby[i], cby[j]) for i, j in sorted(
+                (nodes[k] // width, j) for k, j in zip(ks, js))]
+        if abstract_declared is not None:
+            abstract_moves = [(aby[a], a2) for a in abstract_ids
+                              for a2 in sorted(abstract_declared(aby[a]))]
+        else:
+            abstract_moves = [(aby[a], aby[a2]) for a, a2 in
+                              sorted(abstract_moves_by[mover])]
         for other in components:
             if other == mover:
                 continue
@@ -887,56 +1088,75 @@ def _check_compatibility(
 # ---------------------------------------------------------------------------
 # Lemma instances: one step (lemmas 1-3) or one guarantee move (lemma 4).
 # Each returns why the instance fails, or None; check_compositional and
-# lemma_violated share them.
+# lemma_violated share them. A step's counterpart is the abstract state
+# the joint search matches it with: for a silent step the abstract state
+# itself if alpha still relates it, for a mapped step the first abstract
+# step on zeta's image landing in alpha; None when there is none.
 # ---------------------------------------------------------------------------
 
-def _own_step_failure(pair: RefinementPair, contract: ComponentContract,
-                      current: Pair, image: ActionId | _Tau, successor: State,
+def _counterpart(pair: RefinementPair, sigma: State, image: ActionId | _Tau,
+                 successor: State) -> State | None:
+    """The counterpart of a step from abstract state `sigma` to
+    `successor`, evaluated by alpha."""
+    if image is TAU:
+        return sigma if pair.alpha.holds(successor, sigma) else None
+    return _abstract_witness(
+        pair.alpha, pair.abstract.machine.step(sigma, image), successor)
+
+
+def _own_step_failure(contract: ComponentContract, current: Pair,
+                      image: ActionId | _Tau, successor: State,
                       match: State | None) -> str | None:
-    """Lemma 1 (a silent step) or lemma 2 (a mapped step, given its
-    abstract match) on a step of the contract's own component."""
+    """Lemma 1 (a silent step) or lemma 2 (a mapped step) on a step of
+    the contract's own component, given its match: a silent step's
+    counterpart, or a mapped step's `_mapped_match`."""
     s, sigma = current
     if not contract.guarantee(s, successor):
         kind = "silent" if image is TAU else "mapped"
         return f"{kind} step leaves the component's guarantee"
-    if image is TAU and not pair.alpha.holds(successor, sigma):
-        return "silent step breaks the state relation"
-    if image is not TAU and match is None:
-        return "no abstract step lands in alpha within the abstract guarantee"
+    if match is None:
+        return ("silent step breaks the state relation" if image is TAU
+                else "no abstract step lands in alpha within the abstract "
+                     "guarantee")
     return None
 
 
 def _mapped_match(pair: RefinementPair, contract: ComponentContract,
-                  sigma: State, image: ActionId, successor: State) -> State | None:
+                  sigma: State, image: ActionId, successor: State,
+                  counterpart: State | None) -> State | None:
     """The first abstract step on `image` landing in alpha within the
-    abstract guarantee."""
-    for sigma2 in pair.abstract.machine.step(sigma, image):
+    abstract guarantee; it is the step's counterpart, or a later
+    candidate when the guarantee rejects the counterpart."""
+    if counterpart is None:
+        return None
+    if contract.abstract_guarantee(sigma, counterpart):
+        return counterpart
+    candidates = pair.abstract.machine.step(sigma, image)
+    for sigma2 in candidates[candidates.index(counterpart) + 1:]:
         if pair.alpha.holds(successor, sigma2) and \
                 contract.abstract_guarantee(sigma, sigma2):
             return sigma2
     return None
 
 
-def _environment_failure(pair: RefinementPair, contract: ComponentContract,
-                         current: Pair, action: ActionId, successor: State
+def _environment_failure(contract: ComponentContract, current: Pair,
+                         image: ActionId | _Tau, successor: State,
+                         counterpart: State | None
                          ) -> tuple[str, State | None] | None:
     """Lemma 3 on another component's step, against the contract's
-    relies; the abstract counterpart comes with the reason once found."""
+    relies; the abstract counterpart comes with the reason once found.
+    A silent step's abstract counterpart is the abstract state itself,
+    related or not."""
     s, sigma = current
     if not contract.rely(s, successor):
         return ("environment step breaks the concrete rely", None)
-    image = pair.zeta.map(action)
-    if image is TAU:
-        counterpart: State | None = sigma
-    else:
-        counterpart = _abstract_witness(
-            pair.alpha, pair.abstract.machine.step(sigma, image), successor)
-    if counterpart is None:
+    abstract = sigma if image is TAU else counterpart
+    if abstract is None:
         return ("environment step has no abstract counterpart", None)
-    if not contract.abstract_rely(sigma, counterpart):
-        return ("environment step breaks the abstract rely", counterpart)
-    if not pair.alpha.holds(successor, counterpart):
-        return ("environment step leaves the state relation", counterpart)
+    if not contract.abstract_rely(sigma, abstract):
+        return ("environment step breaks the abstract rely", abstract)
+    if counterpart is None:
+        return ("environment step leaves the state relation", abstract)
     return None
 
 
@@ -998,14 +1218,15 @@ def lemma_violated(pair: RefinementPair, rg: RelyGuaranteeSpec, lemma: str,
     mover = rg.component(w.action)
     own = mover == w.component
     image = pair.zeta.map(w.action)
+    counterpart = _counterpart(pair, w.abstract_state, image, w.successor)
     if lemma == "lemma3" and not own:
-        failure = _environment_failure(pair, contract, current, w.action,
-                                       w.successor)
+        failure = _environment_failure(contract, current, image, w.successor,
+                                       counterpart)
     elif own and lemma == ("lemma1" if image is TAU else "lemma2"):
-        match = None if image is TAU else _mapped_match(
-            pair, contract, w.abstract_state, image, w.successor)
-        reason = _own_step_failure(pair, contract, current, image,
-                                   w.successor, match)
+        match = counterpart if image is TAU else _mapped_match(
+            pair, contract, w.abstract_state, image, w.successor, counterpart)
+        reason = _own_step_failure(contract, current, image, w.successor,
+                                   match)
         failure = None if reason is None else (reason, None)
     else:
         return False

@@ -5,7 +5,9 @@ name at run time, so a rename or a deletion in `ifsec` would otherwise
 surface only as an AttributeError in a traced benchmark run. Its
 COUNTERS read sizes off what those functions return, so each one is
 also run on a real return value here: a change of representation that
-breaks a counter fails this test rather than a traced run.
+breaks a counter fails this test rather than a traced run. The tracer
+also runs in process on the refinement commands, to show that each
+refinement layer still gets its span.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ import importlib
 import importlib.util
 import json
 import pathlib
+import sys
 
 import pytest
 
+import ifsec.cli
 from ifsec.programs import Basic, ConcurrentSystem, Event
 from ifsec.refinement import Alpha, RefinementPair, Zeta
 from ifsec.specfile import elaborate_model, parse_model
@@ -109,3 +113,38 @@ def test_counter_reads_a_real_return_value(name):
     args = counted_calls()[name]
     counts = tracer.COUNTERS[name](entry_point(name)(*args), args, {})
     assert counts and json.loads(json.dumps(counts)) == counts
+
+
+@pytest.fixture()
+def installed_tracer():
+    """A tracer installed in this process; every rebinding it made is
+    undone afterwards."""
+    modules = [module for name, module in sys.modules.items()
+               if name == "ifsec" or name.startswith("ifsec.")]
+    saved = [(module, dict(vars(module))) for module in modules]
+    spans = tracer.Tracer("in-process")
+    spans.install()
+    yield spans
+    for module, attributes in saved:
+        for attribute, value in attributes.items():
+            if vars(module).get(attribute) is not value:
+                setattr(module, attribute, value)
+
+
+@pytest.mark.parametrize("kind,layers", [
+    ("refine", {"joint_explore", "check_alpha_preserves_indist",
+                "check_simulation"}),
+    ("compositional", {"joint_explore", "check_compositional"}),
+])
+def test_refinement_layers_get_their_spans(installed_tracer, capsys, kind,
+                                           layers):
+    # A joint search inlined into its callers would leave
+    # refinement.joint_s at zero; the spans show it is still called.
+    assert ifsec.cli.main(["check", kind, "demo", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    names = {span["name"] for span in installed_tracer.spans}
+    assert layers <= names
+    joint = [span for span in installed_tracer.spans
+             if span["name"] == "joint_explore"]
+    assert len(joint) == 1
+    assert joint[0]["counts"] == {"pairs": report["counters"]["joint_pairs"]}

@@ -18,10 +18,12 @@ from ifsec.models import (
     build_arinc,
     build_auction,
     build_demo,
+    component_of,
     get_model,
     model_names,
 )
 from ifsec.models.auction import ledger_max
+from ifsec.models.common import machine_moves
 from ifsec.refinement import check_simulation
 from ifsec.unwinding import check_unwinding
 
@@ -254,3 +256,31 @@ def test_secure_bundles_pass_simulation():
     for name in ("arinc", "auction"):
         report = check_simulation(get_model(name).pair)
         assert report.ok, name
+
+
+# --- guarantee moves -------------------------------------------------------
+
+def oracle_machine_moves(system, component):
+    """The successors of the component's own actions, by `step`, sorted
+    as states."""
+    machine = system.machine
+    own = [a for a in machine.actions if component_of(a) == component]
+    return lambda state: tuple(sorted(
+        {t for action in own for t in machine.step(state, action)}))
+
+
+@pytest.mark.parametrize("name", model_names())
+def test_machine_moves_match_the_state_enumerator(name):
+    # The insecure counter is checked on two threads, as above.
+    params = {"threads": 2} if name == "demo-insecure-counter" else {}
+    bundle = get_model(name, **params)
+    for system in (bundle.concrete, bundle.abstract):
+        machine = system.machine
+        for component in sorted({component_of(a) for a in machine.actions}):
+            moves = machine_moves(system, component)
+            oracle = oracle_machine_moves(system, component)
+            assert all(moves(s) == oracle(s) for s in machine.states)
+            # A state the machine does not know has no moves.
+            initial = machine.initial
+            outside = initial.assign({initial.names[0]: "nowhere"})
+            assert moves(outside) == oracle(outside) == ()

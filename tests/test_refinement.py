@@ -6,25 +6,39 @@ witness was worked out by hand on paper before running anything.
 
 from __future__ import annotations
 
-from dataclasses import replace
+import random
+from dataclasses import dataclass, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifsec.core import (
     ActionId,
     BudgetError,
+    Exploration,
     InfoFlowConfig,
     ModelError,
     SecureSystem,
     State,
     StateMachine,
+    UsageError,
 )
+from ifsec.models import get_model, model_names
+from ifsec.models.common import machine_moves
 from ifsec.refinement import (
     TAU,
     Alpha,
+    C1Witness,
+    C2Witness,
+    C3Witness,
+    C6Witness,
     ComponentContract,
+    CompositionalReport,
+    LemmaWitness,
     RefinementPair,
     RelyGuaranteeSpec,
+    Verdict,
     Zeta,
     c1_violated,
     c2_violated,
@@ -41,7 +55,16 @@ from ifsec.refinement import (
     frame_rely,
     joint_explore,
     lemma_violated,
+    pair_table,
     total_relation,
+)
+from ifsec.specfile import elaborate_refinement, load_refinement
+from test_cli import (
+    ABSTRACT,
+    CONCRETE,
+    PAIR,
+    PAIR_BAD_GUARANTEE,
+    pair_with_worker_rely,
 )
 
 INC = ActionId("inc")
@@ -352,34 +375,79 @@ def frame_step(before: dict, after: dict) -> tuple[State, State]:
     return start, start.assign(after)
 
 
+#: (before, after, frame_guarantee verdict, frame_rely verdict) for t.
+LOCK_ROWS = [
+    # An owned variable: t may change it, the environment may not.
+    ({}, {"pc": 1}, True, False),
+    # A shared variable: t may change it and so may the environment.
+    ({}, {"cnt": 1}, True, True),
+    # Nobody declared r.
+    ({}, {"r": 1}, False, True),
+    # A guarded variable changes under t only while t holds its lock.
+    ({"lock": "t"}, {"q": 1}, True, False),
+    ({"lock": "u"}, {"q": 1}, False, True),
+    ({}, {"q": 1}, False, True),
+    # The lock changes under t only when t takes or releases it.
+    ({}, {"lock": "t"}, True, True),
+    ({"lock": "t"}, {"lock": None}, True, False),
+    ({}, {"lock": "u"}, False, True),
+    ({"lock": "u"}, {"lock": None}, False, True),
+    ({"lock": "t"}, {"lock": None, "q": 1}, True, False),
+    # No change at all is always fine.
+    ({"lock": "t"}, {}, True, True),
+]
+
+
 class TestFrames:
     """frame_rely is the environment's step seen by t; frame_guarantee
     is t's own step."""
 
-    @pytest.mark.parametrize("before,after,guarantee,rely", [
-        # An owned variable: t may change it, the environment may not.
-        ({}, {"pc": 1}, True, False),
-        # A shared variable: t may change it and so may the environment.
-        ({}, {"cnt": 1}, True, True),
-        # Nobody declared r.
-        ({}, {"r": 1}, False, True),
-        # A guarded variable changes under t only while t holds its lock.
-        ({"lock": "t"}, {"q": 1}, True, False),
-        ({"lock": "u"}, {"q": 1}, False, True),
-        ({}, {"q": 1}, False, True),
-        # The lock changes under t only when t takes or releases it.
-        ({}, {"lock": "t"}, True, True),
-        ({"lock": "t"}, {"lock": None}, True, False),
-        ({}, {"lock": "u"}, False, True),
-        ({"lock": "u"}, {"lock": None}, False, True),
-        ({"lock": "t"}, {"lock": None, "q": 1}, True, False),
-        # No change at all is always fine.
-        ({"lock": "t"}, {}, True, True),
-    ])
+    @pytest.mark.parametrize("before,after,guarantee,rely", LOCK_ROWS)
     def test_lock_discipline(self, before, after, guarantee, rely):
         step = frame_step(before, after)
         assert frame_guarantee(OWNED + SHARED, "t", LOCKS)(*step) is guarantee
         assert frame_rely(OWNED, "t", LOCKS)(*step) is rely
+
+    def test_one_frame_on_several_schemas(self):
+        # The frames read values by position, resolved per schema. One
+        # pair of frames meets, in turn, states that share a schema,
+        # hand-built states on schemas of their own, states on which an
+        # extra variable `a` shifts every position, and steps whose
+        # after-state is on another schema with the same names.
+        guarantee = frame_guarantee(OWNED + SHARED, "t", LOCKS)
+        rely = frame_rely(OWNED, "t", LOCKS)
+        for extra in ({}, {"a": 0}, {}, {"a": 0}):
+            for before, after, may, keeps in LOCK_ROWS:
+                start = State({**FRAME_START, **extra, **before})
+                for step in ((start, start.assign(after)),
+                             (start, State({**FRAME_START, **extra, **before,
+                                            **after}))):
+                    assert guarantee(*step) is may, (extra, before, after)
+                    assert rely(*step) is keeps, (extra, before, after)
+
+    def test_rely_across_schemas_with_other_names(self):
+        # An after-state binding one more variable, which shifts every
+        # position, is read by name.
+        rely = frame_rely(OWNED, "t", LOCKS)
+        start = State(FRAME_START)
+        assert rely(start, State({**FRAME_START, "a": 1})) is True
+        assert rely(start, State({**FRAME_START, "a": 1, "pc": 1})) is False
+
+    @pytest.mark.parametrize("frame,after", [
+        (frame_rely(["gone"]), {}),
+        (frame_rely(OWNED, "t", {"gone": ("q",)}), {"q": 1}),
+        (frame_guarantee([], "t", {"gone": ("q",)}), {"q": 1}),
+    ], ids=["rely-fixed", "rely-lock", "guarantee-lock"])
+    def test_missing_variable_is_a_usage_error(self, frame, after):
+        step = frame_step({}, after)
+        for _ in range(2):
+            with pytest.raises(UsageError) as error:
+                frame(*step)
+            assert str(error.value) == "state has no variable 'gone'"
+
+    def test_missing_variable_is_read_only_when_reached(self):
+        # As by name: a frame stops at the first variable that changed.
+        assert frame_rely(["pc", "gone"])(*frame_step({}, {"pc": 1})) is False
 
     @pytest.mark.parametrize("before,after,may,keeps", [
         ({}, {"pc": 1}, True, False),
@@ -505,6 +573,44 @@ class TestCompositional:
         assert not lemma_violated(pair, rg, "lemma4", replace(
             witness, component="a", other_component="b"))
 
+    def test_later_abstract_match_is_the_witnessed_move(self):
+        # m's mapped step has two related abstract successors; m's
+        # abstract guarantee rejects the first, so lemma 2 matches the
+        # step with the second, and that is m's witnessed abstract move.
+        # o's abstract rely rejects exactly that move.
+        go = ActionId("m/go")
+        c0, c1 = State({"x": 0}), State({"x": 1})
+        a0, a1, a2 = State({"y": 0}), State({"y": 1}), State({"y": 2})
+
+        def system(states, steps, initial):
+            return SecureSystem(
+                StateMachine(states, (go,), steps, initial),
+                InfoFlowConfig(("d",), frozenset({("d", "d")}), {go: "d"},
+                               observe=lambda d, s: None))
+
+        pair = RefinementPair(system((c0, c1), {(c0, go): (c1,)}, c0),
+                              system((a0, a1, a2), {(a0, go): (a1, a2)}, a0),
+                              Alpha.from_predicate(lambda c, a: True, "total"),
+                              Zeta({go: go}))
+        rg = RelyGuaranteeSpec(
+            contracts={
+                "m": ComponentContract(
+                    rely=total_relation, guarantee=total_relation,
+                    abstract_guarantee=lambda s, t: t != a1),
+                "o": ComponentContract(
+                    rely=total_relation, guarantee=total_relation,
+                    abstract_rely=lambda s, t: t != a2),
+            },
+            component_of=component_prefix,
+        )
+        report = check_compositional(pair, rg)
+        assert report.lemma2.ok
+        assert report.lemma4.status == "fail"
+        witness = report.lemma4.witness
+        assert (witness.level, witness.state, witness.successor) == \
+            ("abstract", a0, a2)
+        assert report == oracle_check_compositional(pair, rg)
+
     def test_missing_contract_is_a_model_error(self):
         system = two_component_system(hit_changes_x=False)
         pair = RefinementPair(
@@ -533,3 +639,497 @@ class TestCompositional:
         report = check_compositional(pair, rg)
         assert report.ok
         assert report.pair_count == 2
+
+
+# ---------------------------------------------------------------------------
+# The joint search, c6 and the lemmas on state ids against the State-keyed
+# loops they replaced
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class OracleJoint:
+    pairs: tuple
+    search: Exploration
+    c1: Verdict
+    c2: Verdict
+    c3: Verdict
+
+    @property
+    def ok(self):
+        return self.c1.ok and self.c2.ok and self.c3.ok
+
+    def trace_to(self, pair):
+        return self.search.trace_to(pair)
+
+
+def _oracle_witness(alpha, candidates, successor):
+    for sigma2 in candidates:
+        if alpha.holds(successor, sigma2):
+            return sigma2
+    return None
+
+
+def oracle_joint_explore(pair, budget=None):
+    """Breadth-first search over State pairs, calling `step` and alpha
+    on every step."""
+    mc, ma = pair.concrete.machine, pair.abstract.machine
+    alpha, zeta = pair.alpha, pair.zeta
+    start = (mc.initial, ma.initial)
+    search = Exploration(start, budget, noun="related state pairs")
+    if not alpha.holds(*start):
+        skip = Verdict.skipped("exploration aborted: initial pair unrelated")
+        return OracleJoint((), search, Verdict.failed(C1Witness(*start)),
+                           skip, skip)
+
+    def result(c2, c3):
+        return OracleJoint(tuple(search.order), search, Verdict.passed(), c2, c3)
+
+    for current in search:
+        s, sigma = current
+        for action in mc.actions:
+            image = zeta.map(action)
+            for successor in mc.step(s, action):
+                if image is TAU:
+                    if not alpha.holds(successor, sigma):
+                        return result(
+                            Verdict.failed(C2Witness(
+                                search.trace_to(current) + (action,), action,
+                                s, sigma, successor)),
+                            Verdict.skipped("exploration aborted at the "
+                                            "silent-step failure"))
+                    nxt = (successor, sigma)
+                else:
+                    candidates = ma.step(sigma, image)
+                    sigma2 = _oracle_witness(alpha, candidates, successor)
+                    if sigma2 is None:
+                        return result(
+                            Verdict.skipped("exploration aborted at the "
+                                            "mapped-step failure"),
+                            Verdict.failed(C3Witness(
+                                search.trace_to(current) + (action,), action,
+                                image, s, sigma, successor, tuple(candidates))))
+                    nxt = (successor, sigma2)
+                search.add(nxt, current, action)
+    return result(Verdict.passed(), Verdict.passed())
+
+
+def oracle_check_alpha_preserves_indist(pair, exploration):
+    """c6 over sorted State pairs, calling `observe` on every pair."""
+    observe_c = pair.concrete.config.observe
+    observe_a = pair.abstract.config.observe
+    ordered = sorted(exploration.pairs)
+    for domain in sorted(pair.concrete.config.domains):
+        forward, backward = {}, {}
+        for p in ordered:
+            cview, aview = observe_c(domain, p[0]), observe_a(domain, p[1])
+            for table, key, other, indist in ((forward, cview, aview, True),
+                                              (backward, aview, cview, False)):
+                if key in table and table[key][0] != other:
+                    earlier = table[key][1]
+                    return Verdict.failed(C6Witness(
+                        domain=domain, first=earlier, second=p,
+                        first_trace=exploration.trace_to(earlier),
+                        second_trace=exploration.trace_to(p),
+                        concrete_indist=indist, abstract_indist=not indist))
+            forward.setdefault(cview, (aview, p))
+            backward.setdefault(aview, (cview, p))
+    return Verdict.passed()
+
+
+def _oracle_mapped_match(pair, contract, sigma, image, successor):
+    for sigma2 in pair.abstract.machine.step(sigma, image):
+        if pair.alpha.holds(successor, sigma2) and \
+                contract.abstract_guarantee(sigma, sigma2):
+            return sigma2
+    return None
+
+
+def _oracle_own_step_failure(pair, contract, current, image, successor, match):
+    s, sigma = current
+    if not contract.guarantee(s, successor):
+        kind = "silent" if image is TAU else "mapped"
+        return f"{kind} step leaves the component's guarantee"
+    if image is TAU and not pair.alpha.holds(successor, sigma):
+        return "silent step breaks the state relation"
+    if image is not TAU and match is None:
+        return "no abstract step lands in alpha within the abstract guarantee"
+    return None
+
+
+def _oracle_environment_failure(pair, contract, current, action, successor):
+    s, sigma = current
+    if not contract.rely(s, successor):
+        return ("environment step breaks the concrete rely", None)
+    image = pair.zeta.map(action)
+    if image is TAU:
+        counterpart = sigma
+    else:
+        counterpart = _oracle_witness(
+            pair.alpha, pair.abstract.machine.step(sigma, image), successor)
+    if counterpart is None:
+        return ("environment step has no abstract counterpart", None)
+    if not contract.abstract_rely(sigma, counterpart):
+        return ("environment step breaks the abstract rely", counterpart)
+    if not pair.alpha.holds(successor, counterpart):
+        return ("environment step leaves the state relation", counterpart)
+    return None
+
+
+def _oracle_rely_failure(contract, level, s, s2):
+    rely = contract.rely if level == "concrete" else contract.abstract_rely
+    article = "a" if level == "concrete" else "an"
+    return None if rely(s, s2) else \
+        f"{article} {level} guarantee move breaks the rely"
+
+
+def _oracle_compatibility(exploration, rg, components, steps_by,
+                          abstract_moves_by):
+    concrete_states = sorted({p[0] for p in exploration.pairs})
+    abstract_states = sorted({p[1] for p in exploration.pairs})
+    sources, verdict = [], None
+    for mover in components:
+        contract = rg.contracts[mover]
+        if contract.guarantee_moves is not None:
+            moves = [(s, s2) for s in concrete_states
+                     for s2 in sorted(contract.guarantee_moves(s))]
+            concrete_source = "declared"
+        else:
+            moves = sorted((p[0][0], p[2]) for p in steps_by[mover])
+            concrete_source = "witnessed"
+        if contract.abstract_guarantee_moves is not None:
+            abstract_moves = [(a, a2) for a in abstract_states for a2 in
+                              sorted(contract.abstract_guarantee_moves(a))]
+            abstract_source = "declared"
+        else:
+            abstract_moves = sorted(abstract_moves_by[mover])
+            abstract_source = "witnessed"
+        sources.append(f"{mover}: {concrete_source}/{abstract_source}")
+        if verdict is not None:
+            continue
+        for other in components:
+            if other == mover or verdict is not None:
+                continue
+            for level, level_moves in (("concrete", moves),
+                                       ("abstract", abstract_moves)):
+                for s, s2 in level_moves:
+                    reason = _oracle_rely_failure(rg.contracts[other], level,
+                                                  s, s2)
+                    if reason is not None:
+                        verdict = Verdict.failed(LemmaWitness(
+                            mover, (), s, None, None, s2, None, reason,
+                            level, other))
+                        break
+                if verdict is not None:
+                    break
+    return verdict or Verdict.passed(), "guarantee moves: " + "; ".join(sources)
+
+
+def oracle_check_compositional(pair, rg, budget=None):
+    """The four lemmas over State pairs, calling `step` and alpha on
+    every step instead of reading the joint search's record."""
+    exploration = oracle_joint_explore(pair, budget)
+    mc, zeta = pair.concrete.machine, pair.zeta
+    components = tuple(sorted(rg.contracts))
+    if not exploration.c1.ok:
+        skip = Verdict.skipped("initial pair unrelated; nothing to quantify over")
+        return CompositionalReport(skip, skip, skip, skip,
+                                   Verdict.skipped("lemmas were not evaluated"),
+                                   0, components)
+    steps_by = {k: [] for k in components}
+    abstract_moves_by = {k: set() for k in components}
+    for current in exploration.pairs:
+        for action in mc.actions:
+            mover = rg.component(action)
+            for successor in mc.step(current[0], action):
+                steps_by[mover].append((current, action, successor))
+
+    def failed(component, current, action, successor, reason, abstract, other):
+        return Verdict.failed(LemmaWitness(
+            component, exploration.trace_to(current) + (action,),
+            current[0], current[1], action, successor, abstract, reason,
+            "concrete", other))
+
+    own_failures = {}
+    for mover in components:
+        contract = rg.contracts[mover]
+        for current, action, successor in steps_by[mover]:
+            image = zeta.map(action)
+            match = None
+            if image is not TAU:
+                match = _oracle_mapped_match(pair, contract, current[1], image,
+                                             successor)
+                if match is not None:
+                    abstract_moves_by[mover].add((current[1], match))
+            lemma = "lemma1" if image is TAU else "lemma2"
+            if lemma not in own_failures:
+                reason = _oracle_own_step_failure(pair, contract, current,
+                                                  image, successor, match)
+                if reason is not None:
+                    own_failures[lemma] = failed(mover, current, action,
+                                                 successor, reason, None, None)
+    lemma3 = None
+    for observer in components:
+        for mover in components:
+            if mover == observer or lemma3 is not None:
+                continue
+            for current, action, successor in steps_by[mover]:
+                failure = _oracle_environment_failure(
+                    pair, rg.contracts[observer], current, action, successor)
+                if failure is not None:
+                    lemma3 = failed(observer, current, action, successor,
+                                    *failure, mover)
+                    break
+    lemma4, note = _oracle_compatibility(exploration, rg, components,
+                                         steps_by, abstract_moves_by)
+    lemmas = (own_failures.get("lemma1") or Verdict.passed(),
+              own_failures.get("lemma2") or Verdict.passed(),
+              lemma3 or Verdict.passed(), lemma4)
+    if not all(v.ok for v in lemmas):
+        cross = Verdict.skipped("lemmas did not pass")
+    elif exploration.c2.ok and exploration.c3.ok:
+        cross = Verdict.passed("lemmas imply the joint step conditions; "
+                               "joint exploration agrees")
+    else:
+        cross = Verdict.failed(None, "soundness alarm: all lemmas pass but "
+                               "joint exploration finds a step-condition failure")
+    return CompositionalReport(
+        *lemmas[:3], Verdict(lemma4.status, lemma4.witness, note), cross,
+        len(exploration.pairs), components)
+
+
+def outcome(check, *args):
+    """What `check` returns, or the text of the BudgetError it raises."""
+    try:
+        return check(*args)
+    except BudgetError as error:
+        return f"BudgetError: {error}"
+
+
+def assert_matches_oracles(pair, rg=None, budget=None):
+    """The id-level joint search, c6, simulation report and lemmas equal
+    the State-keyed oracles'; returns the oracle's joint search and
+    lemma report for the caller to inspect."""
+    got = outcome(joint_explore, pair, budget)
+    want = outcome(oracle_joint_explore, pair, budget)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.pairs == want.pairs
+        assert [got.trace_to(p) for p in got.pairs] == \
+            [want.trace_to(p) for p in want.pairs]
+        assert (got.c1, got.c2, got.c3) == (want.c1, want.c2, want.c3)
+        assert got.pair_count == len(want.pairs)
+        c6 = None
+        if want.ok:
+            c6 = oracle_check_alpha_preserves_indist(pair, want)
+            assert check_alpha_preserves_indist(pair, got) == c6
+        report = outcome(check_simulation, pair, budget)
+        if not isinstance(report, str):
+            assert (report.c1, report.c2, report.c3) == \
+                (want.c1, want.c2, want.c3)
+            assert report.c6 == (c6 or Verdict.skipped(
+                "requires the pair set from a clean exploration"))
+            assert report.pair_count == len(want.pairs)
+    lemmas = None
+    if rg is not None:
+        lemmas = outcome(oracle_check_compositional, pair, rg, budget)
+        assert outcome(check_compositional, pair, rg, budget) == lemmas
+    return want, lemmas
+
+
+#: Concrete states: x and y, and a lock l that components p and q take.
+CONCRETE_STATES = [State({"x": x, "y": y, "l": lock}) for x in range(2)
+                   for y in range(2) for lock in (None, "p", "q")]
+ABSTRACT_STATES = [State({"x": x}) for x in range(3)]
+
+
+@st.composite
+def generated_pairs(draw):
+    """A random refinement pair with rely-guarantee contracts and a
+    budget, as (pair, rg, budget).
+
+    The concrete machine has 1..3 actions of components p and q (the
+    label prefix) over the twelve states above, the abstract one 1..2
+    actions over x in 0..2; steps are drawn as (state, action,
+    successor) tables from a `random.Random` of a drawn seed, so a step may be
+    disabled or have two successors. Zeta sends each concrete action to tau or an abstract
+    action. In "projected" mode the abstract machine is the image of
+    the concrete one under x, silent steps keep x, and alpha relates
+    equal x and a few more pairs, so the conditions often pass; otherwise the abstract steps
+    are random and alpha is a dense random `pair_table`. Each domain
+    observes some of the variables, or random views. Contracts are total, frames (with
+    or without the lock), dense pair tables or abstract relations that
+    avoid one state, and may declare guarantee moves, some of which
+    leave the machine.
+    """
+    domains = ("d0", "d1")[:draw(st.integers(1, 2))]
+    concrete_actions = tuple(
+        ActionId(f"{draw(st.sampled_from('pq'))}/c{k}")
+        for k in range(draw(st.integers(1, 3))))
+    abstract_actions = tuple(ActionId(f"a{k}")
+                             for k in range(draw(st.integers(1, 2))))
+    zeta = {a: draw(st.sampled_from([TAU, *abstract_actions]))
+            for a in concrete_actions}
+    projected = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def steps(states, actions, keep=lambda s, action, t: True):
+        table = {}
+        for s in states:
+            for action in actions:
+                if rng.random() < 0.5:
+                    succ = tuple(t for t in rng.sample(states, rng.choice(
+                        (1, 1, 2))) if keep(s, action, t))
+                    if succ:
+                        table[(s, action)] = succ
+        return table
+
+    concrete_steps = steps(
+        CONCRETE_STATES, concrete_actions,
+        lambda s, action, t: not projected or zeta[action] is not TAU
+        or s["x"] == t["x"])
+    if projected:
+        abstract_steps = {}
+        for (s, action), succ in concrete_steps.items():
+            if zeta[action] is not TAU:
+                key = (ABSTRACT_STATES[s["x"]], zeta[action])
+                for t in succ:
+                    image = ABSTRACT_STATES[t["x"]]
+                    if image not in abstract_steps.setdefault(key, ()):
+                        abstract_steps[key] += (image,)
+    else:
+        abstract_steps = steps(ABSTRACT_STATES, abstract_actions)
+    initial = draw(st.sampled_from(CONCRETE_STATES))
+    abstract_initial = ABSTRACT_STATES[initial["x"]] if projected \
+        else draw(st.sampled_from(ABSTRACT_STATES))
+
+    def config(actions):
+        policy = frozenset((u, v) for u in domains for v in domains
+                           if draw(st.booleans()))
+        dom = {a: draw(st.sampled_from(domains)) for a in actions}
+        if draw(st.booleans()):
+            views = {d: draw(st.lists(st.sampled_from("xyl"), unique=True))
+                     for d in domains}
+            return InfoFlowConfig(domains, policy, dom, lambda d, s: tuple(
+                s.get(v) for v in views[d]))
+        table = {(d, s): rng.randrange(2) for d in domains for s in states}
+        return InfoFlowConfig(domains, policy, dom,
+                              lambda d, s: table[(d, s)])
+
+    states = CONCRETE_STATES
+    concrete = SecureSystem(
+        StateMachine(CONCRETE_STATES, concrete_actions, concrete_steps,
+                     initial),
+        config(concrete_actions))
+    states = ABSTRACT_STATES
+    abstract = SecureSystem(
+        StateMachine(ABSTRACT_STATES, abstract_actions, abstract_steps,
+                     abstract_initial),
+        config(abstract_actions))
+
+    def dense_table(left, right, dropped):
+        """`pair_table` of the state pairs, each dropped with
+        probability `dropped`."""
+        return pair_table((s, t) for s in left for t in right
+                          if rng.random() >= dropped)
+
+    def relation(kind, component):
+        choice = draw(st.sampled_from(["total", "frame", "locked", "table"]))
+        if choice == "total":
+            return total_relation
+        if choice == "table":
+            return dense_table(CONCRETE_STATES, CONCRETE_STATES, 0.05)
+        frame = frame_rely if kind == "rely" else frame_guarantee
+        names = draw(st.lists(st.sampled_from(["x", "y"]), unique=True))
+        if choice == "locked":
+            return frame(names, component, {"l": ("y",)})
+        return frame(names)
+
+    def moves(component):
+        choice = draw(st.sampled_from(["none", "machine", "outside"]))
+        if choice == "none":
+            return None
+        own = machine_moves(concrete, component)
+        if choice == "machine":
+            return own
+        return lambda s: (*own(s), s.assign({"x": 9}))
+
+    def abstract_relation():
+        choice = draw(st.sampled_from(["total", "table", "avoid"]))
+        if choice == "total":
+            return total_relation
+        if choice == "table":
+            return dense_table(ABSTRACT_STATES, ABSTRACT_STATES, 0.2)
+        avoided = draw(st.sampled_from(ABSTRACT_STATES))
+        return lambda a, a2: a2 != avoided
+
+    def abstract_moves():
+        if draw(st.booleans()):
+            return None
+        targets = (*draw(st.lists(st.sampled_from(ABSTRACT_STATES),
+                                  max_size=2, unique=True)),
+                   State({"x": 7}))
+        return lambda a: targets
+
+    components = ["p", "q"] + (["r"] if draw(st.booleans()) else [])
+    rg = RelyGuaranteeSpec(
+        contracts={c: ComponentContract(
+            rely=relation("rely", c), guarantee=relation("guarantee", c),
+            abstract_rely=abstract_relation(),
+            abstract_guarantee=abstract_relation(),
+            guarantee_moves=moves(c),
+            abstract_guarantee_moves=abstract_moves())
+            for c in components},
+        component_of=component_prefix)
+    if projected:
+        extra = dense_table(CONCRETE_STATES, ABSTRACT_STATES, 0.9)
+        alpha = lambda c, a: c["x"] == a["x"] or extra(c, a)  # noqa: E731
+    else:
+        alpha = dense_table(CONCRETE_STATES, ABSTRACT_STATES, 0.25)
+    budget = draw(st.one_of(st.none(), st.integers(1, 8)))
+    pair = RefinementPair(concrete, abstract, Alpha(alpha, "table"),
+                          Zeta(zeta))
+    return pair, rg, budget
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(generated_pairs())
+def test_id_refinement_matches_state_oracles(example):
+    """The joint search (pairs, traces, verdicts), c6, the simulation
+    report and the lemma report, or the BudgetError text, equal the
+    State-keyed oracles' on generated pairs; every failing lemma
+    replays."""
+    pair, rg, budget = example
+    _, lemmas = assert_matches_oracles(pair, rg, budget)
+    if isinstance(lemmas, CompositionalReport):
+        for name, verdict in lemmas.lemmas().items():
+            if verdict.status == "fail":
+                assert lemma_violated(pair, rg, name, verdict.witness)
+
+
+@pytest.mark.parametrize("name", model_names())
+def test_id_refinement_matches_state_oracles_on_builtins(name):
+    bundle = get_model(name)
+    assert_matches_oracles(bundle.pair, bundle.rely_guarantee)
+
+
+def janitor_rely(template: str) -> str:
+    """`pair:` lines relying on exactly the janitor's steps, which flip y."""
+    return "".join("pair: " + template.format(x=x, y=y, z=1 - y) + "\n"
+                   for x in (0, 1) for y in (0, 1))
+
+
+@pytest.mark.parametrize("text", [
+    PAIR, PAIR_BAD_GUARANTEE,
+    pair_with_worker_rely(janitor_rely("x={x};y={y} ~ x={x};y={z}")),
+    pair_with_worker_rely(janitor_rely("y={y};x={x} ~ y={z};x={x}")),
+    pair_with_worker_rely("pair: x=0;y=0 ~ x=0;y=1\n"),
+], ids=["pair", "bad-guarantee", "rely-pairs", "rely-pairs-reordered",
+        "rely-one-pair"])
+def test_id_refinement_matches_state_oracles_on_model_files(tmp_path, text):
+    for name, body in (("concrete.ifs", CONCRETE), ("abstract.ifs", ABSTRACT),
+                       ("pair.ifs", text)):
+        (tmp_path / name).write_text(body, encoding="utf-8")
+    pair, rg = elaborate_refinement(
+        load_refinement(str(tmp_path / "pair.ifs")), str(tmp_path))
+    assert_matches_oracles(pair, rg)

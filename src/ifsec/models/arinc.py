@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ifsec.core import ModelError, SecureSystem, State, UsageError, Value
+from ifsec.core import ModelError, State, UsageError, Value
 from ifsec.models.common import (
     ModelBundle,
     contracts_spec,
@@ -349,19 +349,18 @@ def build_arinc(config: ArincConfig | None = None, variant: str = "secure",
         name=NAMES[variant],
         description=DESCRIPTIONS[variant],
         pair=pair,
-        rely_guarantee=_rely_guarantee(concrete, cpus, sched_of_cpu, parts_on, channels),
+        rely_guarantee=_rely_guarantee(cpus, sched_of_cpu, parts_on, channels),
         params=(("capacity", min(cap(ch) for ch in channels)), ("variant", variant)),
     )
 
 
-def _rely_guarantee(concrete: SecureSystem, cpus, sched_of_cpu, parts_on, channels):
+def _rely_guarantee(cpus, sched_of_cpu, parts_on, channels):
     """Core contracts: own scheduling state plus lock-guarded channel buffers."""
     locks = {f"qlock.{ch}": (f"qbuf.{ch}", f"obuf.{ch}") for ch in channels}
     return contracts_spec({
         cpu: frame_contract(
-            concrete, cpu,
-            owned=[f"pc.{cpu}", f"cur.{sched_of_cpu[cpu]}",
-                   *(f"st.{p}" for p in parts_on(cpu))],
+            cpu, owned=[f"pc.{cpu}", f"cur.{sched_of_cpu[cpu]}",
+                        *(f"st.{p}" for p in parts_on(cpu))],
             locks=locks)
         for cpu in cpus
     })

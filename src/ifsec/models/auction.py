@@ -15,7 +15,7 @@ auction runs or not at all. "No winning bid" is represented as None.
 
 from __future__ import annotations
 
-from ifsec.core import SecureSystem, State, UsageError, Value
+from ifsec.core import State, UsageError, Value
 from ifsec.models.common import (
     ModelBundle,
     contracts_spec,
@@ -199,17 +199,16 @@ def build_auction(users: int = 2, bids: tuple[int, ...] = (1, 2),
         name="auction",
         description="sealed-bid auction with locked ledger and a result publisher",
         pair=pair,
-        rely_guarantee=_rely_guarantee(concrete, names),
+        rely_guarantee=_rely_guarantee(names),
         params=(("users", users), ("bids", bids)),
     )
 
 
-def _rely_guarantee(concrete: SecureSystem, names: tuple[str, ...]):
+def _rely_guarantee(names: tuple[str, ...]):
     """Ledger contracts: bidders write under the lock, the service owns the rest."""
     ledger = {"lock": ("log", "maxbid", "oblog", "obid")}
-    contracts = {u: frame_contract(concrete, u, owned=[f"pc.{u}"], locks=ledger)
+    contracts = {u: frame_contract(u, owned=[f"pc.{u}"], locks=ledger)
                  for u in names}
     contracts["auc"] = frame_contract(
-        concrete, "auc", owned=["pc.auc"],
-        shared=["status", "reserve", "sealed", "res"])
+        "auc", owned=["pc.auc"], shared=["status", "reserve", "sealed", "res"])
     return contracts_spec(contracts)

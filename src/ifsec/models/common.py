@@ -6,6 +6,9 @@ declares one) a rely-guarantee spec for the compositional checker. The
 helpers here cover the parts all three model families repeat: program-counter
 alignment between the two levels, building zeta from step-label rules, and
 frame contracts declared by the variables a component owns, shares and locks.
+Frame contracts declare no guarantee-move enumerator: the moves a
+component's code makes are its concrete steps, which lemma 3 already
+checks against every other component's rely.
 """
 
 from __future__ import annotations
@@ -119,31 +122,7 @@ def zeta_from_rule(concrete: SecureSystem, abstract: SecureSystem,
     return Zeta(mapping)
 
 
-def machine_moves(system: SecureSystem,
-                  component: str) -> Callable[[State], tuple[State, ...]]:
-    """Enumerate the successors a component's own actions reach.
-
-    This is the tightest sound enumerator for a guarantee that is meant
-    to cover exactly what the component's code does: the compatibility
-    lemma then checks the code's real moves against every other rely.
-    """
-    machine = system.machine
-    tables = tuple(table for action, table in zip(machine.actions,
-                                                  machine.successor_ids)
-                   if component_of(action) == component)
-
-    def moves(state: State) -> tuple[State, ...]:
-        # Ids are in serialization order, so sorted ids are sorted states.
-        i = machine.id_of(state)
-        out: set[int] = set()
-        for table in tables:
-            out.update(table.get(i, ()))
-        return tuple([machine.by_id[j] for j in sorted(out)])
-
-    return moves
-
-
-def frame_contract(system: SecureSystem, component: str, owned: Iterable[str],
+def frame_contract(component: str, owned: Iterable[str],
                    shared: Iterable[str] = (),
                    locks: Locks | None = None) -> ComponentContract:
     """Contract of a component declared by the variables it touches.
@@ -158,7 +137,6 @@ def frame_contract(system: SecureSystem, component: str, owned: Iterable[str],
     return ComponentContract(
         rely=frame_rely(owned, component, locks),
         guarantee=frame_guarantee((*owned, *shared), component, locks),
-        guarantee_moves=machine_moves(system, component),
     )
 
 

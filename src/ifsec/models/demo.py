@@ -25,7 +25,7 @@ Variants:
 
 from __future__ import annotations
 
-from ifsec.core import SecureSystem, State, UsageError, Value
+from ifsec.core import State, UsageError, Value
 from ifsec.models.common import (
     ModelBundle,
     contracts_spec,
@@ -243,19 +243,18 @@ def build_demo(threads: int = 3, capacity: int = 1, messages: int = 1,
         name=NAMES[variant],
         description=DESCRIPTIONS[variant],
         pair=pair,
-        rely_guarantee=_rely_guarantee(concrete, names),
+        rely_guarantee=_rely_guarantee(names),
         params=(("threads", threads), ("capacity", capacity),
                 ("messages", messages), ("variant", variant)),
     )
 
 
-def _rely_guarantee(concrete: SecureSystem, names: tuple[str, ...]):
+def _rely_guarantee(names: tuple[str, ...]):
     """Lock-discipline contracts: each thread owns its pc, shares the
     counters, and writes a queue only while holding its lock."""
     counters = [f"cnt.{u}" for u in names]
     locks = {f"lock.{u}": (f"que.{u}", f"obq.{u}") for u in names}
     return contracts_spec({
-        t: frame_contract(concrete, t, owned=[f"pc.{t}"], shared=counters,
-                          locks=locks)
+        t: frame_contract(t, owned=[f"pc.{t}"], shared=counters, locks=locks)
         for t in names
     })

@@ -49,6 +49,7 @@ from ifsec.core import (
     SecureSystem,
     State,
     StateMachine,
+    UsageError,
     indist,
 )
 from ifsec.unwinding import UnwindingReport, check_unwinding
@@ -131,9 +132,9 @@ class _Positions:
     """A frame's variable positions in each schema it meets.
 
     `layout` turns a schema's name -> position table into the frame's
-    positions; it runs once per schema names tuple. A call yields None
-    when the schema lacks a variable the frame names, or when the two
-    states do not share their names: the frame then reads them by name.
+    positions; it runs once per schema names tuple, and a schema that
+    lacks a variable the frame reads is a usage error. The two states of
+    a step must bind the same variables.
     """
 
     def __init__(self, layout: Callable[[Mapping[str, int]], object]) -> None:
@@ -149,11 +150,14 @@ class _Positions:
                 try:
                     self._seen[names] = self._layout(
                         {name: k for k, name in enumerate(names)})
-                except KeyError:
-                    self._seen[names] = None
+                except KeyError as error:
+                    raise UsageError(
+                        f"state has no variable {error.args[0]!r}") from None
             self._names, self._where = names, self._seen[names]
         if after.names is not names and after.names != names:
-            return None
+            raise ModelError(
+                "a frame met states over different variables: "
+                f"{', '.join(names)} and {', '.join(after.names)}")
         return self._where
 
 
@@ -169,11 +173,6 @@ def frame_rely(fixed: Iterable[str], holder: str | None = None,
     frames = tuple((lock, (lock, *guarded))
                    for lock, guarded in _lock_table(locks, holder).items())
 
-    def by_name(before: State, after: State) -> bool:
-        return (all(after[v] == before[v] for v in fixed)
-                and all(after[v] == before[v] for lock, frame in frames
-                        if before[lock] == holder for v in frame))
-
     def getter(names: Iterable[str], index: Mapping[str, int]):
         """The values of `names`, read off a values tuple."""
         positions = [index[v] for v in names]
@@ -184,10 +183,7 @@ def frame_rely(fixed: Iterable[str], holder: str | None = None,
         tuple((index[lock], getter(frame, index)) for lock, frame in frames)))
 
     def rely(before: State, after: State) -> bool:
-        where = positions(before, after)
-        if where is None:
-            return by_name(before, after)
-        kept, held = where
+        kept, held = positions(before, after)
         old, new = before.values, after.values
         if kept(new) != kept(old):
             return False
@@ -217,28 +213,14 @@ def frame_guarantee(allowed: Iterable[str], holder: str | None = None,
     locks = _lock_table(locks, holder)
     guard = {v: lock for lock, guarded in locks.items() for v in guarded}
 
-    def by_name(before: State, after: State) -> bool:
-        for name, value, new in zip(before.names, before.values, after.values):
-            if value == new or name in allowed:
-                continue
-            if name in locks:
-                if holder not in (value, new):
-                    return False
-            elif name not in guard or before[guard[name]] != holder:
-                return False
-        return True
-
     positions = _Positions(lambda index: tuple(
         (k, _LOCK if name in locks
          else index[guard[name]] if name in guard else _KEPT)
         for name, k in index.items() if name not in allowed))
 
     def guarantee(before: State, after: State) -> bool:
-        rules = positions(before, after)
-        if rules is None:
-            return by_name(before, after)
         old, new = before.values, after.values
-        for k, rule in rules:
+        for k, rule in positions(before, after):
             value, changed = old[k], new[k]
             if value == changed:
                 continue
@@ -810,9 +792,10 @@ class ComponentContract:
     `guarantee_moves` (and its abstract sibling) enumerate the successor
     states the guarantee relation admits from a given state; they let
     the compatibility lemma check the declared relation itself rather
-    than only the moves the machine happens to take. Without an
-    enumerator the check falls back to witnessed machine steps and the
-    report says so.
+    than only the moves the machine happens to take. Without a concrete
+    enumerator the component's concrete moves are its machine steps,
+    which lemma 3 checks; without an abstract one, lemma 4 checks the
+    abstract matches of its mapped steps. The report says which.
     """
 
     rely: Relation
@@ -868,16 +851,17 @@ def check_compositional(pair: RefinementPair, rg: RelyGuaranteeSpec,
     abstract witness. Lemma 3: any other component's move, coupled with
     its zeta-determined abstract counterpart, satisfies this component's
     relies and lands in alpha. Lemma 4: every guarantee move of one
-    component satisfies every other component's rely, at both levels;
-    declared enumerators are used where given, witnessed steps
-    otherwise. With witnessed moves, or with `models.common.machine_moves`
-    (every built-in model), lemma 4's concrete instances are exactly lemma
-    3's concrete rely instances, so a concrete lemma 4 failure is
-    always a lemma 3 failure too; with the total abstract relies of
-    every model file and built-in, no CLI target fails lemma 4 alone.
+    component satisfies every other component's rely, at both levels.
+    It checks only what lemma 3 does not: a declared enumerator's moves
+    and, at the abstract level without one, lemma 2's matches of the
+    component's mapped steps. Without a concrete enumerator the
+    component's moves are its steps, which lemma 3 already checks
+    against every other concrete rely; the note calls them witnessed.
+    With the total abstract relies of every model file and built-in, no
+    CLI target fails lemma 4.
 
     The lemmas read the joint search's step record (`JointExploration.
-    steps`): a step's abstract match is the one the search chose, so
+    matches`): a step's abstract match is the one the search chose, so
     alpha runs again only for lemma 2's later candidates when the
     abstract guarantee rejects the first, and for the steps of pairs
     the search did not expand because c2 or c3 failed.
@@ -962,7 +946,7 @@ def check_compositional(pair: RefinementPair, rg: RelyGuaranteeSpec,
                     break
 
     lemma4, lemma4_note = _check_compatibility(
-        exploration, rg, components, steps_by, abstract_moves_by)
+        exploration, rg, components, abstract_moves_by)
 
     lemma1 = own_failures.get("lemma1") or Verdict.passed()
     lemma2 = own_failures.get("lemma2") or Verdict.passed()
@@ -1026,12 +1010,13 @@ def _check_compatibility(
     exploration: JointExploration,
     rg: RelyGuaranteeSpec,
     components: tuple[str, ...],
-    steps_by: Mapping[str, Steps],
     abstract_moves_by: Mapping[str, set[tuple[int, int]]],
 ) -> tuple[Verdict, str]:
     """Lemma 4: guarantee of each component within every other's rely.
 
-    Witnessed moves sort as id pairs, which is state pair order."""
+    A component without a concrete enumerator has no concrete moves
+    here: lemma 3 checks its steps. Witnessed abstract moves sort as id
+    pairs, which is state pair order."""
     cby, aby = exploration.concrete.by_id, exploration.abstract.by_id
     nodes, width = exploration.nodes, exploration.width
     concrete_ids = sorted({node // width for node in nodes})
@@ -1047,13 +1032,9 @@ def _check_compatibility(
             f"{'witnessed' if abstract_declared is None else 'declared'}")
         if verdict is not None:
             continue
-        if declared is not None:
-            moves = [(cby[i], s2) for i in concrete_ids
-                     for s2 in sorted(declared(cby[i]))]
-        else:
-            ks, _, js, _ = steps_by[mover]
-            moves = [(cby[i], cby[j]) for i, j in sorted(
-                (nodes[k] // width, j) for k, j in zip(ks, js))]
+        moves = [] if declared is None else [
+            (cby[i], s2) for i in concrete_ids
+            for s2 in sorted(declared(cby[i]))]
         if abstract_declared is not None:
             abstract_moves = [(aby[a], a2) for a in abstract_ids
                               for a2 in sorted(abstract_declared(aby[a]))]
@@ -1171,20 +1152,19 @@ def _rely_failure(contract: ComponentContract, level: str,
 def _is_guarantee_move(pair: RefinementPair, rg: RelyGuaranteeSpec,
                        component: str, level: str, s: State, s2: State) -> bool:
     """Whether `component`'s declared enumerator at `level` yields
-    (s, s2) or, without one, one of its actions steps there (by its
-    zeta image at the abstract level)."""
+    (s, s2) or, at the abstract level without one, the zeta image of one
+    of its mapped actions steps there. A concrete move needs a declared
+    enumerator: lemma 4 checks no witnessed concrete move."""
     contract = rg.contracts[component]
-    concrete = level == "concrete"
-    declared = (contract.guarantee_moves if concrete
+    declared = (contract.guarantee_moves if level == "concrete"
                 else contract.abstract_guarantee_moves)
     if declared is not None:
         return s2 in declared(s)
-    machine = (pair.concrete if concrete else pair.abstract).machine
-    return any(
-        image is not TAU and s2 in machine.step(s, image)
+    return level == "abstract" and any(
+        image is not TAU and s2 in pair.abstract.machine.step(s, image)
         for action in pair.concrete.machine.actions
         if rg.component(action) == component
-        for image in [action if concrete else pair.zeta.map(action)])
+        for image in [pair.zeta.map(action)])
 
 
 def lemma_violated(pair: RefinementPair, rg: RelyGuaranteeSpec, lemma: str,

@@ -47,6 +47,7 @@ from ifsec.refinement import (
     check_simulation,
 )
 from ifsec.unwinding import check_unwinding
+from test_models import own_moves
 
 SECURE_MODELS = ("demo", "arinc", "auction")
 INSECURE_MODELS = ("demo-insecure-counter", "demo-insecure-fullstatus",
@@ -217,7 +218,7 @@ def test_c07_lock_frame_contracts_hold_and_widened_guarantees_are_caught():
     # extra move in the compatibility lemma.
     contracts = dict(b.rely_guarantee.contracts)
     original = contracts["t1"]
-    base_moves = original.guarantee_moves
+    base_moves = own_moves(b.concrete, "t1")
 
     def widened_moves(state):
         moves = list(base_moves(state))

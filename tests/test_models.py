@@ -23,8 +23,7 @@ from ifsec.models import (
     model_names,
 )
 from ifsec.models.auction import ledger_max
-from ifsec.models.common import machine_moves
-from ifsec.refinement import check_simulation
+from ifsec.refinement import _steps_by, check_simulation, joint_explore
 from ifsec.unwinding import check_unwinding
 
 
@@ -260,9 +259,10 @@ def test_secure_bundles_pass_simulation():
 
 # --- guarantee moves -------------------------------------------------------
 
-def oracle_machine_moves(system, component):
-    """The successors of the component's own actions, by `step`, sorted
-    as states."""
+def own_moves(system, component):
+    """A guarantee-move enumerator for tests that declare one: the
+    successors of the component's own actions, by `step`, sorted as
+    states."""
     machine = system.machine
     own = [a for a in machine.actions if component_of(a) == component]
     return lambda state: tuple(sorted(
@@ -271,16 +271,31 @@ def oracle_machine_moves(system, component):
 
 @pytest.mark.parametrize("name", model_names())
 def test_machine_moves_match_the_state_enumerator(name):
-    # The insecure counter is checked on two threads, as above.
+    # The built-in contracts declare no guarantee-move enumerator, so a
+    # component's moves are the steps the compositional check records
+    # for it from every discovered pair: they must be exactly the
+    # successors the state enumerator gives. The insecure counter is
+    # checked on two threads, as above.
     params = {"threads": 2} if name == "demo-insecure-counter" else {}
     bundle = get_model(name, **params)
-    for system in (bundle.concrete, bundle.abstract):
-        machine = system.machine
-        for component in sorted({component_of(a) for a in machine.actions}):
-            moves = machine_moves(system, component)
-            oracle = oracle_machine_moves(system, component)
-            assert all(moves(s) == oracle(s) for s in machine.states)
-            # A state the machine does not know has no moves.
-            initial = machine.initial
-            outside = initial.assign({initial.names[0]: "nowhere"})
-            assert moves(outside) == oracle(outside) == ()
+    pair, rg = bundle.pair, bundle.rely_guarantee
+    assert all(c.guarantee_moves is None for c in rg.contracts.values())
+    machine = pair.concrete.machine
+    exploration = joint_explore(pair)
+    components = tuple(sorted(rg.contracts))
+    steps_by = _steps_by(pair, exploration,
+                         [rg.component(a) for a in machine.actions],
+                         components)
+    discovered = sorted({node // exploration.width
+                         for node in exploration.nodes})
+    assert discovered
+    for component in components:
+        ks, _, js, _ = steps_by[component]
+        recorded: dict[int, set[int]] = {}
+        for k, j in zip(ks, js):
+            recorded.setdefault(exploration.nodes[k] // exploration.width,
+                                set()).add(j)
+        oracle = own_moves(pair.concrete, component)
+        for i in discovered:
+            moves = tuple(machine.by_id[j] for j in sorted(recorded.get(i, ())))
+            assert moves == oracle(machine.by_id[i])

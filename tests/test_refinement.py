@@ -25,7 +25,6 @@ from ifsec.core import (
     UsageError,
 )
 from ifsec.models import get_model, model_names
-from ifsec.models.common import machine_moves
 from ifsec.refinement import (
     TAU,
     Alpha,
@@ -66,6 +65,7 @@ from test_cli import (
     PAIR_BAD_GUARANTEE,
     pair_with_worker_rely,
 )
+from test_models import own_moves
 
 INC = ActionId("inc")
 
@@ -426,12 +426,23 @@ class TestFrames:
                     assert rely(*step) is keeps, (extra, before, after)
 
     def test_rely_across_schemas_with_other_names(self):
-        # An after-state binding one more variable, which shifts every
-        # position, is read by name.
+        # A frame compares values by position, so both states of a step
+        # must bind the same variables: an after-state binding one more
+        # variable is an error.
         rely = frame_rely(OWNED, "t", LOCKS)
-        start = State(FRAME_START)
-        assert rely(start, State({**FRAME_START, "a": 1})) is True
-        assert rely(start, State({**FRAME_START, "a": 1, "pc": 1})) is False
+        with pytest.raises(ModelError, match="different variables"):
+            rely(State(FRAME_START), State({**FRAME_START, "a": 1}))
+
+    @pytest.mark.parametrize("allowed,before,after", [
+        # Neither pc nor q changes, but a shifts q's position.
+        (["q"], {"pc": 0, "q": 0}, {"a": 5, "pc": 0, "q": 0}),
+        # q vanishes.
+        ([], {"pc": 0, "q": 0}, {"pc": 0}),
+    ], ids=["extra", "fewer"])
+    def test_guarantee_across_schemas_with_other_names(self, allowed, before,
+                                                       after):
+        with pytest.raises(ModelError, match="different variables"):
+            frame_guarantee(allowed)(State(before), State(after))
 
     @pytest.mark.parametrize("frame,after", [
         (frame_rely(["gone"]), {}),
@@ -445,9 +456,11 @@ class TestFrames:
                 frame(*step)
             assert str(error.value) == "state has no variable 'gone'"
 
-    def test_missing_variable_is_read_only_when_reached(self):
-        # As by name: a frame stops at the first variable that changed.
-        assert frame_rely(["pc", "gone"])(*frame_step({}, {"pc": 1})) is False
+    def test_missing_variable_is_an_error_before_any_value_is_read(self):
+        # The frame finds its positions in a schema before it compares
+        # values, so a change to pc does not hide the missing variable.
+        with pytest.raises(UsageError, match="no variable 'gone'"):
+            frame_rely(["pc", "gone"])(*frame_step({}, {"pc": 1}))
 
     @pytest.mark.parametrize("before,after,may,keeps", [
         ({}, {"pc": 1}, True, False),
@@ -534,10 +547,17 @@ class TestCompositional:
         assert not lemma_violated(pair, rg, "lemma1", witness)
         assert not lemma_violated(pair, rg, "lemma3",
                                   replace(witness, component="b"))
-        # The same move is b's witnessed guarantee behavior, so the
-        # compatibility lemma fails on it too.
-        assert report.lemma4.status == "fail"
-        assert lemma_violated(pair, rg, "lemma4", report.lemma4.witness)
+        # The same move is b's witnessed guarantee behavior, which lemma
+        # 3 has just checked; lemma 4 checks no witnessed concrete move,
+        # so it passes and does not accept the move as its own failure.
+        assert report.lemma4.ok
+        assert report.lemma4.note == "guarantee moves: a: witnessed/" \
+            "witnessed; b: witnessed/witnessed"
+        assert not lemma_violated(pair, rg, "lemma4", LemmaWitness(
+            component="b", other_component="a", trace=(),
+            state=witness.state, abstract_state=None, action=None,
+            successor=witness.successor, abstract_successor=None,
+            reason="a concrete guarantee move breaks the rely"))
         assert report.cross_check.status == "skipped"
 
     def test_widened_guarantee_is_caught_without_a_machine_step(self):
@@ -782,8 +802,10 @@ def _oracle_rely_failure(contract, level, s, s2):
         f"{article} {level} guarantee move breaks the rely"
 
 
-def _oracle_compatibility(exploration, rg, components, steps_by,
-                          abstract_moves_by):
+def _oracle_compatibility(exploration, rg, components, abstract_moves_by):
+    """Lemma 4 over declared moves and witnessed abstract moves; a
+    component's witnessed concrete moves are its steps, which lemma 3
+    checks."""
     concrete_states = sorted({p[0] for p in exploration.pairs})
     abstract_states = sorted({p[1] for p in exploration.pairs})
     sources, verdict = [], None
@@ -794,7 +816,7 @@ def _oracle_compatibility(exploration, rg, components, steps_by,
                      for s2 in sorted(contract.guarantee_moves(s))]
             concrete_source = "declared"
         else:
-            moves = sorted((p[0][0], p[2]) for p in steps_by[mover])
+            moves = []
             concrete_source = "witnessed"
         if contract.abstract_guarantee_moves is not None:
             abstract_moves = [(a, a2) for a in abstract_states for a2 in
@@ -880,7 +902,7 @@ def oracle_check_compositional(pair, rg, budget=None):
                                     *failure, mover)
                     break
     lemma4, note = _oracle_compatibility(exploration, rg, components,
-                                         steps_by, abstract_moves_by)
+                                         abstract_moves_by)
     lemmas = (own_failures.get("lemma1") or Verdict.passed(),
               own_failures.get("lemma2") or Verdict.passed(),
               lemma3 or Verdict.passed(), lemma4)
@@ -1049,7 +1071,7 @@ def generated_pairs(draw):
         choice = draw(st.sampled_from(["none", "machine", "outside"]))
         if choice == "none":
             return None
-        own = machine_moves(concrete, component)
+        own = own_moves(concrete, component)
         if choice == "machine":
             return own
         return lambda s: (*own(s), s.assign({"x": 9}))
@@ -1092,19 +1114,36 @@ def generated_pairs(draw):
     return pair, rg, budget
 
 
+def breaks_a_concrete_rely(pair, rg, pairs):
+    """Whether a step from one of `pairs` breaks the concrete rely of a
+    component other than the one that takes it."""
+    machine = pair.concrete.machine
+    return any(not rg.contracts[other].rely(s, successor)
+               for s, _ in pairs for action in machine.actions
+               for successor in machine.step(s, action)
+               for other in rg.contracts if other != rg.component(action))
+
+
 @settings(max_examples=500, derandomize=True, deadline=None)
 @given(generated_pairs())
 def test_id_refinement_matches_state_oracles(example):
     """The joint search (pairs, traces, verdicts), c6, the simulation
     report and the lemma report, or the BudgetError text, equal the
     State-keyed oracles' on generated pairs; every failing lemma
-    replays."""
+    replays.
+
+    Lemma 4 checks no witnessed concrete move, so a step that breaks
+    another component's concrete rely must fail lemma 3; and passing
+    lemmas must imply the joint step conditions."""
     pair, rg, budget = example
-    _, lemmas = assert_matches_oracles(pair, rg, budget)
+    joint, lemmas = assert_matches_oracles(pair, rg, budget)
     if isinstance(lemmas, CompositionalReport):
         for name, verdict in lemmas.lemmas().items():
             if verdict.status == "fail":
                 assert lemma_violated(pair, rg, name, verdict.witness)
+        if breaks_a_concrete_rely(pair, rg, joint.pairs):
+            assert lemmas.lemma3.status == "fail"
+        assert lemmas.cross_check.status != "fail"
 
 
 @pytest.mark.parametrize("name", model_names())

@@ -127,12 +127,14 @@ class _Schema:
     name table between them.
     """
 
-    __slots__ = ("names", "index", "hash")
+    __slots__ = ("names", "index", "hash", "fragments")
 
     def __init__(self, names: tuple[str, ...]) -> None:
         self.names = names
         self.index = {name: i for i, name in enumerate(names)}
         self.hash = hash(names)
+        # per position, value key -> "name=value" text; see State.serialize
+        self.fragments: tuple[dict, ...] | None = None
 
 
 def _name(item: tuple[str, Value]) -> str:
@@ -204,11 +206,30 @@ class State:
         return state
 
     def serialize(self) -> str:
-        if self._serial is None:
-            self._serial = ";".join(
-                f"{name}={render_value(value)}"
-                for name, value in zip(self._schema.names, self._values))
-        return self._serial
+        """`name=value` pairs in name order, joined with semicolons.
+
+        The pair text of each (schema position, value) is rendered once
+        and kept with the schema.  It is keyed by the value's exact type,
+        and a tuple by its repr, because equal values of different types
+        render differently (`1` and `True`, `(1,)` and `(True,)`).
+        """
+        serial = self._serial
+        if serial is None:
+            schema = self._schema
+            caches = schema.fragments
+            if caches is None:
+                caches = schema.fragments = tuple({} for _ in schema.names)
+            parts = []
+            for cache, name, value in zip(caches, schema.names, self._values):
+                kind = type(value)
+                key = value if kind is str else \
+                    (kind, repr(value) if kind is tuple else value)
+                fragment = cache.get(key)
+                if fragment is None:
+                    fragment = cache[key] = f"{name}={render_value(value)}"
+                parts.append(fragment)
+            serial = self._serial = ";".join(parts)
+        return serial
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -649,20 +670,38 @@ def build_machine(initial: State,
     enabled in some reachable state: an action that never fires would
     only stutter, so leaving it out changes no verdict while bounded-trace
     enumeration budgets on the real alphabet.
+
+    A state's steps are grouped in one dict, which is the whole grouping
+    when no action has two steps there; each successor is kept only as
+    its position in the search, so the search's object is the state, and
+    ids are the positions ranked by serialization.
     """
     search = Exploration(initial, budget)
-    # rows[k]: the steps of search.order[k], each successor kept only as
-    # its position in the search, so the search's object is the state.
+    index, add = search.index, search.add
+    alphabet: set[ActionId] = set()
+    # rows[k]: the steps of search.order[k] as (action, position), or as
+    # (action, positions) where some action has several successors
     rows: list = []
     for state in search:
-        grouped: dict[ActionId, set[State]] = {}
-        for action, succ in successors(state):
-            grouped.setdefault(action, set()).add(succ)
-        rows.append([
-            (action, tuple([search.add(succ, state, action) for succ in (
-                sorted(succs, key=State.serialize) if len(succs) > 1
-                else succs)]))
-            for action, succs in grouped.items()])
+        steps = list(successors(state))
+        grouped = dict(steps)
+        alphabet.update(grouped)
+        row = []
+        if len(grouped) == len(steps):
+            for action, succ in grouped.items():
+                # most successors were seen before: find them without a call
+                k = index.get(succ)
+                row.append((action, add(succ, state, action) if k is None
+                            else k))
+        else:
+            groups: dict[ActionId, set[State]] = {}
+            for action, succ in steps:
+                groups.setdefault(action, set()).add(succ)
+            for action, succs in groups.items():
+                row.append((action, tuple([
+                    add(succ, state, action)
+                    for succ in sorted(succs, key=State.serialize)])))
+        rows.append(row)
     order = search.order
     serial = [state.serialize() for state in order]
     ranked = sorted(range(len(order)), key=serial.__getitem__)
@@ -670,11 +709,11 @@ def build_machine(initial: State,
     for i, k in enumerate(ranked):
         new_id[k] = i
     tables: dict[ActionId, dict[int, tuple[int, ...]]] = {
-        action: {} for action in sort_actions(
-            {action for row in rows for action, _ in row})}
+        action: {} for action in sort_actions(alphabet)}
     for i, k in enumerate(ranked):
         for action, targets in rows[k]:
-            tables[action][i] = tuple([new_id[j] for j in targets])
+            tables[action][i] = (new_id[targets],) if type(targets) is int \
+                else tuple([new_id[j] for j in targets])
         rows[k] = None
     return StateMachine.from_tables(
         tuple(order[k] for k in ranked), tuple(tables), tables.values(),

@@ -32,7 +32,7 @@ from ifsec.models.common import (
     ModelBundle,
     contracts_spec,
     frame_contract,
-    pc_aligned,
+    pc_alignment,
     zeta_from_rule,
 )
 from ifsec.programs import (
@@ -318,19 +318,22 @@ def build_arinc(config: ArincConfig | None = None, variant: str = "secure",
                          abstract_vars),
         domains, policy, observe("qbuf"), budget)
 
+    kept = tuple([f"cur.{sched}" for sched in scheds]
+                 + [f"st.{p}" for p in partitions])
+    buffers = tuple((f"qbuf.{ch}", f"obuf.{ch}", f"qlock.{ch}")
+                    for ch in channels)
+    aligned = pc_alignment(cpus)
+
     def related(c: State, a: State) -> bool:
-        for sched in scheds:
-            if a[f"cur.{sched}"] != c[f"cur.{sched}"]:
+        for var in kept:
+            if a[var] != c[var]:
                 return False
-        for p in partitions:
-            if a[f"st.{p}"] != c[f"st.{p}"]:
+        for qbuf, obuf, qlock in buffers:
+            if a[qbuf] != c[obuf]:
                 return False
-        for ch in channels:
-            if a[f"qbuf.{ch}"] != c[f"obuf.{ch}"]:
+            if c[qlock] is None and c[qbuf] != c[obuf]:
                 return False
-            if c[f"qlock.{ch}"] is None and c[f"qbuf.{ch}"] != c[f"obuf.{ch}"]:
-                return False
-        return pc_aligned(c, a, cpus)
+        return aligned(c, a)
 
     alpha = Alpha.from_predicate(
         related, "abstract buffers match committed buffers; unlocked buffers are clean")

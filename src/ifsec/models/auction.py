@@ -20,7 +20,7 @@ from ifsec.models.common import (
     ModelBundle,
     contracts_spec,
     frame_contract,
-    pc_aligned,
+    pc_alignment,
     zeta_from_rule,
 )
 from ifsec.programs import (
@@ -164,6 +164,8 @@ def build_auction(users: int = 2, bids: tuple[int, ...] = (1, 2),
         ConcurrentSystem(components, abstract_pool, abstract_vars),
         domains, policy, observe("log", "maxbid"), budget)
 
+    aligned = pc_alignment(components)
+
     def related(c: State, a: State) -> bool:
         for var in ("status", "reserve", "sealed", "res"):
             if a[var] != c[var]:
@@ -178,7 +180,7 @@ def build_auction(users: int = 2, bids: tuple[int, ...] = (1, 2),
                   and a["res"][1] > a["reserve"])
             if not ok:
                 return False
-        return pc_aligned(c, a, components)
+        return aligned(c, a)
 
     alpha = Alpha.from_predicate(
         related,

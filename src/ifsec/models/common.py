@@ -76,20 +76,24 @@ def _pc_event(value: Value) -> Value:
     return str(value).split("#", 1)[0]
 
 
-def pc_aligned(concrete: State, abstract: State,
-               components: Iterable[str]) -> bool:
-    """True when both levels sit inside the same event on every component.
+def pc_alignment(components: Iterable[str]) -> Callable[[State, State], bool]:
+    """The test that both levels sit inside the same event on every
+    component, with the pc variable names built once.
 
     The two levels step through different program texts, so equal pc
     values would be too strong; what the state relations need is that a
     component is mid-event on one level exactly when it is mid-event in
     the same event on the other.
     """
-    for comp in components:
-        var = f"pc.{comp}"
-        if _pc_event(concrete[var]) != _pc_event(abstract[var]):
-            return False
-    return True
+    pc_vars = tuple(f"pc.{comp}" for comp in components)
+
+    def aligned(concrete: State, abstract: State) -> bool:
+        for var in pc_vars:
+            if _pc_event(concrete[var]) != _pc_event(abstract[var]):
+                return False
+        return True
+
+    return aligned
 
 
 def zeta_from_rule(concrete: SecureSystem, abstract: SecureSystem,

@@ -30,7 +30,7 @@ from ifsec.models.common import (
     ModelBundle,
     contracts_spec,
     frame_contract,
-    pc_aligned,
+    pc_alignment,
     zeta_from_rule,
 )
 from ifsec.programs import (
@@ -214,15 +214,19 @@ def build_demo(threads: int = 3, capacity: int = 1, messages: int = 1,
         ConcurrentSystem(names, abstract_pool, abstract_vars),
         names, policy, abstract_observe, budget)
 
+    queues = tuple((f"que.{t}", f"obq.{t}", f"lock.{t}", f"cnt.{t}")
+                   for t in names)
+    aligned = pc_alignment(names)
+
     def related(c: State, a: State) -> bool:
-        for t in names:
-            if a[f"que.{t}"] != c[f"obq.{t}"]:
+        for que, obq, lock, cnt in queues:
+            if a[que] != c[obq]:
                 return False
-            if c[f"lock.{t}"] is None and c[f"que.{t}"] != c[f"obq.{t}"]:
+            if c[lock] is None and c[que] != c[obq]:
                 return False
-            if counter and a[f"cnt.{t}"] != c[f"cnt.{t}"]:
+            if counter and a[cnt] != c[cnt]:
                 return False
-        return pc_aligned(c, a, names)
+        return aligned(c, a)
 
     alpha = Alpha.from_predicate(
         related, "abstract queues match committed queues; unlocked queues are clean")

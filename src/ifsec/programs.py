@@ -13,11 +13,28 @@ with `invoke` as the reserved step label for event invocation.  When an
 event resolves its domain from the invocation state, the resolved domain is
 baked into the label (`<component>/<event-label>@<domain>/<step-label>`) so
 the action-to-domain map stays a static function.
+
+Each program node is compiled once, on first use, into its plan: what
+`finished` and `prog_step` do for it, with the residual left after each
+step built once and reused, and `finished` folded to a constant for a
+node with no Cond or While.  `prog_step`, `finished` and the compiler
+all run on those plans, so there is one step semantics.  The compiler
+likewise resolves each step's action once per (component, event name,
+step label) and each static event's invocation once, and builds one
+state per transition unless the residual's `finished` reads the
+stepped state.
+
+A component's program counter `pc.<component>` is `-` while it is idle
+and `<event name>#<n>` inside an event, where `n` numbers the event's
+residual programs in the order the build first reaches each one (a
+residual that is finished gives `-`).  Numbers are handed out at first
+reach, never ahead of the search, so they follow the exploration order
+alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping
 
 from .core import (
@@ -55,37 +72,57 @@ class _Done:
 Done = _Done()
 
 
-@dataclass(frozen=True)
-class Basic:
+class _Shape:
+    """Base of the program shapes: frozen dataclasses that hash their
+    fields once, as `ActionId` does, since residual programs key the pc
+    tables and the plans' residual caches."""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(tuple(
+            getattr(self, f.name) for f in fields(self))))
+
+    def _cached_hash(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
+
+
+def _shape(cls):
+    """A frozen dataclass over `cls` that keeps `_Shape`'s cached hash."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = _Shape._cached_hash
+    return cls
+
+
+@_shape
+class Basic(_Shape):
     """One atomic deterministic update."""
 
     update: Update
     label: str
 
 
-@dataclass(frozen=True)
-class Atomic:
+@_shape
+class Atomic(_Shape):
     """One atomic set-valued update (internal nondeterminism)."""
 
     relation: Callable[[State], Iterable[Mapping[str, Value]]]
     label: str
 
 
-@dataclass(frozen=True)
-class Seq:
+@_shape
+class Seq(_Shape):
     first: "Prog"
     rest: "Prog"
 
 
-@dataclass(frozen=True)
-class Cond:
+@_shape
+class Cond(_Shape):
     pred: Predicate
     then: "Prog"
     orelse: "Prog"
 
 
-@dataclass(frozen=True)
-class While:
+@_shape
+class While(_Shape):
     """Bounded loop; exhausting the bound is a modeling error."""
 
     pred: Predicate
@@ -93,8 +130,8 @@ class While:
     bound: int
 
 
-@dataclass(frozen=True)
-class Await:
+@_shape
+class Await(_Shape):
     """Blocks until `pred` holds, then runs `body` as one atomic step.
 
     A blocked Await is not enabled: it contributes no transition rather
@@ -126,22 +163,157 @@ def lock_acquire(var: str, holder: Value, label: str = "lock") -> Await:
                  label)
 
 
+# ---------------------------------------------------------------------------
+# Plans: each node compiled once
+# ---------------------------------------------------------------------------
+
+#: A move: the plan of the atomic leaf (Basic, Atomic or Await) a node
+#: fires next, and the residual program left after it.
+Move = tuple["_Plan", Prog]
+
+
+class _Plan:
+    """What `finished` and `prog_step` do for one program node.
+
+    `finished(state)` is `finished`.  `move(state)` is the node's next
+    move, or None when it takes no step (it is finished, or its loop
+    test is false); a node fires at most one leaf per state.  `done` is
+    `finished`'s value when it never reads the state (always for a node
+    with no Cond or While), else None; when it is False, `move` reads no
+    state either and returns one move.  A leaf's plan also has its step
+    `label` and `updates(state)`: the assignments its step may make,
+    none when an Await is blocked.
+    """
+
+    __slots__ = ("finished", "move", "done", "label", "updates")
+
+    def __init__(self, finished: Callable[[State], bool],
+                 move: Callable[[State], Move | None], done: bool | None,
+                 label: str | None = None,
+                 updates: Callable[[State], tuple] | None = None) -> None:
+        self.finished = finished
+        self.move = move
+        self.done = done
+        self.label = label
+        self.updates = updates
+
+
+def _never(state: State) -> bool:
+    return False
+
+
+def _no_move(state: State) -> None:
+    return None
+
+
+_Done._compiled = _Plan(lambda state: True, _no_move, True)
+
+
+def _plan(prog: Prog) -> _Plan:
+    """The plan of `prog`, compiled on first use and kept on the node."""
+    plan = getattr(prog, "_compiled", None)
+    if plan is None:
+        plan = _compile(prog)
+        if isinstance(prog, _Shape):
+            object.__setattr__(prog, "_compiled", plan)
+    return plan
+
+
+def _leaf(label: str, updates: Callable[[State], tuple]) -> _Plan:
+    plan = _Plan(_never, _no_move, False, label, updates)
+    move = (plan, Done)
+    plan.move = lambda state: move
+    return plan
+
+
+def _compile(prog: Prog) -> _Plan:
+    if isinstance(prog, Basic):
+        update = prog.update
+        return _leaf(prog.label, lambda state: (update(state),))
+    if isinstance(prog, Atomic):
+        relation = prog.relation
+        return _leaf(prog.label, lambda state: tuple(relation(state)))
+    if isinstance(prog, Await):
+        pred, body = prog.pred, prog.body
+        if isinstance(body, Basic):
+            # A one-step body needs no intermediate state.
+            run = body.update
+        else:
+            def run(state: State) -> Mapping[str, Value]:
+                return dict(run_atomic(body, state).items)
+        return _leaf(prog.label,
+                     lambda state: (run(state),) if pred(state) else ())
+    if isinstance(prog, Seq):
+        return _compile_seq(prog)
+    if isinstance(prog, Cond):
+        pred, then, orelse = prog.pred, _plan(prog.then), _plan(prog.orelse)
+        return _Plan(
+            lambda state: (then if pred(state) else orelse).finished(state),
+            lambda state: (then if pred(state) else orelse).move(state), None)
+    if isinstance(prog, While):
+        return _compile_while(prog)
+
+    def unknown(state: State) -> None:
+        raise ModelError(f"unknown program shape: {prog!r}")
+
+    return _Plan(_never, unknown, False)
+
+
+def _compile_seq(prog: Seq) -> _Plan:
+    first, rest = _plan(prog.first), _plan(prog.rest)
+    if first.done:
+        return rest
+    # first's move -> the Seq's move, keeping the rest after its residual
+    after: dict[Move, Move] = {}
+
+    def then(move: Move | None) -> Move | None:
+        if move is None:
+            return None
+        mapped = after.get(move)
+        if mapped is None:
+            leaf, residual = move
+            mapped = after[move] = (leaf, prog.rest if residual is Done
+                                    else Seq(residual, prog.rest))
+        return mapped
+
+    first_move = first.move
+    if first.done is False:
+        return _Plan(_never, lambda state: then(first_move(state)), False)
+    first_finished, rest_finished, rest_move = \
+        first.finished, rest.finished, rest.move
+    return _Plan(
+        lambda state: first_finished(state) and rest_finished(state),
+        lambda state: rest_move(state) if first_finished(state)
+        else then(first_move(state)),
+        None)
+
+
+def _compile_while(prog: While) -> _Plan:
+    pred = prog.pred
+    unrolled: list[_Plan] = []  # the next iteration's plan, once reached
+
+    def move(state: State) -> Move | None:
+        if not pred(state):
+            return None
+        if prog.bound <= 0:
+            raise ModelError(
+                f"loop iteration bound exhausted inside step program "
+                f"(state {state.serialize()})")
+        if not unrolled:
+            unrolled.append(_plan(Seq(prog.body, While(
+                pred, prog.body, prog.bound - 1))))
+        return unrolled[0].move(state)
+
+    return _Plan(lambda state: not pred(state), move, None)
+
+
 def finished(prog: Prog, state: State) -> bool:
     """True when `prog` has no step left to take in `state` and is complete.
 
     A While whose predicate is false is complete; a blocked Await is NOT
     (it is waiting, not done).
     """
-    if prog is Done:
-        return True
-    if isinstance(prog, While):
-        return not prog.pred(state)
-    if isinstance(prog, Seq):
-        return finished(prog.first, state) and finished(prog.rest, state)
-    if isinstance(prog, Cond):
-        branch = prog.then if prog.pred(state) else prog.orelse
-        return finished(branch, state)
-    return False
+    return _plan(prog).finished(state)
 
 
 def prog_step(prog: Prog, state: State) -> tuple[tuple[str, Prog, State], ...]:
@@ -151,39 +323,14 @@ def prog_step(prog: Prog, state: State) -> tuple[tuple[str, Prog, State], ...]:
     into the next labeled step, so every returned element consumed exactly
     one labeled action.  Returns () when the program is finished or blocked.
     """
-    if prog is Done:
+    move = _plan(prog).move(state)
+    if move is None:
         return ()
-    if isinstance(prog, Basic):
-        return ((prog.label, Done, state.assign(prog.update(state))),)
-    if isinstance(prog, Atomic):
-        outcomes = tuple(state.assign(u) for u in prog.relation(state))
-        return tuple((prog.label, Done, s2)
-                     for s2 in sorted(set(outcomes), key=State.serialize))
-    if isinstance(prog, Await):
-        if not prog.pred(state):
-            return ()
-        return ((prog.label, Done, run_atomic(prog.body, state)),)
-    if isinstance(prog, Seq):
-        if finished(prog.first, state):
-            return prog_step(prog.rest, state)
-        out = []
-        for label, residual, stepped in prog_step(prog.first, state):
-            rest = prog.rest if residual is Done else Seq(residual, prog.rest)
-            out.append((label, rest, stepped))
-        return tuple(out)
-    if isinstance(prog, Cond):
-        branch = prog.then if prog.pred(state) else prog.orelse
-        return prog_step(branch, state)
-    if isinstance(prog, While):
-        if not prog.pred(state):
-            return ()
-        if prog.bound <= 0:
-            raise ModelError(
-                f"loop iteration bound exhausted inside step program "
-                f"(state {state.serialize()})")
-        return prog_step(Seq(prog.body, While(prog.pred, prog.body, prog.bound - 1)),
-                         state)
-    raise ModelError(f"unknown program shape: {prog!r}")
+    leaf, residual = move
+    outcomes = [state.assign(u) for u in leaf.updates(state)]
+    if len(outcomes) > 1:
+        outcomes = sorted(set(outcomes), key=State.serialize)
+    return tuple((leaf.label, residual, s) for s in outcomes)
 
 
 def run_atomic(prog: Prog, state: State) -> State:
@@ -278,29 +425,111 @@ def _pc_var(component: str) -> str:
     return f"pc.{component}"
 
 
-@dataclass
-class _Compilation:
-    """Mutable compile-time tables mapping program points to pc values."""
+# ---------------------------------------------------------------------------
+# Compilation
+# ---------------------------------------------------------------------------
 
-    # (component, event label with domain suffix, residual prog) -> pc value
-    encode: dict[tuple[str, str, object], str] = field(default_factory=dict)
-    # (component, pc value) -> (event, event name with suffix, residual prog)
-    decode: dict[tuple[str, str], tuple[Event, str, object]] = field(default_factory=dict)
-    counters: dict[tuple[str, str], int] = field(default_factory=dict)
+_NO_UPDATES = ({},)
 
-    def pc_value(self, component: str, event: Event, name: str, residual: object,
-                 state: State) -> str:
-        if finished(residual, state):
-            return IDLE
-        key = (component, name, residual)
-        value = self.encode.get(key)
+
+def _no_updates(state: State) -> tuple:
+    return _NO_UPDATES
+
+
+class _Handler:
+    """An event invoked on one component, under its name with any domain
+    suffix: its actions by step label and its residuals' pc values.
+
+    `points` is the component's pc value -> program point table, shared
+    by its handlers.
+    """
+
+    def __init__(self, comp: str, name: str, domain: str, body: Prog,
+                 points: dict[str, "_Point"],
+                 action_of: Callable[[str, str], tuple[ActionId, str]]) -> None:
+        self.prefix = f"{comp}/{name}/"
+        self.name = name
+        self.pc_var = _pc_var(comp)
+        self.points = points
+        self._action_of = action_of
+        self.numbers: dict[Prog, str] = {}
+        invoke, self.domain = action_of(self.prefix + INVOKE, domain)
+        self.invocation = _Step(self, invoke, _no_updates, body)
+
+    def action(self, label: str) -> ActionId:
+        return self._action_of(self.prefix + label, self.domain)[0]
+
+    def pc(self, residual: Prog) -> str:
+        """The pc value of an unfinished residual, numbered at first use."""
+        value = self.numbers.get(residual)
         if value is None:
-            n = self.counters.get((component, name), 0)
-            self.counters[(component, name)] = n + 1
-            value = f"{name}#{n}"
-            self.encode[key] = value
-            self.decode[(component, value)] = (event, name, residual)
+            value = self.numbers[residual] = f"{self.name}#{len(self.numbers)}"
+            self.points[value] = _Point(self, residual)
         return value
+
+
+class _Point:
+    """A program point: a handler's residual program, with its moves;
+    `fixed` is the step of a point whose move reads no state, once
+    taken."""
+
+    __slots__ = ("handler", "plan", "steps", "fixed")
+
+    def __init__(self, handler: _Handler, residual: Prog) -> None:
+        self.handler = handler
+        self.plan = _plan(residual)
+        self.steps: dict[Move, _Step] = {}
+        self.fixed: _Step | None = None
+
+    def step(self, move: Move) -> "_Step":
+        step = self.steps.get(move)
+        if step is None:
+            leaf, rest = move
+            step = self.steps[move] = _Step(
+                self.handler, self.handler.action(leaf.label), leaf.updates,
+                rest)
+            if self.plan.done is False:
+                self.fixed = step
+        return step
+
+
+class _Step:
+    """One move of a component, or an invocation: its action, its
+    updates and the residual it leaves, with that residual's pc value
+    once known when `finished` decides it without reading the state."""
+
+    __slots__ = ("handler", "pc_var", "action", "updates", "rest",
+                 "finished", "pc")
+
+    def __init__(self, handler: _Handler, action: ActionId,
+                 updates: Callable[[State], tuple], rest: Prog) -> None:
+        self.handler = handler
+        self.pc_var = handler.pc_var
+        self.action = action
+        self.updates = updates
+        self.rest = rest
+        plan = _plan(rest)
+        # the residual's `finished` when it reads the state, else None
+        self.finished = plan.finished if plan.done is None else None
+        self.pc = IDLE if plan.done else None
+
+    def fire(self, state: State, out: list[tuple[ActionId, State]]) -> None:
+        updates = self.updates(state)
+        if not updates:
+            return
+        pc_var = self.pc_var
+        if self.finished is not None:
+            for u in updates:
+                stepped = state.assign(u)
+                pc = IDLE if self.finished(stepped) \
+                    else self.handler.pc(self.rest)
+                out.append((self.action, stepped.assign({pc_var: pc})))
+            return
+        pc = self.pc
+        if pc is None:
+            pc = self.pc = self.handler.pc(self.rest)
+        for u in updates:
+            out.append((self.action, state.assign({**u, pc_var: pc})))
 
 
 def compile_system(system: ConcurrentSystem,
@@ -316,7 +545,6 @@ def compile_system(system: ConcurrentSystem,
     """
     system.validate()
 
-    tables = _Compilation()
     initial_vars = dict(system.initial)
     for comp in system.components:
         initial_vars[_pc_var(comp)] = IDLE
@@ -325,34 +553,56 @@ def compile_system(system: ConcurrentSystem,
     # One ActionId per label, with the domain its event resolved to.
     interned: dict[str, tuple[ActionId, str]] = {}
 
-    def action_of(label: str, domain: str) -> ActionId:
+    def action_of(label: str, domain: str) -> tuple[ActionId, str]:
         entry = interned.get(label)
         if entry is None:
             entry = interned[label] = (ActionId(label), domain)
-        return entry[0]
+        return entry
+
+    handlers: dict[tuple[str, str], _Handler] = {}
+
+    def invocation(comp: str, event: Event, state: State,
+                   points: dict[str, _Point]) -> _Step:
+        domain = event.resolve_domain(state)
+        name = event.label if event.domain_is_static() \
+            else f"{event.label}@{domain}"
+        handler = handlers.get((comp, name))
+        if handler is None:
+            handler = handlers[(comp, name)] = _Handler(
+                comp, name, domain, event.body, points, action_of)
+        return handler.invocation
+
+    # Per component: its pc's position in the values, its events each
+    # with its invocation once a static domain resolved it, and its
+    # pc value -> program point table.
+    rows = [(comp, initial.names.index(_pc_var(comp)),
+             [[event, None] for event in system.pool[comp]], {})
+            for comp in system.components]
 
     def successors(state: State) -> list[tuple[ActionId, State]]:
         out: list[tuple[ActionId, State]] = []
-        for comp in system.components:
-            pc_var = _pc_var(comp)
-            pc = state[pc_var]
+        values = state.values
+        for comp, position, events, points in rows:
+            pc = values[position]
             if pc == IDLE:
-                for event in system.pool[comp]:
+                for entry in events:
+                    event, step = entry
                     if not event.guard(state):
                         continue
-                    domain = event.resolve_domain(state)
-                    name = event.label if event.domain_is_static() \
-                        else f"{event.label}@{domain}"
-                    action = action_of(f"{comp}/{name}/{INVOKE}", domain)
-                    pc_next = tables.pc_value(comp, event, name, event.body, state)
-                    out.append((action, state.assign({pc_var: pc_next})))
+                    if step is None:
+                        step = invocation(comp, event, state, points)
+                        if event.domain_is_static():
+                            entry[1] = step
+                    step.fire(state, out)
             else:
-                event, name, residual = tables.decode[(comp, pc)]
-                _, domain = interned[f"{comp}/{name}/{INVOKE}"]
-                for label, rest, stepped in prog_step(residual, state):
-                    action = action_of(f"{comp}/{name}/{label}", domain)
-                    pc_next = tables.pc_value(comp, event, name, rest, stepped)
-                    out.append((action, stepped.assign({pc_var: pc_next})))
+                point = points[pc]
+                step = point.fixed
+                if step is None:
+                    move = point.plan.move(state)
+                    if move is None:
+                        continue
+                    step = point.step(move)
+                step.fire(state, out)
         return out
 
     machine = build_machine(initial, successors, budget)

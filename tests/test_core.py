@@ -79,6 +79,23 @@ class TestState:
         assert render_value("msg") == "msg"
         assert render_value(()) == "[]"
 
+    @pytest.mark.parametrize("values", [
+        (1, True), (True, 1), (0, False), (False, 0), ((1,), (True,)),
+        ((True,), (1,)), (("a", (0,)), ("a", (False,)))])
+    def test_serialization_cache_tells_equal_values_of_two_types_apart(
+            self, values):
+        # One schema, so one fragment cache, sees both values of x.
+        first = State({"x": values[0], "y": "a"})
+        states = [first, first.assign({"x": values[1]})]
+
+        def uncached(state):
+            return ";".join(f"{name}={render_value(value)}"
+                            for name, value in state.items)
+
+        assert [s.serialize() for s in states] == [uncached(s) for s in states]
+        assert [s.serialize() for s in sorted(states)] == \
+            sorted(uncached(s) for s in states)
+
     def test_assign_replaces_without_mutating(self):
         s = State({"x": 0, "y": 1})
         t = s.assign({"x": 5})

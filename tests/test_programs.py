@@ -2,16 +2,31 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ifsec
 
-from ifsec.core import ActionId, BudgetError, ModelError, State
+from ifsec.core import (
+    ActionId,
+    BudgetError,
+    Exploration,
+    ModelError,
+    State,
+    UsageError,
+    render_value,
+    sort_actions,
+)
+from ifsec.models import arinc, auction, demo, get_model
 from ifsec.programs import (
+    IDLE,
+    Atomic,
     Await,
     Basic,
     Cond,
@@ -270,3 +285,327 @@ def _next_labels(sys_, state, comp):
         if a.label.startswith(f"{comp}/") and (state, a) in sys_.machine.transitions:
             out.append(a.label.rsplit("/", 1)[1])
     return out
+
+
+# ---------------------------------------------------------------------------
+# Oracle compiler: the interpreter the plans replaced
+# ---------------------------------------------------------------------------
+
+def serial(state):
+    """`State.serialize` without its fragment cache."""
+    return ";".join(f"{name}={render_value(value)}"
+                    for name, value in zip(state.names, state.values))
+
+
+def oracle_finished(prog, state):
+    if prog is Done:
+        return True
+    if isinstance(prog, While):
+        return not prog.pred(state)
+    if isinstance(prog, Seq):
+        return oracle_finished(prog.first, state) and \
+            oracle_finished(prog.rest, state)
+    if isinstance(prog, Cond):
+        branch = prog.then if prog.pred(state) else prog.orelse
+        return oracle_finished(branch, state)
+    return False
+
+
+def oracle_prog_step(prog, state):
+    """`prog_step` by interpreting the syntax on every call."""
+    if prog is Done:
+        return ()
+    if isinstance(prog, Basic):
+        return ((prog.label, Done, state.assign(prog.update(state))),)
+    if isinstance(prog, Atomic):
+        outcomes = tuple(state.assign(u) for u in prog.relation(state))
+        return tuple((prog.label, Done, s2)
+                     for s2 in sorted(set(outcomes), key=serial))
+    if isinstance(prog, Await):
+        if not prog.pred(state):
+            return ()
+        return ((prog.label, Done, oracle_run_atomic(prog.body, state)),)
+    if isinstance(prog, Seq):
+        if oracle_finished(prog.first, state):
+            return oracle_prog_step(prog.rest, state)
+        out = []
+        for label, residual, stepped in oracle_prog_step(prog.first, state):
+            rest = prog.rest if residual is Done else Seq(residual, prog.rest)
+            out.append((label, rest, stepped))
+        return tuple(out)
+    if isinstance(prog, Cond):
+        branch = prog.then if prog.pred(state) else prog.orelse
+        return oracle_prog_step(branch, state)
+    if isinstance(prog, While):
+        if not prog.pred(state):
+            return ()
+        if prog.bound <= 0:
+            raise ModelError(
+                f"loop iteration bound exhausted inside step program "
+                f"(state {serial(state)})")
+        return oracle_prog_step(
+            Seq(prog.body, While(prog.pred, prog.body, prog.bound - 1)), state)
+    raise ModelError(f"unknown program shape: {prog!r}")
+
+
+def oracle_run_atomic(prog, state):
+    current, s = prog, state
+    for _ in range(1000):
+        if oracle_finished(current, s):
+            return s
+        steps = oracle_prog_step(current, s)
+        if len(steps) != 1:
+            kind = "blocks" if not steps else "is nondeterministic"
+            raise ModelError(f"atomic body {kind}; it must run straight through")
+        _, current, s = steps[0]
+    raise ModelError("atomic body exceeded the step ceiling; probable loop")
+
+
+def oracle_compile(system, budget=None):
+    """The machine `compile_system` builds, as (by_id, actions, tables,
+    initial id, dom): successors by `oracle_prog_step` with a pc value
+    looked up per step, grouped in a set per action and ranked by
+    uncached serialization."""
+    system.validate()
+    encode, decode, counters = {}, {}, {}
+
+    def pc_value(comp, event, name, residual, state):
+        if oracle_finished(residual, state):
+            return IDLE
+        key = (comp, name, residual)
+        value = encode.get(key)
+        if value is None:
+            n = counters.get((comp, name), 0)
+            counters[(comp, name)] = n + 1
+            value = encode[key] = f"{name}#{n}"
+            decode[(comp, value)] = (event, name, residual)
+        return value
+
+    initial = State({**system.initial,
+                     **{f"pc.{comp}": IDLE for comp in system.components}})
+    interned = {}
+
+    def action_of(label, domain):
+        entry = interned.get(label)
+        if entry is None:
+            entry = interned[label] = (ActionId(label), domain)
+        return entry[0]
+
+    def successors(state):
+        out = []
+        for comp in system.components:
+            pc_var = f"pc.{comp}"
+            pc = state[pc_var]
+            if pc == IDLE:
+                for event in system.pool[comp]:
+                    if not event.guard(state):
+                        continue
+                    domain = event.resolve_domain(state)
+                    name = event.label if event.domain_is_static() \
+                        else f"{event.label}@{domain}"
+                    action = action_of(f"{comp}/{name}/invoke", domain)
+                    pc_next = pc_value(comp, event, name, event.body, state)
+                    out.append((action, state.assign({pc_var: pc_next})))
+            else:
+                event, name, residual = decode[(comp, pc)]
+                _, domain = interned[f"{comp}/{name}/invoke"]
+                for label, rest, stepped in oracle_prog_step(residual, state):
+                    action = action_of(f"{comp}/{name}/{label}", domain)
+                    pc_next = pc_value(comp, event, name, rest, stepped)
+                    out.append((action, stepped.assign({pc_var: pc_next})))
+        return out
+
+    search = Exploration(initial, budget)
+    rows = []
+    for state in search:
+        grouped = {}
+        for action, succ in successors(state):
+            grouped.setdefault(action, set()).add(succ)
+        rows.append([
+            (action, [search.add(succ, state, action) for succ in (
+                sorted(succs, key=serial) if len(succs) > 1 else succs)])
+            for action, succs in grouped.items()])
+    order = search.order
+    ranked = sorted(range(len(order)), key=lambda k: serial(order[k]))
+    new_id = {k: i for i, k in enumerate(ranked)}
+    actions = sort_actions({action for row in rows for action, _ in row})
+    tables = {action: {} for action in actions}
+    for i, k in enumerate(ranked):
+        for action, targets in rows[k]:
+            tables[action][i] = tuple(new_id[j] for j in targets)
+    return (tuple(order[k] for k in ranked), actions, list(tables.values()),
+            new_id[0], {a: interned[a.label][1] for a in actions})
+
+
+def failure_text(run, *args):
+    """What `run` returns, or the type and text of the error it raises."""
+    try:
+        return run(*args)
+    except (ModelError, BudgetError, UsageError) as error:
+        return f"{type(error).__name__}: {error}"
+
+
+def assert_compiles_like_oracle(system, domains, policy=(), observe=None,
+                                budget=None):
+    """compile_system gives the oracle's machine (serializations, states,
+    actions, tables, initial id, dom, so every pc value) or its error."""
+    want = failure_text(oracle_compile, system, budget)
+    got = failure_text(compile_system, system, domains, policy,
+                       observe or (lambda d, s: None), budget)
+    if isinstance(want, str):
+        assert got == want
+        return
+    by_id, actions, tables, initial_id, dom = want
+    machine = got.machine
+    assert [s.serialize() for s in machine.by_id] == [serial(s) for s in by_id]
+    assert machine.by_id == by_id
+    assert machine.actions == actions
+    assert list(machine.successor_ids) == tables
+    assert machine.initial_id == initial_id
+    assert dict(got.config.dom) == dom
+
+
+VARS = ("x", "y")
+
+
+@st.composite
+def step_programs(draw, labels, depth=0):
+    """A program over x and y in 0..2 with fresh labels from `labels`:
+    Basic (set or add), Atomic with 0..3 outcomes (repeats allowed), Await whose body
+    may take several steps, branch, block or fork, and below depth 2
+    Seq, Cond, While with a bound of 0..2, or Done."""
+    kinds = ["basic", "atomic", "await"]
+    if depth < 2:
+        kinds += ["seq", "seq", "cond", "while", "done"]
+    kind = draw(st.sampled_from(kinds))
+
+    def var():
+        return draw(st.sampled_from(VARS))
+
+    def bump():
+        v, k = var(), draw(st.integers(0, 2))
+        if draw(st.booleans()):
+            return lambda s: {v: k}
+        return lambda s: {v: (s[v] + k) % 3}
+
+    def test():
+        v, c = var(), draw(st.integers(0, 2))
+        return lambda s: s[v] == c
+
+    def inner():
+        return draw(step_programs(labels, depth + 1))
+
+    if kind == "basic":
+        return Basic(bump(), next(labels))
+    if kind == "atomic":
+        outcomes = draw(st.lists(st.tuples(st.sampled_from(VARS),
+                                           st.integers(0, 2)), max_size=3))
+        return Atomic(lambda s: [{v: (s[v] + k) % 3} for v, k in outcomes],
+                      next(labels))
+    if kind == "await":
+        body = draw(st.sampled_from(["basic", "steps", "fork", "block",
+                                     "branch"]))
+        if body == "basic":
+            prog = Basic(bump(), "b")
+        elif body == "steps":
+            prog = seq(Basic(bump(), "b1"), Basic(bump(), "b2"))
+        elif body == "fork":
+            prog = Atomic(lambda s: [{"x": 0}, {"x": 1}], "b")
+        elif body == "block":
+            prog = Await(test(), Basic(bump(), "b1"), "b2")
+        else:
+            prog = Cond(test(), Basic(bump(), "b1"), Done)
+        return Await(test(), prog, next(labels))
+    if kind == "seq":
+        return Seq(inner(), inner())
+    if kind == "cond":
+        return Cond(test(), inner(), inner())
+    if kind == "while":
+        v, c = var(), draw(st.integers(0, 2))
+        return While(lambda s: s[v] != c, inner(), draw(st.integers(0, 2)))
+    return Done
+
+
+@st.composite
+def concurrent_systems(draw):
+    """One or two components, each with one or two events whose guard
+    may test a variable and whose domain is d0, d1, or resolved from x;
+    a budget of None or 1..6 states."""
+    labels = (f"s{n}" for n in itertools.count())
+    pool = {}
+    components = ("a", "b")[:draw(st.integers(1, 2))]
+    for comp in components:
+        events = []
+        for e in range(draw(st.integers(1, 2))):
+            v, c = draw(st.sampled_from(VARS)), draw(st.integers(0, 2))
+            guard = (lambda s: True) if draw(st.booleans()) \
+                else (lambda s, v=v, c=c: s[v] != c)
+            domain = draw(st.sampled_from(["d0", "d1", "by-x"]))
+            if domain == "by-x":
+                domain = lambda s: ("d0", "d1")[s["x"] % 2]  # noqa: E731
+            events.append(Event(f"e{e}", guard,
+                                draw(step_programs(labels)), domain))
+        pool[comp] = tuple(events)
+    initial = {v: draw(st.integers(0, 2)) for v in VARS}
+    budget = draw(st.one_of(st.none(), st.none(), st.integers(1, 6)))
+    return ConcurrentSystem(components, pool, initial), budget
+
+
+def residuals(prog):
+    """`prog` and the residuals its steps reach from any x, y in 0..2,
+    with the states, by the oracle; a step that raises ends that path."""
+    states = [State({"x": x, "y": y}) for x in range(3) for y in range(3)]
+    seen, frontier = [prog], [prog]
+    while frontier:
+        p = frontier.pop()
+        for s in states:
+            steps = failure_text(oracle_prog_step, p, s)
+            for _, rest, _ in () if isinstance(steps, str) else steps:
+                if rest not in seen:
+                    seen.append(rest)
+                    frontier.append(rest)
+    return seen, states
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(concurrent_systems())
+def test_compile_matches_interpreter_oracle(example):
+    """Generated systems compile to the oracle's machine, or fail with its
+    ModelError (exhausted While bound, blocking or forking atomic body)
+    or BudgetError text; `prog_step` and `finished` agree with the
+    oracle's on every residual of every event body."""
+    system, budget = example
+    assert_compiles_like_oracle(system, ("d0", "d1"), budget=budget)
+    for events in system.pool.values():
+        for event in events:
+            progs, states = residuals(event.body)
+            for prog in progs:
+                for s in states:
+                    assert failure_text(prog_step, prog, s) == \
+                        failure_text(oracle_prog_step, prog, s)
+                    assert finished(prog, s) == oracle_finished(prog, s)
+
+
+#: Built-ins at the sizes the benchmark runs them.
+BUILTIN_SIZES = [("demo", {"messages": 2}), ("demo", {"capacity": 2}),
+                 ("demo-insecure-counter", {"threads": 2}), ("arinc", {}),
+                 ("arinc-queuing-mode", {}), ("arinc-port-id", {}),
+                 ("auction", {})]
+
+
+@pytest.mark.parametrize("name,params", BUILTIN_SIZES,
+                         ids=[name + "".join(f"-{k}{v}" for k, v in p.items())
+                              for name, p in BUILTIN_SIZES])
+def test_builtins_compile_like_interpreter_oracle(monkeypatch, name, params):
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return compile_system(*args)
+
+    for module in (demo, arinc, auction):
+        monkeypatch.setattr(module, "compile_system", recording)
+    get_model(name, **params)
+    assert len(calls) == 2
+    for system, domains, policy, observe, budget in calls:
+        assert_compiles_like_oracle(system, domains, policy, observe, budget)

@@ -1124,6 +1124,16 @@ def breaks_a_concrete_rely(pair, rg, pairs):
                for other in rg.contracts if other != rg.component(action))
 
 
+def leaves_alpha_silently(pair, pairs):
+    """Whether a silent step from one of `pairs` reaches a state alpha
+    does not relate to the pair's abstract state."""
+    machine = pair.concrete.machine
+    return any(not pair.alpha.holds(successor, sigma)
+               for s, sigma in pairs for action in machine.actions
+               if pair.zeta.map(action) is TAU
+               for successor in machine.step(s, action))
+
+
 @settings(max_examples=500, derandomize=True, deadline=None)
 @given(generated_pairs())
 def test_id_refinement_matches_state_oracles(example):
@@ -1133,8 +1143,9 @@ def test_id_refinement_matches_state_oracles(example):
     replays.
 
     Lemma 4 checks no witnessed concrete move, so a step that breaks
-    another component's concrete rely must fail lemma 3; and passing
-    lemmas must imply the joint step conditions."""
+    another component's concrete rely must fail lemma 3; a silent step
+    that leaves alpha must fail lemma 1, whatever lemma 3 says; and
+    passing lemmas must imply the joint step conditions."""
     pair, rg, budget = example
     joint, lemmas = assert_matches_oracles(pair, rg, budget)
     if isinstance(lemmas, CompositionalReport):
@@ -1143,6 +1154,8 @@ def test_id_refinement_matches_state_oracles(example):
                 assert lemma_violated(pair, rg, name, verdict.witness)
         if breaks_a_concrete_rely(pair, rg, joint.pairs):
             assert lemmas.lemma3.status == "fail"
+        if joint.c1.ok and leaves_alpha_silently(pair, joint.pairs):
+            assert lemmas.lemma1.status == "fail"
         assert lemmas.cross_check.status != "fail"
 
 

@@ -167,9 +167,10 @@ def lock_acquire(var: str, holder: Value, label: str = "lock") -> Await:
 # Plans: each node compiled once
 # ---------------------------------------------------------------------------
 
-#: A move: the plan of the atomic leaf (Basic, Atomic or Await) a node
-#: fires next, and the residual program left after it.
-Move = tuple["_Plan", Prog]
+#: A move: the step label of the atomic leaf (Basic, Atomic or Await) a
+#: node fires next, the assignments that step may make in a state (none
+#: when an Await is blocked), and the residual program left after it.
+Move = tuple[str, Callable[[State], tuple], Prog]
 
 
 class _Plan:
@@ -180,22 +181,20 @@ class _Plan:
     test is false); a node fires at most one leaf per state.  `done` is
     `finished`'s value when it never reads the state (always for a node
     with no Cond or While), else None; when it is False, `move` reads no
-    state either and returns one move.  A leaf's plan also has its step
-    `label` and `updates(state)`: the assignments its step may make,
-    none when an Await is blocked.
+    state either and returns one move.
+
+    A plan refers to its node's children, never to its node, so the
+    node -> plan link makes no reference cycle.
     """
 
-    __slots__ = ("finished", "move", "done", "label", "updates")
+    __slots__ = ("finished", "move", "done")
 
     def __init__(self, finished: Callable[[State], bool],
-                 move: Callable[[State], Move | None], done: bool | None,
-                 label: str | None = None,
-                 updates: Callable[[State], tuple] | None = None) -> None:
+                 move: Callable[[State], Move | None],
+                 done: bool | None) -> None:
         self.finished = finished
         self.move = move
         self.done = done
-        self.label = label
-        self.updates = updates
 
 
 def _never(state: State) -> bool:
@@ -220,10 +219,8 @@ def _plan(prog: Prog) -> _Plan:
 
 
 def _leaf(label: str, updates: Callable[[State], tuple]) -> _Plan:
-    plan = _Plan(_never, _no_move, False, label, updates)
-    move = (plan, Done)
-    plan.move = lambda state: move
-    return plan
+    move = (label, updates, Done)
+    return _Plan(_never, lambda state: move, False)
 
 
 def _compile(prog: Prog) -> _Plan:
@@ -263,7 +260,8 @@ def _compile_seq(prog: Seq) -> _Plan:
     first, rest = _plan(prog.first), _plan(prog.rest)
     if first.done:
         return rest
-    # first's move -> the Seq's move, keeping the rest after its residual
+    tail = prog.rest
+    # first's move -> the Seq's move, keeping the tail after its residual
     after: dict[Move, Move] = {}
 
     def then(move: Move | None) -> Move | None:
@@ -271,9 +269,9 @@ def _compile_seq(prog: Seq) -> _Plan:
             return None
         mapped = after.get(move)
         if mapped is None:
-            leaf, residual = move
-            mapped = after[move] = (leaf, prog.rest if residual is Done
-                                    else Seq(residual, prog.rest))
+            label, updates, residual = move
+            mapped = after[move] = (label, updates, tail if residual is Done
+                                    else Seq(residual, tail))
         return mapped
 
     first_move = first.move
@@ -289,19 +287,18 @@ def _compile_seq(prog: Seq) -> _Plan:
 
 
 def _compile_while(prog: While) -> _Plan:
-    pred = prog.pred
+    pred, body, bound = prog.pred, prog.body, prog.bound
     unrolled: list[_Plan] = []  # the next iteration's plan, once reached
 
     def move(state: State) -> Move | None:
         if not pred(state):
             return None
-        if prog.bound <= 0:
+        if bound <= 0:
             raise ModelError(
                 f"loop iteration bound exhausted inside step program "
                 f"(state {state.serialize()})")
         if not unrolled:
-            unrolled.append(_plan(Seq(prog.body, While(
-                pred, prog.body, prog.bound - 1))))
+            unrolled.append(_plan(Seq(body, While(pred, body, bound - 1))))
         return unrolled[0].move(state)
 
     return _Plan(lambda state: not pred(state), move, None)
@@ -326,11 +323,11 @@ def prog_step(prog: Prog, state: State) -> tuple[tuple[str, Prog, State], ...]:
     move = _plan(prog).move(state)
     if move is None:
         return ()
-    leaf, residual = move
-    outcomes = [state.assign(u) for u in leaf.updates(state)]
+    label, updates, residual = move
+    outcomes = [state.assign(u) for u in updates(state)]
     if len(outcomes) > 1:
         outcomes = sorted(set(outcomes), key=State.serialize)
-    return tuple((leaf.label, residual, s) for s in outcomes)
+    return tuple((label, residual, s) for s in outcomes)
 
 
 def run_atomic(prog: Prog, state: State) -> State:
@@ -440,21 +437,21 @@ class _Handler:
     """An event invoked on one component, under its name with any domain
     suffix: its actions by step label and its residuals' pc values.
 
-    `points` is the component's pc value -> program point table, shared
-    by its handlers.
+    `decode` is the component's pc value -> (event name, residual)
+    table, shared by its handlers.  Nothing a handler holds refers back
+    to it, so the compile-time tables make no reference cycle.
     """
 
-    def __init__(self, comp: str, name: str, domain: str, body: Prog,
-                 points: dict[str, "_Point"],
+    def __init__(self, comp: str, name: str, domain: str,
+                 decode: dict[str, tuple[str, Prog]],
                  action_of: Callable[[str, str], tuple[ActionId, str]]) -> None:
         self.prefix = f"{comp}/{name}/"
         self.name = name
         self.pc_var = _pc_var(comp)
-        self.points = points
+        self.decode = decode
         self._action_of = action_of
         self.numbers: dict[Prog, str] = {}
-        invoke, self.domain = action_of(self.prefix + INVOKE, domain)
-        self.invocation = _Step(self, invoke, _no_updates, body)
+        self.invoke, self.domain = action_of(self.prefix + INVOKE, domain)
 
     def action(self, label: str) -> ActionId:
         return self._action_of(self.prefix + label, self.domain)[0]
@@ -464,7 +461,7 @@ class _Handler:
         value = self.numbers.get(residual)
         if value is None:
             value = self.numbers[residual] = f"{self.name}#{len(self.numbers)}"
-            self.points[value] = _Point(self, residual)
+            self.decode[value] = (self.name, residual)
         return value
 
 
@@ -484,10 +481,9 @@ class _Point:
     def step(self, move: Move) -> "_Step":
         step = self.steps.get(move)
         if step is None:
-            leaf, rest = move
+            label, updates, rest = move
             step = self.steps[move] = _Step(
-                self.handler, self.handler.action(leaf.label), leaf.updates,
-                rest)
+                self.handler, self.handler.action(label), updates, rest)
             if self.plan.done is False:
                 self.fixed = step
         return step
@@ -559,30 +555,33 @@ def compile_system(system: ConcurrentSystem,
             entry = interned[label] = (ActionId(label), domain)
         return entry
 
-    handlers: dict[tuple[str, str], _Handler] = {}
+    # (component, event name) -> its handler and its invocation
+    handlers: dict[tuple[str, str], tuple[_Handler, _Step]] = {}
 
     def invocation(comp: str, event: Event, state: State,
-                   points: dict[str, _Point]) -> _Step:
+                   decode: dict[str, tuple[str, Prog]]) -> _Step:
         domain = event.resolve_domain(state)
         name = event.label if event.domain_is_static() \
             else f"{event.label}@{domain}"
-        handler = handlers.get((comp, name))
-        if handler is None:
-            handler = handlers[(comp, name)] = _Handler(
-                comp, name, domain, event.body, points, action_of)
-        return handler.invocation
+        entry = handlers.get((comp, name))
+        if entry is None:
+            handler = _Handler(comp, name, domain, decode, action_of)
+            entry = handlers[(comp, name)] = (
+                handler, _Step(handler, handler.invoke, _no_updates,
+                               event.body))
+        return entry[1]
 
     # Per component: its pc's position in the values, its events each
-    # with its invocation once a static domain resolved it, and its
-    # pc value -> program point table.
+    # with its invocation once a static domain resolved it, its decode
+    # table and its pc value -> program point table.
     rows = [(comp, initial.names.index(_pc_var(comp)),
-             [[event, None] for event in system.pool[comp]], {})
+             [[event, None] for event in system.pool[comp]], {}, {})
             for comp in system.components]
 
     def successors(state: State) -> list[tuple[ActionId, State]]:
         out: list[tuple[ActionId, State]] = []
         values = state.values
-        for comp, position, events, points in rows:
+        for comp, position, events, decode, points in rows:
             pc = values[position]
             if pc == IDLE:
                 for entry in events:
@@ -590,12 +589,16 @@ def compile_system(system: ConcurrentSystem,
                     if not event.guard(state):
                         continue
                     if step is None:
-                        step = invocation(comp, event, state, points)
+                        step = invocation(comp, event, state, decode)
                         if event.domain_is_static():
                             entry[1] = step
                     step.fire(state, out)
             else:
-                point = points[pc]
+                point = points.get(pc)
+                if point is None:
+                    name, residual = decode[pc]
+                    point = points[pc] = _Point(handlers[(comp, name)][0],
+                                                residual)
                 step = point.fixed
                 if step is None:
                     move = point.plan.move(state)

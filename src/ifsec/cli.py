@@ -132,7 +132,9 @@ def _resolve_ref(base_dir: str, ref: str) -> str:
 
 
 def load_target(kind: str, target: str, params: dict[str, int],
-                budget: int | None) -> LoadedTarget:
+                budget: int | None, universe: bool = True) -> LoadedTarget:
+    """Resolve a check target. A model file's declared universe is built
+    only with `universe`; refinement files always build both levels'."""
     # For ni, --budget counts traces, not states.
     state_budget = None if kind == "ni" else budget
     if target in REGISTRY:
@@ -176,7 +178,8 @@ def load_target(kind: str, target: str, params: dict[str, int],
             pair, rg,
         )
 
-    system = elaborate_model(load_model(target), budget=state_budget)
+    system = elaborate_model(load_model(target), budget=state_budget,
+                             universe=universe)
     info = {"source": "file", "path": target, "files": files}
     return LoadedTarget(info, [("model", system)], None, None)
 
@@ -438,7 +441,8 @@ def cmd_check(args) -> int:
     _reject_stray_flags(args)
     params = {name: getattr(args, name) for name in MODEL_PARAM_FLAGS
               if getattr(args, name) is not None}
-    loaded = load_target(args.kind, args.target, params, args.budget)
+    loaded = load_target(args.kind, args.target, params, args.budget,
+                         universe=args.universe)
     _warn_missing_reflexive(loaded)
 
     counters: dict[str, int] = {}

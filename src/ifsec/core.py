@@ -201,8 +201,13 @@ class State:
             if i is None:
                 raise UsageError(f"state has no variable {name!r}")
             new[i] = value
+        return self.with_values(tuple(new))
+
+    def with_values(self, values: tuple) -> "State":
+        """A state over this state's schema holding `values`, given in
+        the order of `names`."""
         state = State.__new__(State)
-        state._set(self._schema, tuple(new))
+        state._set(self._schema, values)
         return state
 
     def serialize(self) -> str:

@@ -596,7 +596,13 @@ def compile_system(system: ConcurrentSystem,
             else:
                 point = points.get(pc)
                 if point is None:
-                    name, residual = decode[pc]
+                    entry = decode.get(pc)
+                    if entry is None:
+                        raise ModelError(
+                            f"component {comp!r} reached program counter "
+                            f"value {pc!r}, which none of its steps set: "
+                            f"a step update wrote {_pc_var(comp)!r}")
+                    name, residual = entry
                     point = points[pc] = _Point(handlers[(comp, name)][0],
                                                 residual)
                 step = point.fixed

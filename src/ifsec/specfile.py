@@ -61,7 +61,7 @@ import math
 import os.path
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from ifsec.core import (
     DEFAULT_STATE_BUDGET,
@@ -74,6 +74,7 @@ from ifsec.core import (
     State,
     StateMachine,
     Value,
+    build_machine,
     explore_ids,
     render_value,
     sort_actions,
@@ -825,12 +826,23 @@ def _read(path: str) -> str:
 # Elaboration
 # ---------------------------------------------------------------------------
 
-def elaborate_model(doc: ModelDocument, budget: int | None = None) -> SecureSystem:
+def elaborate_model(doc: ModelDocument, budget: int | None = None,
+                    universe: bool = True) -> SecureSystem:
     """Build the explicit system a model document describes.
 
-    The machine's states are the assignments reachable from the initial
-    one; the full declared product is attached as the universe so
-    universe-scoped checks can quantify over unreachable assignments.
+    The declared state space is the product of the variables' value
+    sets; a document declaring more than `budget` assignments (default
+    DEFAULT_STATE_BUDGET) is refused before anything is built.  The
+    machine's alphabet is every declared action, enabled or not, and
+    its `states` are the assignments reachable from the initial one.
+
+    With `universe`, the whole declared product is tabulated and kept
+    as the universe, so universe-scoped checks can quantify over
+    unreachable assignments: ids are serialization ranks over the
+    product.  Without it, `build_machine` explores from the initial
+    assignment and nothing else is built: `by_id` holds the reachable
+    assignments only and `universe` is None.  Both machines give each
+    reachable state the same successors under every action.
     """
     doc.validate()
     limit = DEFAULT_STATE_BUDGET if budget is None else budget
@@ -840,33 +852,39 @@ def elaborate_model(doc: ModelDocument, budget: int | None = None) -> SecureSyst
             f"declared state space has {size} assignments (limit {limit}); "
             "shrink a value set or raise --budget")
 
-    names = [v.name for v in doc.variables]
     initial = State({v.name: v.initial for v in doc.variables})
-    universe = tuple(sorted(
-        (initial.assign(dict(zip(names, combo)))
-         for combo in itertools.product(*(v.values for v in doc.variables))),
-        key=State.serialize))
-    ids = {state: i for i, state in enumerate(universe)}
-
     actions = sort_actions(ActionId(a.label) for a in doc.actions)
-    by_label = {a.label: a for a in doc.actions}
-    tables: list[dict[int, tuple[int, ...]]] = []
-    for action in actions:
-        rules = [(rule.pre, dict(rule.post))
-                 for rule in by_label[action.label].rules]
-        table = {}
-        for i, state in enumerate(universe):
-            successors = {
-                ids[state.assign(post)] for pre, post in rules
-                if all(state[var] == value for var, value in pre)}
-            if successors:
-                table[i] = tuple(sorted(successors))
-        tables.append(table)
+    successors = _compile_rules(doc, initial.names, actions)
 
-    search = explore_ids(ids[initial], actions, tables, budget=budget)
-    machine = StateMachine.from_tables(
-        universe, actions, tables, ids[initial],
-        state_ids=sorted(search.order), universe_ids=range(len(universe)))
+    if universe:
+        declared = {v.name: v.values for v in doc.variables}
+        by_id = tuple(sorted(
+            (initial.with_values(values) for values in itertools.product(
+                *(declared[name] for name in initial.names))),
+            key=State.serialize))
+        ids = {state.values: i for i, state in enumerate(by_id)}
+        tables: list[dict[int, tuple[int, ...]]] = [{} for _ in actions]
+        for i, state in enumerate(by_id):
+            for k, found in successors(state.values):
+                tables[k][i] = tuple(sorted({ids[values] for values in found}))
+        start = ids[initial.values]
+        search = explore_ids(start, actions, tables, budget=budget)
+        machine = StateMachine.from_tables(
+            by_id, actions, tables, start,
+            state_ids=sorted(search.order), universe_ids=range(len(by_id)))
+    else:
+        def steps(state: State) -> list[tuple[ActionId, State]]:
+            return [(actions[k], state.with_values(values))
+                    for k, found in successors(state.values)
+                    for values in found]
+
+        built = build_machine(initial, steps, budget)
+        # the declared alphabet: an action never enabled keeps an empty table
+        enabled = dict(zip(built.actions, built.successor_ids))
+        machine = StateMachine.from_tables(
+            built.by_id, actions, [enabled.get(a, {}) for a in actions],
+            built.initial_id)
+
     views = {domain: vars_ for domain, vars_ in doc.observe}
 
     def observe(domain: str, state: State) -> Value:
@@ -879,6 +897,42 @@ def elaborate_model(doc: ModelDocument, budget: int | None = None) -> SecureSyst
         observe=observe,
     )
     return SecureSystem(machine, config)
+
+
+def _compile_rules(doc: ModelDocument, names: tuple[str, ...],
+                   actions: tuple[ActionId, ...]
+                   ) -> Callable[[tuple], Iterator[tuple[int, list[tuple]]]]:
+    """The successor function of a document's rules over states' values
+    tuples, with variables at their positions in `names`.
+
+    It yields, in the order of `actions`, each enabled action's position
+    with the values its firing rules produce, one entry per rule (two
+    rules may produce the same values).
+    """
+    position = {name: i for i, name in enumerate(names)}
+    by_label = {a.label: a for a in doc.actions}
+    compiled = tuple(
+        (k, tuple((tuple((position[var], value) for var, value in rule.pre),
+                   tuple((position[var], value) for var, value in rule.post))
+                  for rule in by_label[action.label].rules))
+        for k, action in enumerate(actions))
+
+    def successors(values: tuple) -> Iterator[tuple[int, list[tuple]]]:
+        for k, rules in compiled:
+            found = []
+            for pre, post in rules:
+                for i, value in pre:
+                    if values[i] != value:
+                        break
+                else:
+                    new = list(values)
+                    for i, value in post:
+                        new[i] = value
+                    found.append(tuple(new))
+            if found:
+                yield k, found
+
+    return successors
 
 
 def elaborate_refinement(doc: RefinementDocument, base_dir: str = ".",

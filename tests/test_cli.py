@@ -19,6 +19,7 @@ import pytest
 
 from ifsec.cli import PARAM_DEFAULTS, main
 from ifsec.models import ArincConfig, REGISTRY, build_auction, build_demo
+from ifsec.specfile import elaborate_model
 
 TOY = """\
 [domains]
@@ -411,6 +412,25 @@ class TestCheckBehavior:
                            "--universe")
         assert code == 0
         assert "scope: universe" in out
+
+    def test_only_universe_scoped_checks_and_replay_build_the_universe(
+            self, run, models, monkeypatch, tmp_path):
+        built = []
+
+        def spy(doc, **kwargs):
+            system = elaborate_model(doc, **kwargs)
+            built.append(system.machine.universe is not None)
+            return system
+
+        monkeypatch.setattr("ifsec.cli.elaborate_model", spy)
+        leaky = str(models / "leaky.ifs")
+        code, out, _ = run("check", "unwinding", leaky, "--json")
+        report = tmp_path / "report.json"
+        report.write_text(out, encoding="utf-8")
+        run("check", "ni", leaky)
+        run("check", "unwinding", leaky, "--universe")
+        assert (code, run("replay", str(report))[0]) == (1, 0)
+        assert built == [False, False, True, True]
 
     def test_ni_reports_trace_counts(self, run, models):
         code, out, _ = run("check", "ni", str(models / "toy.ifs"),

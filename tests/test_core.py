@@ -440,6 +440,8 @@ def machines():
     return {"demo concrete": demo.concrete.machine,
             "demo abstract": demo.abstract.machine,
             "sparse.ifs": elaborate_model(parse_model(SPARSE)).machine,
+            "sparse.ifs reachable": elaborate_model(
+                parse_model(SPARSE), universe=False).machine,
             "mapping": tiny_machine()}
 
 

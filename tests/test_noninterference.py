@@ -452,7 +452,8 @@ class TestUnwindingDisagreement:
     action and the purged run does not, which the unwinding conditions
     over raw steps do not see. Until that is settled these tests record
     the witnesses as they stand; each level's unwinding pass is asserted
-    beside its NI failure.
+    beside its NI failure. The last test is the smallest machine known
+    to disagree.
     """
 
     @staticmethod
@@ -477,3 +478,24 @@ class TestUnwindingDisagreement:
 
     def test_demo_concrete_t1_at_length_14(self):
         assert len(self.failing("demo", "concrete", "t1", 14).trace) == 14
+
+    def test_three_state_minimal_case(self):
+        # `lo` learns that `h` happened because its own `a` is enabled
+        # only after it: a disabled action adds no unwinding instance,
+        # while the purged run stutters on `a` and still sees x < 2.
+        x = [State({"x": v}) for v in range(3)]
+        h, a = ActionId("h"), ActionId("a")
+        machine = StateMachine(x, [a, h], {(x[0], h): (x[1],),
+                                           (x[1], a): (x[2],)}, x[0])
+        system = SecureSystem(machine, InfoFlowConfig(
+            domains=("hi", "lo"),
+            policy=frozenset({("hi", "hi"), ("lo", "lo"), ("lo", "hi")}),
+            dom={h: "hi", a: "lo"},
+            observe=lambda d, s: s["x"] >= 2 if d == "lo" else s["x"]))
+        assert check_unwinding(system).ok
+        assert check_ni(system, 1).ok
+        result = check_ni(system, 2)
+        c = result.counterexample
+        assert not result.ok and (c.domain, c.trace) == ("lo", (h, a))
+        assert c.purged == (a,)
+        assert ni_violated(system, c)

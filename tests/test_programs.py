@@ -278,6 +278,17 @@ class TestCompile:
         with pytest.raises(ModelError):
             compile_system(cs, ["d"], [], lambda d, s: None)
 
+    def test_step_writing_another_components_pc_is_a_model_error(self):
+        cs = ConcurrentSystem(
+            components=("a", "b"),
+            pool={"a": (Event("w", lambda s: True,
+                              Basic(lambda s: {"pc.b": "zz"}, "w"), "d"),),
+                  "b": (Event("v", lambda s: True, setv("x", 1, "v"), "d"),)},
+            initial={"x": 0},
+        )
+        with pytest.raises(ModelError, match=r"component 'b' .* value 'zz'"):
+            compile_system(cs, ["d"], [], lambda d, s: None)
+
 
 def _next_labels(sys_, state, comp):
     out = []

@@ -9,7 +9,7 @@ observe `y`, which must fail LR at `toggle`.
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ifsec.core import (
     BudgetError,
@@ -64,6 +64,40 @@ lo: x
 """
 
 LEAKY = TOY.replace("lo: x\n", "lo: x y\n")
+
+#: 729 declared assignments, 3 of them reachable: `tick` cycles c and
+#: writes a and b, and `never` is enabled only off the reachable set.
+SPARSE_SHAPED = """\
+[domains]
+hi
+lo
+
+[policy]
+hi -> hi
+lo -> hi
+lo -> lo
+
+[state]
+a in {0, 1, 2} = 0
+b in {0, 1, 2} = 0
+c in {0, 1, 2} = 0
+d in {0, 1, 2} = 0
+e in {0, 1, 2} = 0
+f in {0, 1, 2} = 0
+
+[actions]
+act tick lo
+  c=0 -> c:=1, a:=2
+  c=1 -> c:=2, b:=1
+  c=2 -> c:=0, a:=0, b:=0
+
+act never hi
+  d=1 -> d:=2
+
+[observe]
+hi: a b c d e f
+lo: c
+"""
 
 ABSTRACT_IFS = """\
 [domains]
@@ -365,6 +399,38 @@ class TestElaborateModel:
         with pytest.raises(BudgetError) as err:
             elaborate_model(parse_model(text), budget=10)
         assert "64" in str(err.value)
+
+    def test_reachable_build_holds_only_reachable_assignments(self):
+        machine = elaborate_model(parse_model(SPARSE_SHAPED),
+                                  universe=False).machine
+        assert machine.universe is None and machine.universe_ids is None
+        assert machine.by_id == machine.states
+        assert [s.serialize() for s in machine.by_id] == [
+            "a=0;b=0;c=0;d=0;e=0;f=0", "a=2;b=0;c=1;d=0;e=0;f=0",
+            "a=2;b=1;c=2;d=0;e=0;f=0"]
+        # `never` is declared but never enabled: it keeps an empty table
+        assert [a.label for a in machine.actions] == ["never", "tick"]
+        assert [len(t) for t in machine.successor_ids] == [0, 3]
+        full = elaborate_model(parse_model(SPARSE_SHAPED)).machine
+        assert (len(full.universe), full.states) == (729, machine.states)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(model_documents())
+    def test_reachable_build_is_the_universe_build_restricted(self, doc):
+        full, reach = elaborate_model(doc), elaborate_model(doc, universe=False)
+        f, r = full.machine, reach.machine
+        assert r.universe is None
+        assert r.by_id == r.states
+        assert [s.serialize() for s in r.states] == \
+            [s.serialize() for s in f.states]
+        assert r.initial == f.initial and r.actions == f.actions
+        assert dict(reach.config.dom) == dict(full.config.dom)
+        for state in f.states:
+            for action in f.actions:
+                assert r.step(state, action) == f.step(state, action)
+            for domain in doc.domains:
+                assert reach.config.observe(domain, state) == \
+                    full.config.observe(domain, state)
 
     def test_validate_rejects_unprintable_values(self):
         base = parse_model(TOY)

@@ -29,9 +29,9 @@ identical witnesses.
 from __future__ import annotations
 
 import argparse
+import bisect
 import dataclasses
 import hashlib
-import itertools
 import json
 import os.path
 import sys
@@ -132,9 +132,9 @@ def _resolve_ref(base_dir: str, ref: str) -> str:
 
 
 def load_target(kind: str, target: str, params: dict[str, int],
-                budget: int | None, universe: bool = True) -> LoadedTarget:
-    """Resolve a check target. A model file's declared universe is built
-    only with `universe`; refinement files always build both levels'."""
+                budget: int | None, universe: bool) -> LoadedTarget:
+    """Resolve a check target. Only a model file with `universe` builds
+    its declared universe; every other target builds reachable states."""
     # For ni, --budget counts traces, not states.
     state_budget = None if kind == "ni" else budget
     if target in REGISTRY:
@@ -516,27 +516,37 @@ def _load_report(path: str) -> dict[str, Any]:
     return data
 
 
-def _rebuild_target(data: dict[str, Any]) -> LoadedTarget:
-    model = data.get("model") or {}
+def _rebuild_target(data: dict[str, Any]) -> tuple[LoadedTarget, bool]:
+    """The report's target, built at the scope its options record, and
+    whether that scope is the universe."""
+    model, options = data.get("model") or {}, data.get("options") or {}
+    if not isinstance(options, dict):
+        raise UsageError("report options are not a JSON object")
+    universe = options.get("universe") is True
     kind = data.get("kind")
     if kind not in CHECK_KINDS:
         raise UsageError("report does not record a known check kind")
-    if model.get("source") == "builtin":
-        name = model.get("name")
-        if name not in REGISTRY:
+    source = model.get("source") if isinstance(model, dict) else None
+    if source == "builtin":
+        name, params = model.get("name"), model.get("params") or {}
+        if not isinstance(name, str) or name not in REGISTRY:
             raise UsageError(f"report names unknown model {name!r}")
-        return load_target(kind, name, dict(model.get("params") or {}), None)
-    if model.get("source") == "file":
-        files = model.get("files") or {}
-        for path, digest in sorted(files.items()):
-            if not os.path.exists(path):
-                raise UsageError(f"model file {path} is gone; "
-                                 "the report is stale")
-            if _sha256(path) != digest:
-                raise UsageError(f"model file {path} changed since the "
-                                 "report was written; the report is stale")
-        return load_target(kind, model.get("path"), {}, None)
-    raise UsageError("report does not identify its model")
+        if not isinstance(params, dict) \
+                or any(type(value) is not int for value in params.values()):
+            raise UsageError("report model params are not integers by name")
+        return load_target(kind, name, params, None, universe), universe
+    if source != "file":
+        raise UsageError("report does not identify its model")
+    path, files = model.get("path"), model.get("files") or {}
+    if not isinstance(path, str) or not isinstance(files, dict):
+        raise UsageError("report does not identify its model file")
+    for file, digest in sorted(files.items()):
+        if not os.path.exists(file):
+            raise UsageError(f"model file {file} is gone; the report is stale")
+        if _sha256(file) != digest:
+            raise UsageError(f"model file {file} changed since the "
+                             "report was written; the report is stale")
+    return load_target(kind, path, {}, None, universe), universe
 
 
 def _system_for(loaded: LoadedTarget, check_name: str) -> SecureSystem:
@@ -631,10 +641,10 @@ class _Decoder:
     """Reads a witness's JSON back into the library's witness dataclass.
 
     Each field is read by its type: an action by its label among the
-    level's actions, a state by its serialization among the states the
-    replay's runs pass through and then the level's universe (or its
-    states), an observed value by its rendering among what the
-    witness's domain observes at the end of the runs. Fields named
+    level's actions, a state by its serialization among the level's
+    `by_id` (its universe when the report's scope is the universe, else
+    its reachable states), an observed value by its rendering among what
+    the witness's domain observes at the end of the runs. Fields named
     `abstract_*`, and the second state of a pair, are read on the
     abstract level. A missing, null or mistyped field is a UsageError.
     """
@@ -644,7 +654,6 @@ class _Decoder:
         self.raw = raw
         self.system = system
         self.abstract = abstract
-        self.visited: list[State] = []
         self.ends: list[State] = []
         self.read: dict[str, Any] = {}
 
@@ -685,12 +694,10 @@ class _Decoder:
                     return action
             raise _stale(f"the rebuilt model has no action {raw!r}")
         if hint is State:
-            pool = system.machine.universe or system.machine.states
-            if system is self.system:
-                pool = itertools.chain(self.visited, pool)
-            for state in pool:
-                if state.serialize() == raw:
-                    return state
+            by_id = system.machine.by_id
+            i = bisect.bisect_left(by_id, raw, key=State.serialize)
+            if i < len(by_id) and by_id[i].serialize() == raw:
+                return by_id[i]
             raise _stale(f"witness state {raw!r} is not a state of the "
                          "rebuilt model")
         if hint is object:
@@ -728,10 +735,11 @@ def _run_payload(labels: Sequence[str] | None,
     return steps
 
 
-def _replay(loaded: LoadedTarget, data: dict[str, Any], name: str,
+def _replay(loaded: LoadedTarget, universe: bool, name: str,
             raw: dict[str, Any]) -> dict[str, Any]:
     """Decode the witness `raw` of failing check `name`, re-execute its
-    runs, and re-check it with the library's predicate."""
+    runs, and re-check it with the library's predicate. `universe` is
+    the report's scope."""
     tag = raw["type"]
     cls = next(c for c, t in _WITNESS_TYPES.items() if t == tag)
     if tag in ("lr", "sc", "ni"):
@@ -746,7 +754,6 @@ def _replay(loaded: LoadedTarget, data: dict[str, Any], name: str,
     decoder = _Decoder(raw, system,
                        None if loaded.pair is None else loaded.pair.abstract)
     scope_traces = dict(_SCOPE_TRACES.get(tag, ()))
-    universe = (data.get("options") or {}).get("universe") is True
     traced = []
     for title, trace_field, anchors in _RUNS[tag]:
         if trace_field in scope_traces:
@@ -760,7 +767,6 @@ def _replay(loaded: LoadedTarget, data: dict[str, Any], name: str,
         if trace is not None:
             sets = _execute(system, trace, [system.machine.initial],
                             tag == "ni")
-            decoder.visited += [s for states in sets for s in states]
             decoder.ends += sets[-1]
         traced.append((title, trace_field, anchors, sets))
     witness = decoder.witness(cls)
@@ -847,8 +853,8 @@ def cmd_replay(args) -> int:
             or not isinstance(witness["type"], str) \
             or witness["type"] not in _RUNS:
         raise UsageError(f"cannot replay witness type {witness['type']!r}")
-    loaded = _rebuild_target(data)
-    outcome = _replay(loaded, data, check["name"], witness)
+    loaded, universe = _rebuild_target(data)
+    outcome = _replay(loaded, universe, check["name"], witness)
     outcome.update({
         "kind": data["kind"],
         "target": data.get("target"),

@@ -335,7 +335,7 @@ def build_arinc(config: ArincConfig | None = None, variant: str = "secure",
                 return False
         return aligned(c, a)
 
-    alpha = Alpha.from_predicate(
+    alpha = Alpha(
         related, "abstract buffers match committed buffers; unlocked buffers are clean")
 
     def rule(comp: str, event: str, step: str):

@@ -182,7 +182,7 @@ def build_auction(users: int = 2, bids: tuple[int, ...] = (1, 2),
                 return False
         return aligned(c, a)
 
-    alpha = Alpha.from_predicate(
+    alpha = Alpha(
         related,
         "abstract ledger matches the committed ledger; a published result "
         "is the ledger maximum above the reserve")

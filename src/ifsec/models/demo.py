@@ -228,7 +228,7 @@ def build_demo(threads: int = 3, capacity: int = 1, messages: int = 1,
                 return False
         return aligned(c, a)
 
-    alpha = Alpha.from_predicate(
+    alpha = Alpha(
         related, "abstract queues match committed queues; unlocked queues are clean")
 
     def rule(comp: str, event: str, step: str):

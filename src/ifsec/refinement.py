@@ -242,11 +242,6 @@ class Alpha:
     description: str = "predicate"
 
     @staticmethod
-    def from_predicate(predicate: Callable[[State, State], bool],
-                       description: str = "predicate") -> "Alpha":
-        return Alpha(predicate, description)
-
-    @staticmethod
     def from_pairs(pairs: Iterable[tuple[State, State]]) -> "Alpha":
         table = frozenset(pairs)
         return Alpha(pair_table(table), f"explicit pairs ({len(table)})")

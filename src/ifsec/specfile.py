@@ -74,7 +74,6 @@ from ifsec.core import (
     State,
     StateMachine,
     Value,
-    build_machine,
     explore_ids,
     render_value,
     sort_actions,
@@ -827,7 +826,7 @@ def _read(path: str) -> str:
 # ---------------------------------------------------------------------------
 
 def elaborate_model(doc: ModelDocument, budget: int | None = None,
-                    universe: bool = True) -> SecureSystem:
+                    universe: bool = False) -> SecureSystem:
     """Build the explicit system a model document describes.
 
     The declared state space is the product of the variables' value
@@ -836,13 +835,11 @@ def elaborate_model(doc: ModelDocument, budget: int | None = None,
     machine's alphabet is every declared action, enabled or not, and
     its `states` are the assignments reachable from the initial one.
 
-    With `universe`, the whole declared product is tabulated and kept
-    as the universe, so universe-scoped checks can quantify over
-    unreachable assignments: ids are serialization ranks over the
-    product.  Without it, `build_machine` explores from the initial
-    assignment and nothing else is built: `by_id` holds the reachable
-    assignments only and `universe` is None.  Both machines give each
-    reachable state the same successors under every action.
+    One tabulation builds the machine over the assignments the scope
+    picks, with ids ranked by serialization.  By default these are the
+    reachable ones, so `by_id` holds the reachable states and `universe`
+    is None.  With `universe`, they are the whole declared product, kept
+    as the universe for checks that quantify over unreachable states.
     """
     doc.validate()
     limit = DEFAULT_STATE_BUDGET if budget is None else budget
@@ -858,32 +855,31 @@ def elaborate_model(doc: ModelDocument, budget: int | None = None,
 
     if universe:
         declared = {v.name: v.values for v in doc.variables}
-        by_id = tuple(sorted(
-            (initial.with_values(values) for values in itertools.product(
-                *(declared[name] for name in initial.names))),
-            key=State.serialize))
-        ids = {state.values: i for i, state in enumerate(by_id)}
-        tables: list[dict[int, tuple[int, ...]]] = [{} for _ in actions]
-        for i, state in enumerate(by_id):
-            for k, found in successors(state.values):
-                tables[k][i] = tuple(sorted({ids[values] for values in found}))
-        start = ids[initial.values]
-        search = explore_ids(start, actions, tables, budget=budget)
-        machine = StateMachine.from_tables(
-            by_id, actions, tables, start,
-            state_ids=sorted(search.order), universe_ids=range(len(by_id)))
+        pool = itertools.product(*(declared[name] for name in initial.names))
     else:
-        def steps(state: State) -> list[tuple[ActionId, State]]:
-            return [(actions[k], state.with_values(values))
-                    for k, found in successors(state.values)
-                    for values in found]
-
-        built = build_machine(initial, steps, budget)
-        # the declared alphabet: an action never enabled keeps an empty table
-        enabled = dict(zip(built.actions, built.successor_ids))
-        machine = StateMachine.from_tables(
-            built.by_id, actions, [enabled.get(a, {}) for a in actions],
-            built.initial_id)
+        # the closure, within the product and so within the budget
+        pool = [initial.values]
+        seen = {initial.values}
+        for values in pool:
+            for _, found in successors(values):
+                for new in found:
+                    if new not in seen:
+                        seen.add(new)
+                        pool.append(new)
+    by_id = tuple(sorted(map(initial.with_values, pool), key=State.serialize))
+    ids = {state.values: i for i, state in enumerate(by_id)}
+    tables: list[dict[int, tuple[int, ...]]] = [{} for _ in actions]
+    for i, state in enumerate(by_id):
+        for k, found in successors(state.values):
+            tables[k][i] = (ids[found[0]],) if len(found) == 1 \
+                else tuple(sorted({ids[values] for values in found}))
+    start = ids[initial.values]
+    state_ids = universe_ids = None
+    if universe:
+        search = explore_ids(start, actions, tables, budget=budget)
+        state_ids, universe_ids = sorted(search.order), range(len(by_id))
+    machine = StateMachine.from_tables(by_id, actions, tables, start,
+                                       state_ids, universe_ids)
 
     views = {domain: vars_ for domain, vars_ in doc.observe}
 
@@ -973,11 +969,11 @@ def _elaborate_alpha(doc: RefinementDocument, concrete_doc: ModelDocument,
             return all(c[cv] == a[av] for cv, av in constraints)
 
         text = ", ".join(f"{cv} == {av}" for cv, av in constraints)
-        return Alpha.from_predicate(related, f"match {text}")
+        return Alpha(related, f"match {text}")
     if doc.alpha_pairs:
         return Alpha.from_pairs(_state_pairs(
             doc.alpha_pairs, "alpha", concrete_vars, abstract_vars, "abstract"))
-    return Alpha.from_predicate(total_relation, "total")
+    return Alpha(total_relation, "total")
 
 
 def _state_pairs(pairs: Iterable[tuple[str, str]], where: str,

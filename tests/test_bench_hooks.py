@@ -85,9 +85,9 @@ def counted_calls():
     program = ConcurrentSystem(
         ("k",), {"k": (Event("e", lambda s: True, bump, "d"),)}, {"n": 0})
     compiled = (program, ["d"], [("d", "d")], lambda d, s: s["n"])
-    toy = elaborate_model(parse_model(TOY))
+    toy = elaborate_model(parse_model(TOY), universe=True)
     pair = RefinementPair(toy, toy,
-                          Alpha.from_predicate(lambda c, a: c == a, "equality"),
+                          Alpha(lambda c, a: c == a, "equality"),
                           Zeta.identity(toy.machine.actions))
     return {
         "compile_system": compiled,

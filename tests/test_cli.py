@@ -428,9 +428,14 @@ class TestCheckBehavior:
         report = tmp_path / "report.json"
         report.write_text(out, encoding="utf-8")
         run("check", "ni", leaky)
-        run("check", "unwinding", leaky, "--universe")
-        assert (code, run("replay", str(report))[0]) == (1, 0)
-        assert built == [False, False, True, True]
+        code_u, out, _ = run("check", "unwinding", leaky, "--universe",
+                             "--json")
+        universe_report = tmp_path / "universe.json"
+        universe_report.write_text(out, encoding="utf-8")
+        assert (code, code_u) == (1, 1)
+        assert run("replay", str(report))[0] == 0
+        assert run("replay", str(universe_report))[0] == 0
+        assert built == [False, False, True, False, True]
 
     def test_ni_reports_trace_counts(self, run, models):
         code, out, _ = run("check", "ni", str(models / "toy.ifs"),
@@ -596,6 +601,45 @@ class TestReplay:
         assert code == 0
         assert "reproduced lemma1" in out
         assert "janitor" in out
+
+    def test_unreachable_witness_state_is_not_in_the_rebuilt_model(
+            self, run, saved_report, models):
+        # z is declared and never written, so z=1 is unreachable; a
+        # reachable-scoped replay builds no state with it.
+        (models / "wide.ifs").write_text(
+            LEAKY.replace("[actions]", "z in {0, 1} = 0\n\n[actions]"),
+            encoding="utf-8")
+        code, report = saved_report("check", "unwinding",
+                                    str(models / "wide.ifs"),
+                                    edit={"state": "x=0;y=0;z=1"})
+        assert code == 1
+        code, _, err = run("replay", report)
+        assert code == 2
+        assert "'x=0;y=0;z=1' is not a state of the rebuilt model" in err
+
+    @pytest.mark.parametrize("path,value", [
+        (("model", "source"), "file"),
+        (("model", "params"), [1]),
+        (("model", "params"), {"capacity": "x"}),
+        (("model", "name"), [1]),
+        (("model",), [1]),
+        (("options",), [1]),
+    ], ids=["file-without-path", "params-list", "param-not-int", "name-list",
+            "model-list", "options-list"])
+    def test_malformed_report_is_rejected(self, run, saved_report, tmp_path,
+                                          path, value):
+        _, report = saved_report("check", "unwinding", "arinc-port-id")
+        data = json.loads(open(report, encoding="utf-8").read())
+        *parents, key = path
+        target = data
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(data), encoding="utf-8")
+        code, _, err = run("replay", str(edited))
+        assert code == 2
+        assert err.startswith("ifsec: error: report ")
 
     def test_lr_witness_on_builtin_reproduces(self, run, saved_report):
         code, report = saved_report("check", "unwinding", "arinc-port-id")

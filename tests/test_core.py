@@ -347,7 +347,7 @@ def _joint(budget):
     system = SecureSystem(machine, InfoFlowConfig(
         ("d",), frozenset({("d", "d")}), {TICK: "d"}, lambda d, s: s["n"]))
     pair = RefinementPair(system, system,
-                          Alpha.from_predicate(lambda c, a: c == a, "equality"),
+                          Alpha(lambda c, a: c == a, "equality"),
                           Zeta.identity(machine.actions))
     return len(joint_explore(pair, budget=budget).pairs)
 
@@ -439,9 +439,10 @@ def machines():
     demo = get_model("demo", capacity=2)
     return {"demo concrete": demo.concrete.machine,
             "demo abstract": demo.abstract.machine,
-            "sparse.ifs": elaborate_model(parse_model(SPARSE)).machine,
-            "sparse.ifs reachable": elaborate_model(
-                parse_model(SPARSE), universe=False).machine,
+            "sparse.ifs": elaborate_model(parse_model(SPARSE),
+                                          universe=True).machine,
+            "sparse.ifs reachable":
+                elaborate_model(parse_model(SPARSE)).machine,
             "mapping": tiny_machine()}
 
 
@@ -512,8 +513,10 @@ class TestIndexedMachine:
             "from ifsec.specfile import elaborate_model, parse_model\n"
             "import sys\n"
             "bundle = get_model('demo')\n"
+            "doc = parse_model(sys.stdin.read())\n"
             "machines = [bundle.concrete.machine, bundle.abstract.machine,\n"
-            "            elaborate_model(parse_model(sys.stdin.read())).machine]\n"
+            "            elaborate_model(doc, universe=True).machine,\n"
+            "            elaborate_model(doc).machine]\n"
             "text = repr([([s.serialize() for s in m.by_id], m.state_ids,\n"
             "              m.universe_ids, m.initial_id,\n"
             "              [sorted(t.items()) for t in m.successor_ids])\n"

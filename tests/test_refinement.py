@@ -92,7 +92,7 @@ def identity_pair(system: SecureSystem) -> RefinementPair:
     return RefinementPair(
         concrete=system,
         abstract=system,
-        alpha=Alpha.from_predicate(lambda c, a: c == a, "equality"),
+        alpha=Alpha(lambda c, a: c == a, "equality"),
         zeta=Zeta.identity(system.machine.actions),
     )
 
@@ -115,19 +115,19 @@ class TestPairValidation:
         system = mod2_system()
         other = still_abstract(domains=("d", "extra"))
         with pytest.raises(ModelError):
-            RefinementPair(system, other, Alpha.from_predicate(lambda c, a: True),
+            RefinementPair(system, other, Alpha(lambda c, a: True),
                            Zeta({INC: TAU}))
 
     def test_zeta_must_be_total(self):
         system = mod2_system()
         with pytest.raises(ModelError):
-            RefinementPair(system, still_abstract(), Alpha.from_predicate(lambda c, a: True),
+            RefinementPair(system, still_abstract(), Alpha(lambda c, a: True),
                            Zeta({}))
 
     def test_zeta_images_must_exist_abstractly(self):
         system = mod2_system()
         with pytest.raises(ModelError):
-            RefinementPair(system, still_abstract(), Alpha.from_predicate(lambda c, a: True),
+            RefinementPair(system, still_abstract(), Alpha(lambda c, a: True),
                            Zeta({INC: ActionId("ghost")}))
 
 
@@ -145,7 +145,7 @@ class TestJointExplore:
     def test_unrelated_initials_fail_c1(self):
         pair = RefinementPair(
             mod2_system(), still_abstract(),
-            Alpha.from_predicate(lambda c, a: False, "empty"),
+            Alpha(lambda c, a: False, "empty"),
             Zeta({INC: TAU}),
         )
         exploration = joint_explore(pair)
@@ -158,7 +158,7 @@ class TestJointExplore:
         # inc is silent but flips x, and alpha insists x stays 0.
         pair = RefinementPair(
             mod2_system(), still_abstract(),
-            Alpha.from_predicate(lambda c, a: c["x"] == 0, "x pinned to 0"),
+            Alpha(lambda c, a: c["x"] == 0, "x pinned to 0"),
             Zeta({INC: TAU}),
         )
         exploration = joint_explore(pair)
@@ -183,7 +183,7 @@ class TestJointExplore:
         )
         pair = RefinementPair(
             mod2_system(), abstract,
-            Alpha.from_predicate(lambda c, a: True, "total"),
+            Alpha(lambda c, a: True, "total"),
             Zeta({INC: INC}),
         )
         exploration = joint_explore(pair)
@@ -217,7 +217,7 @@ class TestStaticConditions:
                            {send: "t2"}, observe=lambda d, s: None),
         )
         pair = RefinementPair(concrete, abstract,
-                              Alpha.from_predicate(lambda c, a: True),
+                              Alpha(lambda c, a: True),
                               Zeta({send: send}))
         verdict = check_domain_preservation(pair)
         assert verdict.status == "fail"
@@ -231,7 +231,7 @@ class TestStaticConditions:
     def test_domain_preservation_vacuous_when_all_silent(self):
         pair = RefinementPair(
             mod2_system(), still_abstract(),
-            Alpha.from_predicate(lambda c, a: True),
+            Alpha(lambda c, a: True),
             Zeta({INC: TAU}),
         )
         assert check_domain_preservation(pair).ok
@@ -253,7 +253,7 @@ class TestStaticConditions:
                            {INC: "a"}, observe=lambda d, s: None),
         )
         pair = RefinementPair(narrow, wide,
-                              Alpha.from_predicate(lambda c, a: True),
+                              Alpha(lambda c, a: True),
                               Zeta({INC: TAU}))
         verdict = check_policy_inclusion(pair)
         assert verdict.status == "fail"
@@ -266,7 +266,7 @@ class TestStaticConditions:
             InfoFlowConfig(("a", "b"), frozenset(), {}, observe=lambda d, s: None),
         )
         pair = RefinementPair(narrow, empty_abstract,
-                              Alpha.from_predicate(lambda c, a: True),
+                              Alpha(lambda c, a: True),
                               Zeta({INC: TAU}))
         assert check_policy_inclusion(pair).ok
 
@@ -284,7 +284,7 @@ class TestIndistPreservation:
                            observe=lambda d, s: s["f"]),
         )
         pair = RefinementPair(concrete, still_abstract(),
-                              Alpha.from_predicate(lambda c, a: True, "flag-blind"),
+                              Alpha(lambda c, a: True, "flag-blind"),
                               Zeta({flip: TAU}))
         exploration = joint_explore(pair)
         assert exploration.ok
@@ -349,7 +349,7 @@ class TestSimulationReport:
                            observe=lambda d, s: s["f"]),
         )
         pair = RefinementPair(concrete, still_abstract(),
-                              Alpha.from_predicate(lambda c, a: True),
+                              Alpha(lambda c, a: True),
                               Zeta({flip: TAU}))
         report = check_simulation(pair)
         assert not report.ok
@@ -526,7 +526,7 @@ class TestCompositional:
         system = two_component_system(hit_changes_x=True)
         pair = RefinementPair(
             system, still_abstract(),
-            Alpha.from_predicate(lambda c, a: True),
+            Alpha(lambda c, a: True),
             Zeta({ActionId("b/hit"): TAU}),
         )
         rg = RelyGuaranteeSpec(
@@ -567,7 +567,7 @@ class TestCompositional:
         system = two_component_system(hit_changes_x=False)
         pair = RefinementPair(
             system, still_abstract(),
-            Alpha.from_predicate(lambda c, a: True),
+            Alpha(lambda c, a: True),
             Zeta({ActionId("b/hit"): TAU}),
         )
         rg = RelyGuaranteeSpec(
@@ -610,7 +610,7 @@ class TestCompositional:
 
         pair = RefinementPair(system((c0, c1), {(c0, go): (c1,)}, c0),
                               system((a0, a1, a2), {(a0, go): (a1, a2)}, a0),
-                              Alpha.from_predicate(lambda c, a: True, "total"),
+                              Alpha(lambda c, a: True, "total"),
                               Zeta({go: go}))
         rg = RelyGuaranteeSpec(
             contracts={
@@ -635,7 +635,7 @@ class TestCompositional:
         system = two_component_system(hit_changes_x=False)
         pair = RefinementPair(
             system, still_abstract(),
-            Alpha.from_predicate(lambda c, a: True),
+            Alpha(lambda c, a: True),
             Zeta({ActionId("b/hit"): TAU}),
         )
         rg = RelyGuaranteeSpec(

@@ -8,14 +8,21 @@ in the observed variables, so SC holds). The insecure twist lets `lo`
 observe `y`, which must fail LR at `toggle`.
 """
 
+import itertools
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ifsec.core import (
+    ActionId,
     BudgetError,
     ModelError,
     ParseError,
     State,
+    StateMachine,
+    build_machine,
+    explore_ids,
+    sort_actions,
 )
 from ifsec.refinement import check_compositional, check_simulation
 from ifsec.specfile import (
@@ -97,6 +104,34 @@ act never hi
 [observe]
 hi: a b c d e f
 lo: c
+"""
+
+#: 10 declared assignments, 6 of them reachable, found over five BFS
+#: levels; `step` has two successors at n=2.
+CHAIN = """\
+[domains]
+d
+
+[policy]
+d -> d
+
+[state]
+n in {0, 1, 2, 3, 4} = 0
+m in {0, 1} = 0
+
+[actions]
+act flip d
+  n=4, m=0 -> m:=1
+
+act step d
+  n=0 -> n:=1
+  n=1 -> n:=2
+  n=2 -> n:=3
+  n=2 -> n:=4
+  n=3 -> n:=0
+
+[observe]
+d: n
 """
 
 ABSTRACT_IFS = """\
@@ -191,6 +226,12 @@ def model_dir(tmp_path):
 
 def refinement_text(*sections):
     return REFINEMENT_HEAD + "\n" + "\n".join(sections)
+
+
+def universe_of(path):
+    """Every declared assignment of the model file at `path`."""
+    system = elaborate_model(load_model(str(path)), universe=True)
+    return system.machine.universe
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +373,58 @@ class TestRoundTrip:
 # Model elaboration
 # ---------------------------------------------------------------------------
 
+def oracle_elaborate(doc, universe):
+    """The machine of `elaborate_model(doc, universe=universe)`, built
+    as two separate paths over `State`s: the declared product tabulated
+    for the universe scope, and `build_machine` from the initial state,
+    laid out again over the declared alphabet, for the reachable one.
+    Rules are evaluated on states by name, not compiled."""
+    initial = State({v.name: v.initial for v in doc.variables})
+    actions = sort_actions(ActionId(a.label) for a in doc.actions)
+    rules = {a.label: a.rules for a in doc.actions}
+
+    def steps(state):
+        return [(action, state.assign(dict(rule.post)))
+                for action in actions for rule in rules[action.label]
+                if all(state[var] == value for var, value in rule.pre)]
+
+    if not universe:
+        built = build_machine(initial, steps)
+        enabled = dict(zip(built.actions, built.successor_ids))
+        return StateMachine.from_tables(
+            built.by_id, actions, [enabled.get(a, {}) for a in actions],
+            built.initial_id)
+    declared = {v.name: v.values for v in doc.variables}
+    by_id = tuple(sorted(
+        (initial.with_values(values) for values in itertools.product(
+            *(declared[name] for name in initial.names))),
+        key=State.serialize))
+    ids = {state: i for i, state in enumerate(by_id)}
+    position = {action: k for k, action in enumerate(actions)}
+    tables = [{} for _ in actions]
+    for i, state in enumerate(by_id):
+        found = {}
+        for action, successor in steps(state):
+            found.setdefault(position[action], set()).add(ids[successor])
+        for k, successor_ids in found.items():
+            tables[k][i] = tuple(sorted(successor_ids))
+    start = ids[initial]
+    return StateMachine.from_tables(
+        by_id, actions, tables, start,
+        state_ids=sorted(explore_ids(start, actions, tables).order),
+        universe_ids=range(len(by_id)))
+
+
+def machine_layout(machine):
+    """Everything a machine's ids fix, successor tables in key order."""
+    return ([s.serialize() for s in machine.by_id], machine.actions,
+            [list(table.items()) for table in machine.successor_ids],
+            machine.state_ids, machine.universe_ids, machine.initial_id)
+
+
 class TestElaborateModel:
     def test_toy_shape(self):
-        system = elaborate_model(parse_model(TOY))
+        system = elaborate_model(parse_model(TOY), universe=True)
         machine = system.machine
         assert len(machine.states) == 4
         assert machine.universe is not None and len(machine.universe) == 4
@@ -360,7 +450,8 @@ class TestElaborateModel:
 
     def test_elaboration_is_deterministic(self):
         doc = parse_model(TOY)
-        a, b = elaborate_model(doc), elaborate_model(doc)
+        a = elaborate_model(doc, universe=True)
+        b = elaborate_model(doc, universe=True)
         assert a.machine.states == b.machine.states
         assert a.machine.actions == b.machine.actions
         assert a.machine.transitions == b.machine.transitions
@@ -371,7 +462,7 @@ class TestElaborateModel:
                 "[state]\nv in {0, 1} = 0\nw in {0, 1} = 0\n"
                 "[actions]\nact flip d\n  v=0 -> v:=1\n  v=1 -> v:=0\n"
                 "[observe]\nd: v\n")
-        machine = elaborate_model(parse_model(text)).machine
+        machine = elaborate_model(parse_model(text), universe=True).machine
         assert len(machine.states) == 2
         assert len(machine.universe) == 4
         unreachable = State({"v": 0, "w": 1})
@@ -401,8 +492,7 @@ class TestElaborateModel:
         assert "64" in str(err.value)
 
     def test_reachable_build_holds_only_reachable_assignments(self):
-        machine = elaborate_model(parse_model(SPARSE_SHAPED),
-                                  universe=False).machine
+        machine = elaborate_model(parse_model(SPARSE_SHAPED)).machine
         assert machine.universe is None and machine.universe_ids is None
         assert machine.by_id == machine.states
         assert [s.serialize() for s in machine.by_id] == [
@@ -411,13 +501,14 @@ class TestElaborateModel:
         # `never` is declared but never enabled: it keeps an empty table
         assert [a.label for a in machine.actions] == ["never", "tick"]
         assert [len(t) for t in machine.successor_ids] == [0, 3]
-        full = elaborate_model(parse_model(SPARSE_SHAPED)).machine
+        full = elaborate_model(parse_model(SPARSE_SHAPED),
+                               universe=True).machine
         assert (len(full.universe), full.states) == (729, machine.states)
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(model_documents())
     def test_reachable_build_is_the_universe_build_restricted(self, doc):
-        full, reach = elaborate_model(doc), elaborate_model(doc, universe=False)
+        full, reach = elaborate_model(doc, universe=True), elaborate_model(doc)
         f, r = full.machine, reach.machine
         assert r.universe is None
         assert r.by_id == r.states
@@ -431,6 +522,16 @@ class TestElaborateModel:
             for domain in doc.domains:
                 assert reach.config.observe(domain, state) == \
                     full.config.observe(domain, state)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(model_documents())
+    @example(parse_model(SPARSE_SHAPED))
+    @example(parse_model(CHAIN))
+    def test_one_tabulation_matches_both_oracle_builds(self, doc):
+        for universe in (False, True):
+            built = elaborate_model(doc, universe=universe).machine
+            assert machine_layout(built) == \
+                machine_layout(oracle_elaborate(doc, universe)), universe
 
     def test_validate_rejects_unprintable_values(self):
         base = parse_model(TOY)
@@ -555,8 +656,8 @@ class TestElaborateRefinement:
             ZETA_FULL))
         by_match, _ = elaborate_refinement(match_doc, base_dir=str(model_dir))
         by_pairs, _ = elaborate_refinement(pairs_doc, base_dir=str(model_dir))
-        for c in by_match.concrete.machine.universe:
-            for a in by_match.abstract.machine.universe:
+        for c in universe_of(model_dir / "concrete.ifs"):
+            for a in universe_of(model_dir / "abstract.ifs"):
                 assert by_match.alpha.holds(c, a) == by_pairs.alpha.holds(c, a)
         left, right = check_simulation(by_match), check_simulation(by_pairs)
         for condition in ("c1", "c2", "c3", "c4", "c5", "c6"):
@@ -616,7 +717,8 @@ class TestElaborateRefinement:
             "[guarantee janitor]\nmay: y\n",
         ))
         pair, rg = elaborate_refinement(doc, base_dir=str(model_dir))
-        states = {s.serialize(): s for s in pair.concrete.machine.universe}
+        states = {s.serialize(): s
+                  for s in universe_of(model_dir / "concrete.ifs")}
         janitor = rg.contracts["janitor"]
         assert janitor.rely(states["x=0;y=0"], states["x=0;y=0"])
         assert not janitor.rely(states["x=0;y=0"], states["x=1;y=0"])

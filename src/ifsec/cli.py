@@ -40,6 +40,7 @@ import types
 import typing
 from typing import Any, Callable, Sequence
 
+from ifsec import models, noninterference, refinement, specfile, unwinding
 from ifsec.core import (
     ActionId,
     BudgetError,
@@ -49,46 +50,6 @@ from ifsec.core import (
     State,
     UsageError,
     render_value,
-)
-from ifsec.models import REGISTRY, get_model
-from ifsec.noninterference import NICounterexample, check_ni, ni_violated
-from ifsec.refinement import (
-    C1Witness,
-    C2Witness,
-    C3Witness,
-    C4Witness,
-    C5Witness,
-    C6Witness,
-    CrossCheck,
-    LemmaWitness,
-    RefinementPair,
-    RelyGuaranteeSpec,
-    c1_violated,
-    c2_violated,
-    c3_violated,
-    c4_violated,
-    c5_violated,
-    c6_violated,
-    check_compositional,
-    check_simulation,
-    lemma_violated,
-)
-from ifsec.specfile import (
-    elaborate_model,
-    elaborate_refinement,
-    load_model,
-    load_refinement,
-)
-from ifsec.unwinding import (
-    LRViolation,
-    SCViolation,
-    Scope,
-    UnwindingReport,
-    check_unwinding,
-    lr_violated,
-    sc_violated,
-    scope_reachable,
-    scope_universe,
 )
 
 SCHEMA = 1
@@ -111,8 +72,8 @@ class LoadedTarget:
 
     def __init__(self, model_info: dict[str, Any],
                  levels: list[tuple[str, SecureSystem]],
-                 pair: RefinementPair | None,
-                 rg: RelyGuaranteeSpec | None) -> None:
+                 pair: refinement.RefinementPair | None,
+                 rg: refinement.RelyGuaranteeSpec | None) -> None:
         self.model_info = model_info
         self.levels = levels
         self.pair = pair
@@ -137,12 +98,12 @@ def load_target(kind: str, target: str, params: dict[str, int],
     its declared universe; every other target builds reachable states."""
     # For ni, --budget counts traces, not states.
     state_budget = None if kind == "ni" else budget
-    if target in REGISTRY:
-        bundle = get_model(target, budget=state_budget, **params)
+    if target in models.REGISTRY:
+        bundle = models.get_model(target, budget=state_budget, **params)
         info = {
             "source": "builtin",
             "name": target,
-            "description": REGISTRY[target].description,
+            "description": models.REGISTRY[target].description,
             "params": dict(params),
             "build_params": {k: v for k, v in bundle.params},
         }
@@ -155,7 +116,7 @@ def load_target(kind: str, target: str, params: dict[str, int],
         )
 
     if not os.path.exists(target):
-        known = ", ".join(REGISTRY)
+        known = ", ".join(models.REGISTRY)
         raise UsageError(
             f"unknown model or file {target!r}; built-in models: {known}")
     if params:
@@ -165,12 +126,13 @@ def load_target(kind: str, target: str, params: dict[str, int],
 
     files = {target: _sha256(target)}
     if kind in ("refine", "compositional"):
-        doc = load_refinement(target)
+        doc = specfile.load_refinement(target)
         base_dir = os.path.dirname(target) or "."
         for ref in (doc.concrete_ref, doc.abstract_ref):
             resolved = _resolve_ref(base_dir, ref)
             files[resolved] = _sha256(resolved)
-        pair, rg = elaborate_refinement(doc, base_dir=base_dir, budget=budget)
+        pair, rg = specfile.elaborate_refinement(doc, base_dir=base_dir,
+                                                 budget=budget)
         info = {"source": "file", "path": target, "files": files}
         return LoadedTarget(
             info,
@@ -178,8 +140,8 @@ def load_target(kind: str, target: str, params: dict[str, int],
             pair, rg,
         )
 
-    system = elaborate_model(load_model(target), budget=state_budget,
-                             universe=universe)
+    system = specfile.elaborate_model(specfile.load_model(target),
+                                      budget=state_budget, universe=universe)
     info = {"source": "file", "path": target, "files": files}
     return LoadedTarget(info, [("model", system)], None, None)
 
@@ -196,20 +158,28 @@ def _warn_missing_reflexive(loaded: LoadedTarget) -> None:
 # Witness encoding
 # ---------------------------------------------------------------------------
 
-#: Witness dataclass -> the `type` tag of its JSON.
-_WITNESS_TYPES: dict[type, str] = {
-    LRViolation: "lr",
-    SCViolation: "sc",
-    NICounterexample: "ni",
-    C1Witness: "c1",
-    C2Witness: "c2",
-    C3Witness: "c3",
-    C4Witness: "c4",
-    C5Witness: "c5",
-    C6Witness: "c6",
-    CrossCheck: "cross-check",
-    LemmaWitness: "lemma",
+#: The `type` tag of a witness's JSON -> (home module, witness
+#: dataclass, the predicate that re-checks it). Classes and predicates
+#: are named, and read from the module only when used, so that the table
+#: runs no checker module. `replay` re-checks on the witness's level for
+#: lr, sc and ni, on the refinement pair for c1-c6, and with the
+#: contracts for a lemma; a cross-check is never replayed.
+_WITNESS_TYPES: dict[str, tuple[types.ModuleType, str, str | None]] = {
+    "lr": (unwinding, "LRViolation", "lr_violated"),
+    "sc": (unwinding, "SCViolation", "sc_violated"),
+    "ni": (noninterference, "NICounterexample", "ni_violated"),
+    "c1": (refinement, "C1Witness", "c1_violated"),
+    "c2": (refinement, "C2Witness", "c2_violated"),
+    "c3": (refinement, "C3Witness", "c3_violated"),
+    "c4": (refinement, "C4Witness", "c4_violated"),
+    "c5": (refinement, "C5Witness", "c5_violated"),
+    "c6": (refinement, "C6Witness", "c6_violated"),
+    "cross-check": (refinement, "CrossCheck", None),
+    "lemma": (refinement, "LemmaWitness", "lemma_violated"),
 }
+
+#: Witness dataclass name -> its tag.
+_WITNESS_TAGS = {name: tag for tag, (_, name, _) in _WITNESS_TYPES.items()}
 
 #: Fields holding observed values, which JSON carries rendered.
 _VIEW_FIELDS = ("full_view", "purged_view")
@@ -233,11 +203,12 @@ def _encode(value: Any) -> Any:
     return value
 
 
-def _witness_json(witness: Any, scope: Scope | None) -> dict[str, Any]:
+def _witness_json(witness: Any,
+                  scope: unwinding.Scope | None) -> dict[str, Any]:
     """One walk over the witness dataclass's fields: states by their
     serialization, actions by their label, tuples as lists. With the
     scope an lr or sc witness was found in, its scope traces are added."""
-    tag = _WITNESS_TYPES[type(witness)]
+    tag = _WITNESS_TAGS[type(witness).__name__]
     out: dict[str, Any] = {"type": tag}
     for field in dataclasses.fields(witness):
         value = getattr(witness, field.name)
@@ -263,16 +234,18 @@ def _verdict_check(name: str, verdict) -> dict[str, Any]:
 # Check runners
 # ---------------------------------------------------------------------------
 
-def _unwind(system: SecureSystem, args) -> UnwindingReport:
+def _unwind(system: SecureSystem, args) -> unwinding.UnwindingReport:
     if args.universe:
-        scope = scope_universe(system)
+        scope = unwinding.scope_universe(system)
     else:
-        scope = scope_reachable(system, depth=args.depth, budget=args.budget)
+        scope = unwinding.scope_reachable(system, depth=args.depth,
+                                          budget=args.budget)
     domains = [args.domain] if args.domain else None
-    return check_unwinding(system, scope=scope, domains=domains)
+    return unwinding.check_unwinding(system, scope=scope, domains=domains)
 
 
-def _level_checks(loaded: LoadedTarget, label: str, report: UnwindingReport,
+def _level_checks(loaded: LoadedTarget, label: str,
+                  report: unwinding.UnwindingReport,
                   counters: dict[str, int]) -> list[dict[str, Any]]:
     prefix = f"{label}-" if len(loaded.levels) > 1 else ""
     counters[f"{label}_scope_states"] = report.scope_size
@@ -299,8 +272,8 @@ def _ni_checks(loaded: LoadedTarget, args,
     max_len = DEFAULT_MAX_LEN if args.max_len is None else args.max_len
     domains = [args.domain] if args.domain else None
     for label, system in loaded.levels:
-        result = check_ni(system, max_len, domains=domains,
-                          trace_budget=args.budget)
+        result = noninterference.check_ni(system, max_len, domains=domains,
+                                          trace_budget=args.budget)
         prefix = f"{label}-" if len(loaded.levels) > 1 else ""
         counters[f"{label}_traces"] = result.traces_checked
         witness = None
@@ -317,7 +290,7 @@ def _ni_checks(loaded: LoadedTarget, args,
 
 def _refine_checks(loaded: LoadedTarget, args,
                    counters: dict[str, int]) -> list[dict[str, Any]]:
-    report = check_simulation(loaded.pair, budget=args.budget)
+    report = refinement.check_simulation(loaded.pair, budget=args.budget)
     counters["joint_pairs"] = report.pair_count
     checks = [_verdict_check(name, verdict)
               for name, verdict in report.conditions().items()]
@@ -325,8 +298,8 @@ def _refine_checks(loaded: LoadedTarget, args,
     checks.append(_verdict_check("cross-check", report.cross_check))
     # The levels the cross-check already unwound are rendered, and their
     # explorations dropped, before any other level is unwound.
-    unwound = {label: _level_checks(loaded, label, unwinding, counters)
-               for label, unwinding in report.unwinding.items()}
+    unwound = {label: _level_checks(loaded, label, level, counters)
+               for label, level in report.unwinding.items()}
     del report
     for label, system in loaded.levels:
         checks += unwound.get(label) or _level_checks(
@@ -340,7 +313,8 @@ def _compositional_checks(loaded: LoadedTarget, args,
         raise UsageError(
             "this target declares no rely-guarantee contracts; "
             "compositional checking needs them")
-    report = check_compositional(loaded.pair, loaded.rg, budget=args.budget)
+    report = refinement.check_compositional(loaded.pair, loaded.rg,
+                                            budget=args.budget)
     counters["joint_pairs"] = report.pair_count
     checks = [_verdict_check(name, verdict)
               for name, verdict in report.lemmas().items()]
@@ -482,16 +456,16 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_list(args) -> int:
-    models = [{
+    entries = [{
         "name": entry.name,
         "description": entry.description,
         "params": {p: PARAM_DEFAULTS[p] for p in entry.params},
-    } for entry in REGISTRY.values()]
+    } for entry in models.REGISTRY.values()]
     if args.json:
-        _print_json({"schema": SCHEMA, "command": "list", "models": models})
+        _print_json({"schema": SCHEMA, "command": "list", "models": entries})
         return 0
-    width = max(len(m["name"]) for m in models)
-    for m in models:
+    width = max(len(m["name"]) for m in entries)
+    for m in entries:
         params = " ".join(f"{k}={v}" for k, v in m["params"].items())
         print(f"{m['name']:<{width}}  [{params}]  {m['description']}")
     return 0
@@ -529,7 +503,7 @@ def _rebuild_target(data: dict[str, Any]) -> tuple[LoadedTarget, bool]:
     source = model.get("source") if isinstance(model, dict) else None
     if source == "builtin":
         name, params = model.get("name"), model.get("params") or {}
-        if not isinstance(name, str) or name not in REGISTRY:
+        if not isinstance(name, str) or name not in models.REGISTRY:
             raise UsageError(f"report names unknown model {name!r}")
         if not isinstance(params, dict) \
                 or any(type(value) is not int for value in params.values()):
@@ -584,21 +558,6 @@ _RUNS = {
            ("second concrete run", "second_trace", ("second",))),
     "lemma": (("{level} run (ends at the offending step)", "trace",
                ("state", "successor")),),
-}
-
-#: Witness type -> the library predicate that re-checks it: on the
-#: witness's level for lr, sc and ni, on the refinement pair for c1-c6.
-#: Lemma witnesses go to `lemma_violated` with the contracts.
-_VIOLATED: dict[str, Callable[[Any, Any], bool]] = {
-    "lr": lr_violated,
-    "sc": sc_violated,
-    "ni": ni_violated,
-    "c1": c1_violated,
-    "c2": c2_violated,
-    "c3": c3_violated,
-    "c4": c4_violated,
-    "c5": c5_violated,
-    "c6": c6_violated,
 }
 
 #: Witness type -> (summary, the witness fields shown as facts). The
@@ -741,7 +700,7 @@ def _replay(loaded: LoadedTarget, universe: bool, name: str,
     runs, and re-check it with the library's predicate. `universe` is
     the report's scope."""
     tag = raw["type"]
-    cls = next(c for c, t in _WITNESS_TYPES.items() if t == tag)
+    home, cls_name, predicate = _WITNESS_TYPES[tag]
     if tag in ("lr", "sc", "ni"):
         system = subject = _system_for(loaded, name)
     elif loaded.pair is None or (tag == "lemma" and loaded.rg is None):
@@ -769,7 +728,7 @@ def _replay(loaded: LoadedTarget, universe: bool, name: str,
                             tag == "ni")
             decoder.ends += sets[-1]
         traced.append((title, trace_field, anchors, sets))
-    witness = decoder.witness(cls)
+    witness = decoder.witness(getattr(home, cls_name))
 
     runs = []
     for title, trace_field, anchors, sets in traced:
@@ -787,10 +746,11 @@ def _replay(loaded: LoadedTarget, universe: bool, name: str,
         title = title.format(check=name, level=raw.get("level"))
         runs.append({"title": title,
                      "steps": _run_payload(raw[trace_field], sets)})
+    recheck = getattr(home, predicate)
     if tag == "lemma":
-        violated = lemma_violated(loaded.pair, loaded.rg, name, witness)
+        violated = recheck(loaded.pair, loaded.rg, name, witness)
     else:
-        violated = _VIOLATED[tag](subject, witness)
+        violated = recheck(subject, witness)
     if not violated:
         raise _stale(f"the recorded {tag} violation no longer reproduces")
 

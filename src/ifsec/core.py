@@ -490,6 +490,18 @@ class InfoFlowConfig:
             raise UsageError(
                 f"action {action.display()!r} has no assigned domain") from None
 
+    def select_domains(self, domains: Iterable[str] | None) -> tuple[str, ...]:
+        """`domains` sorted and without repeats, or every domain when it
+        is None. An undeclared one is a UsageError naming the declared."""
+        if domains is None:
+            return tuple(sorted(self.domains))
+        chosen = tuple(sorted(set(domains)))
+        unknown = [d for d in chosen if d not in self.domains]
+        if unknown:
+            raise UsageError(f"unknown domain {unknown[0]!r}; "
+                             f"model declares {sorted(self.domains)}")
+        return chosen
+
     def missing_reflexive(self) -> tuple[str, ...]:
         """Domains without a d -> d edge; reported as a warning, not an error."""
         return tuple(d for d in self.domains if (d, d) not in self.policy)

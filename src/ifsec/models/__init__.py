@@ -5,20 +5,23 @@ and an abstract system joined by a refinement pair, with rely-guarantee
 contracts where the model declares them. Secure bundles are expected to
 pass every checker; the insecure variants each demonstrate one specific
 leak and are named after it.
+
+The registry holds each model's name, description and parameters
+itself, so listing the models runs no builder. The builder modules are
+lazy (see `ifsec`): `get_model` runs the one it builds with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
+from ifsec import _lazy
 from ifsec.core import UsageError
-from ifsec.models import arinc as _arinc
-from ifsec.models import demo as _demo
-from ifsec.models.arinc import ArincConfig, build_arinc
-from ifsec.models.auction import build_auction
-from ifsec.models.common import ModelBundle, component_of
-from ifsec.models.demo import build_demo
+
+common = _lazy(__name__, __path__, "common")
+arinc = _lazy(__name__, __path__, "arinc")
+auction = _lazy(__name__, __path__, "auction")
+demo = _lazy(__name__, __path__, "demo")
 
 __all__ = [
     "ArincConfig",
@@ -33,44 +36,66 @@ __all__ = [
     "model_names",
 ]
 
+#: Names re-exported from the builder modules, by home module; they are
+#: read there on first use.
+_EXPORTS = {"ArincConfig": arinc, "build_arinc": arinc,
+            "build_auction": auction, "build_demo": demo,
+            "ModelBundle": common, "component_of": common}
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return getattr(_EXPORTS[name], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 @dataclass(frozen=True)
 class RegistryEntry:
+    """A built-in model: `build` calls `build_<family>` of the builder
+    module `family` with `variant` (when given) and the parameters."""
+
     name: str
     description: str
     params: tuple[str, ...]
-    build: Callable[..., ModelBundle]
+    family: str
+    variant: str | None = None
+
+    def build(self, **kwargs) -> ModelBundle:
+        builder = f"build_{self.family}"
+        if self.variant is not None:
+            kwargs["variant"] = self.variant
+        return getattr(_EXPORTS[builder], builder)(**kwargs)
 
 
-def _entry(name: str, description: str, params: tuple[str, ...],
-           build: Callable[..., ModelBundle]) -> tuple[str, RegistryEntry]:
-    return name, RegistryEntry(name, description, params, build)
+_DEMO = ("threads", "capacity", "messages")
 
-
-REGISTRY: dict[str, RegistryEntry] = dict((
-    _entry("demo", _demo.DESCRIPTIONS["secure"],
-           ("threads", "capacity", "messages"),
-           lambda **kw: build_demo(variant="secure", **kw)),
-    _entry("demo-insecure-counter", _demo.DESCRIPTIONS["insecure_counter"],
-           ("threads", "capacity", "messages"),
-           lambda **kw: build_demo(variant="insecure_counter", **kw)),
-    _entry("demo-insecure-fullstatus", _demo.DESCRIPTIONS["insecure_fullstatus"],
-           ("threads", "capacity", "messages"),
-           lambda **kw: build_demo(variant="insecure_fullstatus", **kw)),
-    _entry("arinc", _arinc.DESCRIPTIONS["secure"],
-           ("capacity",),
-           lambda **kw: build_arinc(variant="secure", **kw)),
-    _entry("arinc-queuing-mode", _arinc.DESCRIPTIONS["queuing_mode"],
-           ("capacity",),
-           lambda **kw: build_arinc(variant="queuing_mode", **kw)),
-    _entry("arinc-port-id", _arinc.DESCRIPTIONS["port_id"],
-           ("capacity",),
-           lambda **kw: build_arinc(variant="port_id", **kw)),
-    _entry("auction",
-           "sealed-bid auction with locked ledger and a result publisher",
-           ("users",),
-           lambda **kw: build_auction(**kw)),
-))
+REGISTRY: dict[str, RegistryEntry] = {entry.name: entry for entry in (
+    RegistryEntry("demo",
+                  "ring of threads with locked single-reader message queues",
+                  _DEMO, "demo", "secure"),
+    RegistryEntry("demo-insecure-counter",
+                  "ring variant leaking denied sends through a shared counter",
+                  _DEMO, "demo", "insecure_counter"),
+    RegistryEntry("demo-insecure-fullstatus",
+                  "ring variant leaking dequeue progress through a fullness "
+                  "flag",
+                  _DEMO, "demo", "insecure_fullstatus"),
+    RegistryEntry("arinc",
+                  "two-core partition scheduler with a locked queuing channel",
+                  ("capacity",), "arinc", "secure"),
+    RegistryEntry("arinc-queuing-mode",
+                  "channel variant leaking dequeue timing through a fullness "
+                  "flag",
+                  ("capacity",), "arinc", "queuing_mode"),
+    RegistryEntry("arinc-port-id",
+                  "channel variant where a co-scheduled partition sends on a "
+                  "foreign port",
+                  ("capacity",), "arinc", "port_id"),
+    RegistryEntry("auction",
+                  "sealed-bid auction with locked ledger and a result "
+                  "publisher",
+                  ("users",), "auction"),
+)}
 
 
 def model_names() -> tuple[str, ...]:

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from ifsec.core import ModelError, State, UsageError, Value
+from ifsec.models import REGISTRY
 from ifsec.models.common import (
     ModelBundle,
     contracts_spec,
@@ -51,12 +52,6 @@ NAMES = {
     "secure": "arinc",
     "queuing_mode": "arinc-queuing-mode",
     "port_id": "arinc-port-id",
-}
-
-DESCRIPTIONS = {
-    "secure": "two-core partition scheduler with a locked queuing channel",
-    "queuing_mode": "channel variant leaking dequeue timing through a fullness flag",
-    "port_id": "channel variant where a co-scheduled partition sends on a foreign port",
 }
 
 
@@ -350,7 +345,7 @@ def build_arinc(config: ArincConfig | None = None, variant: str = "secure",
 
     return ModelBundle(
         name=NAMES[variant],
-        description=DESCRIPTIONS[variant],
+        description=REGISTRY[NAMES[variant]].description,
         pair=pair,
         rely_guarantee=_rely_guarantee(cpus, sched_of_cpu, parts_on, channels),
         params=(("capacity", min(cap(ch) for ch in channels)), ("variant", variant)),

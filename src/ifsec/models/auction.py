@@ -16,6 +16,7 @@ auction runs or not at all. "No winning bid" is represented as None.
 from __future__ import annotations
 
 from ifsec.core import State, UsageError, Value
+from ifsec.models import REGISTRY
 from ifsec.models.common import (
     ModelBundle,
     contracts_spec,
@@ -199,7 +200,7 @@ def build_auction(users: int = 2, bids: tuple[int, ...] = (1, 2),
 
     return ModelBundle(
         name="auction",
-        description="sealed-bid auction with locked ledger and a result publisher",
+        description=REGISTRY["auction"].description,
         pair=pair,
         rely_guarantee=_rely_guarantee(names),
         params=(("users", users), ("bids", bids)),

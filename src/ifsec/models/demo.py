@@ -26,6 +26,7 @@ Variants:
 from __future__ import annotations
 
 from ifsec.core import State, UsageError, Value
+from ifsec.models import REGISTRY
 from ifsec.models.common import (
     ModelBundle,
     contracts_spec,
@@ -49,12 +50,6 @@ NAMES = {
     "secure": "demo",
     "insecure_counter": "demo-insecure-counter",
     "insecure_fullstatus": "demo-insecure-fullstatus",
-}
-
-DESCRIPTIONS = {
-    "secure": "ring of threads with locked single-reader message queues",
-    "insecure_counter": "ring variant leaking denied sends through a shared counter",
-    "insecure_fullstatus": "ring variant leaking dequeue progress through a fullness flag",
 }
 
 
@@ -245,7 +240,7 @@ def build_demo(threads: int = 3, capacity: int = 1, messages: int = 1,
 
     return ModelBundle(
         name=NAMES[variant],
-        description=DESCRIPTIONS[variant],
+        description=REGISTRY[NAMES[variant]].description,
         pair=pair,
         rely_guarantee=_rely_guarantee(names),
         params=(("threads", threads), ("capacity", capacity),

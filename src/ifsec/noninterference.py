@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ifsec import unwinding
 from ifsec.core import (
     DEFAULT_TRACE_BUDGET,
     ActionId,
@@ -46,7 +47,6 @@ from ifsec.core import (
     sort_actions,
     value_key,
 )
-from ifsec.unwinding import UnwindingReport, check_unwinding
 
 __all__ = [
     "NICounterexample",
@@ -143,7 +143,7 @@ class TheoremCrossCheck:
     unwinding_ok: bool
     ni_ok: bool
     alarm: str | None
-    unwinding: UnwindingReport
+    unwinding: unwinding.UnwindingReport
     ni: NIResult
 
     @property
@@ -206,16 +206,6 @@ def _guesses(config: InfoFlowConfig, d: str, owners: Sequence[str]):
     return sorted(family, key=sorted), moves
 
 
-def _checked_domains(config: InfoFlowConfig, domains: Iterable[str] | None) -> tuple[str, ...]:
-    if domains is None:
-        return tuple(sorted(config.domains))
-    chosen = tuple(sorted(set(domains)))
-    unknown = [d for d in chosen if d not in config.domains]
-    if unknown:
-        raise UsageError(f"unknown domain {unknown[0]!r}; model declares {sorted(config.domains)}")
-    return chosen
-
-
 def check_ni(
     system: SecureSystem,
     max_len: int,
@@ -236,7 +226,7 @@ def check_ni(
     if max_len < 0:
         raise UsageError("trace length bound must be >= 0")
     machine, config = system.machine, system.config
-    doms = _checked_domains(config, domains)
+    doms = config.select_domains(domains)
     if actions is None:
         acts = sort_actions(machine.actions)
     else:
@@ -337,10 +327,10 @@ def validate_unwinding_theorem(
     of the checkers. The converse direction is not checked because it
     does not hold: unwinding may fail for systems that are secure.
     """
-    unwinding = check_unwinding(system, budget=state_budget)
+    report = unwinding.check_unwinding(system, budget=state_budget)
     ni = check_ni(system, max_len, trace_budget=trace_budget)
     alarm = None
-    if unwinding.ok and not ni.ok:
+    if report.ok and not ni.ok:
         assert ni.counterexample is not None
         alarm = (
             "unwinding conditions hold but a bounded counterexample exists "
@@ -348,9 +338,9 @@ def validate_unwinding_theorem(
             "one of the two checkers is wrong"
         )
     return TheoremCrossCheck(
-        unwinding_ok=unwinding.ok,
+        unwinding_ok=report.ok,
         ni_ok=ni.ok,
         alarm=alarm,
-        unwinding=unwinding,
+        unwinding=report,
         ni=ni,
     )

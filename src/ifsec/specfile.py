@@ -63,6 +63,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
+from ifsec import refinement
 from ifsec.core import (
     DEFAULT_STATE_BUDGET,
     ActionId,
@@ -77,18 +78,6 @@ from ifsec.core import (
     explore_ids,
     render_value,
     sort_actions,
-)
-from ifsec.refinement import (
-    TAU,
-    Alpha,
-    ComponentContract,
-    RefinementPair,
-    RelyGuaranteeSpec,
-    Zeta,
-    frame_guarantee,
-    frame_rely,
-    pair_table,
-    total_relation,
 )
 
 MODEL_SECTIONS = ("domains", "policy", "state", "actions", "observe")
@@ -931,10 +920,11 @@ def _compile_rules(doc: ModelDocument, names: tuple[str, ...],
     return successors
 
 
-def elaborate_refinement(doc: RefinementDocument, base_dir: str = ".",
-                         budget: int | None = None
-                         ) -> tuple[RefinementPair, RelyGuaranteeSpec | None]:
-    """Resolve a refinement document against its two model files."""
+def elaborate_refinement(
+        doc: RefinementDocument, base_dir: str = ".", budget: int | None = None
+) -> tuple[refinement.RefinementPair, refinement.RelyGuaranteeSpec | None]:
+    """Resolve a refinement document against its two model files. Only
+    here, and in the helpers below, does `specfile` use `refinement`."""
     def resolve(ref: str) -> str:
         return ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
 
@@ -945,14 +935,14 @@ def elaborate_refinement(doc: RefinementDocument, base_dir: str = ".",
 
     alpha = _elaborate_alpha(doc, concrete_doc, abstract_doc)
     zeta = _elaborate_zeta(doc, concrete, abstract)
-    pair = RefinementPair(concrete, abstract, alpha, zeta)
+    pair = refinement.RefinementPair(concrete, abstract, alpha, zeta)
     rg = _elaborate_contracts(doc, concrete_doc, concrete) \
         if doc.wants_rely_guarantee() else None
     return pair, rg
 
 
 def _elaborate_alpha(doc: RefinementDocument, concrete_doc: ModelDocument,
-                     abstract_doc: ModelDocument) -> Alpha:
+                     abstract_doc: ModelDocument) -> refinement.Alpha:
     concrete_vars = {v.name for v in concrete_doc.variables}
     abstract_vars = {v.name for v in abstract_doc.variables}
     if doc.alpha_matches:
@@ -969,11 +959,11 @@ def _elaborate_alpha(doc: RefinementDocument, concrete_doc: ModelDocument,
             return all(c[cv] == a[av] for cv, av in constraints)
 
         text = ", ".join(f"{cv} == {av}" for cv, av in constraints)
-        return Alpha(related, f"match {text}")
+        return refinement.Alpha(related, f"match {text}")
     if doc.alpha_pairs:
-        return Alpha.from_pairs(_state_pairs(
+        return refinement.Alpha.from_pairs(_state_pairs(
             doc.alpha_pairs, "alpha", concrete_vars, abstract_vars, "abstract"))
-    return Alpha(total_relation, "total")
+    return refinement.Alpha(refinement.total_relation, "total")
 
 
 def _state_pairs(pairs: Iterable[tuple[str, str]], where: str,
@@ -994,7 +984,7 @@ def _state_pairs(pairs: Iterable[tuple[str, str]], where: str,
 
 
 def _elaborate_zeta(doc: RefinementDocument, concrete: SecureSystem,
-                    abstract: SecureSystem) -> Zeta:
+                    abstract: SecureSystem) -> refinement.Zeta:
     concrete_labels = {a.label: a for a in concrete.machine.actions}
     abstract_labels = {a.label: a for a in abstract.machine.actions}
     mapping = {}
@@ -1003,17 +993,18 @@ def _elaborate_zeta(doc: RefinementDocument, concrete: SecureSystem,
         if action is None:
             raise ModelError(f"zeta maps unknown concrete action {src!r}")
         if tgt == "tau":
-            mapping[action] = TAU
+            mapping[action] = refinement.TAU
             continue
         target = abstract_labels.get(tgt)
         if target is None:
             raise ModelError(f"zeta target {tgt!r} is not an abstract action")
         mapping[action] = target
-    return Zeta(mapping)
+    return refinement.Zeta(mapping)
 
 
 def _elaborate_contracts(doc: RefinementDocument, concrete_doc: ModelDocument,
-                         concrete: SecureSystem) -> RelyGuaranteeSpec:
+                         concrete: SecureSystem
+                         ) -> refinement.RelyGuaranteeSpec:
     component_map = dict(doc.components)
     for action in concrete.machine.actions:
         if action.label not in component_map:
@@ -1028,24 +1019,26 @@ def _elaborate_contracts(doc: RefinementDocument, concrete_doc: ModelDocument,
         if component not in known:
             raise ModelError(f"{where} names a component no action maps to")
         if spec.frame is None:
-            relations[component, kind] = pair_table(_state_pairs(
+            relations[component, kind] = refinement.pair_table(_state_pairs(
                 spec.pairs or (), where, var_names, var_names))
             continue
         for var in spec.frame:
             if var not in var_names:
                 raise ModelError(
                     f"{where} frame names unknown variable {var!r}")
-        frame = frame_rely if kind == "rely" else frame_guarantee
+        frame = refinement.frame_rely if kind == "rely" \
+            else refinement.frame_guarantee
         relations[component, kind] = frame(spec.frame)
 
+    total = refinement.total_relation
     contracts = {
-        component: ComponentContract(
-            rely=relations.get((component, "rely"), total_relation),
-            guarantee=relations.get((component, "guarantee"), total_relation),
+        component: refinement.ComponentContract(
+            rely=relations.get((component, "rely"), total),
+            guarantee=relations.get((component, "guarantee"), total),
         )
         for component in sorted(known)
     }
-    return RelyGuaranteeSpec(
+    return refinement.RelyGuaranteeSpec(
         contracts=contracts,
         component_of=lambda action: component_map[action.label],
     )

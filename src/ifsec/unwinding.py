@@ -109,16 +109,6 @@ class UnwindingReport:
         return len(self.scope.ids)
 
 
-def _domains(system: SecureSystem, domains: Iterable[str] | None) -> tuple[str, ...]:
-    if domains is None:
-        return tuple(sorted(system.config.domains))
-    chosen = tuple(sorted(domains))
-    for d in chosen:
-        if d not in system.config.domains:
-            raise UsageError(f"unknown domain {d!r}")
-    return chosen
-
-
 def lr_violated(system: SecureSystem, v: LRViolation) -> bool:
     """True when `v` is an instance that breaks local respect: the
     acting domain may not flow to `v.domain`, yet the step from
@@ -167,7 +157,7 @@ def check_lr(system: SecureSystem, scope: Scope,
     canonical witness.
     """
     machine, config = system.machine, system.config
-    chosen = _domains(system, domains)
+    chosen = config.select_domains(domains)
     for action, table in zip(machine.actions, machine.successor_ids):
         acting = config.domain_of(action)
         blocked = [d for d in chosen if not config.allows(acting, d)]
@@ -197,7 +187,7 @@ def check_sc(system: SecureSystem, scope: Scope,
     ordered state pair within the first such class.
     """
     machine, config = system.machine, system.config
-    chosen = _domains(system, domains)
+    chosen = config.select_domains(domains)
     for action, table in zip(machine.actions, machine.successor_ids):
         acting = config.domain_of(action)
         rows = _enabled(table, scope)

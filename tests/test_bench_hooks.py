@@ -7,7 +7,10 @@ COUNTERS read sizes off what those functions return, so each one is
 also run on a real return value here: a change of representation that
 breaks a counter fails this test rather than a traced run. The tracer
 also runs in process on the refinement commands, to show that each
-refinement layer still gets its span.
+refinement layer still gets its span, and as its own child process on
+one command of each check kind and on a replay, the way a traced bench
+pass runs it: there the checker modules have not run yet when it
+installs its wrappers.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -148,3 +153,89 @@ def test_refinement_layers_get_their_spans(installed_tracer, capsys, kind,
              if span["name"] == "joint_explore"]
     assert len(joint) == 1
     assert joint[0]["counts"] == {"pairs": report["counters"]["joint_pairs"]}
+
+
+LEAKY = TOY.replace("lo: x\n", "lo: x y\n")
+
+#: A refinement of TOY by itself, with the contracts `check
+#: compositional` needs.
+SELF_PAIR = """\
+[refinement]
+concrete: toy.ifs
+abstract: toy.ifs
+
+[alpha]
+match: x == x
+match: y == y
+
+[zeta]
+poke -> poke
+toggle -> toggle
+
+[components]
+poke: worker
+toggle: janitor
+
+[rely janitor]
+keeps: y
+
+[guarantee janitor]
+may: y
+
+[rely worker]
+keeps: x
+
+[guarantee worker]
+may: x
+"""
+
+SCAN = {"cmd_check", "load_model", "elaborate_model", "scope_reachable",
+        "explore", "check_unwinding", "check_lr", "check_sc", "has_stutter"}
+
+
+@pytest.mark.parametrize("argv,code,layers", [
+    (("check", "unwinding", "@/leaky.ifs", "--json"), 1, SCAN),
+    (("check", "ni", "@/leaky.ifs"), 1,
+     {"cmd_check", "load_model", "elaborate_model", "check_ni"}),
+    (("check", "ni", "auction", "--max-len", "2"), 0,
+     {"cmd_check", "get_model", "compile_system", "check_ni"}),
+    (("check", "refine", "@/pair.ifs"), 0,
+     SCAN | {"load_refinement", "elaborate_refinement", "joint_explore",
+             "check_alpha_preserves_indist", "check_simulation"}),
+    (("check", "compositional", "demo", "--threads", "2"), 0,
+     {"cmd_check", "get_model", "compile_system", "joint_explore",
+      "check_compositional"}),
+], ids=["file-unwinding-and-replay", "file-ni", "builtin-ni", "file-refine",
+        "builtin-compositional"])
+def test_traced_child_gets_every_span(tmp_path, argv, code, layers):
+    (tmp_path / "toy.ifs").write_text(TOY, encoding="utf-8")
+    (tmp_path / "leaky.ifs").write_text(LEAKY, encoding="utf-8")
+    (tmp_path / "pair.ifs").write_text(SELF_PAIR, encoding="utf-8")
+    argv = [a.replace("@", str(tmp_path)) for a in argv]
+    proc, spans = traced_child(tmp_path, *argv)
+    assert proc.returncode == code, proc.stderr
+    assert {span["name"] for span in spans} == \
+        layers | {"cli.import", "cli.main", "trace.count"}
+    for span in spans:
+        assert bool(span["counts"]) == (span["name"] in tracer.COUNTERS)
+    if argv[-1] == "--json":
+        # Replay the report in a traced child too.
+        report = tmp_path / "report.json"
+        report.write_text(proc.stdout, encoding="utf-8")
+        proc, spans = traced_child(tmp_path, "replay", str(report))
+        assert proc.returncode == 0, proc.stderr
+        assert {span["name"] for span in spans} == {
+            "cli.import", "cli.main", "trace.count", "cmd_replay",
+            "load_model", "elaborate_model"}
+
+
+def traced_child(directory: pathlib.Path, *argv: str):
+    """`bench/tracer.py` on `argv` in a fresh interpreter: the finished
+    process and the spans it wrote."""
+    src = pathlib.Path(ifsec.cli.__file__).resolve().parents[1]
+    spans = directory / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(TRACER), str(spans), "child", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True)
+    return proc, json.loads(spans.read_text(encoding="utf-8"))

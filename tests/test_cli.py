@@ -13,10 +13,13 @@ report must replay back to the same condition.
 
 import inspect
 import json
+import os
 import subprocess
+import sys
 
 import pytest
 
+import ifsec
 from ifsec.cli import PARAM_DEFAULTS, main
 from ifsec.models import ArincConfig, REGISTRY, build_auction, build_demo
 from ifsec.specfile import elaborate_model
@@ -378,10 +381,12 @@ class TestExitCodes:
         assert "does not take parameter" in err
 
     def test_unknown_domain_is_two(self, run, models):
-        code, _, err = run("check", "unwinding", str(models / "toy.ifs"),
-                           "--domain", "nosuch")
-        assert code == 2
-        assert "unknown domain" in err
+        for kind in ("unwinding", "ni"):
+            code, _, err = run("check", kind, str(models / "toy.ifs"),
+                               "--domain", "nosuch")
+            assert code == 2
+            assert "unknown domain 'nosuch'; model declares ['hi', 'lo']" \
+                in err, kind
 
     def test_universe_without_declared_space_is_two(self, run):
         code, _, err = run("check", "unwinding", "arinc", "--universe")
@@ -422,7 +427,7 @@ class TestCheckBehavior:
             built.append(system.machine.universe is not None)
             return system
 
-        monkeypatch.setattr("ifsec.cli.elaborate_model", spy)
+        monkeypatch.setattr("ifsec.specfile.elaborate_model", spy)
         leaky = str(models / "leaky.ifs")
         code, out, _ = run("check", "unwinding", leaky, "--json")
         report = tmp_path / "report.json"
@@ -710,3 +715,93 @@ class TestReplay:
         code, _, err = run("replay", report)
         assert code == 2
         assert "ifsec check" in err
+
+
+#: Run in a fresh interpreter: `ifsec.cli.main` on the arguments, then
+#: one JSON line on stderr with the exit code, the `ifsec` modules whose
+#: body ran, and those still waiting as lazy modules.
+FOOTPRINT = """\
+import importlib.util, json, sys, types
+import ifsec.cli
+code = ifsec.cli.main(sys.argv[1:])
+kinds = {name: type(module) for name, module in sys.modules.items()
+         if name.startswith("ifsec.")}
+print(json.dumps({
+    "code": code,
+    "ran": sorted(n for n, k in kinds.items() if k is types.ModuleType),
+    "lazy": sorted(n for n, k in kinds.items()
+                   if k is importlib.util._LazyModule),
+}), file=sys.stderr)
+"""
+
+#: Every lazy module: the package's checker modules and, once the
+#: registry has run, its builder modules.
+CHECKERS = {"ifsec.models", "ifsec.noninterference", "ifsec.programs",
+            "ifsec.refinement", "ifsec.specfile", "ifsec.unwinding"}
+BUILDERS = {"ifsec.models.arinc", "ifsec.models.auction",
+            "ifsec.models.common", "ifsec.models.demo"}
+
+#: What every command runs: the CLI, `core` and the model registry,
+#: which decides whether a target is a built-in model.
+BASE = {"ifsec.cli", "ifsec.core", "ifsec.models"}
+#: A built-in model's build: its builder and what the builders import.
+BUILTIN = BASE | {"ifsec.models.common", "ifsec.programs",
+                  "ifsec.refinement", "ifsec.unwinding"}
+
+
+def footprint(*argv: str) -> tuple[int, set[str], set[str]]:
+    """Exit code, modules run and modules left lazy by one command in a
+    fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(ifsec.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stderr.splitlines()[-1])
+    return result["code"], set(result["ran"]), set(result["lazy"])
+
+
+class TestStartup:
+    """Each command runs only the modules it uses.
+
+    In-process tests cannot see this: by the time they run, every module
+    of the package has been imported. So each command runs in a fresh
+    interpreter. A module whose body has not run is still a lazy module
+    (`importlib.util._LazyModule`); every checker module is in
+    `sys.modules` either way, which tools that rebind functions by
+    module rely on.
+    """
+
+    @pytest.mark.parametrize("argv,code,ran", [
+        (("list",), 0, BASE),
+        (("check", "unwinding", "demo", "--threads", "2"), 0,
+         BUILTIN | {"ifsec.models.demo"}),
+        (("check", "refine", "auction"), 0,
+         BUILTIN | {"ifsec.models.auction"}),
+        (("check", "compositional", "arinc"), 0,
+         BUILTIN | {"ifsec.models.arinc"}),
+        (("check", "ni", "auction", "--max-len", "2"), 0,
+         BUILTIN | {"ifsec.models.auction", "ifsec.noninterference"}),
+        (("check", "unwinding", "@/leaky.ifs"), 1,
+         BASE | {"ifsec.specfile", "ifsec.unwinding"}),
+        (("check", "ni", "@/leaky.ifs"), 1,
+         BASE | {"ifsec.specfile", "ifsec.noninterference"}),
+        (("check", "refine", "@/pair.ifs"), 0,
+         BASE | {"ifsec.specfile", "ifsec.refinement", "ifsec.unwinding"}),
+    ], ids=["list", "builtin-unwinding", "builtin-refine",
+            "builtin-compositional", "builtin-ni", "file-unwinding",
+            "file-ni", "file-refine"])
+    def test_command_runs_only_its_modules(self, models, argv, code, ran):
+        argv = [a.replace("@", str(models)) for a in argv]
+        got_code, got_ran, lazy = footprint(*argv)
+        assert got_code == code
+        assert got_ran == ran
+        assert got_ran | lazy == CHECKERS | BUILDERS | BASE
+
+    def test_replay_runs_only_its_modules(self, saved_report, models):
+        code, report = saved_report("check", "unwinding",
+                                    str(models / "leaky.ifs"))
+        assert code == 1
+        got_code, ran, _ = footprint("replay", report)
+        assert got_code == 0
+        assert ran == BASE | {"ifsec.specfile", "ifsec.unwinding"}

@@ -21,6 +21,7 @@ from ifsec.core import (
     State,
     StateMachine,
     build_machine,
+    explore,
     explore_ids,
     sort_actions,
 )
@@ -331,12 +332,18 @@ SCALAR_POOL = (None, True, False, 2, 3, -5, "red", "green")
 
 @st.composite
 def model_documents(draw):
+    # Guards and writes drawn apart rarely chain, so half the documents
+    # get a chain: rules that walk from the initial assignment through 3
+    # or 4 others, one step each. Such a document declares at least two
+    # variables of at least two values each, and one action.
+    chain = draw(st.booleans())
     domains = sorted(draw(st.sets(st.sampled_from(NAME_POOL), min_size=1)))
-    var_names = sorted(draw(st.sets(st.sampled_from(VAR_POOL), min_size=1)))
+    var_names = sorted(draw(st.sets(st.sampled_from(VAR_POOL),
+                                    min_size=1 + chain)))
     variables = []
     for name in var_names:
-        values = draw(st.lists(st.sampled_from(SCALAR_POOL), min_size=1,
-                               max_size=4, unique=True))
+        values = draw(st.lists(st.sampled_from(SCALAR_POOL),
+                               min_size=1 + chain, max_size=4, unique=True))
         variables.append(VarDecl(name, tuple(values),
                                  draw(st.sampled_from(values))))
     sets = {v.name: v.values for v in variables}
@@ -347,12 +354,23 @@ def model_documents(draw):
         chosen = sorted(draw(st.sets(st.sampled_from(var_names))))
         return tuple((v, draw(st.sampled_from(sets[v]))) for v in chosen)
 
-    labels = sorted(draw(st.sets(st.sampled_from(LABEL_POOL), max_size=3)))
-    actions = tuple(
-        ActionDecl(label, draw(st.sampled_from(domains)),
-                   tuple(Rule(bindings(), bindings())
-                         for _ in range(draw(st.integers(0, 2)))))
-        for label in labels)
+    labels = sorted(draw(st.sets(st.sampled_from(LABEL_POOL), min_size=chain,
+                                 max_size=3)))
+    rules = {label: [Rule(bindings(), bindings())
+                     for _ in range(draw(st.integers(0, 2)))]
+             for label in labels}
+    if chain:
+        initial = tuple(v.initial for v in variables)
+        others = [values for values in itertools.product(*sets.values())
+                  if values != initial]
+        path = [initial, *draw(st.lists(st.sampled_from(others), min_size=3,
+                                        max_size=4, unique=True))]
+        rules[draw(st.sampled_from(labels))] += [
+            Rule(tuple(zip(var_names, pre)), tuple(zip(var_names, post)))
+            for pre, post in zip(path, path[1:])]
+    actions = tuple(ActionDecl(label, draw(st.sampled_from(domains)),
+                               tuple(rules[label]))
+                    for label in labels)
     observe = tuple(
         (d, tuple(sorted(draw(st.sets(st.sampled_from(var_names))))))
         for d in sorted(draw(st.sets(st.sampled_from(domains)))))
@@ -532,6 +550,22 @@ class TestElaborateModel:
             built = elaborate_model(doc, universe=universe).machine
             assert machine_layout(built) == \
                 machine_layout(oracle_elaborate(doc, universe)), universe
+
+    def test_generated_documents_often_need_three_bfs_levels(self):
+        # A closure that stopped early, after two levels or three states,
+        # must be caught by the generated documents, not only by CHAIN.
+        depths = []
+
+        @settings(max_examples=300, derandomize=True, deadline=None,
+                  database=None)
+        @given(model_documents())
+        def record(doc):
+            search = explore(elaborate_model(doc, universe=True).machine)
+            depths.append(len(search.trace_to(search.order[-1])))
+
+        record()
+        assert len(depths) >= 200
+        assert sum(depth >= 3 for depth in depths) / len(depths) >= 0.35
 
     def test_validate_rejects_unprintable_values(self):
         base = parse_model(TOY)

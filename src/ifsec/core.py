@@ -21,12 +21,12 @@ Conventions used throughout the package:
   parent edges and the witness traces; never iterate a set there.
 - A machine is indexed: its states are numbered 0..n-1 in serialization
   order (`by_id`), each state is one object, and each action has one
-  table from a state id to its successor ids.  Reachability, the
-  unwinding checks, the refinement joint search, c6 and the
-  rely-guarantee lemmas run on those ids and on per-(domain, state id)
+  table from a state id to its successor ids.  Every checker's search,
+  bounded NI's too, runs on those ids and on per-(domain, state id)
   observation classes (`InfoFlowConfig.classes`); `State` objects are
-  what `step`, the `transitions` view, scopes and witnesses hand out,
-  and what the user's relations (alpha, relies, guarantees) are given.
+  what `step`, `run` (witness re-checks, replay), the `transitions`
+  view, scopes and witnesses hand out, and what the user's relations
+  (alpha, relies, guarantees) are given.
 - The states of one machine share a schema, the sorted variable names
   with their positions; a state is a values tuple over it, and
   `assign` copies the values without sorting.
@@ -574,22 +574,24 @@ class Exploration:
     with `add`.  `index` maps each discovered node to its position in
     `order`, its dense BFS id; it is the seen set.  `edges[k]` is the
     (parent position, action) edge that first reached `order[k]`, None
-    for the initial node, and `trace_to` walks them back to a shortest
-    trace.  `depth` is the BFS depth of the node being expanded.
+    for a root, and `trace_to` walks them back to a shortest trace.
+    `depth` is the BFS depth of the node being expanded.  The roots,
+    `initial` and the distinct `more_roots`, are at depth 0.
     """
 
-    def __init__(self, initial: Hashable, budget: int | None = None,
-                 noun: str = "states") -> None:
-        self.order: list = [initial]
-        self.index: dict[Hashable, int] = {initial: 0}
-        self.edges: list[tuple[int, ActionId] | None] = [None]
+    def __init__(self, initial: Hashable, budget: float | None = None,
+                 noun: str = "states", *,
+                 more_roots: Iterable[Hashable] = ()) -> None:
+        self.order: list = [initial, *more_roots]
+        self.index: dict = {node: k for k, node in enumerate(self.order)}
+        self.edges: list[tuple[int, Hashable] | None] = [None] * len(self.order)
         self.depth = 0
         self._limit = DEFAULT_STATE_BUDGET if budget is None else budget
         self._noun = noun
 
     def __iter__(self) -> Iterator:
         self.depth = 0
-        level_end = 1  # index of the first node one level deeper
+        level_end = self.edges.count(None)  # the first node one level deeper
         # A list iterator also yields the items appended while it runs.
         for i, node in enumerate(self.order):
             if i == level_end:
@@ -597,7 +599,7 @@ class Exploration:
                 level_end = len(self.order)
             yield node
 
-    def add(self, node: Hashable, parent: Hashable, action: ActionId) -> int:
+    def add(self, node: Hashable, parent: Hashable, action: Hashable) -> int:
         """Record `node` as reached from `parent` by `action`, unless seen,
         and return its position in `order`.
 
@@ -616,8 +618,8 @@ class Exploration:
         self.order.append(node)
         return k
 
-    def trace_to(self, node: Hashable) -> tuple[ActionId, ...]:
-        steps: list[ActionId] = []
+    def trace_to(self, node: Hashable) -> tuple:
+        steps: list = []
         edge = self.edges[self.index[node]]
         while edge is not None:
             k, action = edge

@@ -17,9 +17,9 @@ each guess `S'` for which `sources(α) == S'` gives `sources(a·α) == S`,
 whatever the rest `α` is. That `S` is unique (`S' ∪ {w}` when `w` is
 outside `S'` and flows into it, else `S'`), so a trace has exactly one
 path that ends on the guess `{d}`, the sources of the empty rest, and
-along it the purged run is the run of `ipurge`. A node seen in an
-earlier layer is not expanded again, so the work is bounded by the
-nodes, not by the traces.
+along it the purged run is the run of `ipurge`. The search is a
+`core.Exploration` over state ids; it expands each node once, so its
+work follows the nodes, not the traces, and it ends when its queue empties.
 
 `validate_unwinding_theorem` cross-checks this bounded search against
 the unwinding conditions: unwinding passing while a bounded
@@ -37,6 +37,7 @@ from ifsec.core import (
     DEFAULT_TRACE_BUDGET,
     ActionId,
     BudgetError,
+    Exploration,
     InfoFlowConfig,
     SecureSystem,
     State,
@@ -221,96 +222,93 @@ def check_ni(
     and no domain earlier by name fails on the same trace. A trace its
     purge leaves whole is never a counterexample, even when its run ends
     in states the domain tells apart. Raises BudgetError before
-    searching if the trace count would exceed the budget.
+    searching if the trace count would exceed the budget. Each
+    observer's `Exploration` ends when its queue empties or at `max_len`.
     """
     if max_len < 0:
         raise UsageError("trace length bound must be >= 0")
     machine, config = system.machine, system.config
     doms = config.select_domains(domains)
-    if actions is None:
-        acts = sort_actions(machine.actions)
-    else:
-        acts = sort_actions(set(actions))
-        for a in acts:
-            if not machine.has_action(a):
-                raise UsageError(f"unknown action {a.display()!r}")
+    acts = sort_actions(machine.actions if actions is None else set(actions))
+    for a in acts:
+        if not machine.has_action(a):
+            raise UsageError(f"unknown action {a.display()!r}")
     limit = DEFAULT_TRACE_BUDGET if trace_budget is None else trace_budget
     width = len(acts)
-    total = sum(width**k for k in range(max_len + 1)) if width else 1
+    # Count the traces, but only until the count passes the limit: from
+    # width 2 on, each length doubles it, so that takes O(log limit).
+    if width < 2:  # one trace of each length, or only the empty one
+        total, over = (max_len + 1, max(limit, 0)) if width else (1, 0)
+    else:
+        total, term = 0, 1
+        for over in range(max_len + 1):
+            total, term = total + term, term * width
+            if total > limit:
+                break
     if total > limit:
+        count = total if over == max_len else f"more than {limit}"
         raise BudgetError(
-            f"trace budget exceeded: {total} traces of length <= {max_len} over "
+            f"trace budget exceeded: {count} traces of length <= {max_len} over "
             f"{width} actions (limit {limit}); raise the budget, lower the "
             f"length bound, or restrict the action set"
         )
 
-    initial = frozenset([machine.initial])
+    initial = (machine.initial_id,)
     owners = [config.domain_of(a) for a in acts]
-    succ: list[dict[frozenset[State], frozenset[State]]] = [{} for _ in acts]
+    tables = [machine.successor_ids[machine.actions.index(a)] for a in acts]
+    succ: list[dict[tuple[int, ...], tuple[int, ...]]] = [{} for _ in acts]
 
-    def advance(i: int, states: frozenset[State]) -> frozenset[State]:
-        nxt = succ[i].get(states)
-        if nxt is None:
-            nxt = succ[i][states] = run(machine, states, (acts[i],))
+    def advance(i: int, ids: tuple[int, ...]) -> tuple[int, ...]:
+        nxt = succ[i].get(ids)
+        if nxt is None:  # a state the action does not enable stutters
+            nxt = succ[i][ids] = tuple(sorted(
+                {j for s in ids for j in tables[i].get(s, (s,))}))
         return nxt
 
-    def search(d: str, bound: int) -> tuple[int, ...] | None:
-        # Breadth-first over (full, purged, guess, dropped); a layer is in
-        # the order of each node's least reaching trace, and a node seen
-        # in an earlier layer is not expanded again.
+    def search(d: str, bound: int):
+        # Nodes (full ids, purged ids, guess, dropped), one root per guess;
+        # edges are indices into `acts`, so BFS goes in shortlex order.
         starts, moves = _guesses(config, d, owners)
         target = frozenset([d])
-        layer = [((initial, initial, g, False), ()) for g in starts]
-        seen = {node for node, _ in layer}
-        for _ in range(bound):
-            nxt = []
-            for (full, purged, guess, dropped), trace in layer:
-                for i, (kept, guesses) in enumerate(moves[guess]):
-                    node_full = advance(i, full)
-                    node_purged = advance(i, purged) if kept else purged
-                    node_dropped = dropped or not kept
-                    for g in guesses:
-                        node = (node_full, node_purged, g, node_dropped)
-                        if node in seen:
-                            continue
-                        seen.add(node)
-                        if g == target and node_dropped and not equidom(
-                                config, d, node_full, node_purged):
-                            return trace + (i,)
-                        nxt.append((node, trace + (i,)))
-            layer = nxt
+        view = config.classes(machine, d)
+        roots = [(initial, initial, g, False) for g in starts]
+        explored = Exploration(roots[0], float("inf"), more_roots=roots[1:])
+        for node in explored:
+            if explored.depth >= bound:
+                break
+            full, purged, guess, dropped = node
+            for i, (kept, guesses) in enumerate(moves[guess]):
+                node_full = advance(i, full)
+                node_purged = advance(i, purged) if kept else purged
+                node_dropped = dropped or not kept
+                for g in guesses:
+                    found = (node_full, node_purged, g, node_dropped)
+                    n = len(explored.order)
+                    if explored.add(found, node, i) < n or g != target \
+                            or not node_dropped:
+                        continue
+                    # not equidom: more than one class over both id sets
+                    if len({view[j] for j in node_full + node_purged}) > 1:
+                        trace = explored.trace_to(found)
+                        return len(trace), trace, found
         return None
 
-    best: tuple[tuple[int, ...], str] | None = None
+    best = None
     for d in doms:
-        found = search(d, max_len if best is None else len(best[0]))
-        if found is not None and (best is None
-                                  or (len(found), found) < (len(best[0]), best[0])):
-            best = (found, d)
+        found = search(d, max_len if best is None else best[0])
+        if found is not None and (best is None or found[:2] < best[:2]):
+            best = (*found, d)
     if best is None:
         return NIResult(True, None, total, max_len, doms, acts)
-    indices, d = best
+    _, indices, node, d = best
     trace = tuple(acts[i] for i in indices)
-    purged = ipurge(trace, d, config)
-    finals = run(machine, initial, trace)
-    purged_finals = run(machine, initial, purged)
-    rank = sum(i * width**k for k, i in enumerate(reversed(indices)))
-    return NIResult(
-        ok=False,
-        counterexample=NICounterexample(
-            trace=trace,
-            domain=d,
-            purged=purged,
-            full_finals=tuple(sorted(finals)),
-            purged_finals=tuple(sorted(purged_finals)),
-            full_view=_view(config, d, finals),
-            purged_view=_view(config, d, purged_finals),
-        ),
-        traces_checked=sum(width**k for k in range(len(trace))) + rank + 1,
-        max_len=max_len,
-        domains=doms,
-        actions=acts,
-    )
+    finals, purged_finals = [tuple(machine.by_id[i] for i in ids)
+                             for ids in node[:2]]
+    counterexample = NICounterexample(
+        trace, d, ipurge(trace, d, config), finals, purged_finals,
+        _view(config, d, finals), _view(config, d, purged_finals))
+    checked = sum((i + 1) * width**k for k, i in enumerate(reversed(indices))) + 1
+    return NIResult(False, counterexample, checked, max_len, doms, acts)
 
 
 def validate_unwinding_theorem(

@@ -16,6 +16,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -321,6 +322,20 @@ class TestExitCodes:
         assert code == 4
         assert "budget of 100 states exceeded at BFS depth" in err
         assert "--budget" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--max-len", "20000"),
+        ("--max-len", "99999999999999999999999", "--budget", "5")])
+    def test_ni_huge_length_bound_is_four_at_once(self, run, argv):
+        # The trace count stops once it passes the budget, so neither
+        # bound is summed in full.
+        started = time.perf_counter()
+        code, _, err = run("check", "ni", "auction", *argv)
+        assert time.perf_counter() - started < 1
+        assert code == 4
+        limit = argv[3] if len(argv) > 2 else "500000"
+        assert (f"trace budget exceeded: more than {limit} traces of length "
+                f"<= {argv[1]} over 22 actions (limit {limit})") in err
 
     def test_ni_budget_counts_traces_not_assignments(self, run, tmp_path):
         wide = tmp_path / "wide.ifs"

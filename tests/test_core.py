@@ -14,6 +14,7 @@ import ifsec
 from ifsec.core import (
     ActionId,
     BudgetError,
+    Exploration,
     InfoFlowConfig,
     ModelError,
     SecureSystem,
@@ -350,6 +351,34 @@ def _joint(budget):
                           Alpha(lambda c, a: c == a, "equality"),
                           Zeta.identity(machine.actions))
     return len(joint_explore(pair, budget=budget).pairs)
+
+
+class TestMultiRootExploration:
+    """An exploration may start from several roots, as bounded NI does
+    from one guess per family member."""
+
+    def test_roots_are_depth_zero_with_empty_traces(self):
+        search = Exploration("a", more_roots=("b", "c"))
+        depths = {}
+        for node in search:
+            depths[node] = search.depth
+            if len(node) == 1:
+                search.add("b", node, "again")  # a root is already seen
+                search.add(node * 2, node, node.upper())
+        assert search.order == ["a", "b", "c", "aa", "bb", "cc"]
+        assert depths == {"a": 0, "b": 0, "c": 0, "aa": 1, "bb": 1, "cc": 1}
+        assert search.edges[:3] == [None, None, None]
+        assert [search.trace_to(n) for n in "abc"] == [(), (), ()]
+        assert search.trace_to("cc") == ("C",)
+
+    def test_roots_count_against_the_budget(self):
+        search = Exploration("a", 4, more_roots=("b", "c"))
+        search.add("d", "a", "x")
+        with pytest.raises(BudgetError, match="budget of 4 states exceeded "
+                                              "at BFS depth 1"):
+            search.add("e", "a", "x")
+        with pytest.raises(BudgetError, match="budget of 3 states"):
+            Exploration("a", 3, more_roots=("b", "c")).add("d", "a", "x")
 
 
 class TestBudgetBoundary:

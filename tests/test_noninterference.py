@@ -8,6 +8,8 @@ examples below before the implementation existed. The oracle for
 
 from __future__ import annotations
 
+import re
+import time
 from dataclasses import replace
 
 import pytest
@@ -26,7 +28,7 @@ from ifsec.core import (
     sort_actions,
     value_key,
 )
-from ifsec.models import get_model
+from ifsec.models import get_model, model_names
 from ifsec.noninterference import (
     NICounterexample,
     NIResult,
@@ -336,6 +338,70 @@ class TestCheckNI:
         assert one == two
 
 
+class TestTraceBudget:
+    """The up-front trace count stops once it passes the budget.
+
+    The oracle is the literal sum over every length. When the count
+    passes the budget only at `max_len` itself, the message gives the
+    whole count; when it passes earlier, it says "more than" the limit.
+    """
+
+    @pytest.mark.parametrize("width", [0, 1, 2])
+    def test_count_matches_the_literal_sum(self, width):
+        actions = [ActionId("h"), ActionId("l")][2 - width:]
+        for max_len in range(7):
+            counts = [sum(width**k for k in range(n + 1))
+                      for n in range(max_len + 1)]
+            for limit in range(-1, 2 * counts[-1]):
+                if counts[-1] <= limit:
+                    assert check_ni(quiet_system(), max_len, actions=actions,
+                                    trace_budget=limit).traces_checked \
+                        == counts[-1]
+                    continue
+                at_bound = max_len == 0 or counts[-2] <= limit
+                count = counts[-1] if at_bound else f"more than {limit}"
+                with pytest.raises(BudgetError, match=re.escape(
+                        f"trace budget exceeded: {count} traces of length "
+                        f"<= {max_len} over {width} actions (limit {limit});")):
+                    check_ni(quiet_system(), max_len, actions=actions,
+                             trace_budget=limit)
+
+    @pytest.mark.parametrize("width, max_len, budget", [
+        (2, 20000, None), (1, 99999999999999999999999, 5),
+        (2, 99999999999999999999999, 5), (1, 10**40, 10**30),
+        (2, 10**40, 10**30)])
+    def test_huge_length_bound_fails_at_once(self, width, max_len, budget):
+        actions = [ActionId("h"), ActionId("l")][2 - width:]
+        limit = 500_000 if budget is None else budget
+        started = time.perf_counter()
+        with pytest.raises(BudgetError, match=re.escape(
+                f"more than {limit} traces of length <= {max_len} ")):
+            check_ni(leaky_system(), max_len, actions=actions,
+                     trace_budget=budget)
+        assert time.perf_counter() - started < 0.5
+
+
+def _without_state_steps(thunk):
+    """`thunk()` while `noninterference.run` and `StateMachine.step_total`
+    raise: the search must step state ids, never `State` objects."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("check_ni stepped State objects")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("ifsec.noninterference.run", forbidden)
+        patch.setattr(StateMachine, "step_total", forbidden)
+        return thunk()
+
+
+def test_search_steps_no_state_on_builtin_levels():
+    # A budget the trace count never reaches, so every level searches.
+    for name in model_names():
+        bundle = get_model(name)
+        for system in (bundle.abstract, bundle.concrete):
+            expected = check_ni(system, 4, trace_budget=10**40)
+            assert _without_state_steps(
+                lambda: check_ni(system, 4, trace_budget=10**40)) == expected
+
+
 class TestTheoremValidation:
     def test_quiet_system_consistent(self):
         report = validate_unwinding_theorem(quiet_system(), 3)
@@ -442,6 +508,17 @@ def test_product_search_matches_trace_enumeration(example):
                        {"domains": doms, "actions": acts}):
             assert check_ni(system, max_len, **kwargs) == oracle_check_ni(
                 system, max_len, **kwargs)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(small_systems())
+def test_product_search_steps_no_state(example):
+    system, doms, acts = example
+    cases = [(max_len, kwargs) for max_len in range(6)
+             for kwargs in ({}, {"domains": doms, "actions": acts})]
+    expected = [oracle_check_ni(system, n, **kwargs) for n, kwargs in cases]
+    assert _without_state_steps(lambda: [
+        check_ni(system, n, **kwargs) for n, kwargs in cases]) == expected
 
 
 class TestUnwindingDisagreement:

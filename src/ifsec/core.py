@@ -26,7 +26,7 @@ Conventions used throughout the package:
   observation classes (`InfoFlowConfig.classes`); `State` objects are
   what `step`, `run` (witness re-checks, replay), the `transitions`
   view, scopes and witnesses hand out, and what the user's relations
-  (alpha, relies, guarantees) are given.
+  (alpha's keys or predicate, relies, guarantees) are given.
 - The states of one machine share a schema, the sorted variable names
   with their positions; a state is a values tuple over it, and
   `assign` copies the values without sorting.
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from functools import partial
 
 #: Exploration ceiling applied when a caller does not pass an explicit budget.
 DEFAULT_STATE_BUDGET = 2_000_000
@@ -431,24 +432,25 @@ class _Transitions(Mapping):
 
 
 class _Classes(dict):
-    """State id -> observation class of one domain, filled on first lookup.
+    """State id -> class of a view of the state, filled on first lookup.
 
-    Entries are keyed by the machine's own int objects, so a caller that
-    computes an id (say by `divmod`) adds no int to the table.
+    Two ids share a class exactly when their views are equal; tables
+    made with one `class_of` table share its classes.  Entries are keyed
+    by the machine's own int objects, so a caller that computes an id
+    (say by `divmod`) adds no int to the table.
     """
 
-    def __init__(self, observe: Callable[[str, State], Value], domain: str,
-                 machine: StateMachine) -> None:
+    def __init__(self, view: Callable[[State], Value], machine: StateMachine,
+                 class_of: dict[Value, int] | None = None) -> None:
         super().__init__()
-        self._observe = observe
-        self._domain = domain
+        self._view = view
         self._by_id = machine.by_id
         self._ids = machine._ids
-        self._class_of: dict[Value, int] = {}
+        self._class_of: dict[Value, int] = {} if class_of is None else class_of
 
     def __missing__(self, i: int) -> int:
         state = self._by_id[i]
-        view = self._observe(self._domain, state)
+        view = self._view(state)
         c = self[self._ids[state]] = self._class_of.setdefault(
             view, len(self._class_of))
         return c
@@ -477,7 +479,7 @@ class InfoFlowConfig:
         table = tables.get((machine, domain))
         if table is None:
             table = tables[(machine, domain)] = _Classes(
-                self.observe, domain, machine)
+                partial(self.observe, domain), machine)
         return table
 
     def allows(self, source: str, target: str) -> bool:

@@ -31,9 +31,9 @@ from ifsec.core import ModelError, State, UsageError, Value
 from ifsec.models import REGISTRY
 from ifsec.models.common import (
     ModelBundle,
+    buffer_alpha,
     contracts_spec,
     frame_contract,
-    pc_alignment,
     zeta_from_rule,
 )
 from ifsec.programs import (
@@ -44,7 +44,7 @@ from ifsec.programs import (
     lock_acquire,
     seq,
 )
-from ifsec.refinement import TAU, Alpha, RefinementPair
+from ifsec.refinement import TAU, RefinementPair
 
 VARIANTS = ("secure", "queuing_mode", "port_id")
 
@@ -317,21 +317,9 @@ def build_arinc(config: ArincConfig | None = None, variant: str = "secure",
                  + [f"st.{p}" for p in partitions])
     buffers = tuple((f"qbuf.{ch}", f"obuf.{ch}", f"qlock.{ch}")
                     for ch in channels)
-    aligned = pc_alignment(cpus)
-
-    def related(c: State, a: State) -> bool:
-        for var in kept:
-            if a[var] != c[var]:
-                return False
-        for qbuf, obuf, qlock in buffers:
-            if a[qbuf] != c[obuf]:
-                return False
-            if c[qlock] is None and c[qbuf] != c[obuf]:
-                return False
-        return aligned(c, a)
-
-    alpha = Alpha(
-        related, "abstract buffers match committed buffers; unlocked buffers are clean")
+    alpha = buffer_alpha(
+        cpus, kept, buffers,
+        "abstract buffers match committed buffers; unlocked buffers are clean")
 
     def rule(comp: str, event: str, step: str):
         if step in ("lock", "enqueue", "dequeue"):

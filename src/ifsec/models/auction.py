@@ -21,7 +21,7 @@ from ifsec.models.common import (
     ModelBundle,
     contracts_spec,
     frame_contract,
-    pc_alignment,
+    pc_key,
     zeta_from_rule,
 )
 from ifsec.programs import (
@@ -165,26 +165,31 @@ def build_auction(users: int = 2, bids: tuple[int, ...] = (1, 2),
         ConcurrentSystem(components, abstract_pool, abstract_vars),
         domains, policy, observe("log", "maxbid"), budget)
 
-    aligned = pc_alignment(components)
+    public = ("status", "reserve", "sealed", "res")
+    concrete_view = pc_key(components, (*public, "oblog", "obid"))
+    abstract_view = pc_key(components, (*public, "log", "maxbid"))
 
-    def related(c: State, a: State) -> bool:
-        for var in ("status", "reserve", "sealed", "res"):
-            if a[var] != c[var]:
-                return False
-        if a["log"] != c["oblog"] or a["maxbid"] != c["obid"]:
-            return False
-        if c["lock"] is None and (c["log"] != c["oblog"] or c["maxbid"] != c["obid"]):
-            return False
-        if a["res"] is not None:
-            ok = (a["status"] == "closed"
-                  and a["res"] == ledger_max(a["log"])
-                  and a["res"][1] > a["reserve"])
-            if not ok:
-                return False
-        return aligned(c, a)
+    def concrete_key(c: State):
+        """None while the unlocked ledger differs from its committed
+        copy; else the public variables, the committed ledger and bid,
+        and the pc events."""
+        if c["lock"] is None and (c["log"] != c["oblog"]
+                                  or c["maxbid"] != c["obid"]):
+            return None
+        return concrete_view(c)
 
-    alpha = Alpha(
-        related,
+    def abstract_key(a: State):
+        """None when a published result is not the ledger maximum above
+        the reserve of a closed auction."""
+        res = a["res"]
+        if res is not None and not (a["status"] == "closed"
+                                    and res == ledger_max(a["log"])
+                                    and res[1] > a["reserve"]):
+            return None
+        return abstract_view(a)
+
+    alpha = Alpha.keyed(
+        concrete_key, abstract_key,
         "abstract ledger matches the committed ledger; a published result "
         "is the ledger maximum above the reserve")
 

@@ -3,9 +3,10 @@
 Every bundled model is shipped as a :class:`ModelBundle`: a concrete and an
 abstract system tied together by a refinement pair, plus (where the model
 declares one) a rely-guarantee spec for the compositional checker. The
-helpers here cover the parts all three model families repeat: program-counter
-alignment between the two levels, building zeta from step-label rules, and
-frame contracts declared by the variables a component owns, shares and locks.
+helpers here cover the parts all three model families repeat: the
+program-counter events that end both levels' alpha keys, building zeta from
+step-label rules, and frame contracts declared by the variables a component
+owns, shares and locks.
 Frame contracts declare no guarantee-move enumerator: the moves a
 component's code makes are its concrete steps, which lemma 3 already
 checks against every other component's rely.
@@ -14,12 +15,14 @@ checks against every other component's rely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 from ifsec.core import ActionId, ModelError, SecureSystem, State, Value
 from ifsec.programs import IDLE, INVOKE
 from ifsec.refinement import (
     TAU,
+    Alpha,
     ComponentContract,
     Locks,
     RefinementPair,
@@ -76,24 +79,98 @@ def _pc_event(value: Value) -> Value:
     return str(value).split("#", 1)[0]
 
 
-def pc_alignment(components: Iterable[str]) -> Callable[[State, State], bool]:
-    """The test that both levels sit inside the same event on every
-    component, with the pc variable names built once.
+class _Events(dict):
+    """pc value -> the event it points into, filled on first lookup."""
+
+    def __missing__(self, value: Value) -> Value:
+        event = self[value] = _pc_event(value)
+        return event
+
+
+def _values_getter(names: tuple[str, ...], index: Mapping[str, int]
+                   ) -> Callable[[tuple], tuple]:
+    """The values of `names` as a tuple, read off a values tuple."""
+    positions = [index[v] for v in names]
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions) if positions else lambda values: ()
+
+
+def _schema_key(layout: Callable[[Mapping[str, int]], Callable[[tuple], Value]]
+                ) -> Callable[[State], Value]:
+    """An alpha key that reads a state's values by position: `layout`
+    turns a schema's name -> position table into the key of a values
+    tuple. It runs again only when the schema changes, and every state
+    of one level shares one schema."""
+    last: list = [None, None]
+
+    def key(state: State) -> Value:
+        names = state.names
+        if names is not last[0]:
+            last[:] = names, layout({name: k for k, name in enumerate(names)})
+        return last[1](state.values)
+
+    return key
+
+
+def _pc_view(components: tuple[str, ...], names: tuple[str, ...],
+             index: Mapping[str, int],
+             guards: tuple[tuple[int, int, int], ...] = ()
+             ) -> Callable[[tuple], tuple | None]:
+    """The values of `names`, then the event each component's pc points
+    into (None when idle), read off a values tuple by `index`; None when
+    a guard's (lock, buffer, copy) positions hold an unlocked buffer
+    that differs from its copy.
 
     The two levels step through different program texts, so equal pc
     values would be too strong; what the state relations need is that a
     component is mid-event on one level exactly when it is mid-event in
-    the same event on the other.
+    the same event on the other, so both levels' alpha keys end in
+    these events.
     """
-    pc_vars = tuple(f"pc.{comp}" for comp in components)
+    read = _values_getter(names, index)
+    pcs = _values_getter(tuple(f"pc.{comp}" for comp in components), index)
+    events = _Events().__getitem__
 
-    def aligned(concrete: State, abstract: State) -> bool:
-        for var in pc_vars:
-            if _pc_event(concrete[var]) != _pc_event(abstract[var]):
-                return False
-        return True
+    def view(values: tuple) -> tuple | None:
+        for lock, buffer, copy in guards:
+            if values[lock] is None and values[buffer] != values[copy]:
+                return None
+        return (*read(values), *map(events, pcs(values)))
 
-    return aligned
+    return view
+
+
+def pc_key(components: Iterable[str], names: Iterable[str]
+           ) -> Callable[[State], tuple]:
+    """The alpha key of one level: the values of `names`, then the event
+    each component's pc points into (see `_pc_view`)."""
+    components, names = tuple(components), tuple(names)
+    return _schema_key(lambda index: _pc_view(components, names, index))
+
+
+def buffer_alpha(components: Iterable[str], kept: Iterable[str],
+                 buffers: Iterable[tuple[str, str, str]],
+                 description: str) -> Alpha:
+    """Alpha of a system whose components write lock-guarded buffers.
+
+    `buffers` are concrete (buffer, committed copy, lock) triples: the
+    unlock step publishes a buffer to its copy, and the abstract level
+    holds the published content in the buffer's variable. The concrete
+    key is None while an unlocked buffer differs from its copy; else it
+    is the `kept` variables, the copies and the pc events, and the
+    abstract key is the kept variables, the buffers and the pc events.
+    """
+    components, kept, buffers = tuple(components), tuple(kept), tuple(buffers)
+    copies = (*kept, *(c for _, c, _ in buffers))
+
+    def concrete(index: Mapping[str, int]) -> Callable[[tuple], tuple | None]:
+        guards = tuple((index[lock], index[b], index[c]) for b, c, lock in buffers)
+        return _pc_view(components, copies, index, guards)
+
+    return Alpha.keyed(
+        _schema_key(concrete),
+        pc_key(components, (*kept, *(b for b, _, _ in buffers))), description)
 
 
 def zeta_from_rule(concrete: SecureSystem, abstract: SecureSystem,

@@ -29,9 +29,9 @@ from ifsec.core import State, UsageError, Value
 from ifsec.models import REGISTRY
 from ifsec.models.common import (
     ModelBundle,
+    buffer_alpha,
     contracts_spec,
     frame_contract,
-    pc_alignment,
     zeta_from_rule,
 )
 from ifsec.programs import (
@@ -42,7 +42,7 @@ from ifsec.programs import (
     lock_acquire,
     seq,
 )
-from ifsec.refinement import TAU, Alpha, RefinementPair
+from ifsec.refinement import TAU, RefinementPair
 
 VARIANTS = ("secure", "insecure_counter", "insecure_fullstatus")
 
@@ -209,22 +209,10 @@ def build_demo(threads: int = 3, capacity: int = 1, messages: int = 1,
         ConcurrentSystem(names, abstract_pool, abstract_vars),
         names, policy, abstract_observe, budget)
 
-    queues = tuple((f"que.{t}", f"obq.{t}", f"lock.{t}", f"cnt.{t}")
-                   for t in names)
-    aligned = pc_alignment(names)
-
-    def related(c: State, a: State) -> bool:
-        for que, obq, lock, cnt in queues:
-            if a[que] != c[obq]:
-                return False
-            if c[lock] is None and c[que] != c[obq]:
-                return False
-            if counter and a[cnt] != c[cnt]:
-                return False
-        return aligned(c, a)
-
-    alpha = Alpha(
-        related, "abstract queues match committed queues; unlocked queues are clean")
+    alpha = buffer_alpha(
+        names, [f"cnt.{t}" for t in names if counter],
+        [(f"que.{t}", f"obq.{t}", f"lock.{t}") for t in names],
+        "abstract queues match committed queues; unlocked queues are clean")
 
     def rule(comp: str, event: str, step: str):
         if step in ("lock", "enqueue", "dequeue", "incr"):

@@ -24,10 +24,14 @@ that let the simulation be established one component at a time, and
 cross-validates them against the joint exploration the same way.
 
 The joint search runs on pairs of machine state ids and records the
-abstract state each concrete step is matched with. c6 compares the two
-levels' observation classes over the id pairs, and the lemmas read the
-joint search's step record instead of stepping the machines and
-evaluating alpha again.
+abstract state each concrete step is matched with. It tests alpha on
+ids (`Alpha.on_ids`): a keyed alpha, which every built-in model and
+every `match:` line of a model file gives, compares integer key
+classes, and each level's key runs once per state id. c6 compares the
+two levels' observation classes over the id pairs, and the lemmas read
+the joint search's step record instead of stepping the machines and
+testing alpha again. `Alpha.holds` tests two states; the witness
+predicates (`c1_violated` ... `lemma_violated`) and replay use it.
 
 The policy-direction convention deserves a note: c5 requires the
 abstract policy to be a subset of the concrete one. Folklore phrases
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from ifsec.core import (
     ActionId,
@@ -50,6 +54,7 @@ from ifsec.core import (
     State,
     StateMachine,
     UsageError,
+    _Classes,
     indist,
 )
 from ifsec.unwinding import UnwindingReport, check_unwinding
@@ -102,6 +107,8 @@ class _Tau:
 TAU = _Tau()
 
 Relation = Callable[[State, State], bool]
+#: An alpha key of one level's states (see `Alpha.keyed`).
+Key = Callable[[State], Hashable]
 #: Lock variable -> the variables it guards.
 Locks = Mapping[str, Iterable[str]]
 
@@ -236,10 +243,32 @@ def frame_guarantee(allowed: Iterable[str], holder: str | None = None,
 
 @dataclass(frozen=True)
 class Alpha:
-    """State relation between concrete and abstract states."""
+    """State relation between concrete and abstract states.
 
-    predicate: Callable[[State, State], bool]
+    A keyed alpha (`keyed`) relates two states when the concrete key and
+    the abstract key are equal and not None. Any other alpha is a
+    predicate on `State` objects; `from_pairs` makes one that looks the
+    pair up in its table. `holds` tests two states, and `on_ids` gives
+    the relation on two machines' state ids, which is what the joint
+    search and the lemmas test.
+    """
+
+    predicate: Relation
     description: str = "predicate"
+    concrete_key: Key | None = field(default=None, repr=False)
+    abstract_key: Key | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_on_ids", {})
+
+    @staticmethod
+    def keyed(concrete_key: Key, abstract_key: Key, description: str) -> "Alpha":
+        """The relation of equal keys; a key of None relates to nothing."""
+        def holds(concrete: State, abstract: State) -> bool:
+            key = concrete_key(concrete)
+            return key is not None and key == abstract_key(abstract)
+
+        return Alpha(holds, description, concrete_key, abstract_key)
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[State, State]]) -> "Alpha":
@@ -248,6 +277,30 @@ class Alpha:
 
     def holds(self, concrete: State, abstract: State) -> bool:
         return bool(self.predicate(concrete, abstract))
+
+    def on_ids(self, concrete: StateMachine, abstract: StateMachine
+               ) -> Callable[[int, int], bool]:
+        """`related(i, a)`: whether alpha relates state `i` of `concrete`
+        to state `a` of `abstract`, made once per machine pair.
+
+        A keyed alpha compares key classes: both levels' keys are
+        interned in one table, where None has class -1 and every other
+        key a class from 0 up, and each level's key runs once per state
+        id, at the id's first lookup. A predicate alpha is given the two
+        states.
+        """
+        made = self._on_ids  # type: ignore[attr-defined]
+        if (concrete, abstract) not in made:
+            if self.abstract_key is None:
+                predicate, cby, aby = self.predicate, concrete.by_id, abstract.by_id
+                made[concrete, abstract] = lambda i, a: bool(
+                    predicate(cby[i], aby[a]))
+            else:
+                class_of: dict[Hashable, int] = {None: -1}
+                left = _Classes(self.concrete_key, concrete, class_of)
+                right = _Classes(self.abstract_key, abstract, class_of)
+                made[concrete, abstract] = lambda i, a: left[i] == right[a] >= 0
+        return made[concrete, abstract]
 
 
 @dataclass(frozen=True)
@@ -427,9 +480,9 @@ class JointExploration:
     def ok(self) -> bool:
         return self.c1.ok and self.c2.ok and self.c3.ok
 
-    @property
-    def width(self) -> int:
-        return len(self.abstract.by_id)
+    def __post_init__(self) -> None:
+        # `pair_at` reads the width once per pair; count the states once.
+        object.__setattr__(self, "width", len(self.abstract.by_id))
 
     @property
     def nodes(self) -> list[int]:
@@ -476,18 +529,18 @@ def _columns(pair: RefinementPair) -> list[tuple]:
     return columns
 
 
-def _match(pair: RefinementPair, targets: Mapping[int, tuple[int, ...]] | None,
-           a: int, successor: State) -> int | None:
-    """The abstract id a step from abstract id `a` to `successor` is
+def _match(related: Callable[[int, int], bool],
+           targets: Mapping[int, tuple[int, ...]] | None,
+           a: int, j: int) -> int | None:
+    """The abstract id a step from abstract id `a` to concrete id `j` is
     matched with: for a silent step (`targets` None) `a` itself, if
-    alpha still relates them; for a mapped one the first successor of
-    `a` in the image's table `targets` that alpha relates. None when
-    there is none."""
-    holds, by_id = pair.alpha.holds, pair.abstract.machine.by_id
+    alpha (`related`, on ids) still relates them; for a mapped one the
+    first successor of `a` in the image's table `targets` that alpha
+    relates. None when there is none."""
     if targets is None:
-        return a if holds(successor, by_id[a]) else None
+        return a if related(j, a) else None
     for m in targets.get(a, ()):
-        if holds(successor, by_id[m]):
+        if related(j, m):
             return m
     return None
 
@@ -503,11 +556,13 @@ def joint_explore(pair: RefinementPair,
     what exploration continues from. Pair discovery order, action
     order, and successor order are all canonical, so the first
     violation found is the same on every run and its trace is shortest.
-    The search runs on state ids and records each step's match.
+    The search runs on state ids, tests alpha on them (`Alpha.on_ids`)
+    and records each step's match.
     """
     mc = pair.concrete.machine
     ma = pair.abstract.machine
     width = len(ma.by_id)
+    related = pair.alpha.on_ids(mc, ma)
     search = Exploration(mc.initial_id * width + ma.initial_id, budget,
                          noun="related state pairs")
     matches: list[int] = []
@@ -516,7 +571,7 @@ def joint_explore(pair: RefinementPair,
                c3: Verdict) -> JointExploration:
         return JointExploration(mc, ma, search, matches, expanded, c1, c2, c3)
 
-    if not pair.alpha.holds(mc.initial, ma.initial):
+    if not related(mc.initial_id, ma.initial_id):
         skip = Verdict.skipped("exploration aborted: initial pair unrelated")
         return result(0, Verdict.failed(C1Witness(mc.initial, ma.initial)),
                       skip, skip)
@@ -525,15 +580,23 @@ def joint_explore(pair: RefinementPair,
     for k, node in enumerate(search):
         i, a = divmod(node, width)
         for action, table, targets in columns:
-            for j in table.get(i, ()):
-                successor = mc.by_id[j]
-                m = _match(pair, targets, a, successor)
+            if i not in table:
+                continue
+            for j in table[i]:
+                # `_match`, inlined: this loop runs once per step.
+                if targets is None:
+                    m = a if related(j, a) else None
+                else:
+                    for m in targets.get(a, ()):
+                        if related(j, m):
+                            matches.append(m)
+                            break
+                    else:
+                        m = None
                 if m is None:
                     return result(k, Verdict.passed(), *_joint_failure(
                         pair, search.trace_to(node) + (action,), action,
-                        mc.by_id[i], ma.by_id[a], successor))
-                if targets is not None:
-                    matches.append(m)
+                        mc.by_id[i], ma.by_id[a], mc.by_id[j]))
                 search.add(j * width + m, node, action)
     return result(len(search.order), Verdict.passed(), Verdict.passed(),
                   Verdict.passed())
@@ -857,9 +920,9 @@ def check_compositional(pair: RefinementPair, rg: RelyGuaranteeSpec,
 
     The lemmas read the joint search's step record (`JointExploration.
     matches`): a step's abstract match is the one the search chose, so
-    alpha runs again only for lemma 2's later candidates when the
-    abstract guarantee rejects the first, and for the steps of pairs
-    the search did not expand because c2 or c3 failed.
+    alpha is tested again, on ids, only for lemma 2's later candidates
+    when the abstract guarantee rejects the first, and for the steps of
+    pairs the search did not expand because c2 or c3 failed.
 
     When all four pass, the joint exploration's silent and mapped step
     conditions must also pass; the report cross-checks that implication
@@ -878,6 +941,7 @@ def check_compositional(pair: RefinementPair, rg: RelyGuaranteeSpec,
         )
 
     mc, ma = pair.concrete.machine, pair.abstract.machine
+    related = pair.alpha.on_ids(mc, ma)
     movers = [rg.component(action) for action in mc.actions]
     images = [pair.zeta.map(action) for action in mc.actions]
     steps_by = _steps_by(pair, exploration, movers, components)
@@ -885,12 +949,18 @@ def check_compositional(pair: RefinementPair, rg: RelyGuaranteeSpec,
         k: set() for k in components}
     nodes, width = exploration.nodes, exploration.width
 
-    def steps(mover: str) -> Iterator[tuple[int, int, Pair, State, State | None]]:
-        """`mover`'s steps: the pair's position and the action's index,
-        then the pair, successor and counterpart as states."""
+    def steps(mover: str) -> Iterator[tuple[int, int, int, Pair, State,
+                                            State | None]]:
+        """`mover`'s steps: the pair's position, the action's index and
+        the successor's id, then the pair, successor and counterpart as
+        states."""
         for k, x, j, m in zip(*steps_by[mover]):
-            yield (k, x, exploration.pair_at(nodes[k]), mc.by_id[j],
+            yield (k, x, j, exploration.pair_at(nodes[k]), mc.by_id[j],
                    None if m is None else ma.by_id[m])
+
+    def relates(j: int, sigma2: State) -> bool:
+        """Alpha on a successor id and a candidate abstract state."""
+        return related(j, ma.id_of(sigma2))
 
     def failed(component: str, k: int, x: int, successor: State, reason: str,
                abstract_successor: State | None, other: str | None) -> Verdict:
@@ -907,14 +977,14 @@ def check_compositional(pair: RefinementPair, rg: RelyGuaranteeSpec,
     own_failures: dict[str, Verdict] = {}
     for mover in components:
         contract = rg.contracts[mover]
-        for k, x, current, successor, counterpart in steps(mover):
+        for k, x, j, current, successor, counterpart in steps(mover):
             image = images[x]
             if image is TAU:
                 lemma, match = "lemma1", counterpart
             else:
                 lemma = "lemma2"
-                match = _mapped_match(pair, contract, current[1], image,
-                                      successor, counterpart)
+                match = _mapped_match(pair, contract, current[1], image, j,
+                                      counterpart, relates)
                 if match is not None:
                     abstract_moves_by[mover].add(
                         (nodes[k] % width, ma.id_of(match)))
@@ -933,7 +1003,7 @@ def check_compositional(pair: RefinementPair, rg: RelyGuaranteeSpec,
         for mover in components:
             if mover == observer or lemma3 is not None:
                 continue
-            for k, x, current, successor, counterpart in steps(mover):
+            for k, x, _, current, successor, counterpart in steps(mover):
                 failure = _environment_failure(contract, current, images[x],
                                                successor, counterpart)
                 if failure is not None:
@@ -979,8 +1049,8 @@ def _steps_by(pair: RefinementPair, exploration: JointExploration,
               ) -> dict[str, Steps]:
     """Every step from a discovered pair, by the component of its
     action. The joint search's record gives the matches of the pairs it
-    expanded; alpha matches the steps of the others here."""
-    by_id = pair.concrete.machine.by_id
+    expanded; alpha, on ids, matches the steps of the others here."""
+    related = pair.alpha.on_ids(exploration.concrete, exploration.abstract)
     recorded = iter(exploration.matches)
     groups: dict[str, Steps] = {k: ([], [], [], []) for k in components}
     columns = [(x, table, targets, groups[movers[x]])
@@ -989,9 +1059,11 @@ def _steps_by(pair: RefinementPair, exploration: JointExploration,
         i, a = divmod(node, exploration.width)
         known = k < exploration.expanded
         for x, table, targets, (ks, xs, js, ms) in columns:
-            for j in table.get(i, ()):
+            if i not in table:
+                continue
+            for j in table[i]:
                 if not known:
-                    m = _match(pair, targets, a, by_id[j])
+                    m = _match(related, targets, a, j)
                 else:
                     m = a if targets is None else next(recorded)
                 ks.append(k)
@@ -1098,18 +1170,21 @@ def _own_step_failure(contract: ComponentContract, current: Pair,
 
 
 def _mapped_match(pair: RefinementPair, contract: ComponentContract,
-                  sigma: State, image: ActionId, successor: State,
-                  counterpart: State | None) -> State | None:
+                  sigma: State, image: ActionId, successor: object,
+                  counterpart: State | None,
+                  relates: Callable[[object, State], bool]) -> State | None:
     """The first abstract step on `image` landing in alpha within the
     abstract guarantee; it is the step's counterpart, or a later
-    candidate when the guarantee rejects the counterpart."""
+    candidate when the guarantee rejects the counterpart. Alpha is
+    tested as `relates(successor, candidate)`: on the successor's id or
+    on its state."""
     if counterpart is None:
         return None
     if contract.abstract_guarantee(sigma, counterpart):
         return counterpart
     candidates = pair.abstract.machine.step(sigma, image)
     for sigma2 in candidates[candidates.index(counterpart) + 1:]:
-        if pair.alpha.holds(successor, sigma2) and \
+        if relates(successor, sigma2) and \
                 contract.abstract_guarantee(sigma, sigma2):
             return sigma2
     return None
@@ -1199,7 +1274,8 @@ def lemma_violated(pair: RefinementPair, rg: RelyGuaranteeSpec, lemma: str,
                                        counterpart)
     elif own and lemma == ("lemma1" if image is TAU else "lemma2"):
         match = counterpart if image is TAU else _mapped_match(
-            pair, contract, w.abstract_state, image, w.successor, counterpart)
+            pair, contract, w.abstract_state, image, w.successor, counterpart,
+            pair.alpha.holds)
         reason = _own_step_failure(contract, current, image, w.successor,
                                    match)
         failure = None if reason is None else (reason, None)

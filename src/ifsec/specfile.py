@@ -943,6 +943,9 @@ def elaborate_refinement(
 
 def _elaborate_alpha(doc: RefinementDocument, concrete_doc: ModelDocument,
                      abstract_doc: ModelDocument) -> refinement.Alpha:
+    """`match:` lines give a keyed alpha (the matched variables' values
+    at each level), `pair:` lines a table, and no lines the total alpha,
+    whose key, of no variables, is the same for every state."""
     concrete_vars = {v.name for v in concrete_doc.variables}
     abstract_vars = {v.name for v in abstract_doc.variables}
     if doc.alpha_matches:
@@ -954,16 +957,20 @@ def _elaborate_alpha(doc: RefinementDocument, concrete_doc: ModelDocument,
                 raise ModelError(
                     f"alpha matches unknown abstract variable {avar!r}")
         constraints = tuple(doc.alpha_matches)
-
-        def related(c: State, a: State) -> bool:
-            return all(c[cv] == a[av] for cv, av in constraints)
-
         text = ", ".join(f"{cv} == {av}" for cv, av in constraints)
-        return refinement.Alpha(related, f"match {text}")
+        return refinement.Alpha.keyed(
+            _values_of(cv for cv, _ in constraints),
+            _values_of(av for _, av in constraints), f"match {text}")
     if doc.alpha_pairs:
         return refinement.Alpha.from_pairs(_state_pairs(
             doc.alpha_pairs, "alpha", concrete_vars, abstract_vars, "abstract"))
-    return refinement.Alpha(refinement.total_relation, "total")
+    return refinement.Alpha.keyed(_values_of(()), _values_of(()), "total")
+
+
+def _values_of(names: Iterable[str]) -> Callable[[State], tuple]:
+    """The alpha key of the values of `names`, in that order."""
+    names = tuple(names)
+    return lambda state: tuple([state[name] for name in names])
 
 
 def _state_pairs(pairs: Iterable[tuple[str, str]], where: str,

@@ -7,6 +7,7 @@ witness was worked out by hand on paper before running anything.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import pytest
@@ -25,6 +26,8 @@ from ifsec.core import (
     UsageError,
 )
 from ifsec.models import get_model, model_names
+from ifsec.models.auction import ledger_max
+from ifsec.programs import IDLE
 from ifsec.refinement import (
     TAU,
     Alpha,
@@ -1185,3 +1188,186 @@ def test_id_refinement_matches_state_oracles_on_model_files(tmp_path, text):
     pair, rg = elaborate_refinement(
         load_refinement(str(tmp_path / "pair.ifs")), str(tmp_path))
     assert_matches_oracles(pair, rg)
+
+
+# ---------------------------------------------------------------------------
+# Keyed alphas: key classes per state id, against the predicates the
+# built-ins had before their alphas were keyed
+# ---------------------------------------------------------------------------
+
+#: The three-thread counter takes seconds to build; its alpha is the
+#: same code on two threads.
+SIZES = {"demo-insecure-counter": {"threads": 2}}
+
+
+def _oracle_pc_event(value):
+    return None if value == IDLE else str(value).split("#", 1)[0]
+
+
+def _oracle_aligned(c, a):
+    """Both levels sit inside the same event on every component."""
+    return all(_oracle_pc_event(c[var]) == _oracle_pc_event(a[var])
+               for var in c.names if var.startswith("pc."))
+
+
+def _oracle_demo(c, a):
+    for t in [var[4:] for var in c.names if var.startswith("que.")]:
+        que, obq, lock, cnt = f"que.{t}", f"obq.{t}", f"lock.{t}", f"cnt.{t}"
+        if a[que] != c[obq]:
+            return False
+        if c[lock] is None and c[que] != c[obq]:
+            return False
+        if cnt in c and a[cnt] != c[cnt]:
+            return False
+    return _oracle_aligned(c, a)
+
+
+def _oracle_arinc(c, a):
+    for var in c.names:
+        if var.startswith(("cur.", "st.")) and a[var] != c[var]:
+            return False
+    for ch in [var[5:] for var in c.names if var.startswith("qbuf.")]:
+        qbuf, obuf, qlock = f"qbuf.{ch}", f"obuf.{ch}", f"qlock.{ch}"
+        if a[qbuf] != c[obuf]:
+            return False
+        if c[qlock] is None and c[qbuf] != c[obuf]:
+            return False
+    return _oracle_aligned(c, a)
+
+
+def _oracle_auction(c, a):
+    for var in ("status", "reserve", "sealed", "res"):
+        if a[var] != c[var]:
+            return False
+    if a["log"] != c["oblog"] or a["maxbid"] != c["obid"]:
+        return False
+    if c["lock"] is None and (c["log"] != c["oblog"]
+                              or c["maxbid"] != c["obid"]):
+        return False
+    if a["res"] is not None:
+        ok = (a["status"] == "closed"
+              and a["res"] == ledger_max(a["log"])
+              and a["res"][1] > a["reserve"])
+        if not ok:
+            return False
+    return _oracle_aligned(c, a)
+
+
+ALPHA_ORACLES = {"demo": _oracle_demo, "arinc": _oracle_arinc,
+                 "auction": _oracle_auction}
+
+#: The most (concrete, abstract) pairs a built-in's alpha is checked on.
+MAX_ALPHA_PAIRS = 50_000
+
+
+@pytest.mark.parametrize("name", model_names())
+def test_keyed_alpha_matches_the_predicate_it_replaced(name):
+    """On the reachable product of a built-in's two levels, the keyed
+    alpha's `holds` and `on_ids` equal the old predicate. A product of
+    more than `MAX_ALPHA_PAIRS` pairs is checked on whole rows: every
+    k-th concrete state against every abstract state, so that a row
+    keeps the related pairs and their near misses."""
+    bundle = get_model(name, **SIZES.get(name, {}))
+    oracle = ALPHA_ORACLES[name.split("-")[0]]
+    alpha = bundle.pair.alpha
+    mc, ma = bundle.concrete.machine, bundle.abstract.machine
+    related = alpha.on_ids(mc, ma)
+    stride = -(-len(mc.state_ids) * len(ma.state_ids) // MAX_ALPHA_PAIRS)
+    rows = mc.state_ids[::stride]
+    assert len(rows) * len(ma.state_ids) <= MAX_ALPHA_PAIRS
+    found = 0
+    for i in rows:
+        c = mc.by_id[i]
+        for a in ma.state_ids:
+            want = oracle(c, ma.by_id[a])
+            assert alpha.holds(c, ma.by_id[a]) is want, (c, ma.by_id[a])
+            assert related(i, a) is want, (c, ma.by_id[a])
+            if want:
+                found += 1
+                # Reachable unlocked buffers are clean, so the guard
+                # shows only on a state dirtied by hand.
+                dirty = _dirtied(c)
+                assert not oracle(dirty, ma.by_id[a])
+                assert not alpha.holds(dirty, ma.by_id[a])
+                if "res" in c:
+                    # Nor is a result that no closed auction publishes.
+                    bogus = {"res": ("nobody", -1)}
+                    assert not oracle(c.assign(bogus), ma.by_id[a].assign(bogus))
+                    assert not alpha.holds(c.assign(bogus),
+                                           ma.by_id[a].assign(bogus))
+    assert found
+
+
+def _dirtied(c):
+    """`c` with its first lock released and the buffer it guards
+    changed away from the buffer's committed copy."""
+    for buffer in c.names:
+        for prefix, lock in (("que.", "lock."), ("qbuf.", "qlock."),
+                             ("log", "lock")):
+            if buffer.startswith(prefix):
+                lock += buffer[len(prefix):]
+                return c.assign({lock: None, buffer: (*c[buffer], "dirty")})
+    raise AssertionError(f"no guarded buffer in {c}")
+
+
+def _load_pair_file(tmp_path, text):
+    for name, body in (("concrete.ifs", CONCRETE), ("abstract.ifs", ABSTRACT),
+                       ("pair.ifs", text)):
+        (tmp_path / name).write_text(body, encoding="utf-8")
+    return elaborate_refinement(
+        load_refinement(str(tmp_path / "pair.ifs")), str(tmp_path))
+
+
+@pytest.mark.parametrize("name", [*model_names(), "pair.ifs"])
+def test_alpha_keys_run_once_per_level_and_state(tmp_path, name):
+    """`check_simulation` then `check_compositional` on one pair call
+    each level's key at most once per state: the joint search, the
+    lemmas and the steps of unexpanded pairs all read the key classes.
+    `pair.ifs` relates its levels by a `match:` line."""
+    if name == "pair.ifs":
+        pair, rg = _load_pair_file(tmp_path, PAIR)
+    else:
+        bundle = get_model(name, **SIZES.get(name, {}))
+        pair, rg = bundle.pair, bundle.rely_guarantee
+    calls: Counter = Counter()
+
+    def counted(key, level):
+        def key_of(state):
+            calls[level, state] += 1
+            return key(state)
+
+        return key_of
+
+    alpha = pair.alpha
+    pair = replace(pair, alpha=Alpha.keyed(
+        counted(alpha.concrete_key, "concrete"),
+        counted(alpha.abstract_key, "abstract"), alpha.description))
+    check_simulation(pair)
+    check_compositional(pair, rg)
+    assert calls and max(calls.values()) == 1
+
+
+def test_alpha_on_ids_answers_as_holds_for_every_kind(tmp_path):
+    """A predicate, a `pair:` table and a `match:` key on the ids of the
+    `PAIR` levels give what `holds` gives on their states."""
+    by_match, _ = _load_pair_file(tmp_path, PAIR)
+    mc, ma = by_match.concrete.machine, by_match.abstract.machine
+    table = Alpha.from_pairs(
+        (c, a) for c in mc.states for a in ma.states if c["x"] == a["x"])
+    predicate = Alpha(lambda c, a: c["y"] == a["x"], "y matches x")
+    for alpha in (by_match.alpha, table, predicate):
+        related = alpha.on_ids(mc, ma)
+        assert alpha.on_ids(mc, ma) is related
+        for i in mc.state_ids:
+            for a in ma.state_ids:
+                assert related(i, a) == alpha.holds(mc.by_id[i], ma.by_id[a])
+
+
+def test_a_key_of_none_relates_to_nothing():
+    s = State({"x": 0})
+    machine = StateMachine((s,), (), {}, s)
+    nothing = Alpha.keyed(lambda c: None, lambda a: None, "nothing")
+    assert not nothing.holds(s, s)
+    assert not nothing.on_ids(machine, machine)(0, 0)
+    equal = Alpha.keyed(lambda c: c["x"], lambda a: a["x"], "equal x")
+    assert equal.holds(s, s) and equal.on_ids(machine, machine)(0, 0)

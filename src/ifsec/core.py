@@ -29,7 +29,10 @@ Conventions used throughout the package:
   (alpha's keys or predicate, relies, guarantees) are given.
 - The states of one machine share a schema, the sorted variable names
   with their positions; a state is a values tuple over it, and
-  `assign` copies the values without sorting.
+  `assign` copies the values without sorting.  Code that reads values
+  by position (frames, alpha keys, model-file observations) resolves
+  the positions once per schema through `layout`, and `values_getter`
+  reads some variables' values off a values tuple or a state.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 
 #: Exploration ceiling applied when a caller does not pass an explicit budget.
 DEFAULT_STATE_BUDGET = 2_000_000
@@ -128,7 +132,7 @@ class _Schema:
     name table between them.
     """
 
-    __slots__ = ("names", "index", "hash", "fragments")
+    __slots__ = ("names", "index", "hash", "fragments", "layouts")
 
     def __init__(self, names: tuple[str, ...]) -> None:
         self.names = names
@@ -136,6 +140,8 @@ class _Schema:
         self.hash = hash(names)
         # per position, value key -> "name=value" text; see State.serialize
         self.fragments: tuple[dict, ...] | None = None
+        # layout function -> what it made of `index`; see `layout`
+        self.layouts: dict[Callable, object] = {}
 
 
 def _name(item: tuple[str, Value]) -> str:
@@ -252,6 +258,48 @@ class State:
 
     def __repr__(self) -> str:
         return f"State({self.serialize()})"
+
+
+def layout(make: Callable[[Mapping[str, int]], object], state: State,
+           after: State | None = None) -> object:
+    """What `make` makes of the name -> position table of `state`'s
+    schema, say getters of some variables' values.
+
+    `make` runs once per schema: its result is kept on the schema under
+    `make`, so a caller makes `make` once (per frame, per key), not per
+    call.  A schema that lacks a variable `make` reads is a usage error.
+    With `after`, the two states are a step and must bind the same
+    variables.
+    """
+    schema = state._schema
+    made = schema.layouts.get(make)
+    if made is None:
+        try:
+            made = schema.layouts[make] = make(schema.index)
+        except KeyError as error:
+            raise UsageError(
+                f"state has no variable {error.args[0]!r}") from None
+    if after is not None and after._schema is not schema \
+            and after._schema.names != schema.names:
+        raise ModelError(
+            "a step met states over different variables: "
+            f"{', '.join(schema.names)} and {', '.join(after.names)}")
+    return made
+
+
+def values_getter(names: Iterable[str], index: Mapping[str, int] | None = None
+                  ) -> Callable:
+    """The values of `names`, in that order, as a tuple: read off a
+    values tuple at the positions `index` gives or, without `index`,
+    off a state at its schema's positions (`layout`)."""
+    names = tuple(names)
+    if index is None:
+        make = partial(values_getter, names)
+        return lambda state: layout(make, state)(state._values)
+    positions = [index[name] for name in names]
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions) if positions else lambda values: ()
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,18 @@ checks against every other component's rely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import partial
 from typing import Callable, Iterable, Mapping
 
-from ifsec.core import ActionId, ModelError, SecureSystem, State, Value
+from ifsec.core import (
+    ActionId,
+    ModelError,
+    SecureSystem,
+    State,
+    Value,
+    layout,
+    values_getter,
+)
 from ifsec.programs import IDLE, INVOKE
 from ifsec.refinement import (
     TAU,
@@ -87,40 +95,14 @@ class _Events(dict):
         return event
 
 
-def _values_getter(names: tuple[str, ...], index: Mapping[str, int]
-                   ) -> Callable[[tuple], tuple]:
-    """The values of `names` as a tuple, read off a values tuple."""
-    positions = [index[v] for v in names]
-    if len(positions) == 1:
-        return itemgetter(slice(positions[0], positions[0] + 1))
-    return itemgetter(*positions) if positions else lambda values: ()
-
-
-def _schema_key(layout: Callable[[Mapping[str, int]], Callable[[tuple], Value]]
-                ) -> Callable[[State], Value]:
-    """An alpha key that reads a state's values by position: `layout`
-    turns a schema's name -> position table into the key of a values
-    tuple. It runs again only when the schema changes, and every state
-    of one level shares one schema."""
-    last: list = [None, None]
-
-    def key(state: State) -> Value:
-        names = state.names
-        if names is not last[0]:
-            last[:] = names, layout({name: k for k, name in enumerate(names)})
-        return last[1](state.values)
-
-    return key
-
-
 def _pc_view(components: tuple[str, ...], names: tuple[str, ...],
              index: Mapping[str, int],
-             guards: tuple[tuple[int, int, int], ...] = ()
+             guards: tuple[tuple[str, str, str], ...] = ()
              ) -> Callable[[tuple], tuple | None]:
     """The values of `names`, then the event each component's pc points
     into (None when idle), read off a values tuple by `index`; None when
-    a guard's (lock, buffer, copy) positions hold an unlocked buffer
-    that differs from its copy.
+    a guard, a (buffer, copy, lock) triple, has its lock free and its
+    buffer different from its copy.
 
     The two levels step through different program texts, so equal pc
     values would be too strong; what the state relations need is that a
@@ -128,9 +110,10 @@ def _pc_view(components: tuple[str, ...], names: tuple[str, ...],
     the same event on the other, so both levels' alpha keys end in
     these events.
     """
-    read = _values_getter(names, index)
-    pcs = _values_getter(tuple(f"pc.{comp}" for comp in components), index)
+    read = values_getter(names, index)
+    pcs = values_getter((f"pc.{comp}" for comp in components), index)
     events = _Events().__getitem__
+    guards = tuple((index[lock], index[b], index[c]) for b, c, lock in guards)
 
     def view(values: tuple) -> tuple | None:
         for lock, buffer, copy in guards:
@@ -145,8 +128,8 @@ def pc_key(components: Iterable[str], names: Iterable[str]
            ) -> Callable[[State], tuple]:
     """The alpha key of one level: the values of `names`, then the event
     each component's pc points into (see `_pc_view`)."""
-    components, names = tuple(components), tuple(names)
-    return _schema_key(lambda index: _pc_view(components, names, index))
+    view = partial(_pc_view, tuple(components), tuple(names))
+    return lambda state: layout(view, state)(state.values)
 
 
 def buffer_alpha(components: Iterable[str], kept: Iterable[str],
@@ -162,14 +145,10 @@ def buffer_alpha(components: Iterable[str], kept: Iterable[str],
     abstract key is the kept variables, the buffers and the pc events.
     """
     components, kept, buffers = tuple(components), tuple(kept), tuple(buffers)
-    copies = (*kept, *(c for _, c, _ in buffers))
-
-    def concrete(index: Mapping[str, int]) -> Callable[[tuple], tuple | None]:
-        guards = tuple((index[lock], index[b], index[c]) for b, c, lock in buffers)
-        return _pc_view(components, copies, index, guards)
-
+    concrete = partial(_pc_view, components,
+                       (*kept, *(c for _, c, _ in buffers)), guards=buffers)
     return Alpha.keyed(
-        _schema_key(concrete),
+        lambda state: layout(concrete, state)(state.values),
         pc_key(components, (*kept, *(b for b, _, _ in buffers))), description)
 
 

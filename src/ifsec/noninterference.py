@@ -249,8 +249,7 @@ def check_ni(
         count = total if over == max_len else f"more than {limit}"
         raise BudgetError(
             f"trace budget exceeded: {count} traces of length <= {max_len} over "
-            f"{width} actions (limit {limit}); raise the budget, lower the "
-            f"length bound, or restrict the action set"
+            f"{width} actions (limit {limit}); raise --budget or lower --max-len"
         )
 
     initial = (machine.initial_id,)

@@ -23,15 +23,14 @@ report raises an alarm rather than trusting the theorem if it does not.
 that let the simulation be established one component at a time, and
 cross-validates them against the joint exploration the same way.
 
-The joint search runs on pairs of machine state ids and records the
-abstract state each concrete step is matched with. It tests alpha on
+The joint search runs on pairs of machine state ids. It tests alpha on
 ids (`Alpha.on_ids`): a keyed alpha, which every built-in model and
 every `match:` line of a model file gives, compares integer key
 classes, and each level's key runs once per state id. c6 compares the
-two levels' observation classes over the id pairs, and the lemmas read
-the joint search's step record instead of stepping the machines and
-testing alpha again. `Alpha.holds` tests two states; the witness
-predicates (`c1_violated` ... `lemma_violated`) and replay use it.
+two levels' observation classes over the id pairs, and the lemmas
+match each step on ids the way the search does, without stepping the
+machines. `Alpha.holds` tests two states; the witness predicates
+(`c1_violated` ... `lemma_violated`) and replay use it.
 
 The policy-direction convention deserves a note: c5 requires the
 abstract policy to be a subset of the concrete one. Folklore phrases
@@ -43,7 +42,6 @@ level down, so the checker follows it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from ifsec.core import (
@@ -53,9 +51,10 @@ from ifsec.core import (
     SecureSystem,
     State,
     StateMachine,
-    UsageError,
     _Classes,
     indist,
+    layout,
+    values_getter,
 )
 from ifsec.unwinding import UnwindingReport, check_unwinding
 
@@ -135,39 +134,6 @@ def _lock_table(locks: Locks | None,
     return {lock: tuple(guarded) for lock, guarded in (locks or {}).items()}
 
 
-class _Positions:
-    """A frame's variable positions in each schema it meets.
-
-    `layout` turns a schema's name -> position table into the frame's
-    positions; it runs once per schema names tuple, and a schema that
-    lacks a variable the frame reads is a usage error. The two states of
-    a step must bind the same variables.
-    """
-
-    def __init__(self, layout: Callable[[Mapping[str, int]], object]) -> None:
-        self._layout = layout
-        self._seen: dict[tuple[str, ...], object] = {}
-        self._names: tuple[str, ...] | None = None
-        self._where: object = None
-
-    def __call__(self, before: State, after: State) -> object:
-        names = before.names
-        if names is not self._names:
-            if names not in self._seen:
-                try:
-                    self._seen[names] = self._layout(
-                        {name: k for k, name in enumerate(names)})
-                except KeyError as error:
-                    raise UsageError(
-                        f"state has no variable {error.args[0]!r}") from None
-            self._names, self._where = names, self._seen[names]
-        if after.names is not names and after.names != names:
-            raise ModelError(
-                "a frame met states over different variables: "
-                f"{', '.join(names)} and {', '.join(after.names)}")
-        return self._where
-
-
 def frame_rely(fixed: Iterable[str], holder: str | None = None,
                locks: Locks | None = None) -> Relation:
     """Rely of a component: the environment leaves `fixed` unchanged.
@@ -180,17 +146,13 @@ def frame_rely(fixed: Iterable[str], holder: str | None = None,
     frames = tuple((lock, (lock, *guarded))
                    for lock, guarded in _lock_table(locks, holder).items())
 
-    def getter(names: Iterable[str], index: Mapping[str, int]):
-        """The values of `names`, read off a values tuple."""
-        positions = [index[v] for v in names]
-        return itemgetter(*positions) if positions else lambda values: ()
-
-    positions = _Positions(lambda index: (
-        getter(fixed, index),
-        tuple((index[lock], getter(frame, index)) for lock, frame in frames)))
+    def positions(index: Mapping[str, int]) -> tuple:
+        return (values_getter(fixed, index),
+                tuple((index[lock], values_getter(frame, index))
+                      for lock, frame in frames))
 
     def rely(before: State, after: State) -> bool:
-        kept, held = positions(before, after)
+        kept, held = layout(positions, before, after)
         old, new = before.values, after.values
         if kept(new) != kept(old):
             return False
@@ -220,14 +182,14 @@ def frame_guarantee(allowed: Iterable[str], holder: str | None = None,
     locks = _lock_table(locks, holder)
     guard = {v: lock for lock, guarded in locks.items() for v in guarded}
 
-    positions = _Positions(lambda index: tuple(
-        (k, _LOCK if name in locks
-         else index[guard[name]] if name in guard else _KEPT)
-        for name, k in index.items() if name not in allowed))
+    def positions(index: Mapping[str, int]) -> tuple:
+        return tuple((k, _LOCK if name in locks
+                      else index[guard[name]] if name in guard else _KEPT)
+                     for name, k in index.items() if name not in allowed)
 
     def guarantee(before: State, after: State) -> bool:
         old, new = before.values, after.values
-        for k, rule in positions(before, after):
+        for k, rule in layout(positions, before, after):
             value, changed = old[k], new[k]
             if value == changed:
                 continue
@@ -458,20 +420,11 @@ class JointExploration:
     trace from the initial pair. When a verdict fails the search
     stopped there, so the pairs are the prefix discovered up to the
     violation.
-
-    `matches` is the step record. A step from pair (i, a) on a silent
-    action is matched with a itself. For each step on a mapped action
-    the search took, in search order (pair, then concrete action, then
-    successor), `matches` holds the abstract id it was matched with:
-    the first related candidate. The first `expanded` pairs had all
-    their steps taken.
     """
 
     concrete: StateMachine = field(repr=False)
     abstract: StateMachine = field(repr=False)
     search: Exploration
-    matches: list[int] = field(repr=False)
-    expanded: int
     c1: Verdict
     c2: Verdict
     c3: Verdict
@@ -556,8 +509,8 @@ def joint_explore(pair: RefinementPair,
     what exploration continues from. Pair discovery order, action
     order, and successor order are all canonical, so the first
     violation found is the same on every run and its trace is shortest.
-    The search runs on state ids, tests alpha on them (`Alpha.on_ids`)
-    and records each step's match.
+    The search runs on state ids and tests alpha on them
+    (`Alpha.on_ids`).
     """
     mc = pair.concrete.machine
     ma = pair.abstract.machine
@@ -565,19 +518,17 @@ def joint_explore(pair: RefinementPair,
     related = pair.alpha.on_ids(mc, ma)
     search = Exploration(mc.initial_id * width + ma.initial_id, budget,
                          noun="related state pairs")
-    matches: list[int] = []
 
-    def result(expanded: int, c1: Verdict, c2: Verdict,
-               c3: Verdict) -> JointExploration:
-        return JointExploration(mc, ma, search, matches, expanded, c1, c2, c3)
+    def result(c1: Verdict, c2: Verdict, c3: Verdict) -> JointExploration:
+        return JointExploration(mc, ma, search, c1, c2, c3)
 
     if not related(mc.initial_id, ma.initial_id):
         skip = Verdict.skipped("exploration aborted: initial pair unrelated")
-        return result(0, Verdict.failed(C1Witness(mc.initial, ma.initial)),
+        return result(Verdict.failed(C1Witness(mc.initial, ma.initial)),
                       skip, skip)
 
     columns = _columns(pair)
-    for k, node in enumerate(search):
+    for node in search:
         i, a = divmod(node, width)
         for action, table, targets in columns:
             if i not in table:
@@ -589,17 +540,15 @@ def joint_explore(pair: RefinementPair,
                 else:
                     for m in targets.get(a, ()):
                         if related(j, m):
-                            matches.append(m)
                             break
                     else:
                         m = None
                 if m is None:
-                    return result(k, Verdict.passed(), *_joint_failure(
+                    return result(Verdict.passed(), *_joint_failure(
                         pair, search.trace_to(node) + (action,), action,
                         mc.by_id[i], ma.by_id[a], mc.by_id[j]))
                 search.add(j * width + m, node, action)
-    return result(len(search.order), Verdict.passed(), Verdict.passed(),
-                  Verdict.passed())
+    return result(Verdict.passed(), Verdict.passed(), Verdict.passed())
 
 
 def _joint_failure(pair: RefinementPair, trace: tuple[ActionId, ...],
@@ -918,11 +867,11 @@ def check_compositional(pair: RefinementPair, rg: RelyGuaranteeSpec,
     With the total abstract relies of every model file and built-in, no
     CLI target fails lemma 4.
 
-    The lemmas read the joint search's step record (`JointExploration.
-    matches`): a step's abstract match is the one the search chose, so
-    alpha is tested again, on ids, only for lemma 2's later candidates
-    when the abstract guarantee rejects the first, and for the steps of
-    pairs the search did not expand because c2 or c3 failed.
+    The lemmas walk the steps of the discovered pairs on ids: a step's
+    abstract match is the one the search makes (`_match`: the abstract
+    state itself for a silent step, the first related successor for a
+    mapped one), and lemma 2 tries the later candidates when the
+    abstract guarantee rejects it.
 
     When all four pass, the joint exploration's silent and mapped step
     conditions must also pass; the report cross-checks that implication
@@ -1048,28 +997,22 @@ def _steps_by(pair: RefinementPair, exploration: JointExploration,
               movers: list[str], components: tuple[str, ...]
               ) -> dict[str, Steps]:
     """Every step from a discovered pair, by the component of its
-    action. The joint search's record gives the matches of the pairs it
-    expanded; alpha, on ids, matches the steps of the others here."""
+    action, with the abstract id alpha, on ids, matches it with
+    (`_match`)."""
     related = pair.alpha.on_ids(exploration.concrete, exploration.abstract)
-    recorded = iter(exploration.matches)
     groups: dict[str, Steps] = {k: ([], [], [], []) for k in components}
     columns = [(x, table, targets, groups[movers[x]])
                for x, (_, table, targets) in enumerate(_columns(pair))]
     for k, node in enumerate(exploration.nodes):
         i, a = divmod(node, exploration.width)
-        known = k < exploration.expanded
         for x, table, targets, (ks, xs, js, ms) in columns:
             if i not in table:
                 continue
             for j in table[i]:
-                if not known:
-                    m = _match(related, targets, a, j)
-                else:
-                    m = a if targets is None else next(recorded)
                 ks.append(k)
                 xs.append(x)
                 js.append(j)
-                ms.append(m)
+                ms.append(_match(related, targets, a, j))
     return groups
 
 

@@ -78,6 +78,7 @@ from ifsec.core import (
     explore_ids,
     render_value,
     sort_actions,
+    values_getter,
 )
 
 MODEL_SECTIONS = ("domains", "policy", "state", "actions", "observe")
@@ -870,10 +871,11 @@ def elaborate_model(doc: ModelDocument, budget: int | None = None,
     machine = StateMachine.from_tables(by_id, actions, tables, start,
                                        state_ids, universe_ids)
 
-    views = {domain: vars_ for domain, vars_ in doc.observe}
+    views = {domain: values_getter(vars_) for domain, vars_ in doc.observe}
+    unobserved = values_getter(())
 
     def observe(domain: str, state: State) -> Value:
-        return tuple(state[v] for v in views.get(domain, ()))
+        return views.get(domain, unobserved)(state)
 
     config = InfoFlowConfig(
         domains=tuple(sorted(doc.domains)),
@@ -959,18 +961,12 @@ def _elaborate_alpha(doc: RefinementDocument, concrete_doc: ModelDocument,
         constraints = tuple(doc.alpha_matches)
         text = ", ".join(f"{cv} == {av}" for cv, av in constraints)
         return refinement.Alpha.keyed(
-            _values_of(cv for cv, _ in constraints),
-            _values_of(av for _, av in constraints), f"match {text}")
+            values_getter(cv for cv, _ in constraints),
+            values_getter(av for _, av in constraints), f"match {text}")
     if doc.alpha_pairs:
         return refinement.Alpha.from_pairs(_state_pairs(
             doc.alpha_pairs, "alpha", concrete_vars, abstract_vars, "abstract"))
-    return refinement.Alpha.keyed(_values_of(()), _values_of(()), "total")
-
-
-def _values_of(names: Iterable[str]) -> Callable[[State], tuple]:
-    """The alpha key of the values of `names`, in that order."""
-    names = tuple(names)
-    return lambda state: tuple([state[name] for name in names])
+    return refinement.Alpha.keyed(values_getter(()), values_getter(()), "total")
 
 
 def _state_pairs(pairs: Iterable[tuple[str, str]], where: str,

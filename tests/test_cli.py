@@ -337,6 +337,15 @@ class TestExitCodes:
         assert (f"trace budget exceeded: more than {limit} traces of length "
                 f"<= {argv[1]} over 22 actions (limit {limit})") in err
 
+    def test_ni_budget_hint_names_the_flags_that_help(self, run):
+        # `check ni` takes no action set, so the hint names the two
+        # bounds the command line can change.
+        code, _, err = run("check", "ni", "demo-insecure-fullstatus",
+                           "--budget", "1")
+        assert code == 4
+        assert err.rstrip().endswith(
+            "(limit 1); raise --budget or lower --max-len"), err
+
     def test_ni_budget_counts_traces_not_assignments(self, run, tmp_path):
         wide = tmp_path / "wide.ifs"
         wide.write_text(WIDE, encoding="utf-8")

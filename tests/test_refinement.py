@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ifsec import core
 from ifsec.core import (
     ActionId,
     BudgetError,
@@ -24,9 +25,11 @@ from ifsec.core import (
     State,
     StateMachine,
     UsageError,
+    values_getter,
 )
 from ifsec.models import get_model, model_names
 from ifsec.models.auction import ledger_max
+from ifsec.models.common import buffer_alpha, pc_key
 from ifsec.programs import IDLE
 from ifsec.refinement import (
     TAU,
@@ -1371,3 +1374,83 @@ def test_a_key_of_none_relates_to_nothing():
     assert not nothing.on_ids(machine, machine)(0, 0)
     equal = Alpha.keyed(lambda c: c["x"], lambda a: a["x"], "equal x")
     assert equal.holds(s, s) and equal.on_ids(machine, machine)(0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Positions per schema: frames, keys and file observations read values
+# through `core.layout`, which runs a layout once per schema
+# ---------------------------------------------------------------------------
+
+class _CountedLayouts(dict):
+    """A schema's layout table that counts what it stores and finds."""
+
+    runs: Counter = Counter()
+    hits: Counter = Counter()
+
+    def get(self, make, default=None):
+        if make in self:
+            self.hits[make] += 1
+        return super().get(make, default)
+
+    def __setitem__(self, make, made):
+        self.runs[make] += 1
+        super().__setitem__(make, made)
+
+
+def _layout_kind(make) -> str:
+    """`frame` for a frame's layout, `key` for a built-in key's, `values`
+    for a `values_getter`'s (a file's alpha keys and observations)."""
+    name = getattr(make, "func", make).__qualname__
+    if name.startswith(("frame_rely.", "frame_guarantee.")):
+        return "frame"
+    return {"_pc_view": "key", "values_getter": "values"}[name]
+
+
+@pytest.mark.parametrize("name,frames,keys", [
+    ("demo", 6, 2), ("pair.ifs", 4, 0)])
+def test_each_layout_runs_once_per_schema(monkeypatch, tmp_path, name,
+                                          frames, keys):
+    """Across `check_simulation` then `check_compositional`, each frame
+    and key layout runs once on the one schema of its level, and every
+    later call finds it there. `demo` (capacity 2) has a rely and a
+    guarantee frame per thread and a pc key per level; `pair.ifs` has
+    two `keeps:` and two `may:` frames, and its two `match:` keys and
+    four observations (two domains per level) read through
+    `values_getter`."""
+    init = core._Schema.__init__
+
+    def counted_init(schema, names):
+        init(schema, names)
+        schema.layouts = _CountedLayouts()
+
+    monkeypatch.setattr(core._Schema, "__init__", counted_init)
+    monkeypatch.setattr(_CountedLayouts, "runs", Counter())
+    monkeypatch.setattr(_CountedLayouts, "hits", Counter())
+    if name == "pair.ifs":
+        pair, rg = _load_pair_file(tmp_path, PAIR)
+    else:
+        bundle = get_model(name, capacity=2)
+        pair, rg = bundle.pair, bundle.rely_guarantee
+    check_simulation(pair)
+    check_compositional(pair, rg)
+    runs, hits = _CountedLayouts.runs, _CountedLayouts.hits
+    kinds = Counter(_layout_kind(make) for make in runs)
+    assert (kinds["frame"], kinds["key"]) == (frames, keys)
+    assert kinds["values"] == (0 if keys else 6)
+    assert set(runs.values()) == {1}
+    assert all(hits[make] for make in runs)
+
+
+@pytest.mark.parametrize("read", [
+    lambda state: frame_rely(["gone"])(state, state),
+    pc_key(["t"], ["gone"]),
+    buffer_alpha(["t"], [], [("gone", "copy", "lock")], "b").concrete_key,
+    values_getter(["pc.t", "gone"]),
+], ids=["frame", "pc-key", "buffer-key", "values"])
+def test_a_missing_variable_is_one_usage_error(read):
+    # A key reads its positions through the same layout as a frame, so a
+    # schema without a variable it reads fails the same way.
+    state = State({"pc.t": IDLE, "copy": (), "lock": None})
+    with pytest.raises(UsageError) as error:
+        read(state)
+    assert str(error.value) == "state has no variable 'gone'"

@@ -46,12 +46,12 @@ from .core import (
     State,
     StateMachine,
     UsageError,
-    build_machine,
     equidom,
     explore,
     indist,
     reachable,
     run,
+    tabulate,
 )
 
 __all__ = [
@@ -64,12 +64,12 @@ __all__ = [
     "State",
     "StateMachine",
     "UsageError",
-    "build_machine",
     "equidom",
     "explore",
     "indist",
     "reachable",
     "run",
+    "tabulate",
 ]
 
 __version__ = "0.1.0"

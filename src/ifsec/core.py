@@ -19,6 +19,8 @@ Conventions used throughout the package:
   successors in the order the caller adds them, so the caller's
   successor order alone fixes the discovery order, the first-reaching
   parent edges and the witness traces; never iterate a set there.
+- Programs and model files alike build machines by `tabulate`, one
+  search over values tuples with one `State` per distinct tuple.
 - A machine is indexed: its states are numbered 0..n-1 in serialization
   order (`by_id`), each state is one object, and each action has one
   table from a state id to its successor ids.  Every checker's search,
@@ -37,6 +39,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import partial
@@ -632,7 +635,7 @@ class Exploration:
     def __init__(self, initial: Hashable, budget: float | None = None,
                  noun: str = "states", *,
                  more_roots: Iterable[Hashable] = ()) -> None:
-        self.order: list = [initial, *more_roots]
+        self.order: list = list(dict.fromkeys((initial, *more_roots)))
         self.index: dict = {node: k for k, node in enumerate(self.order)}
         self.edges: list[tuple[int, Hashable] | None] = [None] * len(self.order)
         self.depth = 0
@@ -727,63 +730,76 @@ def reachable(machine: StateMachine, depth: int | None = None,
 # Machine construction
 # ---------------------------------------------------------------------------
 
-def build_machine(initial: State,
-                  successors: Callable[[State], Iterable[tuple[ActionId, State]]],
-                  budget: int | None = None) -> StateMachine:
-    """Materialize an explicit StateMachine by BFS from `initial`.
+def tabulate(initial: State,
+             successors: Callable[[tuple], list[tuple[ActionId, tuple]]],
+             budget: int | None = None,
+             actions: tuple[ActionId, ...] | None = None,
+             universe: Iterable[tuple] | None = None) -> StateMachine:
+    """Materialize an explicit StateMachine by BFS over values tuples.
 
-    `successors` yields the (action, successor) steps of a state.  Steps
-    are grouped by action in first-appearance order and each group is
-    sorted, which fixes the discovery order.  The machine's `states` is
-    the reachable set, sorted, and its alphabet is the set of actions
-    enabled in some reachable state: an action that never fires would
+    `successors` returns the list of (action, successor values) steps of
+    a values tuple over `initial`'s schema.  Steps are grouped by action
+    in first-appearance order and each group is sorted by serialization,
+    which fixes the discovery order.  It runs once per discovered tuple,
+    and rows keep each successor as its position in the search; then one
+    `State` is made per tuple and the ids are ranked by serialization.
+
+    The alphabet is `actions` when given (sorted), else the actions
+    enabled in some discovered state: an action that never fires would
     only stutter, so leaving it out changes no verdict while bounded-trace
-    enumeration budgets on the real alphabet.
-
-    A state's steps are grouped in one dict, which is the whole grouping
-    when no action has two steps there; each successor is kept only as
-    its position in the search, so the search's object is the state, and
-    ids are the positions ranked by serialization.
+    enumeration budgets on the real alphabet.  The `universe` tuples are
+    further roots, kept with `initial` as the machine's universe; its
+    `states` are what `explore_ids` reaches from `initial`.  More than
+    `budget` states (default DEFAULT_STATE_BUDGET) raises BudgetError.
     """
-    search = Exploration(initial, budget)
+    search = Exploration(initial.values, budget,
+                         more_roots=() if universe is None else universe)
     index, add = search.index, search.add
-    alphabet: set[ActionId] = set()
+    make = initial.with_values
     # rows[k]: the steps of search.order[k] as (action, position), or as
     # (action, positions) where some action has several successors
     rows: list = []
-    for state in search:
-        steps = list(successors(state))
+    for values in search:
+        steps = successors(values)
         grouped = dict(steps)
-        alphabet.update(grouped)
         row = []
         if len(grouped) == len(steps):
             for action, succ in grouped.items():
                 # most successors were seen before: find them without a call
                 k = index.get(succ)
-                row.append((action, add(succ, state, action) if k is None
+                row.append((action, add(succ, values, action) if k is None
                             else k))
         else:
-            groups: dict[ActionId, set[State]] = {}
+            groups: dict[ActionId, set[tuple]] = {}
             for action, succ in steps:
                 groups.setdefault(action, set()).add(succ)
             for action, succs in groups.items():
                 row.append((action, tuple([
-                    add(succ, state, action)
-                    for succ in sorted(succs, key=State.serialize)])))
+                    add(succ, values, action)
+                    for succ in sorted(
+                        succs, key=lambda v: make(v).serialize())])))
         rows.append(row)
-    order = search.order
-    serial = [state.serialize() for state in order]
-    ranked = sorted(range(len(order)), key=serial.__getitem__)
-    new_id = [0] * len(order)
+    states = [make(values) for values in search.order]
+    serials = [state.serialize() for state in states]
+    ranked = sorted(range(len(states)), key=serials.__getitem__)
+    new_id = [0] * len(states)
     for i, k in enumerate(ranked):
         new_id[k] = i
-    tables: dict[ActionId, dict[int, tuple[int, ...]]] = {
-        action: {} for action in sort_actions(alphabet)}
+    tables: dict[ActionId, dict[int, tuple[int, ...]]] = \
+        defaultdict(dict) if actions is None else {a: {} for a in actions}
     for i, k in enumerate(ranked):
         for action, targets in rows[k]:
             tables[action][i] = (new_id[targets],) if type(targets) is int \
                 else tuple([new_id[j] for j in targets])
         rows[k] = None
+    if actions is None:
+        actions = sort_actions(tables)
+    successor_ids, start = [tables[a] for a in actions], new_id[0]
+    state_ids = universe_ids = None
+    if universe is not None:
+        universe_ids = sorted(new_id[:search.edges.count(None)])
+        state_ids = sorted(explore_ids(start, actions, successor_ids,
+                                       budget=budget).order)
     return StateMachine.from_tables(
-        tuple(order[k] for k in ranked), tuple(tables), tables.values(),
-        new_id[0])
+        tuple(states[k] for k in ranked), actions, successor_ids, start,
+        state_ids, universe_ids)

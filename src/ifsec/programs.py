@@ -20,8 +20,9 @@ step built once and reused, and `finished` folded to a constant for a
 node with no Cond or While.  `prog_step`, `finished` and the compiler
 all run on those plans, so there is one step semantics.  The compiler
 likewise resolves each step's action once per (component, event name,
-step label) and each static event's invocation once, and builds one
-state per transition unless the residual's `finished` reads the
+step label) and each static event's invocation once.  A transition
+is a values tuple written at positions resolved once per component; it
+becomes a `State` only when the residual's `finished` reads the
 stepped state.
 
 A component's program counter `pc.<component>` is `-` while it is idle
@@ -43,8 +44,9 @@ from .core import (
     ModelError,
     SecureSystem,
     State,
+    UsageError,
     Value,
-    build_machine,
+    tabulate,
 )
 
 #: Partial state update: maps a state to the variable assignments to apply.
@@ -447,7 +449,6 @@ class _Handler:
                  action_of: Callable[[str, str], tuple[ActionId, str]]) -> None:
         self.prefix = f"{comp}/{name}/"
         self.name = name
-        self.pc_var = _pc_var(comp)
         self.decode = decode
         self._action_of = action_of
         self.numbers: dict[Prog, str] = {}
@@ -494,13 +495,11 @@ class _Step:
     updates and the residual it leaves, with that residual's pc value
     once known when `finished` decides it without reading the state."""
 
-    __slots__ = ("handler", "pc_var", "action", "updates", "rest",
-                 "finished", "pc")
+    __slots__ = ("handler", "action", "updates", "rest", "finished", "pc")
 
     def __init__(self, handler: _Handler, action: ActionId,
                  updates: Callable[[State], tuple], rest: Prog) -> None:
         self.handler = handler
-        self.pc_var = handler.pc_var
         self.action = action
         self.updates = updates
         self.rest = rest
@@ -509,23 +508,29 @@ class _Step:
         self.finished = plan.finished if plan.done is None else None
         self.pc = IDLE if plan.done else None
 
-    def fire(self, state: State, out: list[tuple[ActionId, State]]) -> None:
+    def fire(self, state: State, positions: tuple[Mapping[str, int], int],
+             out: list[tuple[ActionId, tuple]]) -> None:
+        """Append the step's (action, successor values) pairs to `out`;
+        `positions` are the variables' and the component's pc's."""
         updates = self.updates(state)
         if not updates:
             return
-        pc_var = self.pc_var
-        if self.finished is not None:
-            for u in updates:
-                stepped = state.assign(u)
-                pc = IDLE if self.finished(stepped) \
-                    else self.handler.pc(self.rest)
-                out.append((self.action, stepped.assign({pc_var: pc})))
-            return
+        index, pc_position = positions
         pc = self.pc
-        if pc is None:
+        if pc is None and self.finished is None:
             pc = self.pc = self.handler.pc(self.rest)
         for u in updates:
-            out.append((self.action, state.assign({**u, pc_var: pc})))
+            new = list(state.values)
+            for name, value in u.items():
+                i = index.get(name)
+                if i is None:
+                    raise UsageError(f"state has no variable {name!r}")
+                new[i] = value
+            if self.finished is not None:
+                pc = IDLE if self.finished(state.with_values(tuple(new))) \
+                    else self.handler.pc(self.rest)
+            new[pc_position] = pc
+            out.append((self.action, tuple(new)))
 
 
 def compile_system(system: ConcurrentSystem,
@@ -535,9 +540,9 @@ def compile_system(system: ConcurrentSystem,
                    budget: int | None = None) -> SecureSystem:
     """Build the explicit interleaving machine and pair it with its policy.
 
-    Successors are listed component by component, events in pool order,
-    and `build_machine` explores them; its alphabet is the set of actions
-    enabled in at least one reachable state.
+    Successors are values tuples, listed component by component, events
+    in pool order, and `core.tabulate` explores them; its alphabet is the
+    set of actions enabled in at least one reachable state.
     """
     system.validate()
 
@@ -571,18 +576,20 @@ def compile_system(system: ConcurrentSystem,
                                event.body))
         return entry[1]
 
-    # Per component: its pc's position in the values, its events each
-    # with its invocation once a static domain resolved it, its decode
-    # table and its pc value -> program point table.
-    rows = [(comp, initial.names.index(_pc_var(comp)),
+    # Per component: the variables' positions with its pc's, its events
+    # each with its invocation once a static domain resolved it, its
+    # decode table and its pc value -> program point table.
+    index = {name: i for i, name in enumerate(initial.names)}
+    rows = [(comp, (index, index[_pc_var(comp)]),
              [[event, None] for event in system.pool[comp]], {}, {})
             for comp in system.components]
+    make = initial.with_values
 
-    def successors(state: State) -> list[tuple[ActionId, State]]:
-        out: list[tuple[ActionId, State]] = []
-        values = state.values
-        for comp, position, events, decode, points in rows:
-            pc = values[position]
+    def successors(values: tuple) -> list[tuple[ActionId, tuple]]:
+        out: list[tuple[ActionId, tuple]] = []
+        state = make(values)
+        for comp, positions, events, decode, points in rows:
+            pc = values[positions[1]]
             if pc == IDLE:
                 for entry in events:
                     event, step = entry
@@ -592,7 +599,7 @@ def compile_system(system: ConcurrentSystem,
                         step = invocation(comp, event, state, decode)
                         if event.domain_is_static():
                             entry[1] = step
-                    step.fire(state, out)
+                    step.fire(state, positions, out)
             else:
                 point = points.get(pc)
                 if point is None:
@@ -611,10 +618,10 @@ def compile_system(system: ConcurrentSystem,
                     if move is None:
                         continue
                     step = point.step(move)
-                step.fire(state, out)
+                step.fire(state, positions, out)
         return out
 
-    machine = build_machine(initial, successors, budget)
+    machine = tabulate(initial, successors, budget)
     config = InfoFlowConfig(
         domains=tuple(sorted(set(domains))),
         policy=frozenset(policy),

@@ -61,7 +61,7 @@ import math
 import os.path
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from ifsec import refinement
 from ifsec.core import (
@@ -73,11 +73,10 @@ from ifsec.core import (
     ParseError,
     SecureSystem,
     State,
-    StateMachine,
     Value,
-    explore_ids,
     render_value,
     sort_actions,
+    tabulate,
     values_getter,
 )
 
@@ -825,11 +824,12 @@ def elaborate_model(doc: ModelDocument, budget: int | None = None,
     machine's alphabet is every declared action, enabled or not, and
     its `states` are the assignments reachable from the initial one.
 
-    One tabulation builds the machine over the assignments the scope
-    picks, with ids ranked by serialization.  By default these are the
-    reachable ones, so `by_id` holds the reachable states and `universe`
-    is None.  With `universe`, they are the whole declared product, kept
-    as the universe for checks that quantify over unreachable states.
+    `core.tabulate` builds the machine, with the compiled rules as its
+    successor function and ids ranked by serialization.  By default it
+    searches from the initial assignment alone, so `by_id` holds the
+    reachable states and `universe` is None.  With `universe`, the whole
+    declared product is searched too and kept as the universe, for
+    checks that quantify over unreachable states.
     """
     doc.validate()
     limit = DEFAULT_STATE_BUDGET if budget is None else budget
@@ -841,35 +841,11 @@ def elaborate_model(doc: ModelDocument, budget: int | None = None,
 
     initial = State({v.name: v.initial for v in doc.variables})
     actions = sort_actions(ActionId(a.label) for a in doc.actions)
-    successors = _compile_rules(doc, initial.names, actions)
-
-    if universe:
-        declared = {v.name: v.values for v in doc.variables}
-        pool = itertools.product(*(declared[name] for name in initial.names))
-    else:
-        # the closure, within the product and so within the budget
-        pool = [initial.values]
-        seen = {initial.values}
-        for values in pool:
-            for _, found in successors(values):
-                for new in found:
-                    if new not in seen:
-                        seen.add(new)
-                        pool.append(new)
-    by_id = tuple(sorted(map(initial.with_values, pool), key=State.serialize))
-    ids = {state.values: i for i, state in enumerate(by_id)}
-    tables: list[dict[int, tuple[int, ...]]] = [{} for _ in actions]
-    for i, state in enumerate(by_id):
-        for k, found in successors(state.values):
-            tables[k][i] = (ids[found[0]],) if len(found) == 1 \
-                else tuple(sorted({ids[values] for values in found}))
-    start = ids[initial.values]
-    state_ids = universe_ids = None
-    if universe:
-        search = explore_ids(start, actions, tables, budget=budget)
-        state_ids, universe_ids = sorted(search.order), range(len(by_id))
-    machine = StateMachine.from_tables(by_id, actions, tables, start,
-                                       state_ids, universe_ids)
+    declared = {v.name: v.values for v in doc.variables}
+    machine = tabulate(
+        initial, _compile_rules(doc, initial.names, actions), budget, actions,
+        itertools.product(*map(declared.get, initial.names)) if universe
+        else None)
 
     views = {domain: values_getter(vars_) for domain, vars_ in doc.observe}
     unobserved = values_getter(())
@@ -888,25 +864,25 @@ def elaborate_model(doc: ModelDocument, budget: int | None = None,
 
 def _compile_rules(doc: ModelDocument, names: tuple[str, ...],
                    actions: tuple[ActionId, ...]
-                   ) -> Callable[[tuple], Iterator[tuple[int, list[tuple]]]]:
+                   ) -> Callable[[tuple], list[tuple[ActionId, tuple]]]:
     """The successor function of a document's rules over states' values
     tuples, with variables at their positions in `names`.
 
-    It yields, in the order of `actions`, each enabled action's position
-    with the values its firing rules produce, one entry per rule (two
-    rules may produce the same values).
+    It returns, in the order of `actions`, each enabled action with the
+    values its firing rules produce, one step per rule (two rules may
+    produce the same values).
     """
     position = {name: i for i, name in enumerate(names)}
     by_label = {a.label: a for a in doc.actions}
     compiled = tuple(
-        (k, tuple((tuple((position[var], value) for var, value in rule.pre),
-                   tuple((position[var], value) for var, value in rule.post))
-                  for rule in by_label[action.label].rules))
-        for k, action in enumerate(actions))
+        (action, tuple((tuple((position[var], value) for var, value in rule.pre),
+                        tuple((position[var], value) for var, value in rule.post))
+                       for rule in by_label[action.label].rules))
+        for action in actions)
 
-    def successors(values: tuple) -> Iterator[tuple[int, list[tuple]]]:
-        for k, rules in compiled:
-            found = []
+    def successors(values: tuple) -> list[tuple[ActionId, tuple]]:
+        steps = []
+        for action, rules in compiled:
             for pre, post in rules:
                 for i, value in pre:
                     if values[i] != value:
@@ -915,9 +891,8 @@ def _compile_rules(doc: ModelDocument, names: tuple[str, ...],
                     new = list(values)
                     for i, value in post:
                         new[i] = value
-                    found.append(tuple(new))
-            if found:
-                yield k, found
+                    steps.append((action, tuple(new)))
+        return steps
 
     return successors
 

@@ -21,7 +21,6 @@ from ifsec.core import (
     State,
     StateMachine,
     UsageError,
-    build_machine,
     equidom,
     explore,
     indist,
@@ -29,11 +28,13 @@ from ifsec.core import (
     run,
     render_value,
     sort_actions,
+    tabulate,
 )
 from ifsec.models import get_model
 from ifsec.programs import Basic, ConcurrentSystem, Event, compile_system
 from ifsec.refinement import Alpha, RefinementPair, Zeta, joint_explore
 from ifsec.specfile import elaborate_model, parse_model
+from oracles import build_machine
 
 
 def tiny_machine() -> StateMachine:
@@ -282,39 +283,70 @@ TICK = ActionId("tick")
 
 
 def _counter(modulus: int, budget=None) -> StateMachine:
+    """The counter mod `modulus`, built by the `State`-keyed oracle."""
     return build_machine(State({"n": 0}), lambda s: [
         (TICK, s.assign({"n": (s["n"] + 1) % modulus}))], budget=budget)
 
 
-class TestBuildMachine:
-    def test_build_from_successor_function_matches_explicit(self):
+def _tabulated(modulus: int, budget=None) -> StateMachine:
+    return tabulate(State({"n": 0}), lambda v: [
+        (TICK, ((v[0] + 1) % modulus,))], budget=budget)
+
+
+class TestTabulate:
+    def test_tabulate_from_successor_function_matches_explicit(self):
         tick = ActionId("tick")
         s0, s1 = State({"x": 0}), State({"x": 1})
-        m = build_machine(s0, lambda s: [(tick, s.assign({"x": 1 - s["x"]}))])
+        m = tabulate(s0, lambda v: [(tick, (1 - v[0],))])
         assert m.states == (s0, s1)
         assert m.transitions == {(s0, tick): (s1,), (s1, tick): (s0,)}
+        assert m.universe is None
 
     def test_alphabet_is_the_enabled_actions(self):
         tick, halt = ActionId("tick"), ActionId("halt")
-        m = build_machine(State({"x": 0}),
-                          lambda s: [(tick, s.assign({"x": 1}))] if s["x"] == 0 else [])
+        m = tabulate(State({"x": 0}),
+                     lambda v: [(tick, (1,))] if v == (0,) else [])
         assert m.actions == (tick,)
         assert not m.has_action(halt)
+
+    def test_declared_actions_are_the_alphabet(self):
+        tick, halt = ActionId("tick"), ActionId("halt")
+        m = tabulate(State({"x": 0}),
+                     lambda v: [(tick, (1,))] if v == (0,) else [],
+                     actions=(halt, tick))
+        assert m.actions == (halt, tick)
+        assert m.successor_ids == ({}, {0: (1,)})
+
+    def test_universe_roots_are_kept_and_states_are_reachable(self):
+        # x counts up to 2 from 0, and from 3 to 4; the universe repeats
+        # the initial tuple and leaves out 1, 2 and 4.
+        tick = ActionId("tick")
+        m = tabulate(State({"x": 0}),
+                     lambda v: [(tick, (v[0] + 1,))] if v[0] in (0, 1, 3)
+                     else [], universe=[(3,), (0,)])
+        assert [s["x"] for s in m.by_id] == [0, 1, 2, 3, 4]
+        assert m.universe_ids == (0, 3)
+        assert m.state_ids == (0, 1, 2)
+        assert m.step(State({"x": 3}), tick) == (State({"x": 4}),)
 
     def test_discovery_follows_sorted_groups_not_yield_order(self):
         # Successors of one action are sorted before they are explored,
         # so the yield order within a group cannot change the search.
         go, stop = ActionId("go"), ActionId("stop")
         s0 = State({"x": 0})
+        seen = []
 
-        def successors(s, reverse):
-            if s["x"] != 0:
+        def successors(v, reverse):
+            seen.append(v[0])
+            if v[0] != 0:
                 return []
-            outs = [(go, s.assign({"x": v})) for v in (1, 2, 3)]
-            return [(stop, s.assign({"x": 9}))] + (outs[::-1] if reverse else outs)
+            outs = [(go, (w,)) for w in (1, 2, 3)]
+            return [(stop, (9,))] + (outs[::-1] if reverse else outs)
 
         for reverse in (False, True):
-            m = build_machine(s0, lambda s: successors(s, reverse))
+            seen.clear()
+            m = tabulate(s0, lambda v: successors(v, reverse))
+            assert seen == [0, 9, 1, 2, 3]
             assert m.transitions[(s0, go)] == tuple(
                 State({"x": v}) for v in (1, 2, 3))
             ex = explore(m)
@@ -322,6 +354,9 @@ class TestBuildMachine:
             assert [m.by_id[i]["x"] for i in ex.order] == [0, 1, 2, 3, 9]
 
     def test_build_budget_error_names_limit_and_depth(self):
+        with pytest.raises(BudgetError, match=r"budget of 3 states exceeded "
+                                              r"at BFS depth 3.*--budget"):
+            _tabulated(100, budget=3)
         with pytest.raises(BudgetError, match=r"budget of 3 states exceeded "
                                               r"at BFS depth 3.*--budget"):
             _counter(100, budget=3)
@@ -332,7 +367,7 @@ def _explored(budget):
 
 
 def _built(budget):
-    return len(_counter(5, budget).states)
+    return len(_tabulated(5, budget).states)
 
 
 def _compiled(budget):
@@ -380,12 +415,24 @@ class TestMultiRootExploration:
         with pytest.raises(BudgetError, match="budget of 3 states"):
             Exploration("a", 3, more_roots=("b", "c")).add("d", "a", "x")
 
+    def test_repeated_roots_are_kept_once(self):
+        search = Exploration("a", 3, more_roots=("b", "a", "b"))
+        assert search.order == ["a", "b"]
+        assert search.index == {"a": 0, "b": 1}
+        assert search.edges == [None, None]
+        depths = [search.depth for _ in search]
+        assert depths == [0, 0]
+        # two distinct roots leave room for one more node under budget 3
+        assert search.add("c", "b", "x") == 2
+        with pytest.raises(BudgetError, match="budget of 3 states"):
+            search.add("d", "a", "x")
+
 
 class TestBudgetBoundary:
     """Every search admits exactly `budget` nodes: N passes, N-1 raises."""
 
     @pytest.mark.parametrize("search", [_explored, _built, _compiled, _joint],
-                             ids=["explore", "build_machine", "compile_system",
+                             ids=["explore", "tabulate", "compile_system",
                                   "joint_explore"])
     def test_exact_budget_passes_one_less_raises(self, search):
         size = search(None)
@@ -515,7 +562,7 @@ class TestIndexedMachine:
 
     def test_transitions_view_matches_the_dict_builder(self, machines):
         # Recorded from the (state, action)-keyed dictionaries that
-        # build_machine and elaborate_model filled before the tables.
+        # the builds of models and model files filled before the tables.
         assert transition_digest(machines["demo concrete"]) == (
             22356, "1c499a5b868e596b")
         assert transition_digest(machines["demo abstract"]) == (

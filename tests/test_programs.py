@@ -23,7 +23,8 @@ from ifsec.core import (
     render_value,
     sort_actions,
 )
-from ifsec.models import arinc, auction, demo, get_model
+from ifsec import programs
+from ifsec.models import arinc, auction, demo, get_model, model_names
 from ifsec.programs import (
     IDLE,
     Atomic,
@@ -43,6 +44,7 @@ from ifsec.programs import (
     seq,
     step_labels,
 )
+from oracles import build_machine, machine_layout
 
 
 def incr(var: str, label: str) -> Basic:
@@ -288,6 +290,22 @@ class TestCompile:
         )
         with pytest.raises(ModelError, match=r"component 'b' .* value 'zz'"):
             compile_system(cs, ["d"], [], lambda d, s: None)
+
+    def test_step_writing_its_own_pc_keeps_the_compiled_pc(self):
+        # The compiled pc is written after the update, whether or not
+        # the residual's `finished` reads the stepped state.
+        own = Basic(lambda s: {"pc.k": "zz", "x": s["x"] + 1}, "own")
+        cs = ConcurrentSystem(
+            components=("k",),
+            pool={"k": (Event("last", lambda s: s["x"] == 0, own, "d"),
+                        Event("cond", lambda s: s["x"] == 1, seq(
+                            own, Cond(lambda s: s["x"] == 2,
+                                      setv("x", 0, "reset"), Done)), "d"))},
+            initial={"x": 0},
+        )
+        machine = compile_system(cs, ["d"], [], lambda d, s: None).machine
+        assert sorted((s["x"], s["pc.k"]) for s in machine.states) == [
+            (0, "-"), (0, "last#0"), (1, "-"), (1, "cond#0"), (2, "cond#1")]
 
 
 def _next_labels(sys_, state, comp):
@@ -620,3 +638,36 @@ def test_builtins_compile_like_interpreter_oracle(monkeypatch, name, params):
     assert len(calls) == 2
     for system, domains, policy, observe, budget in calls:
         assert_compiles_like_oracle(system, domains, policy, observe, budget)
+
+
+#: Every built-in at its default size, the counter (79,608 states at
+#: three threads) at two, and the ring at capacity 2.
+LAYOUT_SIZES = [(name, {}) for name in model_names()
+                if name != "demo-insecure-counter"] + [
+    ("demo", {"capacity": 2}), ("demo-insecure-counter", {"threads": 2})]
+
+
+def state_keyed(initial, successors, budget=None):
+    """`tabulate`'s machine, built by the `State`-keyed oracle from the
+    same values-tuple successor function."""
+    return build_machine(initial, lambda state: [
+        (action, state.with_values(values))
+        for action, values in successors(state.values)], budget)
+
+
+@pytest.mark.parametrize("name,params", LAYOUT_SIZES,
+                         ids=[name + "".join(f"-{k}{v}" for k, v in p.items())
+                              for name, p in LAYOUT_SIZES])
+def test_builtins_tabulate_like_the_state_keyed_build(monkeypatch, name,
+                                                      params):
+    """Both levels' machines have the layout of the oracle's build, each
+    from a compiler made afresh, so pc numbers follow each search's own
+    discovery order."""
+    def layouts():
+        bundle = get_model(name, **params)
+        return [machine_layout(bundle.pair.concrete.machine),
+                machine_layout(bundle.pair.abstract.machine)]
+
+    got = layouts()
+    monkeypatch.setattr(programs, "tabulate", state_keyed)
+    assert got == layouts()

@@ -20,11 +20,11 @@ from ifsec.core import (
     ParseError,
     State,
     StateMachine,
-    build_machine,
     explore,
     explore_ids,
     sort_actions,
 )
+from ifsec import specfile
 from ifsec.refinement import check_compositional, check_simulation
 from ifsec.specfile import (
     ActionDecl,
@@ -41,6 +41,7 @@ from ifsec.specfile import (
     print_refinement,
 )
 from ifsec.unwinding import check_unwinding
+from oracles import build_machine, machine_layout
 
 TOY = """\
 # two bits, one per domain
@@ -433,13 +434,6 @@ def oracle_elaborate(doc, universe):
         universe_ids=range(len(by_id)))
 
 
-def machine_layout(machine):
-    """Everything a machine's ids fix, successor tables in key order."""
-    return ([s.serialize() for s in machine.by_id], machine.actions,
-            [list(table.items()) for table in machine.successor_ids],
-            machine.state_ids, machine.universe_ids, machine.initial_id)
-
-
 class TestElaborateModel:
     def test_toy_shape(self):
         system = elaborate_model(parse_model(TOY), universe=True)
@@ -451,6 +445,28 @@ class TestElaborateModel:
         assert machine.initial.serialize() == "x=0;y=0"
         assert system.config.observe("lo", machine.initial) == (0,)
         assert system.config.observe("hi", machine.initial) == (0, 0)
+
+    def test_rules_run_once_per_state(self, monkeypatch):
+        # TOY is fully reachable: both scopes tabulate its four states,
+        # and each scope runs the compiled rules once on each of them.
+        compile_rules, calls = specfile._compile_rules, []
+
+        def counting(*args):
+            successors = compile_rules(*args)
+
+            def counted(values):
+                calls.append(values)
+                return successors(values)
+
+            return counted
+
+        monkeypatch.setattr(specfile, "_compile_rules", counting)
+        for universe in (False, True):
+            calls.clear()
+            machine = elaborate_model(parse_model(TOY),
+                                      universe=universe).machine
+            assert len(machine.states) == len(machine.by_id) == 4
+            assert sorted(calls) == sorted(s.values for s in machine.states)
 
     def test_toy_passes_unwinding(self):
         system = elaborate_model(parse_model(TOY))

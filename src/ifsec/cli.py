@@ -352,6 +352,9 @@ def _reject_stray_flags(args) -> None:
     if stray:
         flags = ", ".join("--" + name.replace("_", "-") for name in stray)
         raise UsageError(f"{flags} does not apply to 'check {args.kind}'")
+    if args.universe and args.depth is not None:
+        raise UsageError("--depth does not apply to 'check unwinding "
+                         "--universe': the universe has no depth")
     for name in ("depth", "max_len", "budget"):
         value = getattr(args, name)
         if value is not None and value < 1:

@@ -731,18 +731,20 @@ def reachable(machine: StateMachine, depth: int | None = None,
 # ---------------------------------------------------------------------------
 
 def tabulate(initial: State,
-             successors: Callable[[tuple], list[tuple[ActionId, tuple]]],
+             successors: Callable[[State], list[tuple[ActionId, tuple]]],
              budget: int | None = None,
              actions: tuple[ActionId, ...] | None = None,
              universe: Iterable[tuple] | None = None) -> StateMachine:
     """Materialize an explicit StateMachine by BFS over values tuples.
 
     `successors` returns the list of (action, successor values) steps of
-    a values tuple over `initial`'s schema.  Steps are grouped by action
-    in first-appearance order and each group is sorted by serialization,
-    which fixes the discovery order.  It runs once per discovered tuple,
-    and rows keep each successor as its position in the search; then one
-    `State` is made per tuple and the ids are ranked by serialization.
+    a state, the values over `initial`'s schema.  Steps are grouped by
+    action in first-appearance order and each group is sorted by
+    serialization, which fixes the discovery order.  The search runs on
+    values tuples; each discovered tuple is made a `State` once, when it
+    is expanded, and that state is both `successors`' argument and the
+    machine's.  Rows keep each successor as its position in the search,
+    and the ids are ranked by serialization.
 
     The alphabet is `actions` when given (sorted), else the actions
     enabled in some discovered state: an action that never fires would
@@ -756,30 +758,35 @@ def tabulate(initial: State,
                          more_roots=() if universe is None else universe)
     index, add = search.index, search.add
     make = initial.with_values
-    # rows[k]: the steps of search.order[k] as (action, position), or as
-    # (action, positions) where some action has several successors
+    # rows[k]: the steps of search.order[k] as one flat tuple: action,
+    # position, or action, positions where some action has several
+    # successors.  Pair tuples or lists here would share allocator pools
+    # with the states, and the table fill would free them into pools it
+    # cannot reuse: about 5 MB more peak RSS building a 19,683-root
+    # universe.
     rows: list = []
+    states: list[State] = []
     for values in search:
-        steps = successors(values)
+        state = make(values)
+        states.append(state)
+        steps = successors(state)
         grouped = dict(steps)
         row = []
         if len(grouped) == len(steps):
             for action, succ in grouped.items():
                 # most successors were seen before: find them without a call
                 k = index.get(succ)
-                row.append((action, add(succ, values, action) if k is None
-                            else k))
+                row += action, add(succ, values, action) if k is None else k
         else:
             groups: dict[ActionId, set[tuple]] = {}
             for action, succ in steps:
                 groups.setdefault(action, set()).add(succ)
             for action, succs in groups.items():
-                row.append((action, tuple([
+                row += action, tuple([
                     add(succ, values, action)
                     for succ in sorted(
-                        succs, key=lambda v: make(v).serialize())])))
-        rows.append(row)
-    states = [make(values) for values in search.order]
+                        succs, key=lambda v: make(v).serialize())])
+        rows.append(tuple(row))
     serials = [state.serialize() for state in states]
     ranked = sorted(range(len(states)), key=serials.__getitem__)
     new_id = [0] * len(states)
@@ -788,7 +795,8 @@ def tabulate(initial: State,
     tables: dict[ActionId, dict[int, tuple[int, ...]]] = \
         defaultdict(dict) if actions is None else {a: {} for a in actions}
     for i, k in enumerate(ranked):
-        for action, targets in rows[k]:
+        row = iter(rows[k])
+        for action, targets in zip(row, row):
             tables[action][i] = (new_id[targets],) if type(targets) is int \
                 else tuple([new_id[j] for j in targets])
         rows[k] = None

@@ -583,11 +583,10 @@ def compile_system(system: ConcurrentSystem,
     rows = [(comp, (index, index[_pc_var(comp)]),
              [[event, None] for event in system.pool[comp]], {}, {})
             for comp in system.components]
-    make = initial.with_values
 
-    def successors(values: tuple) -> list[tuple[ActionId, tuple]]:
+    def successors(state: State) -> list[tuple[ActionId, tuple]]:
         out: list[tuple[ActionId, tuple]] = []
-        state = make(values)
+        values = state.values
         for comp, positions, events, decode, points in rows:
             pc = values[positions[1]]
             if pc == IDLE:

@@ -26,11 +26,13 @@ cross-validates them against the joint exploration the same way.
 The joint search runs on pairs of machine state ids. It tests alpha on
 ids (`Alpha.on_ids`): a keyed alpha, which every built-in model and
 every `match:` line of a model file gives, compares integer key
-classes, and each level's key runs once per state id. c6 compares the
-two levels' observation classes over the id pairs, and the lemmas
-match each step on ids the way the search does, without stepping the
-machines. `Alpha.holds` tests two states; the witness predicates
-(`c1_violated` ... `lemma_violated`) and replay use it.
+classes, and each level's key runs once per state id. One walk
+(`_steps`) enumerates and matches the steps from the search's pairs:
+the search grows from it, and the lemmas read it once more over the
+finished search, without stepping the machines. c6 compares the two
+levels' observation classes over the id pairs. `Alpha.holds` tests two
+states; the witness predicates (`c1_violated` ... `lemma_violated`)
+and replay use it.
 
 The policy-direction convention deserves a note: c5 requires the
 abstract policy to be a subset of the concrete one. Folklore phrases
@@ -469,33 +471,39 @@ def _abstract_witness(alpha: Alpha, candidates: Iterable[State],
     return None
 
 
-def _columns(pair: RefinementPair) -> list[tuple]:
-    """Per concrete action: the action, its successor table, and the
-    successor table of its zeta image (None when silent)."""
-    abstract = dict(zip(pair.abstract.machine.actions,
-                        pair.abstract.machine.successor_ids))
-    machine = pair.concrete.machine
+def _steps(pair: RefinementPair, search: Exploration
+           ) -> Iterator[tuple[int, int, int, int | None]]:
+    """Every concrete step from the pairs of the joint `search`, in
+    search order (pair, action, successor): the pair's node, the
+    action's index, the successor's id, and the abstract id the step is
+    matched with. A silent step's match is the abstract state itself,
+    if alpha (on ids) still relates it; a mapped step's is the first
+    successor on zeta's image of the action that alpha relates. None
+    when there is none. Pairs the caller adds while it reads are walked
+    too."""
+    mc, ma = pair.concrete.machine, pair.abstract.machine
+    width = len(ma.by_id)
+    related = pair.alpha.on_ids(mc, ma)
+    abstract = dict(zip(ma.actions, ma.successor_ids))
     columns = []
-    for action, table in zip(machine.actions, machine.successor_ids):
+    for x, (action, table) in enumerate(zip(mc.actions, mc.successor_ids)):
         image = pair.zeta.map(action)
-        columns.append((action, table, None if image is TAU else abstract[image]))
-    return columns
-
-
-def _match(related: Callable[[int, int], bool],
-           targets: Mapping[int, tuple[int, ...]] | None,
-           a: int, j: int) -> int | None:
-    """The abstract id a step from abstract id `a` to concrete id `j` is
-    matched with: for a silent step (`targets` None) `a` itself, if
-    alpha (`related`, on ids) still relates them; for a mapped one the
-    first successor of `a` in the image's table `targets` that alpha
-    relates. None when there is none."""
-    if targets is None:
-        return a if related(j, a) else None
-    for m in targets.get(a, ()):
-        if related(j, m):
-            return m
-    return None
+        columns.append((x, table, None if image is TAU else abstract[image]))
+    for node in search:
+        i, a = divmod(node, width)
+        for x, table, targets in columns:
+            if i not in table:
+                continue
+            for j in table[i]:
+                if targets is None:
+                    m = a if related(j, a) else None
+                else:
+                    for m in targets.get(a, ()):
+                        if related(j, m):
+                            break
+                    else:
+                        m = None
+                yield node, x, j, m
 
 
 def joint_explore(pair: RefinementPair,
@@ -509,45 +517,30 @@ def joint_explore(pair: RefinementPair,
     what exploration continues from. Pair discovery order, action
     order, and successor order are all canonical, so the first
     violation found is the same on every run and its trace is shortest.
-    The search runs on state ids and tests alpha on them
-    (`Alpha.on_ids`).
+    The search runs on state ids and reads its steps from `_steps`.
     """
     mc = pair.concrete.machine
     ma = pair.abstract.machine
     width = len(ma.by_id)
-    related = pair.alpha.on_ids(mc, ma)
     search = Exploration(mc.initial_id * width + ma.initial_id, budget,
                          noun="related state pairs")
 
     def result(c1: Verdict, c2: Verdict, c3: Verdict) -> JointExploration:
         return JointExploration(mc, ma, search, c1, c2, c3)
 
-    if not related(mc.initial_id, ma.initial_id):
+    if not pair.alpha.on_ids(mc, ma)(mc.initial_id, ma.initial_id):
         skip = Verdict.skipped("exploration aborted: initial pair unrelated")
         return result(Verdict.failed(C1Witness(mc.initial, ma.initial)),
                       skip, skip)
 
-    columns = _columns(pair)
-    for node in search:
-        i, a = divmod(node, width)
-        for action, table, targets in columns:
-            if i not in table:
-                continue
-            for j in table[i]:
-                # `_match`, inlined: this loop runs once per step.
-                if targets is None:
-                    m = a if related(j, a) else None
-                else:
-                    for m in targets.get(a, ()):
-                        if related(j, m):
-                            break
-                    else:
-                        m = None
-                if m is None:
-                    return result(Verdict.passed(), *_joint_failure(
-                        pair, search.trace_to(node) + (action,), action,
-                        mc.by_id[i], ma.by_id[a], mc.by_id[j]))
-                search.add(j * width + m, node, action)
+    for node, x, j, m in _steps(pair, search):
+        action = mc.actions[x]
+        if m is None:
+            i, a = divmod(node, width)
+            return result(Verdict.passed(), *_joint_failure(
+                pair, search.trace_to(node) + (action,), action,
+                mc.by_id[i], ma.by_id[a], mc.by_id[j]))
+        search.add(j * width + m, node, action)
     return result(Verdict.passed(), Verdict.passed(), Verdict.passed())
 
 
@@ -867,11 +860,13 @@ def check_compositional(pair: RefinementPair, rg: RelyGuaranteeSpec,
     With the total abstract relies of every model file and built-in, no
     CLI target fails lemma 4.
 
-    The lemmas walk the steps of the discovered pairs on ids: a step's
-    abstract match is the one the search makes (`_match`: the abstract
+    Lemmas 1 to 3 are checked in one pass over the search's steps
+    (`_steps`), with the abstract match the search makes: the abstract
     state itself for a silent step, the first related successor for a
-    mapped one), and lemma 2 tries the later candidates when the
-    abstract guarantee rejects it.
+    mapped one; lemma 2 tries the later candidates when the abstract
+    guarantee rejects it. The pass keeps the first failure per lemma
+    and component, and for lemma 3 per observer and mover, so each
+    witness is the first in component order, then search order.
 
     When all four pass, the joint exploration's silent and mapped step
     conditions must also pass; the report cross-checks that implication
@@ -893,78 +888,63 @@ def check_compositional(pair: RefinementPair, rg: RelyGuaranteeSpec,
     related = pair.alpha.on_ids(mc, ma)
     movers = [rg.component(action) for action in mc.actions]
     images = [pair.zeta.map(action) for action in mc.actions]
-    steps_by = _steps_by(pair, exploration, movers, components)
     abstract_moves_by: dict[str, set[tuple[int, int]]] = {
         k: set() for k in components}
-    nodes, width = exploration.nodes, exploration.width
-
-    def steps(mover: str) -> Iterator[tuple[int, int, int, Pair, State,
-                                            State | None]]:
-        """`mover`'s steps: the pair's position, the action's index and
-        the successor's id, then the pair, successor and counterpart as
-        states."""
-        for k, x, j, m in zip(*steps_by[mover]):
-            yield (k, x, j, exploration.pair_at(nodes[k]), mc.by_id[j],
-                   None if m is None else ma.by_id[m])
+    search, width = exploration.search, exploration.width
+    #: (lemma, component) or ("lemma3", observer, mover) -> first failure
+    failures: dict[tuple[str, ...], Verdict] = {}
 
     def relates(j: int, sigma2: State) -> bool:
         """Alpha on a successor id and a candidate abstract state."""
         return related(j, ma.id_of(sigma2))
 
-    def failed(component: str, k: int, x: int, successor: State, reason: str,
-               abstract_successor: State | None, other: str | None) -> Verdict:
-        s, sigma = exploration.pair_at(nodes[k])
+    def fail(key: tuple[str, ...], node: int, x: int, successor: State,
+             reason: str, abstract_successor: State | None = None) -> None:
+        s, sigma = exploration.pair_at(node)
         action = mc.actions[x]
-        return Verdict.failed(LemmaWitness(
-            component=component, other_component=other,
-            trace=exploration.search.trace_to(nodes[k]) + (action,),
+        failures[key] = Verdict.failed(LemmaWitness(
+            component=key[1], other_component=key[2] if key[2:] else None,
+            trace=search.trace_to(node) + (action,),
             state=s, abstract_state=sigma, action=action,
             successor=successor, abstract_successor=abstract_successor,
             reason=reason,
         ))
 
-    own_failures: dict[str, Verdict] = {}
-    for mover in components:
+    for node, x, j, m in _steps(pair, search):
+        mover, image = movers[x], images[x]
         contract = rg.contracts[mover]
-        for k, x, j, current, successor, counterpart in steps(mover):
-            image = images[x]
-            if image is TAU:
-                lemma, match = "lemma1", counterpart
-            else:
-                lemma = "lemma2"
-                match = _mapped_match(pair, contract, current[1], image, j,
-                                      counterpart, relates)
-                if match is not None:
-                    abstract_moves_by[mover].add(
-                        (nodes[k] % width, ma.id_of(match)))
-            if lemma not in own_failures:
-                reason = _own_step_failure(contract, current, image,
-                                           successor, match)
-                if reason is not None:
-                    own_failures[lemma] = failed(mover, k, x, successor,
-                                                 reason, None, None)
-
-    lemma3 = None
-    for observer in components:
-        if lemma3 is not None:
-            break
-        contract = rg.contracts[observer]
-        for mover in components:
-            if mover == observer or lemma3 is not None:
-                continue
-            for k, x, _, current, successor, counterpart in steps(mover):
-                failure = _environment_failure(contract, current, images[x],
-                                               successor, counterpart)
+        current, successor = exploration.pair_at(node), mc.by_id[j]
+        counterpart = None if m is None else ma.by_id[m]
+        if image is TAU:
+            lemma, match = "lemma1", counterpart
+        else:
+            lemma = "lemma2"
+            match = _mapped_match(pair, contract, current[1], image, j,
+                                  counterpart, relates)
+            if match is not None:
+                abstract_moves_by[mover].add((node % width, ma.id_of(match)))
+        if (lemma, mover) not in failures:
+            reason = _own_step_failure(contract, current, image, successor,
+                                       match)
+            if reason is not None:
+                fail((lemma, mover), node, x, successor, reason)
+        for observer in components:
+            key = ("lemma3", observer, mover)
+            if observer != mover and key not in failures:
+                failure = _environment_failure(rg.contracts[observer], current,
+                                               image, successor, counterpart)
                 if failure is not None:
-                    lemma3 = failed(observer, k, x, successor, *failure, mover)
-                    break
+                    fail(key, node, x, successor, *failure)
 
     lemma4, lemma4_note = _check_compatibility(
         exploration, rg, components, abstract_moves_by)
 
-    lemma1 = own_failures.get("lemma1") or Verdict.passed()
-    lemma2 = own_failures.get("lemma2") or Verdict.passed()
-    lemma3 = lemma3 or Verdict.passed()
+    def first(lemma: str) -> Verdict:
+        """The failure of `lemma` first in component order, if any."""
+        keys = sorted(key for key in failures if key[0] == lemma)
+        return failures[keys[0]] if keys else Verdict.passed()
+
+    lemma1, lemma2, lemma3 = first("lemma1"), first("lemma2"), first("lemma3")
 
     all_pass = all(v.ok for v in (lemma1, lemma2, lemma3, lemma4))
     if all_pass:
@@ -985,35 +965,6 @@ def check_compositional(pair: RefinementPair, rg: RelyGuaranteeSpec,
         pair_count=exploration.pair_count,
         components=components,
     )
-
-
-#: A component's steps as four lists in search order: the pair's
-#: position, the action's index, the successor id and the abstract id
-#: the step is matched with (None when alpha relates none).
-Steps = tuple[list[int], list[int], list[int], list]
-
-
-def _steps_by(pair: RefinementPair, exploration: JointExploration,
-              movers: list[str], components: tuple[str, ...]
-              ) -> dict[str, Steps]:
-    """Every step from a discovered pair, by the component of its
-    action, with the abstract id alpha, on ids, matches it with
-    (`_match`)."""
-    related = pair.alpha.on_ids(exploration.concrete, exploration.abstract)
-    groups: dict[str, Steps] = {k: ([], [], [], []) for k in components}
-    columns = [(x, table, targets, groups[movers[x]])
-               for x, (_, table, targets) in enumerate(_columns(pair))]
-    for k, node in enumerate(exploration.nodes):
-        i, a = divmod(node, exploration.width)
-        for x, table, targets, (ks, xs, js, ms) in columns:
-            if i not in table:
-                continue
-            for j in table[i]:
-                ks.append(k)
-                xs.append(x)
-                js.append(j)
-                ms.append(_match(related, targets, a, j))
-    return groups
 
 
 def _check_compatibility(

@@ -864,9 +864,9 @@ def elaborate_model(doc: ModelDocument, budget: int | None = None,
 
 def _compile_rules(doc: ModelDocument, names: tuple[str, ...],
                    actions: tuple[ActionId, ...]
-                   ) -> Callable[[tuple], list[tuple[ActionId, tuple]]]:
-    """The successor function of a document's rules over states' values
-    tuples, with variables at their positions in `names`.
+                   ) -> Callable[[State], list[tuple[ActionId, tuple]]]:
+    """The successor function of a document's rules over states, reading
+    their values tuples with variables at their positions in `names`.
 
     It returns, in the order of `actions`, each enabled action with the
     values its firing rules produce, one step per rule (two rules may
@@ -880,8 +880,8 @@ def _compile_rules(doc: ModelDocument, names: tuple[str, ...],
                        for rule in by_label[action.label].rules))
         for action in actions)
 
-    def successors(values: tuple) -> list[tuple[ActionId, tuple]]:
-        steps = []
+    def successors(state: State) -> list[tuple[ActionId, tuple]]:
+        values, steps = state.values, []
         for action, rules in compiled:
             for pre, post in rules:
                 for i, value in pre:

@@ -374,6 +374,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ("check", "unwinding", "toy", "--max-len", "3"),
+        ("check", "unwinding", "toy", "--universe", "--depth", "2"),
         ("check", "ni", "toy", "--universe"),
         ("check", "ni", "toy", "--depth", "2"),
         ("check", "refine", "toy", "--domain", "hi"),

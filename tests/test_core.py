@@ -289,15 +289,15 @@ def _counter(modulus: int, budget=None) -> StateMachine:
 
 
 def _tabulated(modulus: int, budget=None) -> StateMachine:
-    return tabulate(State({"n": 0}), lambda v: [
-        (TICK, ((v[0] + 1) % modulus,))], budget=budget)
+    return tabulate(State({"n": 0}), lambda s: [
+        (TICK, ((s["n"] + 1) % modulus,))], budget=budget)
 
 
 class TestTabulate:
     def test_tabulate_from_successor_function_matches_explicit(self):
         tick = ActionId("tick")
         s0, s1 = State({"x": 0}), State({"x": 1})
-        m = tabulate(s0, lambda v: [(tick, (1 - v[0],))])
+        m = tabulate(s0, lambda s: [(tick, (1 - s["x"],))])
         assert m.states == (s0, s1)
         assert m.transitions == {(s0, tick): (s1,), (s1, tick): (s0,)}
         assert m.universe is None
@@ -305,14 +305,14 @@ class TestTabulate:
     def test_alphabet_is_the_enabled_actions(self):
         tick, halt = ActionId("tick"), ActionId("halt")
         m = tabulate(State({"x": 0}),
-                     lambda v: [(tick, (1,))] if v == (0,) else [])
+                     lambda s: [(tick, (1,))] if s.values == (0,) else [])
         assert m.actions == (tick,)
         assert not m.has_action(halt)
 
     def test_declared_actions_are_the_alphabet(self):
         tick, halt = ActionId("tick"), ActionId("halt")
         m = tabulate(State({"x": 0}),
-                     lambda v: [(tick, (1,))] if v == (0,) else [],
+                     lambda s: [(tick, (1,))] if s.values == (0,) else [],
                      actions=(halt, tick))
         assert m.actions == (halt, tick)
         assert m.successor_ids == ({}, {0: (1,)})
@@ -322,7 +322,7 @@ class TestTabulate:
         # the initial tuple and leaves out 1, 2 and 4.
         tick = ActionId("tick")
         m = tabulate(State({"x": 0}),
-                     lambda v: [(tick, (v[0] + 1,))] if v[0] in (0, 1, 3)
+                     lambda s: [(tick, (s["x"] + 1,))] if s["x"] in (0, 1, 3)
                      else [], universe=[(3,), (0,)])
         assert [s["x"] for s in m.by_id] == [0, 1, 2, 3, 4]
         assert m.universe_ids == (0, 3)
@@ -336,16 +336,16 @@ class TestTabulate:
         s0 = State({"x": 0})
         seen = []
 
-        def successors(v, reverse):
-            seen.append(v[0])
-            if v[0] != 0:
+        def successors(s, reverse):
+            seen.append(s["x"])
+            if s["x"] != 0:
                 return []
             outs = [(go, (w,)) for w in (1, 2, 3)]
             return [(stop, (9,))] + (outs[::-1] if reverse else outs)
 
         for reverse in (False, True):
             seen.clear()
-            m = tabulate(s0, lambda v: successors(v, reverse))
+            m = tabulate(s0, lambda s: successors(s, reverse))
             assert seen == [0, 9, 1, 2, 3]
             assert m.transitions[(s0, go)] == tuple(
                 State({"x": v}) for v in (1, 2, 3))

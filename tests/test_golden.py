@@ -5,9 +5,10 @@ its text report are compared with the files under `tests/golden/`, and
 when the check fails, so are the JSON and text output of `ifsec replay`
 on that report. Together the fixtures emit every witness type the CLI
 writes: lr (reachable and universe scope), sc, ni, c1 to c6 and a
-rely-guarantee lemma. `lemma-counter` and `compositional-arinc` pin
-the contracts of built-in models: `check compositional` fails lemmas
-1 and 3 on demo-insecure-counter and passes on arinc. Two fixtures
+rely-guarantee lemma. `lemma-counter`, `compositional-arinc` and
+`compositional-demo` pin the contracts of built-in models: `check
+compositional` fails lemmas 1 and 3 on demo-insecure-counter and passes
+on arinc and on demo's three components. Two fixtures
 also run as `python -m ifsec.cli` children under hash seeds 0 and 1,
 which the in-process tests never see. The c1 and c3 to c6 fixtures are variants of the
 `PAIR` refinement from test_cli.py whose abstract model is edited so
@@ -90,6 +91,7 @@ FIXTURES = {
     "lemma-counter": ("compositional", "demo-insecure-counter",
                       "--threads", "2"),
     "compositional-arinc": ("compositional", "arinc"),
+    "compositional-demo": ("compositional", "demo"),
     "refine-pass": ("refine", "@/pair.ifs"),
 }
 
@@ -215,7 +217,8 @@ def _mutations(value):
             yield kind, other
 
 
-FAILING = sorted(set(FIXTURES) - {"refine-pass", "compositional-arinc"})
+FAILING = sorted(set(FIXTURES) - {"refine-pass", "compositional-arinc",
+                                   "compositional-demo"})
 
 
 @pytest.mark.parametrize("name", FAILING)

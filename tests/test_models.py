@@ -23,7 +23,7 @@ from ifsec.models import (
     model_names,
 )
 from ifsec.models.auction import ledger_max
-from ifsec.refinement import _steps_by, check_simulation, joint_explore
+from ifsec.refinement import _steps, check_simulation, joint_explore
 from ifsec.unwinding import check_unwinding
 
 
@@ -283,19 +283,16 @@ def test_machine_moves_match_the_state_enumerator(name):
     machine = pair.concrete.machine
     exploration = joint_explore(pair)
     components = tuple(sorted(rg.contracts))
-    steps_by = _steps_by(pair, exploration,
-                         [rg.component(a) for a in machine.actions],
-                         components)
+    recorded: dict[str, dict[int, set[int]]] = {k: {} for k in components}
+    for node, x, j, _ in _steps(pair, exploration.search):
+        recorded[rg.component(machine.actions[x])].setdefault(
+            node // exploration.width, set()).add(j)
     discovered = sorted({node // exploration.width
                          for node in exploration.nodes})
     assert discovered
     for component in components:
-        ks, _, js, _ = steps_by[component]
-        recorded: dict[int, set[int]] = {}
-        for k, j in zip(ks, js):
-            recorded.setdefault(exploration.nodes[k] // exploration.width,
-                                set()).add(j)
         oracle = own_moves(pair.concrete, component)
         for i in discovered:
-            moves = tuple(machine.by_id[j] for j in sorted(recorded.get(i, ())))
+            moves = tuple(machine.by_id[j]
+                          for j in sorted(recorded[component].get(i, ())))
             assert moves == oracle(machine.by_id[i])

@@ -652,7 +652,7 @@ def state_keyed(initial, successors, budget=None):
     same values-tuple successor function."""
     return build_machine(initial, lambda state: [
         (action, state.with_values(values))
-        for action, values in successors(state.values)], budget)
+        for action, values in successors(state)], budget)
 
 
 @pytest.mark.parametrize("name,params", LAYOUT_SIZES,
@@ -671,3 +671,21 @@ def test_builtins_tabulate_like_the_state_keyed_build(monkeypatch, name,
     got = layouts()
     monkeypatch.setattr(programs, "tabulate", state_keyed)
     assert got == layouts()
+
+
+def test_one_state_per_tabulated_tuple(monkeypatch):
+    """The build makes each level's states once: the ring at capacity 2
+    has 6,993 concrete and 729 abstract states, and no other `State`."""
+    made = []
+    with_values = State.with_values
+
+    def counted(self, values):
+        made.append(values)
+        return with_values(self, values)
+
+    monkeypatch.setattr(State, "with_values", counted)
+    bundle = get_model("demo", capacity=2)
+    sizes = [len(bundle.pair.concrete.machine.by_id),
+             len(bundle.pair.abstract.machine.by_id)]
+    assert sizes == [6993, 729]
+    assert len(made) == sum(sizes)

@@ -454,9 +454,9 @@ class TestElaborateModel:
         def counting(*args):
             successors = compile_rules(*args)
 
-            def counted(values):
-                calls.append(values)
-                return successors(values)
+            def counted(state):
+                calls.append(state.values)
+                return successors(state)
 
             return counted
 

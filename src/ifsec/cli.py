@@ -68,16 +68,18 @@ DEFAULT_MAX_LEN = 4
 # ---------------------------------------------------------------------------
 
 class LoadedTarget:
-    """A check target resolved to systems plus its report identity."""
+    """A check target resolved to systems plus its report identity.
+
+    `bundle` gives a two-level target's refinement `pair` and
+    `rely_guarantee` spec (a built-in builds them at the first read);
+    it is None for a single model file.
+    """
 
     def __init__(self, model_info: dict[str, Any],
-                 levels: list[tuple[str, SecureSystem]],
-                 pair: refinement.RefinementPair | None,
-                 rg: refinement.RelyGuaranteeSpec | None) -> None:
+                 levels: list[tuple[str, SecureSystem]], bundle: Any) -> None:
         self.model_info = model_info
         self.levels = levels
-        self.pair = pair
-        self.rg = rg
+        self.bundle = bundle
 
 
 def _sha256(path: str) -> str:
@@ -99,6 +101,10 @@ def load_target(kind: str, target: str, params: dict[str, int],
     # For ni, --budget counts traces, not states.
     state_budget = None if kind == "ni" else budget
     if target in models.REGISTRY:
+        if kind in ("refine", "compositional"):
+            # Run `refinement`'s body first: parsed after the build, it
+            # raises the peak RSS.
+            refinement.RefinementPair
         bundle = models.get_model(target, budget=state_budget, **params)
         info = {
             "source": "builtin",
@@ -109,10 +115,8 @@ def load_target(kind: str, target: str, params: dict[str, int],
         }
         return LoadedTarget(
             info,
-            [("concrete", bundle.pair.concrete),
-             ("abstract", bundle.pair.abstract)],
-            bundle.pair,
-            bundle.rely_guarantee,
+            [("concrete", bundle.concrete), ("abstract", bundle.abstract)],
+            bundle,
         )
 
     if not os.path.exists(target):
@@ -137,13 +141,13 @@ def load_target(kind: str, target: str, params: dict[str, int],
         return LoadedTarget(
             info,
             [("concrete", pair.concrete), ("abstract", pair.abstract)],
-            pair, rg,
+            types.SimpleNamespace(pair=pair, rely_guarantee=rg),
         )
 
     system = specfile.elaborate_model(specfile.load_model(target),
                                       budget=state_budget, universe=universe)
     info = {"source": "file", "path": target, "files": files}
-    return LoadedTarget(info, [("model", system)], None, None)
+    return LoadedTarget(info, [("model", system)], None)
 
 
 def _warn_missing_reflexive(loaded: LoadedTarget) -> None:
@@ -290,7 +294,8 @@ def _ni_checks(loaded: LoadedTarget, args,
 
 def _refine_checks(loaded: LoadedTarget, args,
                    counters: dict[str, int]) -> list[dict[str, Any]]:
-    report = refinement.check_simulation(loaded.pair, budget=args.budget)
+    report = refinement.check_simulation(loaded.bundle.pair,
+                                         budget=args.budget)
     counters["joint_pairs"] = report.pair_count
     checks = [_verdict_check(name, verdict)
               for name, verdict in report.conditions().items()]
@@ -309,12 +314,12 @@ def _refine_checks(loaded: LoadedTarget, args,
 
 def _compositional_checks(loaded: LoadedTarget, args,
                           counters: dict[str, int]) -> list[dict[str, Any]]:
-    if loaded.rg is None:
+    pair, rg = loaded.bundle.pair, loaded.bundle.rely_guarantee
+    if rg is None:
         raise UsageError(
             "this target declares no rely-guarantee contracts; "
             "compositional checking needs them")
-    report = refinement.check_compositional(loaded.pair, loaded.rg,
-                                            budget=args.budget)
+    report = refinement.check_compositional(pair, rg, budget=args.budget)
     counters["joint_pairs"] = report.pair_count
     checks = [_verdict_check(name, verdict)
               for name, verdict in report.lemmas().items()]
@@ -706,15 +711,15 @@ def _replay(loaded: LoadedTarget, universe: bool, name: str,
     home, cls_name, predicate = _WITNESS_TYPES[tag]
     if tag in ("lr", "sc", "ni"):
         system = subject = _system_for(loaded, name)
-    elif loaded.pair is None or (tag == "lemma" and loaded.rg is None):
+    elif loaded.bundle is None or (tag == "lemma" and
+                                   loaded.bundle.rely_guarantee is None):
         raise _stale(f"a {tag} witness needs a refinement target with the "
                      "contracts it speaks about")
     else:
-        subject = loaded.pair
+        subject = loaded.bundle.pair
         system = subject.abstract if raw.get("level") == "abstract" \
             else subject.concrete
-    decoder = _Decoder(raw, system,
-                       None if loaded.pair is None else loaded.pair.abstract)
+    decoder = _Decoder(raw, system, dict(loaded.levels).get("abstract"))
     scope_traces = dict(_SCOPE_TRACES.get(tag, ()))
     traced = []
     for title, trace_field, anchors in _RUNS[tag]:
@@ -751,7 +756,8 @@ def _replay(loaded: LoadedTarget, universe: bool, name: str,
                      "steps": _run_payload(raw[trace_field], sets)})
     recheck = getattr(home, predicate)
     if tag == "lemma":
-        violated = recheck(loaded.pair, loaded.rg, name, witness)
+        violated = recheck(subject, loaded.bundle.rely_guarantee, name,
+                           witness)
     else:
         violated = recheck(subject, witness)
     if not violated:
@@ -768,8 +774,8 @@ def _replay(loaded: LoadedTarget, universe: bool, name: str,
             observe(witness.domain, witness.successor))
     if tag == "c5":
         edge = (witness.source, witness.target)
-        facts["concrete_has_edge"] = edge in loaded.pair.concrete.config.policy
-        facts["abstract_has_edge"] = edge in loaded.pair.abstract.config.policy
+        facts["concrete_has_edge"] = edge in subject.concrete.config.policy
+        facts["abstract_has_edge"] = edge in subject.abstract.config.policy
     return {
         "condition": name if tag == "lemma" else tag,
         "summary": summary.format(**encoded),

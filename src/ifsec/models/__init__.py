@@ -2,7 +2,8 @@
 
 Each entry builds a :class:`~ifsec.models.common.ModelBundle`: a concrete
 and an abstract system joined by a refinement pair, with rely-guarantee
-contracts where the model declares them. Secure bundles are expected to
+contracts where the model declares them; pair and contracts are built on
+first use. Secure bundles are expected to
 pass every checker; the insecure variants each demonstrate one specific
 leak and are named after it.
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from ifsec import refinement
 from ifsec.core import ModelError, State, UsageError, Value
 from ifsec.models import REGISTRY
 from ifsec.models.common import (
@@ -44,7 +45,6 @@ from ifsec.programs import (
     lock_acquire,
     seq,
 )
-from ifsec.refinement import TAU, RefinementPair
 
 VARIANTS = ("secure", "queuing_mode", "port_id")
 
@@ -313,30 +313,33 @@ def build_arinc(config: ArincConfig | None = None, variant: str = "secure",
                          abstract_vars),
         domains, policy, observe("qbuf"), budget)
 
-    kept = tuple([f"cur.{sched}" for sched in scheds]
-                 + [f"st.{p}" for p in partitions])
-    buffers = tuple((f"qbuf.{ch}", f"obuf.{ch}", f"qlock.{ch}")
-                    for ch in channels)
-    alpha = buffer_alpha(
-        cpus, kept, buffers,
-        "abstract buffers match committed buffers; unlocked buffers are clean")
+    def link():
+        kept = tuple([f"cur.{sched}" for sched in scheds]
+                     + [f"st.{p}" for p in partitions])
+        buffers = tuple((f"qbuf.{ch}", f"obuf.{ch}", f"qlock.{ch}")
+                        for ch in channels)
+        alpha = buffer_alpha(
+            cpus, kept, buffers,
+            "abstract buffers match committed buffers; unlocked buffers are clean")
 
-    def rule(comp: str, event: str, step: str):
-        if step in ("lock", "enqueue", "dequeue"):
-            return TAU
-        if step == "unlock":
-            return "enqueue" if event.startswith("Send_QMsg") else "dequeue"
-        return None
+        def rule(comp: str, event: str, step: str):
+            if step in ("lock", "enqueue", "dequeue"):
+                return refinement.TAU
+            if step == "unlock":
+                return "enqueue" if event.startswith("Send_QMsg") else "dequeue"
+            return None
 
-    pair = RefinementPair(concrete, abstract, alpha,
-                          zeta_from_rule(concrete, abstract, rule))
+        pair = refinement.RefinementPair(
+            concrete, abstract, alpha, zeta_from_rule(concrete, abstract, rule))
+        return pair, _rely_guarantee(cpus, sched_of_cpu, parts_on, channels)
 
     return ModelBundle(
         name=NAMES[variant],
         description=REGISTRY[NAMES[variant]].description,
-        pair=pair,
-        rely_guarantee=_rely_guarantee(cpus, sched_of_cpu, parts_on, channels),
+        concrete=concrete,
+        abstract=abstract,
         params=(("capacity", min(cap(ch) for ch in channels)), ("variant", variant)),
+        link=link,
     )
 
 

@@ -15,6 +15,7 @@ auction runs or not at all. "No winning bid" is represented as None.
 
 from __future__ import annotations
 
+from ifsec import refinement
 from ifsec.core import State, UsageError, Value
 from ifsec.models import REGISTRY
 from ifsec.models.common import (
@@ -32,7 +33,6 @@ from ifsec.programs import (
     lock_acquire,
     seq,
 )
-from ifsec.refinement import TAU, Alpha, RefinementPair
 
 RESERVE_PRICE = 1
 
@@ -165,50 +165,53 @@ def build_auction(users: int = 2, bids: tuple[int, ...] = (1, 2),
         ConcurrentSystem(components, abstract_pool, abstract_vars),
         domains, policy, observe("log", "maxbid"), budget)
 
-    public = ("status", "reserve", "sealed", "res")
-    concrete_view = pc_key(components, (*public, "oblog", "obid"))
-    abstract_view = pc_key(components, (*public, "log", "maxbid"))
+    def link():
+        public = ("status", "reserve", "sealed", "res")
+        concrete_view = pc_key(components, (*public, "oblog", "obid"))
+        abstract_view = pc_key(components, (*public, "log", "maxbid"))
 
-    def concrete_key(c: State):
-        """None while the unlocked ledger differs from its committed
-        copy; else the public variables, the committed ledger and bid,
-        and the pc events."""
-        if c["lock"] is None and (c["log"] != c["oblog"]
-                                  or c["maxbid"] != c["obid"]):
+        def concrete_key(c: State):
+            """None while the unlocked ledger differs from its committed
+            copy; else the public variables, the committed ledger and bid,
+            and the pc events."""
+            if c["lock"] is None and (c["log"] != c["oblog"]
+                                      or c["maxbid"] != c["obid"]):
+                return None
+            return concrete_view(c)
+
+        def abstract_key(a: State):
+            """None when a published result is not the ledger maximum above
+            the reserve of a closed auction."""
+            res = a["res"]
+            if res is not None and not (a["status"] == "closed"
+                                        and res == ledger_max(a["log"])
+                                        and res[1] > a["reserve"]):
+                return None
+            return abstract_view(a)
+
+        alpha = refinement.Alpha.keyed(
+            concrete_key, abstract_key,
+            "abstract ledger matches the committed ledger; a published result "
+            "is the ledger maximum above the reserve")
+
+        def rule(comp: str, event: str, step: str):
+            if step in ("lock", "register"):
+                return refinement.TAU
+            if step == "unlock":
+                return "register"
             return None
-        return concrete_view(c)
 
-    def abstract_key(a: State):
-        """None when a published result is not the ledger maximum above
-        the reserve of a closed auction."""
-        res = a["res"]
-        if res is not None and not (a["status"] == "closed"
-                                    and res == ledger_max(a["log"])
-                                    and res[1] > a["reserve"]):
-            return None
-        return abstract_view(a)
-
-    alpha = Alpha.keyed(
-        concrete_key, abstract_key,
-        "abstract ledger matches the committed ledger; a published result "
-        "is the ledger maximum above the reserve")
-
-    def rule(comp: str, event: str, step: str):
-        if step in ("lock", "register"):
-            return TAU
-        if step == "unlock":
-            return "register"
-        return None
-
-    pair = RefinementPair(concrete, abstract, alpha,
-                          zeta_from_rule(concrete, abstract, rule))
+        pair = refinement.RefinementPair(
+            concrete, abstract, alpha, zeta_from_rule(concrete, abstract, rule))
+        return pair, _rely_guarantee(names)
 
     return ModelBundle(
         name="auction",
         description=REGISTRY["auction"].description,
-        pair=pair,
-        rely_guarantee=_rely_guarantee(names),
+        concrete=concrete,
+        abstract=abstract,
         params=(("users", users), ("bids", bids)),
+        link=link,
     )
 
 

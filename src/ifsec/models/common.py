@@ -1,12 +1,14 @@
 """Shared plumbing for the bundled models.
 
 Every bundled model is shipped as a :class:`ModelBundle`: a concrete and an
-abstract system tied together by a refinement pair, plus (where the model
-declares one) a rely-guarantee spec for the compositional checker. The
-helpers here cover the parts all three model families repeat: the
-program-counter events that end both levels' alpha keys, building zeta from
-step-label rules, and frame contracts declared by the variables a component
-owns, shares and locks.
+abstract system, the refinement pair that ties them together and (where
+the model declares one) a rely-guarantee spec for the compositional
+checker. The pair and the spec are built on first use, so a check of the
+levels alone never runs `refinement`; the helpers here reach it by
+attribute when they are called. They cover the parts all three model
+families repeat: the program-counter events that end both levels' alpha
+keys, building zeta from step-label rules, and frame contracts declared
+by the variables a component owns, shares and locks.
 Frame contracts declare no guarantee-move enumerator: the moves a
 component's code makes are its concrete steps, which lemma 3 already
 checks against every other component's rely.
@@ -15,9 +17,10 @@ checks against every other component's rely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterable, Mapping
 
+from ifsec import refinement
 from ifsec.core import (
     ActionId,
     ModelError,
@@ -28,43 +31,42 @@ from ifsec.core import (
     values_getter,
 )
 from ifsec.programs import IDLE, INVOKE
-from ifsec.refinement import (
-    TAU,
-    Alpha,
-    ComponentContract,
-    Locks,
-    RefinementPair,
-    RelyGuaranteeSpec,
-    Zeta,
-    _Tau,
-    frame_guarantee,
-    frame_rely,
-)
 
 # A zeta rule maps (component, event name, step label) to one of:
 #   None      -> the abstract action with the same full label
 #   TAU       -> the step is internal at the abstract level
 #   a string  -> the abstract step label within the same component/event
-ZetaRule = Callable[[str, str, str], "str | None | _Tau"]
+ZetaRule = Callable[[str, str, str], "str | None | refinement._Tau"]
 
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """A named, ready-to-check model: refinement pair plus contracts."""
+    """A named, ready-to-check model: its two levels, and the refinement
+    pair plus contracts that join them.
+
+    `link` returns the pair, over `concrete` and `abstract`, and the
+    rely-guarantee spec (None when the model declares none). It runs
+    once, at the first read of `pair` or `rely_guarantee`.
+    """
 
     name: str
     description: str
-    pair: RefinementPair
-    rely_guarantee: RelyGuaranteeSpec | None
+    concrete: SecureSystem
+    abstract: SecureSystem
     params: tuple[tuple[str, Value], ...]
+    link: Callable[[], tuple]
+
+    @cached_property
+    def _linked(self) -> tuple:
+        return self.link()
 
     @property
-    def concrete(self) -> SecureSystem:
-        return self.pair.concrete
+    def pair(self) -> refinement.RefinementPair:
+        return self._linked[0]
 
     @property
-    def abstract(self) -> SecureSystem:
-        return self.pair.abstract
+    def rely_guarantee(self) -> refinement.RelyGuaranteeSpec | None:
+        return self._linked[1]
 
 
 def component_of(action: ActionId) -> str:
@@ -134,7 +136,7 @@ def pc_key(components: Iterable[str], names: Iterable[str]
 
 def buffer_alpha(components: Iterable[str], kept: Iterable[str],
                  buffers: Iterable[tuple[str, str, str]],
-                 description: str) -> Alpha:
+                 description: str) -> refinement.Alpha:
     """Alpha of a system whose components write lock-guarded buffers.
 
     `buffers` are concrete (buffer, committed copy, lock) triples: the
@@ -147,13 +149,13 @@ def buffer_alpha(components: Iterable[str], kept: Iterable[str],
     components, kept, buffers = tuple(components), tuple(kept), tuple(buffers)
     concrete = partial(_pc_view, components,
                        (*kept, *(c for _, c, _ in buffers)), guards=buffers)
-    return Alpha.keyed(
+    return refinement.Alpha.keyed(
         lambda state: layout(concrete, state)(state.values),
         pc_key(components, (*kept, *(b for b, _, _ in buffers))), description)
 
 
 def zeta_from_rule(concrete: SecureSystem, abstract: SecureSystem,
-                   rule: ZetaRule) -> Zeta:
+                   rule: ZetaRule) -> refinement.Zeta:
     """Build zeta for compiled systems from a per-step rule.
 
     Invoke steps always map to the matching abstract invoke; other steps
@@ -169,22 +171,22 @@ def zeta_from_rule(concrete: SecureSystem, abstract: SecureSystem,
                 "machine does not offer")
         return action
 
-    mapping: dict[ActionId, ActionId | _Tau] = {}
+    mapping: dict[ActionId, ActionId | refinement._Tau] = {}
     for action in concrete.machine.actions:
         comp, event, step = split_label(action)
         target = None if step == INVOKE else rule(comp, event, step)
-        if target is TAU:
-            mapping[action] = TAU
+        if target is refinement.TAU:
+            mapping[action] = refinement.TAU
         elif target is None:
             mapping[action] = lookup(action.label)
         else:
             mapping[action] = lookup(f"{comp}/{event}/{target}")
-    return Zeta(mapping)
+    return refinement.Zeta(mapping)
 
 
 def frame_contract(component: str, owned: Iterable[str],
                    shared: Iterable[str] = (),
-                   locks: Locks | None = None) -> ComponentContract:
+                   locks: refinement.Locks | None = None) -> refinement.ComponentContract:
     """Contract of a component declared by the variables it touches.
 
     The guarantee allows changes to the `owned` and `shared` variables,
@@ -194,11 +196,12 @@ def frame_contract(component: str, owned: Iterable[str],
     variables are left free.
     """
     owned = tuple(owned)
-    return ComponentContract(
-        rely=frame_rely(owned, component, locks),
-        guarantee=frame_guarantee((*owned, *shared), component, locks),
+    return refinement.ComponentContract(
+        rely=refinement.frame_rely(owned, component, locks),
+        guarantee=refinement.frame_guarantee((*owned, *shared), component, locks),
     )
 
 
-def contracts_spec(contracts: Mapping[str, ComponentContract]) -> RelyGuaranteeSpec:
-    return RelyGuaranteeSpec(contracts=dict(contracts), component_of=component_of)
+def contracts_spec(contracts: Mapping[str, refinement.ComponentContract]
+                   ) -> refinement.RelyGuaranteeSpec:
+    return refinement.RelyGuaranteeSpec(contracts=dict(contracts), component_of=component_of)

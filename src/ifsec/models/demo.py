@@ -25,6 +25,7 @@ Variants:
 
 from __future__ import annotations
 
+from ifsec import refinement
 from ifsec.core import State, UsageError, Value
 from ifsec.models import REGISTRY
 from ifsec.models.common import (
@@ -42,7 +43,6 @@ from ifsec.programs import (
     lock_acquire,
     seq,
 )
-from ifsec.refinement import TAU, RefinementPair
 
 VARIANTS = ("secure", "insecure_counter", "insecure_fullstatus")
 
@@ -209,30 +209,33 @@ def build_demo(threads: int = 3, capacity: int = 1, messages: int = 1,
         ConcurrentSystem(names, abstract_pool, abstract_vars),
         names, policy, abstract_observe, budget)
 
-    alpha = buffer_alpha(
-        names, [f"cnt.{t}" for t in names if counter],
-        [(f"que.{t}", f"obq.{t}", f"lock.{t}") for t in names],
-        "abstract queues match committed queues; unlocked queues are clean")
+    def link():
+        alpha = buffer_alpha(
+            names, [f"cnt.{t}" for t in names if counter],
+            [(f"que.{t}", f"obq.{t}", f"lock.{t}") for t in names],
+            "abstract queues match committed queues; unlocked queues are clean")
 
-    def rule(comp: str, event: str, step: str):
-        if step in ("lock", "enqueue", "dequeue", "incr"):
-            return TAU
-        if step == "unlock":
-            return "send" if event.startswith("send") else "recv"
-        if step == "decr":
-            return "skip"
-        return None
+        def rule(comp: str, event: str, step: str):
+            if step in ("lock", "enqueue", "dequeue", "incr"):
+                return refinement.TAU
+            if step == "unlock":
+                return "send" if event.startswith("send") else "recv"
+            if step == "decr":
+                return "skip"
+            return None
 
-    pair = RefinementPair(concrete, abstract, alpha,
-                          zeta_from_rule(concrete, abstract, rule))
+        pair = refinement.RefinementPair(
+            concrete, abstract, alpha, zeta_from_rule(concrete, abstract, rule))
+        return pair, _rely_guarantee(names)
 
     return ModelBundle(
         name=NAMES[variant],
         description=REGISTRY[NAMES[variant]].description,
-        pair=pair,
-        rely_guarantee=_rely_guarantee(names),
+        concrete=concrete,
+        abstract=abstract,
         params=(("threads", threads), ("capacity", capacity),
                 ("messages", messages), ("variant", variant)),
+        link=link,
     )
 
 

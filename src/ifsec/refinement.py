@@ -46,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
+from ifsec import unwinding
 from ifsec.core import (
     ActionId,
     Exploration,
@@ -58,7 +59,6 @@ from ifsec.core import (
     layout,
     values_getter,
 )
-from ifsec.unwinding import UnwindingReport, check_unwinding
 
 __all__ = [
     "TAU",
@@ -714,7 +714,7 @@ class SimulationReport:
     refinement: Verdict
     cross_check: Verdict
     pair_count: int
-    unwinding: Mapping[str, UnwindingReport]
+    unwinding: Mapping[str, unwinding.UnwindingReport]
 
     @property
     def ok(self) -> bool:
@@ -749,13 +749,13 @@ def check_simulation(pair: RefinementPair,
     # The pair set is no longer needed; free it before the unwinding
     # runs explore each level.
     del exploration
-    unwinding: dict[str, UnwindingReport] = {}
+    reports: dict[str, unwinding.UnwindingReport] = {}
     if all(v.ok for v in verdicts):
         refinement = Verdict.passed()
-        abstract_report = unwinding["abstract"] = check_unwinding(
+        abstract_report = reports["abstract"] = unwinding.check_unwinding(
             pair.abstract, budget=budget)
         if abstract_report.ok:
-            concrete_report = unwinding["concrete"] = check_unwinding(
+            concrete_report = reports["concrete"] = unwinding.check_unwinding(
                 pair.concrete, budget=budget)
             if concrete_report.ok:
                 cross = Verdict("pass", CrossCheck(True, True),
@@ -778,7 +778,7 @@ def check_simulation(pair: RefinementPair,
         refinement=refinement,
         cross_check=cross,
         pair_count=pair_count,
-        unwinding=unwinding,
+        unwinding=reports,
     )
 
 

@@ -770,8 +770,9 @@ BUILDERS = {"ifsec.models.arinc", "ifsec.models.auction",
 #: which decides whether a target is a built-in model.
 BASE = {"ifsec.cli", "ifsec.core", "ifsec.models"}
 #: A built-in model's build: its builder and what the builders import.
-BUILTIN = BASE | {"ifsec.models.common", "ifsec.programs",
-                  "ifsec.refinement", "ifsec.unwinding"}
+#: The refinement pair and contracts are built only when read, so a
+#: build runs neither `refinement` nor `unwinding`.
+BUILTIN = BASE | {"ifsec.models.common", "ifsec.programs"}
 
 
 def footprint(*argv: str) -> tuple[int, set[str], set[str]]:
@@ -800,11 +801,12 @@ class TestStartup:
     @pytest.mark.parametrize("argv,code,ran", [
         (("list",), 0, BASE),
         (("check", "unwinding", "demo", "--threads", "2"), 0,
-         BUILTIN | {"ifsec.models.demo"}),
+         BUILTIN | {"ifsec.models.demo", "ifsec.unwinding"}),
         (("check", "refine", "auction"), 0,
-         BUILTIN | {"ifsec.models.auction"}),
+         BUILTIN | {"ifsec.models.auction", "ifsec.refinement",
+                    "ifsec.unwinding"}),
         (("check", "compositional", "arinc"), 0,
-         BUILTIN | {"ifsec.models.arinc"}),
+         BUILTIN | {"ifsec.models.arinc", "ifsec.refinement"}),
         (("check", "ni", "auction", "--max-len", "2"), 0,
          BUILTIN | {"ifsec.models.auction", "ifsec.noninterference"}),
         (("check", "unwinding", "@/leaky.ifs"), 1,
@@ -813,9 +815,11 @@ class TestStartup:
          BASE | {"ifsec.specfile", "ifsec.noninterference"}),
         (("check", "refine", "@/pair.ifs"), 0,
          BASE | {"ifsec.specfile", "ifsec.refinement", "ifsec.unwinding"}),
+        (("check", "compositional", "@/pair.ifs"), 0,
+         BASE | {"ifsec.specfile", "ifsec.refinement"}),
     ], ids=["list", "builtin-unwinding", "builtin-refine",
             "builtin-compositional", "builtin-ni", "file-unwinding",
-            "file-ni", "file-refine"])
+            "file-ni", "file-refine", "file-compositional"])
     def test_command_runs_only_its_modules(self, models, argv, code, ran):
         argv = [a.replace("@", str(models)) for a in argv]
         got_code, got_ran, lazy = footprint(*argv)
@@ -830,3 +834,19 @@ class TestStartup:
         got_code, ran, _ = footprint("replay", report)
         assert got_code == 0
         assert ran == BASE | {"ifsec.specfile", "ifsec.unwinding"}
+
+    # An ni witness is replayed on its level alone, so the pair is not
+    # built; a c2 witness is re-checked on the pair.
+    @pytest.mark.parametrize("argv,ran", [
+        (("ni", "demo-insecure-fullstatus", "--domain", "t1"),
+         BUILTIN | {"ifsec.models.demo", "ifsec.noninterference"}),
+        (("refine", "demo-insecure-counter", "--threads", "2"),
+         BUILTIN | {"ifsec.models.demo", "ifsec.refinement"}),
+    ], ids=["ni", "c2"])
+    def test_builtin_replay_builds_the_pair_only_for_it(self, saved_report,
+                                                        argv, ran):
+        code, report = saved_report("check", *argv)
+        assert code == 1
+        got_code, got_ran, _ = footprint("replay", report)
+        assert got_code == 0
+        assert got_ran == ran

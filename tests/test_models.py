@@ -9,8 +9,14 @@ on two threads, where every checker runs in milliseconds.
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import subprocess
+import sys
+
 import pytest
 
+import ifsec
 from ifsec.core import BudgetError, ModelError, UsageError
 from ifsec.models import (
     REGISTRY,
@@ -63,6 +69,41 @@ def test_budget_bounds_the_build():
 def test_parameters_reach_the_builder():
     bundle = get_model("demo", threads=2)
     assert ("threads", 2) in bundle.params
+
+
+# --- the pair on demand --------------------------------------------------
+
+@pytest.mark.parametrize("name", model_names())
+def test_pair_and_contracts_come_from_one_link_call(name):
+    # Two threads keep the counter variant small.
+    built = get_model(name, **({"threads": 2} if name.startswith("demo")
+                               else {}))
+    calls = []
+
+    def link():
+        calls.append(name)
+        return built.link()
+
+    bundle = dataclasses.replace(built, link=link)
+    assert calls == []
+    assert bundle.rely_guarantee is bundle.rely_guarantee
+    assert bundle.pair is bundle.pair
+    assert bundle.pair.concrete is bundle.concrete
+    assert bundle.pair.abstract is bundle.abstract
+    assert calls == [name]
+
+
+def test_levels_alone_leave_refinement_lazy():
+    src = os.path.dirname(os.path.dirname(ifsec.__file__))
+    script = ("import sys\n"
+              "from ifsec.models import get_model\n"
+              "get_model('demo').concrete\n"
+              "print(type(sys.modules['ifsec.refinement']).__name__)")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["_LazyModule"]
 
 
 # --- pinned action counts ------------------------------------------------

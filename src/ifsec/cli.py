@@ -54,12 +54,6 @@ from ifsec.core import (
 
 SCHEMA = 1
 CHECK_KINDS = ("unwinding", "ni", "refine", "compositional")
-MODEL_PARAM_FLAGS = ("threads", "capacity", "messages", "users")
-
-#: Defaults shown by `list`; must agree with the builder signatures,
-#: which a test enforces.
-PARAM_DEFAULTS = {"threads": 3, "capacity": 1, "messages": 1, "users": 2}
-
 DEFAULT_MAX_LEN = 4
 
 
@@ -88,10 +82,6 @@ def _sha256(path: str) -> str:
             return hashlib.sha256(handle.read()).hexdigest()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
-
-
-def _resolve_ref(base_dir: str, ref: str) -> str:
-    return ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
 
 
 def load_target(kind: str, target: str, params: dict[str, int],
@@ -133,7 +123,7 @@ def load_target(kind: str, target: str, params: dict[str, int],
         doc = specfile.load_refinement(target)
         base_dir = os.path.dirname(target) or "."
         for ref in (doc.concrete_ref, doc.abstract_ref):
-            resolved = _resolve_ref(base_dir, ref)
+            resolved = specfile.resolve_ref(base_dir, ref)
             files[resolved] = _sha256(resolved)
         pair, rg = specfile.elaborate_refinement(doc, base_dir=base_dir,
                                                  budget=budget)
@@ -418,10 +408,20 @@ def _print_check_text(report: dict[str, Any]) -> None:
     print(f"wall time: {report['wall_time_s']}s")
 
 
+def _model_params() -> dict[str, int]:
+    """Every built-in model's parameters, in registry order, with the
+    default of the first model that takes each."""
+    params: dict[str, int] = {}
+    for entry in models.REGISTRY.values():
+        for name, default in entry.params.items():
+            params.setdefault(name, default)
+    return params
+
+
 def cmd_check(args) -> int:
     started = time.monotonic()
     _reject_stray_flags(args)
-    params = {name: getattr(args, name) for name in MODEL_PARAM_FLAGS
+    params = {name: getattr(args, name) for name in _model_params()
               if getattr(args, name) is not None}
     loaded = load_target(args.kind, args.target, params, args.budget,
                          universe=args.universe)
@@ -467,7 +467,7 @@ def cmd_list(args) -> int:
     entries = [{
         "name": entry.name,
         "description": entry.description,
-        "params": {p: PARAM_DEFAULTS[p] for p in entry.params},
+        "params": dict(entry.params),
     } for entry in models.REGISTRY.values()]
     if args.json:
         _print_json({"schema": SCHEMA, "command": "list", "models": entries})
@@ -809,8 +809,11 @@ def _print_replay_text(outcome: dict[str, Any]) -> None:
 def cmd_replay(args) -> int:
     data = _load_report(args.report)
     checks = data.get("checks")
-    failing = [c for c in checks if isinstance(c, dict)
-               and c.get("status") == "fail"] if isinstance(checks, list) else []
+    if not isinstance(checks, list) \
+            or not any(isinstance(c, dict) for c in checks):
+        raise UsageError("report has no list of checks to replay")
+    failing = [c for c in checks
+               if isinstance(c, dict) and c.get("status") == "fail"]
     if not failing:
         raise UsageError("the report records a pass; there is no violation "
                          "to replay")
@@ -880,11 +883,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "traces); exceeding it exits 4")
     check_p.add_argument("--json", action="store_true",
                          help="print the run report as JSON")
-    for name in MODEL_PARAM_FLAGS:
+    for name, default in _model_params().items():
         check_p.add_argument(f"--{name}", type=int, default=None,
                              metavar="N",
-                             help=f"model parameter (default: "
-                                  f"{PARAM_DEFAULTS[name]})")
+                             help=f"model parameter (default: {default})")
     check_p.set_defaults(handler=cmd_check)
 
     replay_p = sub.add_parser(

@@ -7,14 +7,18 @@ first use. Secure bundles are expected to
 pass every checker; the insecure variants each demonstrate one specific
 leak and are named after it.
 
-The registry holds each model's name, description and parameters
-itself, so listing the models runs no builder. The builder modules are
-lazy (see `ifsec`): `get_model` runs the one it builds with.
+A registry entry and its family's builder are the only declaration of a
+built-in model: the entry holds its name, description and parameters
+with their defaults, which the CLI's `list` and model flags read, and
+the builder holds the rest. Listing the models runs no builder. The
+builder modules are lazy (see `ifsec`): `get_model` runs the one it
+builds with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from ifsec import _lazy
 from ifsec.core import UsageError
@@ -25,7 +29,6 @@ auction = _lazy(__name__, __path__, "auction")
 demo = _lazy(__name__, __path__, "demo")
 
 __all__ = [
-    "ArincConfig",
     "ModelBundle",
     "RegistryEntry",
     "REGISTRY",
@@ -39,9 +42,9 @@ __all__ = [
 
 #: Names re-exported from the builder modules, by home module; they are
 #: read there on first use.
-_EXPORTS = {"ArincConfig": arinc, "build_arinc": arinc,
-            "build_auction": auction, "build_demo": demo,
-            "ModelBundle": common, "component_of": common}
+_EXPORTS = {"build_arinc": arinc, "build_auction": auction,
+            "build_demo": demo, "ModelBundle": common,
+            "component_of": common}
 
 
 def __getattr__(name: str):
@@ -53,11 +56,12 @@ def __getattr__(name: str):
 @dataclass(frozen=True)
 class RegistryEntry:
     """A built-in model: `build` calls `build_<family>` of the builder
-    module `family` with `variant` (when given) and the parameters."""
+    module `family` with `variant` (when given) and the parameters.
+    `params` maps each parameter the model takes to its default."""
 
     name: str
     description: str
-    params: tuple[str, ...]
+    params: Mapping[str, int]
     family: str
     variant: str | None = None
 
@@ -68,7 +72,7 @@ class RegistryEntry:
         return getattr(_EXPORTS[builder], builder)(**kwargs)
 
 
-_DEMO = ("threads", "capacity", "messages")
+_DEMO = {"threads": 3, "capacity": 1, "messages": 1}
 
 REGISTRY: dict[str, RegistryEntry] = {entry.name: entry for entry in (
     RegistryEntry("demo",
@@ -83,19 +87,19 @@ REGISTRY: dict[str, RegistryEntry] = {entry.name: entry for entry in (
                   _DEMO, "demo", "insecure_fullstatus"),
     RegistryEntry("arinc",
                   "two-core partition scheduler with a locked queuing channel",
-                  ("capacity",), "arinc", "secure"),
+                  {"capacity": 1}, "arinc", "secure"),
     RegistryEntry("arinc-queuing-mode",
                   "channel variant leaking dequeue timing through a fullness "
                   "flag",
-                  ("capacity",), "arinc", "queuing_mode"),
+                  {"capacity": 1}, "arinc", "queuing_mode"),
     RegistryEntry("arinc-port-id",
                   "channel variant where a co-scheduled partition sends on a "
                   "foreign port",
-                  ("capacity",), "arinc", "port_id"),
+                  {"capacity": 1}, "arinc", "port_id"),
     RegistryEntry("auction",
                   "sealed-bid auction with locked ledger and a result "
                   "publisher",
-                  ("users",), "auction"),
+                  {"users": 2}, "auction"),
 )}
 
 

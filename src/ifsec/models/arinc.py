@@ -24,147 +24,64 @@ Variants:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
-
 from ifsec import refinement
-from ifsec.core import ModelError, State, UsageError, Value
-from ifsec.models import REGISTRY
+from ifsec.core import State, UsageError, Value
 from ifsec.models.common import (
     ModelBundle,
     buffer_alpha,
     contracts_spec,
     frame_contract,
+    locked_update,
     zeta_from_rule,
 )
-from ifsec.programs import (
-    Basic,
-    ConcurrentSystem,
-    Event,
-    compile_system,
-    lock_acquire,
-    seq,
-)
+from ifsec.programs import Basic, ConcurrentSystem, Event, compile_system
 
 VARIANTS = ("secure", "queuing_mode", "port_id")
 
-NAMES = {
-    "secure": "arinc",
-    "queuing_mode": "arinc-queuing-mode",
-    "port_id": "arinc-port-id",
-}
+# The case study's topology: two cores with a scheduler each, three
+# partitions, and one queuing channel from port ps of p11 to port pd of
+# p21, carrying one message.
+CPU_SCHEDULER = {"cpu1": "sched1", "cpu2": "sched2"}
+PARTITION_SCHEDULER = {"p11": "sched1", "p12": "sched1", "p21": "sched2"}
+PORT_PARTITION = {"ps": "p11", "pd": "p21"}
+CHANNEL_SOURCE = {"ch1": "ps"}
+CHANNEL_DEST = {"ch1": "pd"}
+MESSAGES = ("m1",)
 
 
-@dataclass(frozen=True)
-class ArincConfig:
-    """Static topology: cores, schedulers, partitions, ports, channels."""
-
-    cpu_scheduler: Mapping[str, str] = field(
-        default_factory=lambda: {"cpu1": "sched1", "cpu2": "sched2"})
-    partition_scheduler: Mapping[str, str] = field(
-        default_factory=lambda: {"p11": "sched1", "p12": "sched1", "p21": "sched2"})
-    port_partition: Mapping[str, str] = field(
-        default_factory=lambda: {"ps": "p11", "pd": "p21"})
-    channel_source: Mapping[str, str] = field(
-        default_factory=lambda: {"ch1": "ps"})
-    channel_dest: Mapping[str, str] = field(
-        default_factory=lambda: {"ch1": "pd"})
-    channel_capacity: Mapping[str, int] = field(
-        default_factory=lambda: {"ch1": 1})
-    messages: tuple[str, ...] = ("m1",)
-
-    def validate(self) -> None:
-        cpus = sorted(self.cpu_scheduler)
-        scheds = sorted(self.cpu_scheduler.values())
-        if not cpus:
-            raise ModelError("at least one core is required")
-        if len(cpus) > 2:
-            raise ModelError("at most two cores keep the model explorable")
-        if len(set(scheds)) != len(cpus):
-            raise ModelError("each core needs its own scheduler")
-        partitions = sorted(self.partition_scheduler)
-        if not partitions:
-            raise ModelError("at least one partition is required")
-        if len(partitions) > 3:
-            raise ModelError("at most three partitions keep the model explorable")
-        for p, sched in self.partition_scheduler.items():
-            if sched not in scheds:
-                raise ModelError(f"partition {p!r} names unknown scheduler {sched!r}")
-        for port, owner in self.port_partition.items():
-            if owner not in partitions:
-                raise ModelError(f"port {port!r} names unknown partition {owner!r}")
-        channels = sorted(self.channel_source)
-        if sorted(self.channel_dest) != channels or sorted(self.channel_capacity) != channels:
-            raise ModelError("channel source, dest and capacity must name the same channels")
-        if len(channels) > 2:
-            raise ModelError("at most two channels keep the model explorable")
-        for ch in channels:
-            src, dest = self.channel_source[ch], self.channel_dest[ch]
-            for port in (src, dest):
-                if port not in self.port_partition:
-                    raise ModelError(f"channel {ch!r} names unknown port {port!r}")
-            if src == dest:
-                raise ModelError(f"channel {ch!r} must join two distinct ports")
-            if not 1 <= self.channel_capacity[ch] <= 2:
-                raise ModelError(f"channel {ch!r} capacity must be 1 or 2")
-        if not 1 <= len(self.messages) <= 2:
-            raise ModelError("one or two distinct messages keep the model explorable")
-        if len(set(self.messages)) != len(self.messages):
-            raise ModelError("messages must be distinct")
-
-
-def build_arinc(config: ArincConfig | None = None, variant: str = "secure",
-                capacity: int | None = None,
+def build_arinc(variant: str = "secure", capacity: int = 1,
                 budget: int | None = None) -> ModelBundle:
     """Build one of the partitioned-kernel bundles.
 
-    `capacity` overrides every channel's buffer bound; the topology
-    itself is part of :class:`ArincConfig`.  `budget` caps the states of
-    each level's build.
+    `capacity` bounds every channel's buffer.  `budget` caps the states
+    of each level's build.
     """
     if variant not in VARIANTS:
         raise UsageError(
             f"unknown variant {variant!r}; pick one of {', '.join(VARIANTS)}")
-    cfg = config if config is not None else ArincConfig()
-    if capacity is not None:
-        if not 1 <= capacity <= 2:
-            raise UsageError("capacity must be 1 or 2")
-        cfg = ArincConfig(
-            cpu_scheduler=cfg.cpu_scheduler,
-            partition_scheduler=cfg.partition_scheduler,
-            port_partition=cfg.port_partition,
-            channel_source=cfg.channel_source,
-            channel_dest=cfg.channel_dest,
-            channel_capacity={ch: capacity for ch in cfg.channel_capacity},
-            messages=cfg.messages,
-        )
-    cfg.validate()
+    if not 1 <= capacity <= 2:
+        raise UsageError("capacity must be 1 or 2")
 
-    cpus = tuple(sorted(cfg.cpu_scheduler))
-    sched_of_cpu = dict(cfg.cpu_scheduler)
-    scheds = tuple(sorted(sched_of_cpu.values()))
-    partitions = tuple(sorted(cfg.partition_scheduler))
-    channels = tuple(sorted(cfg.channel_source))
-    owner = dict(cfg.port_partition)
+    cpus = tuple(sorted(CPU_SCHEDULER))
+    scheds = tuple(sorted(CPU_SCHEDULER.values()))
+    partitions = tuple(sorted(PARTITION_SCHEDULER))
+    channels = tuple(sorted(CHANNEL_SOURCE))
+    # The partition at each end of each channel.
+    source = {ch: PORT_PARTITION[CHANNEL_SOURCE[ch]] for ch in channels}
+    dest = {ch: PORT_PARTITION[CHANNEL_DEST[ch]] for ch in channels}
     queuing_mode = variant == "queuing_mode"
     port_id = variant == "port_id"
 
     def parts_on(cpu: str) -> tuple[str, ...]:
         return tuple(p for p in partitions
-                     if cfg.partition_scheduler[p] == sched_of_cpu[cpu])
+                     if PARTITION_SCHEDULER[p] == CPU_SCHEDULER[cpu])
 
     def cpu_of_partition(p: str) -> str:
-        for cpu in cpus:
-            if p in parts_on(cpu):
-                return cpu
-        raise ModelError(f"partition {p!r} runs on no core")
-
-    def cap(ch: str) -> int:
-        return cfg.channel_capacity[ch]
+        return next(cpu for cpu in cpus if p in parts_on(cpu))
 
     def init_events(cpu: str) -> tuple[Event, Event]:
         own = parts_on(cpu)
-        sched = sched_of_cpu[cpu]
+        sched = CPU_SCHEDULER[cpu]
 
         def some_idle(s: State) -> bool:
             return any(s[f"st.{p}"] == "idle" for p in own)
@@ -176,7 +93,7 @@ def build_arinc(config: ArincConfig | None = None, variant: str = "secure",
         return event, event
 
     def schedule_events(cpu: str, p: str) -> tuple[Event, Event]:
-        sched = sched_of_cpu[cpu]
+        sched = CPU_SCHEDULER[cpu]
         cur = f"cur.{sched}"
 
         def dispatchable(s: State) -> bool:
@@ -196,32 +113,25 @@ def build_arinc(config: ArincConfig | None = None, variant: str = "secure",
                     label: str) -> tuple[Event, Event]:
         qvar, ovar, lvar = f"qbuf.{ch}", f"obuf.{ch}", f"qlock.{ch}"
         cpu = cpu_of_partition(sender)
-        sched = cfg.partition_scheduler[sender]
+        sched = PARTITION_SCHEDULER[sender]
 
         def scheduled(s: State) -> bool:
             return s[f"cur.{sched}"] == sender
 
         def enqueue(s: State) -> dict[str, Value]:
             q = s[qvar]
-            return {qvar: q + (msg,)} if len(q) < cap(ch) else {}
+            return {qvar: q + (msg,)} if len(q) < capacity else {}
 
-        def publish(s: State) -> dict[str, Value]:
-            return {lvar: None, ovar: s[qvar]}
-
-        concrete_body = seq(
-            lock_acquire(lvar, cpu),
-            Basic(enqueue, "enqueue"),
-            Basic(publish, "unlock"),
-        )
+        concrete_body = locked_update(lvar, cpu, qvar, ovar, enqueue, "enqueue")
         return (Event(label, scheduled, concrete_body, sender),
                 Event(label, scheduled, Basic(enqueue, "enqueue"), sender))
 
     def recv_events(ch: str) -> tuple[Event, Event]:
-        port = cfg.channel_dest[ch]
-        receiver = owner[port]
+        port = CHANNEL_DEST[ch]
+        receiver = dest[ch]
         qvar, ovar, lvar = f"qbuf.{ch}", f"obuf.{ch}", f"qlock.{ch}"
         cpu = cpu_of_partition(receiver)
-        sched = cfg.partition_scheduler[receiver]
+        sched = PARTITION_SCHEDULER[receiver]
         label = f"Recv_QMsg({port})"
 
         def scheduled(s: State) -> bool:
@@ -231,14 +141,7 @@ def build_arinc(config: ArincConfig | None = None, variant: str = "secure",
             q = s[qvar]
             return {qvar: q[1:]} if q else {}
 
-        def publish(s: State) -> dict[str, Value]:
-            return {lvar: None, ovar: s[qvar]}
-
-        concrete_body = seq(
-            lock_acquire(lvar, cpu),
-            Basic(dequeue, "dequeue"),
-            Basic(publish, "unlock"),
-        )
+        concrete_body = locked_update(lvar, cpu, qvar, ovar, dequeue, "dequeue")
         return (Event(label, scheduled, concrete_body, receiver),
                 Event(label, scheduled, Basic(dequeue, "dequeue"), receiver))
 
@@ -254,16 +157,16 @@ def build_arinc(config: ArincConfig | None = None, variant: str = "secure",
         for p in parts_on(cpu):
             add(cpu, schedule_events(cpu, p))
     for ch in channels:
-        src_owner = owner[cfg.channel_source[ch]]
+        src_owner = source[ch]
         src_cpu = cpu_of_partition(src_owner)
-        for msg in cfg.messages:
-            base = f"Send_QMsg({cfg.channel_source[ch]},{msg})"
+        for msg in MESSAGES:
+            base = f"Send_QMsg({CHANNEL_SOURCE[ch]},{msg})"
             add(src_cpu, send_events(ch, msg, src_owner, base))
             if port_id:
                 for rogue in parts_on(src_cpu):
                     if rogue != src_owner:
                         add(src_cpu, send_events(ch, msg, rogue, f"{base}@{rogue}"))
-        add(cpu_of_partition(owner[cfg.channel_dest[ch]]), recv_events(ch))
+        add(cpu_of_partition(dest[ch]), recv_events(ch))
 
     concrete_vars: dict[str, Value] = {}
     abstract_vars: dict[str, Value] = {}
@@ -279,9 +182,9 @@ def build_arinc(config: ArincConfig | None = None, variant: str = "secure",
         concrete_vars[f"qlock.{ch}"] = None
         abstract_vars[f"qbuf.{ch}"] = ()
 
-    incoming = {p: tuple(ch for ch in channels if owner[cfg.channel_dest[ch]] == p)
+    incoming = {p: tuple(ch for ch in channels if dest[ch] == p)
                 for p in partitions}
-    outgoing = {p: tuple(ch for ch in channels if owner[cfg.channel_source[ch]] == p)
+    outgoing = {p: tuple(ch for ch in channels if source[ch] == p)
                 for p in partitions}
 
     def observe(queue_var: str):
@@ -293,16 +196,15 @@ def build_arinc(config: ArincConfig | None = None, variant: str = "secure",
                 parts.append(s[f"{queue_var}.{ch}"])
             if queuing_mode:
                 for ch in outgoing[d]:
-                    parts.append(len(s[f"qbuf.{ch}"]) == cap(ch))
+                    parts.append(len(s[f"qbuf.{ch}"]) == capacity)
             return tuple(parts)
 
         return view
 
     domains = tuple(sorted(scheds + partitions))
     policy = {(d, d) for d in domains}
-    policy |= {(cfg.partition_scheduler[p], p) for p in partitions}
-    policy |= {(owner[cfg.channel_source[ch]], owner[cfg.channel_dest[ch]])
-               for ch in channels}
+    policy |= {(PARTITION_SCHEDULER[p], p) for p in partitions}
+    policy |= {(source[ch], dest[ch]) for ch in channels}
 
     concrete = compile_system(
         ConcurrentSystem(cpus, {c: tuple(v) for c, v in concrete_pool.items()},
@@ -331,24 +233,22 @@ def build_arinc(config: ArincConfig | None = None, variant: str = "secure",
 
         pair = refinement.RefinementPair(
             concrete, abstract, alpha, zeta_from_rule(concrete, abstract, rule))
-        return pair, _rely_guarantee(cpus, sched_of_cpu, parts_on, channels)
+        return pair, _rely_guarantee(cpus, parts_on, channels)
 
     return ModelBundle(
-        name=NAMES[variant],
-        description=REGISTRY[NAMES[variant]].description,
         concrete=concrete,
         abstract=abstract,
-        params=(("capacity", min(cap(ch) for ch in channels)), ("variant", variant)),
+        params=(("capacity", capacity), ("variant", variant)),
         link=link,
     )
 
 
-def _rely_guarantee(cpus, sched_of_cpu, parts_on, channels):
+def _rely_guarantee(cpus, parts_on, channels):
     """Core contracts: own scheduling state plus lock-guarded channel buffers."""
     locks = {f"qlock.{ch}": (f"qbuf.{ch}", f"obuf.{ch}") for ch in channels}
     return contracts_spec({
         cpu: frame_contract(
-            cpu, owned=[f"pc.{cpu}", f"cur.{sched_of_cpu[cpu]}",
+            cpu, owned=[f"pc.{cpu}", f"cur.{CPU_SCHEDULER[cpu]}",
                         *(f"st.{p}" for p in parts_on(cpu))],
             locks=locks)
         for cpu in cpus

@@ -4,7 +4,8 @@ Users register one bid each while the auction runs. The service seals
 the winner when it closes, and a separate publisher releases the result.
 Information is meant to flow from bidders into the service and from the
 service to the publisher only: bidders learn nothing about each other's
-bids beyond the published outcome.
+bids beyond the published outcome. Each bidder may bid any amount in
+:data:`BIDS`.
 
 At the concrete level a registration takes the bid ledger's lock,
 writes a provisional entry and commits it on unlock; if the auction
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from ifsec import refinement
 from ifsec.core import State, UsageError, Value
-from ifsec.models import REGISTRY
 from ifsec.models.common import (
     ModelBundle,
     contracts_spec,
@@ -35,6 +35,7 @@ from ifsec.programs import (
 )
 
 RESERVE_PRICE = 1
+BIDS = (1, 2)
 
 SERVER = "server"
 PUBLISHER = "publisher"
@@ -59,18 +60,13 @@ def winner(top: Value, reserve: int) -> Value:
     return top if top is not None and top[1] > reserve else None
 
 
-def build_auction(users: int = 2, bids: tuple[int, ...] = (1, 2),
-                  budget: int | None = None) -> ModelBundle:
-    """Build the auction bundle for `users` bidders over the `bids` amounts.
+def build_auction(users: int = 2, budget: int | None = None) -> ModelBundle:
+    """Build the auction bundle for `users` bidders.
 
     `budget` caps the states of each level's build.
     """
     if not 1 <= users <= 3:
         raise UsageError("users must be between 1 and 3")
-    if not 1 <= len(bids) <= 3:
-        raise UsageError("between one and three bid amounts are supported")
-    if len(set(bids)) != len(bids) or any(b < 1 for b in bids):
-        raise UsageError("bid amounts must be distinct positive integers")
 
     names = tuple(f"u{i}" for i in range(1, users + 1))
     components = names + ("auc",)
@@ -132,7 +128,7 @@ def build_auction(users: int = 2, bids: tuple[int, ...] = (1, 2),
     concrete_pool: dict[str, tuple[Event, ...]] = {"auc": service_events("obid")}
     abstract_pool: dict[str, tuple[Event, ...]] = {"auc": service_events("maxbid")}
     for u in names:
-        events = [register_events(u, amount) for amount in bids]
+        events = [register_events(u, amount) for amount in BIDS]
         concrete_pool[u] = tuple(c for c, _ in events)
         abstract_pool[u] = tuple(a for _, a in events)
 
@@ -206,11 +202,9 @@ def build_auction(users: int = 2, bids: tuple[int, ...] = (1, 2),
         return pair, _rely_guarantee(names)
 
     return ModelBundle(
-        name="auction",
-        description=REGISTRY["auction"].description,
         concrete=concrete,
         abstract=abstract,
-        params=(("users", users), ("bids", bids)),
+        params=(("users", users), ("bids", BIDS)),
         link=link,
     )
 

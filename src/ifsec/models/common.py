@@ -6,9 +6,10 @@ the model declares one) a rely-guarantee spec for the compositional
 checker. The pair and the spec are built on first use, so a check of the
 levels alone never runs `refinement`; the helpers here reach it by
 attribute when they are called. They cover the parts all three model
-families repeat: the program-counter events that end both levels' alpha
-keys, building zeta from step-label rules, and frame contracts declared
-by the variables a component owns, shares and locks.
+families repeat: the locked update of a buffer that is published on
+unlock, the program-counter events that end both levels' alpha keys,
+building zeta from step-label rules, and frame contracts declared by the
+variables a component owns, shares and locks.
 Frame contracts declare no guarantee-move enumerator: the moves a
 component's code makes are its concrete steps, which lemma 3 already
 checks against every other component's rely.
@@ -30,7 +31,7 @@ from ifsec.core import (
     layout,
     values_getter,
 )
-from ifsec.programs import IDLE, INVOKE
+from ifsec.programs import IDLE, INVOKE, Basic, Prog, lock_acquire, seq
 
 # A zeta rule maps (component, event name, step label) to one of:
 #   None      -> the abstract action with the same full label
@@ -41,16 +42,15 @@ ZetaRule = Callable[[str, str, str], "str | None | refinement._Tau"]
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """A named, ready-to-check model: its two levels, and the refinement
-    pair plus contracts that join them.
+    """A ready-to-check model: its two levels, the parameters it was
+    built with, and the refinement pair plus contracts that join them.
+    Its name and description live in the registry entry that built it.
 
     `link` returns the pair, over `concrete` and `abstract`, and the
     rely-guarantee spec (None when the model declares none). It runs
     once, at the first read of `pair` or `rely_guarantee`.
     """
 
-    name: str
-    description: str
     concrete: SecureSystem
     abstract: SecureSystem
     params: tuple[tuple[str, Value], ...]
@@ -67,6 +67,20 @@ class ModelBundle:
     @property
     def rely_guarantee(self) -> refinement.RelyGuaranteeSpec | None:
         return self._linked[1]
+
+
+def locked_update(lock: str, holder: str, buffer: str, copy: str,
+                  update: Callable[[State], dict[str, Value]],
+                  label: str) -> Prog:
+    """Take `lock` for `holder`, apply `update` as step `label`, then
+    publish `buffer` to its committed `copy` and free the lock in one
+    "unlock" step."""
+
+    def publish(s: State) -> dict[str, Value]:
+        return {lock: None, copy: s[buffer]}
+
+    return seq(lock_acquire(lock, holder), Basic(update, label),
+               Basic(publish, "unlock"))
 
 
 def component_of(action: ActionId) -> str:

@@ -27,30 +27,17 @@ from __future__ import annotations
 
 from ifsec import refinement
 from ifsec.core import State, UsageError, Value
-from ifsec.models import REGISTRY
 from ifsec.models.common import (
     ModelBundle,
     buffer_alpha,
     contracts_spec,
     frame_contract,
+    locked_update,
     zeta_from_rule,
 )
-from ifsec.programs import (
-    Basic,
-    ConcurrentSystem,
-    Event,
-    compile_system,
-    lock_acquire,
-    seq,
-)
+from ifsec.programs import Basic, ConcurrentSystem, Event, compile_system, seq
 
 VARIANTS = ("secure", "insecure_counter", "insecure_fullstatus")
-
-NAMES = {
-    "secure": "demo",
-    "insecure_counter": "demo-insecure-counter",
-    "insecure_fullstatus": "demo-insecure-fullstatus",
-}
 
 
 def build_demo(threads: int = 3, capacity: int = 1, messages: int = 1,
@@ -91,14 +78,8 @@ def build_demo(threads: int = 3, capacity: int = 1, messages: int = 1,
         def enqueue(s: State) -> dict[str, Value]:
             return {qvar: push(s[qvar], msg)}
 
-        def publish(s: State) -> dict[str, Value]:
-            return {lvar: None, ovar: s[qvar]}
-
-        concrete_body = seq(
-            lock_acquire(lvar, sender),
-            Basic(enqueue, "enqueue"),
-            Basic(publish, "unlock"),
-        )
+        concrete_body = locked_update(lvar, sender, qvar, ovar, enqueue,
+                                      "enqueue")
         return (Event(label, always, concrete_body, sender),
                 Event(label, always, Basic(enqueue, "send"), sender))
 
@@ -117,9 +98,6 @@ def build_demo(threads: int = 3, capacity: int = 1, messages: int = 1,
         def enqueue(s: State) -> dict[str, Value]:
             return {qvar: push(s[qvar], msg)}
 
-        def publish(s: State) -> dict[str, Value]:
-            return {lvar: None, ovar: s[qvar]}
-
         def commit(s: State) -> dict[str, Value]:
             return {qvar: push(s[qvar], msg), cvar: min(s[cvar] + 1, 2)}
 
@@ -129,9 +107,7 @@ def build_demo(threads: int = 3, capacity: int = 1, messages: int = 1,
         if allowed:
             concrete_body = seq(
                 Basic(incr, "incr"),
-                lock_acquire(lvar, sender),
-                Basic(enqueue, "enqueue"),
-                Basic(publish, "unlock"),
+                locked_update(lvar, sender, qvar, ovar, enqueue, "enqueue"),
             )
             abstract_body = Basic(commit, "send")
         else:
@@ -146,14 +122,8 @@ def build_demo(threads: int = 3, capacity: int = 1, messages: int = 1,
         def dequeue(s: State) -> dict[str, Value]:
             return {qvar: s[qvar][1:]} if s[qvar] else {}
 
-        def publish(s: State) -> dict[str, Value]:
-            return {lvar: None, ovar: s[qvar]}
-
-        concrete_body = seq(
-            lock_acquire(lvar, owner),
-            Basic(dequeue, "dequeue"),
-            Basic(publish, "unlock"),
-        )
+        concrete_body = locked_update(lvar, owner, qvar, ovar, dequeue,
+                                      "dequeue")
         return (Event("recv", always, concrete_body, owner),
                 Event("recv", always, Basic(dequeue, "recv"), owner))
 
@@ -229,8 +199,6 @@ def build_demo(threads: int = 3, capacity: int = 1, messages: int = 1,
         return pair, _rely_guarantee(names)
 
     return ModelBundle(
-        name=NAMES[variant],
-        description=REGISTRY[NAMES[variant]].description,
         concrete=concrete,
         abstract=abstract,
         params=(("threads", threads), ("capacity", capacity),

@@ -897,16 +897,19 @@ def _compile_rules(doc: ModelDocument, names: tuple[str, ...],
     return successors
 
 
+def resolve_ref(base_dir: str, ref: str) -> str:
+    """The path of a refinement file's model reference: `ref` itself when
+    absolute, else `ref` under `base_dir`, the refinement file's folder."""
+    return ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
+
+
 def elaborate_refinement(
         doc: RefinementDocument, base_dir: str = ".", budget: int | None = None
 ) -> tuple[refinement.RefinementPair, refinement.RelyGuaranteeSpec | None]:
     """Resolve a refinement document against its two model files. Only
     here, and in the helpers below, does `specfile` use `refinement`."""
-    def resolve(ref: str) -> str:
-        return ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
-
-    concrete_doc = load_model(resolve(doc.concrete_ref))
-    abstract_doc = load_model(resolve(doc.abstract_ref))
+    concrete_doc = load_model(resolve_ref(base_dir, doc.concrete_ref))
+    abstract_doc = load_model(resolve_ref(base_dir, doc.abstract_ref))
     concrete = elaborate_model(concrete_doc, budget=budget)
     abstract = elaborate_model(abstract_doc, budget=budget)
 

@@ -21,8 +21,8 @@ import time
 import pytest
 
 import ifsec
-from ifsec.cli import PARAM_DEFAULTS, main
-from ifsec.models import ArincConfig, REGISTRY, build_auction, build_demo
+from ifsec.cli import main
+from ifsec.models import REGISTRY
 from ifsec.specfile import elaborate_model
 
 TOY = """\
@@ -260,16 +260,17 @@ class TestList:
         assert demo["params"] == {"threads": 3, "capacity": 1, "messages": 1}
 
     def test_defaults_agree_with_builder_signatures(self):
-        demo = inspect.signature(build_demo).parameters
-        assert PARAM_DEFAULTS["threads"] == demo["threads"].default
-        assert PARAM_DEFAULTS["capacity"] == demo["capacity"].default
-        assert PARAM_DEFAULTS["messages"] == demo["messages"].default
-        auction = inspect.signature(build_auction).parameters
-        assert PARAM_DEFAULTS["users"] == auction["users"].default
-        # build_arinc takes capacity as an optional override; when it is
-        # left out, every channel keeps the default topology's bound.
-        bounds = set(ArincConfig().channel_capacity.values())
-        assert bounds == {PARAM_DEFAULTS["capacity"]}
+        # `list` and the model flags show each registry entry's defaults,
+        # so they must be what its builder takes when a flag is left out.
+        # A flag's help names one default: entries that share a parameter
+        # share its default.
+        shown = {}
+        for entry in REGISTRY.values():
+            builder = getattr(ifsec.models, f"build_{entry.family}")
+            signature = inspect.signature(builder).parameters
+            for name, default in entry.params.items():
+                assert signature[name].default == default, (entry.name, name)
+                assert shown.setdefault(name, default) == default, name
 
     def test_console_script_is_installed(self):
         proc = subprocess.run(["ifsec", "list"], capture_output=True,
@@ -654,8 +655,13 @@ class TestReplay:
         (("model", "name"), [1]),
         (("model",), [1]),
         (("options",), [1]),
+        (("checks",), None),
+        (("checks",), {"status": "fail"}),
+        (("checks",), []),
+        (("checks",), ["fail", 1]),
     ], ids=["file-without-path", "params-list", "param-not-int", "name-list",
-            "model-list", "options-list"])
+            "model-list", "options-list", "checks-missing", "checks-object",
+            "checks-empty", "checks-no-objects"])
     def test_malformed_report_is_rejected(self, run, saved_report, tmp_path,
                                           path, value):
         _, report = saved_report("check", "unwinding", "arinc-port-id")
@@ -664,12 +670,17 @@ class TestReplay:
         target = data
         for parent in parents:
             target = target[parent]
-        target[key] = value
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(data), encoding="utf-8")
         code, _, err = run("replay", str(edited))
         assert code == 2
         assert err.startswith("ifsec: error: report ")
+        if key == "checks":
+            assert "has no list of checks" in err
 
     def test_lr_witness_on_builtin_reproduces(self, run, saved_report):
         code, report = saved_report("check", "unwinding", "arinc-port-id")

@@ -292,7 +292,8 @@ def _refine_checks(loaded: LoadedTarget, args,
     checks.append(_verdict_check("refinement", report.refinement))
     checks.append(_verdict_check("cross-check", report.cross_check))
     # The levels the cross-check already unwound are rendered, and their
-    # explorations dropped, before any other level is unwound.
+    # reports dropped with any exploration a witness trace ran, before
+    # any other level is unwound.
     unwound = {label: _level_checks(loaded, label, level, counters)
                for label, level in report.unwinding.items()}
     del report

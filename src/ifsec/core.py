@@ -20,7 +20,9 @@ Conventions used throughout the package:
   successor order alone fixes the discovery order, the first-reaching
   parent edges and the witness traces; never iterate a set there.
 - Programs and model files alike build machines by `tabulate`, one
-  search over values tuples with one `State` per distinct tuple.
+  search over values tuples with one `State` per distinct tuple.  Its
+  machines' `state_ids` are what `explore` reaches, so a reachable
+  scope explores only to trace a witness.
 - A machine is indexed: its states are numbered 0..n-1 in serialization
   order (`by_id`), each state is one object, and each action has one
   table from a state id to its successor ids.  Every checker's search,
@@ -348,11 +350,13 @@ class StateMachine:
     state is one object: every successor is the `by_id` entry.
     `successor_ids[k]` is the table of `actions[k]`: it maps the id of
     each state that enables the action to its successor ids, keys in
-    ascending order, no empty entries.  `state_ids` (for built machines
-    the reachable set) and `universe_ids` (an optional larger declared
-    state space for universe-scoped checks) are ascending; `states` and
-    `universe` are their states in that order.  `transitions` is a
-    read-only (state, action) -> successors view of the tables.
+    ascending order, no empty entries.  `state_ids` and `universe_ids`
+    (an optional larger declared state space for universe-scoped
+    checks) are ascending; `states` and `universe` are their states in
+    that order.  A machine `tabulate` built is `tabulated`: its
+    `state_ids` are the ids `explore` reaches, where the constructor's
+    `states` may hold unreachable ones.  `transitions` is a read-only
+    (state, action) -> successors view of the tables.
 
     The constructor indexes a machine given as a transition mapping;
     builders that number the states themselves call `from_tables`.
@@ -384,23 +388,24 @@ class StateMachine:
         self._lay_out(by_id, actions, tables, ids[initial],
                       sorted({ids[s] for s in states}),
                       None if universe is None
-                      else sorted({ids[s] for s in universe}))
+                      else sorted({ids[s] for s in universe}), False)
 
     @classmethod
     def from_tables(cls, by_id: tuple[State, ...], actions: tuple[ActionId, ...],
                     successor_ids: Iterable[dict[int, tuple[int, ...]]],
                     initial_id: int, state_ids: Iterable[int] | None = None,
-                    universe_ids: Iterable[int] | None = None) -> "StateMachine":
+                    universe_ids: Iterable[int] | None = None,
+                    tabulated: bool = False) -> "StateMachine":
         """A machine over tables already laid out as the class describes;
         `state_ids` defaults to every id."""
         machine = cls.__new__(cls)
         machine._lay_out(by_id, actions, successor_ids, initial_id,
                          range(len(by_id)) if state_ids is None else state_ids,
-                         universe_ids)
+                         universe_ids, tabulated)
         return machine
 
     def _lay_out(self, by_id, actions, successor_ids, initial_id, state_ids,
-                 universe_ids) -> None:
+                 universe_ids, tabulated) -> None:
         def states_of(chosen: tuple[int, ...]) -> tuple[State, ...]:
             if len(chosen) == len(by_id):
                 return by_id
@@ -419,6 +424,7 @@ class StateMachine:
         self.universe_ids = None if universe_ids is None else tuple(universe_ids)
         self.universe = None if universe_ids is None \
             else states_of(self.universe_ids)
+        self.tabulated = tabulated
 
     def __repr__(self) -> str:
         return (f"StateMachine({len(self.states)} states, "
@@ -810,4 +816,4 @@ def tabulate(initial: State,
                                        budget=budget).order)
     return StateMachine.from_tables(
         tuple(states[k] for k in ranked), actions, successor_ids, start,
-        state_ids, universe_ids)
+        state_ids, universe_ids, tabulated=True)

@@ -746,8 +746,8 @@ def check_simulation(pair: RefinementPair,
         c6 = Verdict.skipped("requires the pair set from a clean exploration")
     verdicts = [exploration.c1, exploration.c2, exploration.c3, c4, c5, c6]
     pair_count = exploration.pair_count
-    # The pair set is no longer needed; free it before the unwinding
-    # runs explore each level.
+    # The pair set is no longer needed; free it before the levels are
+    # unwound.
     del exploration
     reports: dict[str, unwinding.UnwindingReport] = {}
     if all(v.ok for v in verdicts):

@@ -15,10 +15,12 @@ relation: a disabled action contributes no instances.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Collection, Iterable, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 from .core import (
+    DEFAULT_STATE_BUDGET,
     ActionId,
     Exploration,
     SecureSystem,
@@ -35,32 +37,68 @@ class Scope:
     """The states a check quantifies over, with its provenance tag.
 
     `ids` are the machine's ids of the scoped states, ascending, which is
-    serialization order; a reachable scope keeps its exploration, whose
-    nodes are those ids.
+    serialization order.  A reachable scope traces a state by the
+    breadth-first search that reached it: `search` returns that
+    `Exploration`, and runs at the first `trace_to`, not before, so a
+    check that finds no witness explores nothing.  A universe scope has
+    no search and no traces.
     """
 
     machine: StateMachine = field(compare=False, repr=False)
     ids: tuple[int, ...]
     tag: str
-    exploration: Exploration | None = None
+    search: Callable[[], Exploration] | None = field(
+        default=None, compare=False, repr=False)
 
     @property
     def states(self) -> tuple[State, ...]:
         by_id = self.machine.by_id
         return tuple(by_id[i] for i in self.ids)
 
+    @property
+    def whole(self) -> bool:
+        """True when the scope holds every id of its machine."""
+        return len(self.ids) == len(self.machine.by_id)
+
+    @cached_property
+    def member(self) -> bytearray:
+        """Byte i is 1 when id i is in the scope."""
+        member = bytearray(len(self.machine.by_id))
+        for i in self.ids:
+            member[i] = 1
+        return member
+
+    @cached_property
+    def _exploration(self) -> Exploration | None:
+        return None if self.search is None else self.search()
+
     def trace_to(self, state: State) -> tuple[ActionId, ...] | None:
+        exploration = self._exploration
         i = self.machine.id_of(state)
-        if self.exploration is None or i not in self.exploration.index:
+        if exploration is None or i not in exploration.index:
             return None
-        return self.exploration.trace_to(i)
+        return exploration.trace_to(i)
 
 
 def scope_reachable(system: SecureSystem, depth: int | None = None,
                     budget: int | None = None) -> Scope:
-    ex = explore(system.machine, depth=depth, budget=budget)
+    """The states `explore` reaches from the initial state, within
+    `depth` steps when given.
+
+    A `tabulated` machine's `state_ids` are that set already, so the
+    scope takes them and explores only at its first trace.  It explores
+    at once when `budget` is below their number, so that the search
+    raises its BudgetError.
+    """
+    machine = system.machine
+    limit = DEFAULT_STATE_BUDGET if budget is None else budget
+    if depth is None and machine.tabulated and \
+            len(machine.state_ids) <= limit:
+        return Scope(machine, machine.state_ids, "reachable",
+                     partial(explore, machine, budget=budget))
+    ex = explore(machine, depth=depth, budget=budget)
     tag = "reachable" if depth is None else f"reachable(depth={depth})"
-    return Scope(system.machine, tuple(sorted(ex.order)), tag, ex)
+    return Scope(machine, tuple(sorted(ex.order)), tag, lambda: ex)
 
 
 def scope_universe(system: SecureSystem) -> Scope:
@@ -68,7 +106,7 @@ def scope_universe(system: SecureSystem) -> Scope:
     if machine.universe_ids is None:
         raise UsageError(
             "this model declares no state universe; run without --universe")
-    return Scope(machine, machine.universe_ids, "universe", None)
+    return Scope(machine, machine.universe_ids, "universe")
 
 
 @dataclass(frozen=True)
@@ -135,16 +173,17 @@ def sc_violated(system: SecureSystem, v: SCViolation) -> bool:
 
 
 def _enabled(table: Mapping[int, tuple[int, ...]],
-             scope: Scope) -> list[tuple[int, tuple[int, ...]]]:
+             scope: Scope) -> Collection[tuple[int, tuple[int, ...]]]:
     """The (id, successor ids) rows of `table` whose state is in the
-    scope, ids ascending. Walks whichever of the two is shorter."""
+    scope, ids ascending: the table's own rows when the scope holds every
+    id, else a walk of whichever of the scope and the table is shorter."""
+    if scope.whole:
+        return table.items()
     if len(scope.ids) < len(table):
         get = table.get
         return [(i, successors) for i in scope.ids
                 if (successors := get(i))]
-    member = bytearray(len(scope.machine.by_id))
-    for i in scope.ids:
-        member[i] = 1
+    member = scope.member
     return [(i, successors) for i, successors in table.items() if member[i]]
 
 
@@ -227,9 +266,11 @@ def check_sc(system: SecureSystem, scope: Scope,
 
 def has_stutter(system: SecureSystem, scope: Scope) -> bool:
     """True when some scoped state leaves some action disabled."""
+    whole = scope.whole
     for table in system.machine.successor_ids:
-        # A table with fewer keys than the scope has ids misses one.
-        if len(table) < len(scope.ids) or any(
+        # A table with fewer keys than the scope has ids misses one; on a
+        # whole scope, one with as many keys misses none.
+        if len(table) < len(scope.ids) or not whole and any(
                 i not in table for i in scope.ids):
             return True
     return False

@@ -189,12 +189,15 @@ keeps: x
 may: x
 """
 
+#: A passing reachable scope runs no `explore`: the model's build lists
+#: the reachable states. Only a witness's trace explores, as in the
+#: failing unwinding below.
 SCAN = {"cmd_check", "load_model", "elaborate_model", "scope_reachable",
-        "explore", "check_unwinding", "check_lr", "check_sc", "has_stutter"}
+        "check_unwinding", "check_lr", "check_sc", "has_stutter"}
 
 
 @pytest.mark.parametrize("argv,code,layers", [
-    (("check", "unwinding", "@/leaky.ifs", "--json"), 1, SCAN),
+    (("check", "unwinding", "@/leaky.ifs", "--json"), 1, SCAN | {"explore"}),
     (("check", "ni", "@/leaky.ifs"), 1,
      {"cmd_check", "load_model", "elaborate_model", "check_ni"}),
     (("check", "ni", "auction", "--max-len", "2"), 0,

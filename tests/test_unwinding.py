@@ -9,14 +9,27 @@ paper before the checks existed.
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifsec.core import ActionId, InfoFlowConfig, SecureSystem, State, StateMachine, UsageError
+from ifsec import core, unwinding
+from ifsec.cli import main
+from ifsec.core import (
+    ActionId,
+    BudgetError,
+    InfoFlowConfig,
+    SecureSystem,
+    State,
+    StateMachine,
+    UsageError,
+    explore,
+)
 from ifsec.models import get_model
+from ifsec.programs import compile_system
 from ifsec.unwinding import (
     LRViolation,
     SCViolation,
@@ -29,6 +42,7 @@ from ifsec.unwinding import (
     scope_reachable,
     scope_universe,
 )
+from test_programs import BUILTIN_SIZES, concurrent_systems, failure_text
 
 H, L = ActionId("h"), ActionId("l")
 
@@ -416,3 +430,126 @@ def test_id_checks_match_state_oracles_on_builtins(name):
         scope = scope_reachable(system)
         assert check_lr(system, scope) == oracle_check_lr(system, scope)
         assert check_sc(system, scope) == oracle_check_sc(system, scope)
+
+
+# ---------------------------------------------------------------------------
+# The reachable scope a tabulated machine lists, against `explore`
+# ---------------------------------------------------------------------------
+
+def assert_scope_is_what_explore_reaches(system):
+    """The reachable scope holds the ids `explore` reaches, and traces
+    each scoped state as that search does."""
+    search = explore(system.machine)
+    scope = scope_reachable(system)
+    assert scope.ids == tuple(sorted(search.order))
+    assert [scope.trace_to(state) for state in scope.states] == \
+        [search.trace_to(i) for i in scope.ids]
+
+
+@pytest.mark.parametrize("name,params", BUILTIN_SIZES,
+                         ids=[name + "".join(f"-{k}{v}" for k, v in p.items())
+                              for name, p in BUILTIN_SIZES])
+def test_builtin_scope_is_what_explore_reaches(name, params):
+    bundle = get_model(name, **params)
+    for system in (bundle.abstract, bundle.concrete):
+        assert system.machine.tabulated
+        assert_scope_is_what_explore_reaches(system)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(concurrent_systems())
+def test_generated_scope_is_what_explore_reaches(example):
+    concurrent, _ = example
+    system = failure_text(compile_system, concurrent, ("d0", "d1"), (),
+                          lambda d, s: None)
+    if isinstance(system, str):  # the build raised; nothing to scope
+        return
+    assert system.machine.tabulated
+    assert_scope_is_what_explore_reaches(system)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(universe_systems())
+def test_constructed_scope_is_what_explore_reaches(example):
+    """The constructor's `states` are the whole universe here, often with
+    unreachable states among them: the scope must not take them."""
+    system, _, _ = example
+    assert not system.machine.tabulated
+    assert_scope_is_what_explore_reaches(system)
+
+
+def count_explores(monkeypatch):
+    """Every later `explore` call's arguments, from `core` or `unwinding`."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return explore(*args, **kwargs)
+
+    for module in (core, unwinding):
+        monkeypatch.setattr(module, "explore", counting)
+    return calls
+
+
+def test_passing_check_explores_nothing(monkeypatch):
+    bundle = get_model("demo", capacity=2)
+    calls = count_explores(monkeypatch)
+    for system in (bundle.abstract, bundle.concrete):
+        assert check_unwinding(system).ok
+    assert calls == []
+
+
+#: lo's `peek` copies hi's y into x, which lo sees: step consistency
+#: fails from x=0;y=0 and x=0;y=1, the latter one `toggle` away.
+PEEK = """\
+[domains]
+hi
+lo
+
+[policy]
+hi -> hi
+lo -> hi
+lo -> lo
+
+[state]
+x in {0, 1} = 0
+y in {0, 1} = 0
+
+[actions]
+act peek lo
+  y=0 -> x:=0
+  y=1 -> x:=1
+
+act toggle hi
+  y=0 -> y:=1
+  y=1 -> y:=0
+
+[observe]
+hi: x y
+lo: x
+"""
+
+
+def test_witness_traces_explore_once(monkeypatch, tmp_path, capsys):
+    model = tmp_path / "peek.ifs"
+    model.write_text(PEEK, encoding="utf-8")
+    calls = count_explores(monkeypatch)
+    assert main(["check", "unwinding", str(model), "--json"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["lr"]["status"] == "pass"
+    witness = checks["sc"]["witness"]
+    assert (witness["trace1"], witness["trace2"]) == ([], ["toggle"])
+    assert len(calls) == 1
+
+
+def test_budget_below_the_tabulated_states_raises_as_explore_does():
+    """The messages are those `explore` raised when every reachable scope
+    explored; auction's concrete level has 366 states."""
+    system = get_model("auction").concrete
+    for budget, depth in ((1, 1), (100, 7), (365, 15)):
+        with pytest.raises(BudgetError) as caught:
+            scope_reachable(system, budget=budget)
+        assert str(caught.value) == (
+            f"budget of {budget} states exceeded at BFS depth {depth} "
+            "(raise --budget or shrink the model)")
+    assert scope_reachable(system, budget=366).ids == system.machine.state_ids

@@ -29,12 +29,12 @@ from ifsec.core import State, UsageError, Value
 from ifsec.models.common import (
     ModelBundle,
     buffer_alpha,
+    compile_levels,
     contracts_spec,
     frame_contract,
     locked_update,
-    zeta_from_rule,
 )
-from ifsec.programs import Basic, ConcurrentSystem, Event, compile_system
+from ifsec.programs import Basic, Event
 
 VARIANTS = ("secure", "queuing_mode", "port_id")
 
@@ -145,42 +145,27 @@ def build_arinc(variant: str = "secure", capacity: int = 1,
         return (Event(label, scheduled, concrete_body, receiver),
                 Event(label, scheduled, Basic(dequeue, "dequeue"), receiver))
 
-    concrete_pool: dict[str, list[Event]] = {cpu: [] for cpu in cpus}
-    abstract_pool: dict[str, list[Event]] = {cpu: [] for cpu in cpus}
-
-    def add(cpu: str, pair: tuple[Event, Event]) -> None:
-        concrete_pool[cpu].append(pair[0])
-        abstract_pool[cpu].append(pair[1])
-
-    for cpu in cpus:
-        add(cpu, init_events(cpu))
-        for p in parts_on(cpu):
-            add(cpu, schedule_events(cpu, p))
+    events = {cpu: [init_events(cpu),
+                    *(schedule_events(cpu, p) for p in parts_on(cpu))]
+              for cpu in cpus}
     for ch in channels:
         src_owner = source[ch]
         src_cpu = cpu_of_partition(src_owner)
         for msg in MESSAGES:
             base = f"Send_QMsg({CHANNEL_SOURCE[ch]},{msg})"
-            add(src_cpu, send_events(ch, msg, src_owner, base))
+            events[src_cpu].append(send_events(ch, msg, src_owner, base))
             if port_id:
-                for rogue in parts_on(src_cpu):
-                    if rogue != src_owner:
-                        add(src_cpu, send_events(ch, msg, rogue, f"{base}@{rogue}"))
-        add(cpu_of_partition(dest[ch]), recv_events(ch))
+                events[src_cpu].extend(
+                    send_events(ch, msg, rogue, f"{base}@{rogue}")
+                    for rogue in parts_on(src_cpu) if rogue != src_owner)
+        events[cpu_of_partition(dest[ch])].append(recv_events(ch))
 
-    concrete_vars: dict[str, Value] = {}
-    abstract_vars: dict[str, Value] = {}
-    for sched in scheds:
-        concrete_vars[f"cur.{sched}"] = None
-        abstract_vars[f"cur.{sched}"] = None
-    for p in partitions:
-        concrete_vars[f"st.{p}"] = "idle"
-        abstract_vars[f"st.{p}"] = "idle"
-    for ch in channels:
-        concrete_vars[f"qbuf.{ch}"] = ()
-        concrete_vars[f"obuf.{ch}"] = ()
-        concrete_vars[f"qlock.{ch}"] = None
-        abstract_vars[f"qbuf.{ch}"] = ()
+    abstract_vars: dict[str, Value] = {
+        **{f"cur.{sched}": None for sched in scheds},
+        **{f"st.{p}": "idle" for p in partitions},
+        **{f"qbuf.{ch}": () for ch in channels}}
+    concrete_vars = {**abstract_vars, **{f"obuf.{ch}": () for ch in channels},
+                     **{f"qlock.{ch}": None for ch in channels}}
 
     incoming = {p: tuple(ch for ch in channels if dest[ch] == p)
                 for p in partitions}
@@ -206,14 +191,9 @@ def build_arinc(variant: str = "secure", capacity: int = 1,
     policy |= {(PARTITION_SCHEDULER[p], p) for p in partitions}
     policy |= {(source[ch], dest[ch]) for ch in channels}
 
-    concrete = compile_system(
-        ConcurrentSystem(cpus, {c: tuple(v) for c, v in concrete_pool.items()},
-                         concrete_vars),
-        domains, policy, observe("obuf"), budget)
-    abstract = compile_system(
-        ConcurrentSystem(cpus, {c: tuple(v) for c, v in abstract_pool.items()},
-                         abstract_vars),
-        domains, policy, observe("qbuf"), budget)
+    concrete, abstract, zeta = compile_levels(
+        cpus, events, (concrete_vars, abstract_vars),
+        (observe("obuf"), observe("qbuf")), domains, policy, budget)
 
     def link():
         kept = tuple([f"cur.{sched}" for sched in scheds]
@@ -223,16 +203,7 @@ def build_arinc(variant: str = "secure", capacity: int = 1,
         alpha = buffer_alpha(
             cpus, kept, buffers,
             "abstract buffers match committed buffers; unlocked buffers are clean")
-
-        def rule(comp: str, event: str, step: str):
-            if step in ("lock", "enqueue", "dequeue"):
-                return refinement.TAU
-            if step == "unlock":
-                return "enqueue" if event.startswith("Send_QMsg") else "dequeue"
-            return None
-
-        pair = refinement.RefinementPair(
-            concrete, abstract, alpha, zeta_from_rule(concrete, abstract, rule))
+        pair = refinement.RefinementPair(concrete, abstract, alpha, zeta())
         return pair, _rely_guarantee(cpus, parts_on, channels)
 
     return ModelBundle(

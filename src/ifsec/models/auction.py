@@ -20,19 +20,12 @@ from ifsec import refinement
 from ifsec.core import State, UsageError, Value
 from ifsec.models.common import (
     ModelBundle,
+    compile_levels,
     contracts_spec,
     frame_contract,
     pc_key,
-    zeta_from_rule,
 )
-from ifsec.programs import (
-    Basic,
-    ConcurrentSystem,
-    Event,
-    compile_system,
-    lock_acquire,
-    seq,
-)
+from ifsec.programs import Basic, Event, lock_acquire, seq
 
 RESERVE_PRICE = 1
 BIDS = (1, 2)
@@ -125,12 +118,9 @@ def build_auction(users: int = 2, budget: int | None = None) -> ModelBundle:
         return (Event(label, fresh, concrete_body, u),
                 Event(label, fresh, Basic(register, "register"), u))
 
-    concrete_pool: dict[str, tuple[Event, ...]] = {"auc": service_events("obid")}
-    abstract_pool: dict[str, tuple[Event, ...]] = {"auc": service_events("maxbid")}
-    for u in names:
-        events = [register_events(u, amount) for amount in BIDS]
-        concrete_pool[u] = tuple(c for c, _ in events)
-        abstract_pool[u] = tuple(a for _, a in events)
+    events = {u: [register_events(u, amount) for amount in BIDS]
+              for u in names}
+    events["auc"] = zip(service_events("obid"), service_events("maxbid"))
 
     shared: dict[str, Value] = {
         "status": "ready", "reserve": 0, "log": (), "maxbid": None,
@@ -154,12 +144,10 @@ def build_auction(users: int = 2, budget: int | None = None) -> ModelBundle:
     policy.add((SERVER, PUBLISHER))
     policy |= {(PUBLISHER, u) for u in names}
 
-    concrete = compile_system(
-        ConcurrentSystem(components, concrete_pool, concrete_vars),
-        domains, policy, observe("oblog", "obid"), budget)
-    abstract = compile_system(
-        ConcurrentSystem(components, abstract_pool, abstract_vars),
-        domains, policy, observe("log", "maxbid"), budget)
+    concrete, abstract, zeta = compile_levels(
+        components, events, (concrete_vars, abstract_vars),
+        (observe("oblog", "obid"), observe("log", "maxbid")),
+        domains, policy, budget)
 
     def link():
         public = ("status", "reserve", "sealed", "res")
@@ -189,16 +177,7 @@ def build_auction(users: int = 2, budget: int | None = None) -> ModelBundle:
             concrete_key, abstract_key,
             "abstract ledger matches the committed ledger; a published result "
             "is the ledger maximum above the reserve")
-
-        def rule(comp: str, event: str, step: str):
-            if step in ("lock", "register"):
-                return refinement.TAU
-            if step == "unlock":
-                return "register"
-            return None
-
-        pair = refinement.RefinementPair(
-            concrete, abstract, alpha, zeta_from_rule(concrete, abstract, rule))
+        pair = refinement.RefinementPair(concrete, abstract, alpha, zeta())
         return pair, _rely_guarantee(names)
 
     return ModelBundle(

@@ -6,9 +6,12 @@ the model declares one) a rely-guarantee spec for the compositional
 checker. The pair and the spec are built on first use, so a check of the
 levels alone never runs `refinement`; the helpers here reach it by
 attribute when they are called. They cover the parts all three model
-families repeat: the locked update of a buffer that is published on
-unlock, the program-counter events that end both levels' alpha keys,
-building zeta from step-label rules, and frame contracts declared by the
+families repeat: compiling both levels from one table of event pairs,
+with zeta derived from it (an invocation maps to the abstract
+invocation, an event's last concrete step, its commit, to the abstract
+event's single step, and every earlier step to tau), the locked update
+of a buffer that is published on unlock, the program-counter events
+that end both levels' alpha keys, and frame contracts declared by the
 variables a component owns, shares and locks.
 Frame contracts declare no guarantee-move enumerator: the moves a
 component's code makes are its concrete steps, which lemma 3 already
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Mapping
 
 from ifsec import refinement
 from ifsec.core import (
@@ -31,13 +34,21 @@ from ifsec.core import (
     layout,
     values_getter,
 )
-from ifsec.programs import IDLE, INVOKE, Basic, Prog, lock_acquire, seq
+from ifsec.programs import (
+    IDLE,
+    INVOKE,
+    Basic,
+    ConcurrentSystem,
+    Event,
+    Prog,
+    compile_system,
+    lock_acquire,
+    seq,
+    step_labels,
+)
 
-# A zeta rule maps (component, event name, step label) to one of:
-#   None      -> the abstract action with the same full label
-#   TAU       -> the step is internal at the abstract level
-#   a string  -> the abstract step label within the same component/event
-ZetaRule = Callable[[str, str, str], "str | None | refinement._Tau"]
+#: A level's observation function: (domain, state) -> what it sees.
+Observe = Callable[[str, State], Value]
 
 
 @dataclass(frozen=True)
@@ -69,6 +80,72 @@ class ModelBundle:
         return self._linked[1]
 
 
+def compile_levels(components: tuple[str, ...],
+                   events: Mapping[str, Iterable[tuple[Event, Event]]],
+                   initial: tuple[Mapping[str, Value], Mapping[str, Value]],
+                   observe: tuple[Observe, Observe],
+                   domains: Collection[str],
+                   policy: Collection[tuple[str, str]],
+                   budget: int | None
+                   ) -> tuple[SecureSystem, SecureSystem,
+                              Callable[[], refinement.Zeta]]:
+    """Compile the concrete and the abstract level of a model, and give
+    the function that makes the zeta joining them.
+
+    `events` lists each component's events, in pool order, as
+    (concrete, abstract) pairs under one label and one fixed domain;
+    `initial` and `observe` are (concrete, abstract) pairs too. Each
+    abstract event takes one step, where the concrete event commits:
+    zeta maps an invocation to the abstract invocation, an event's last
+    concrete step to the abstract event's step, and every earlier step
+    to tau. An abstract event with more or fewer steps is a ModelError
+    here; an image the abstract machine never offers is one when zeta
+    is built.
+    """
+    pools: tuple[dict, dict] = ({}, {})
+    # (component, event label) -> (its commit step, the abstract step)
+    commits: dict[tuple[str, str], tuple[str, str]] = {}
+    for comp in components:
+        pairs = tuple(events[comp])
+        pools[0][comp] = tuple(concrete for concrete, _ in pairs)
+        pools[1][comp] = tuple(abstract for _, abstract in pairs)
+        for concrete, abstract in pairs:
+            target = step_labels(abstract.body)
+            if len(target) != 1:
+                raise ModelError(
+                    f"abstract event {comp}/{abstract.label} takes "
+                    f"{len(target)} steps; it must take exactly one")
+            commits[comp, concrete.label] = (
+                step_labels(concrete.body)[-1], target[0])
+    concrete, abstract = (
+        compile_system(ConcurrentSystem(components, pool, variables),
+                       domains, policy, view, budget)
+        for pool, variables, view in zip(pools, initial, observe))
+
+    def zeta() -> refinement.Zeta:
+        offered = {a.label: a for a in abstract.machine.actions}
+        mapping: dict[ActionId, ActionId | refinement._Tau] = {}
+        for action in concrete.machine.actions:
+            comp, event, step = action.label.split("/", 2)
+            commit, target = commits[comp, event]
+            if step == INVOKE:
+                label = action.label
+            elif step == commit:
+                label = f"{comp}/{event}/{target}"
+            else:
+                mapping[action] = refinement.TAU
+                continue
+            image = offered.get(label)
+            if image is None:
+                raise ModelError(
+                    f"zeta maps {action.display()!r} to {label!r}, which "
+                    "the abstract machine does not offer")
+            mapping[action] = image
+        return refinement.Zeta(mapping)
+
+    return concrete, abstract, zeta
+
+
 def locked_update(lock: str, holder: str, buffer: str, copy: str,
                   update: Callable[[State], dict[str, Value]],
                   label: str) -> Prog:
@@ -86,14 +163,6 @@ def locked_update(lock: str, holder: str, buffer: str, copy: str,
 def component_of(action: ActionId) -> str:
     """Component that executes a compiled action (the label prefix)."""
     return action.label.split("/", 1)[0]
-
-
-def split_label(action: ActionId) -> tuple[str, str, str]:
-    """Split a compiled label into (component, event name, step label)."""
-    parts = action.label.split("/", 2)
-    if len(parts) != 3:
-        raise ModelError(f"not a compiled event action: {action.display()!r}")
-    return parts[0], parts[1], parts[2]
 
 
 def _pc_event(value: Value) -> Value:
@@ -166,36 +235,6 @@ def buffer_alpha(components: Iterable[str], kept: Iterable[str],
     return refinement.Alpha.keyed(
         lambda state: layout(concrete, state)(state.values),
         pc_key(components, (*kept, *(b for b, _, _ in buffers))), description)
-
-
-def zeta_from_rule(concrete: SecureSystem, abstract: SecureSystem,
-                   rule: ZetaRule) -> refinement.Zeta:
-    """Build zeta for compiled systems from a per-step rule.
-
-    Invoke steps always map to the matching abstract invoke; other steps
-    follow `rule` (see :data:`ZetaRule`).
-    """
-    by_label = {a.label: a for a in abstract.machine.actions}
-
-    def lookup(label: str) -> ActionId:
-        action = by_label.get(label)
-        if action is None:
-            raise ModelError(
-                f"zeta rule points at {label!r}, which the abstract "
-                "machine does not offer")
-        return action
-
-    mapping: dict[ActionId, ActionId | refinement._Tau] = {}
-    for action in concrete.machine.actions:
-        comp, event, step = split_label(action)
-        target = None if step == INVOKE else rule(comp, event, step)
-        if target is refinement.TAU:
-            mapping[action] = refinement.TAU
-        elif target is None:
-            mapping[action] = lookup(action.label)
-        else:
-            mapping[action] = lookup(f"{comp}/{event}/{target}")
-    return refinement.Zeta(mapping)
 
 
 def frame_contract(component: str, owned: Iterable[str],

@@ -30,12 +30,12 @@ from ifsec.core import State, UsageError, Value
 from ifsec.models.common import (
     ModelBundle,
     buffer_alpha,
+    compile_levels,
     contracts_spec,
     frame_contract,
     locked_update,
-    zeta_from_rule,
 )
-from ifsec.programs import Basic, ConcurrentSystem, Event, compile_system, seq
+from ifsec.programs import Basic, Event, seq
 
 VARIANTS = ("secure", "insecure_counter", "insecure_fullstatus")
 
@@ -127,75 +127,42 @@ def build_demo(threads: int = 3, capacity: int = 1, messages: int = 1,
         return (Event("recv", always, concrete_body, owner),
                 Event("recv", always, Basic(dequeue, "recv"), owner))
 
-    concrete_pool: dict[str, tuple[Event, ...]] = {}
-    abstract_pool: dict[str, tuple[Event, ...]] = {}
+    make = counter_send_events if counter else send_events
+    events = {}
     for t in names:
         targets = sorted(u for u in names if u != t) if counter else [succ[t]]
-        concrete_events = []
-        abstract_events = []
-        for u in targets:
-            for m in msgs:
-                make = counter_send_events if counter else send_events
-                c, a = make(t, u, m)
-                concrete_events.append(c)
-                abstract_events.append(a)
-        c, a = recv_events(t)
-        concrete_events.append(c)
-        abstract_events.append(a)
-        concrete_pool[t] = tuple(concrete_events)
-        abstract_pool[t] = tuple(abstract_events)
+        events[t] = (*(make(t, u, m) for u in targets for m in msgs),
+                     recv_events(t))
 
-    concrete_vars: dict[str, Value] = {}
-    abstract_vars: dict[str, Value] = {}
-    for t in names:
-        concrete_vars[f"que.{t}"] = ()
-        concrete_vars[f"obq.{t}"] = ()
-        concrete_vars[f"lock.{t}"] = None
-        abstract_vars[f"que.{t}"] = ()
-        if counter:
-            concrete_vars[f"cnt.{t}"] = 0
-            abstract_vars[f"cnt.{t}"] = 0
+    abstract_vars: dict[str, Value] = {f"que.{t}": () for t in names}
+    if counter:
+        abstract_vars.update({f"cnt.{t}": 0 for t in names})
+    concrete_vars = {**abstract_vars, **{f"obq.{t}": () for t in names},
+                     **{f"lock.{t}": None for t in names}}
 
-    def concrete_observe(d: str, s: State) -> Value:
-        if counter:
-            return (s[f"obq.{d}"], s[f"cnt.{d}"])
-        if fullstatus:
-            return (s[f"obq.{d}"], len(s[f"que.{succ[d]}"]) == capacity)
-        return s[f"obq.{d}"]
+    def observe(queue: str):
+        def view(d: str, s: State) -> Value:
+            own = s[f"{queue}.{d}"]
+            if counter:
+                return (own, s[f"cnt.{d}"])
+            if fullstatus:
+                return (own, len(s[f"que.{succ[d]}"]) == capacity)
+            return own
 
-    def abstract_observe(d: str, s: State) -> Value:
-        if counter:
-            return (s[f"que.{d}"], s[f"cnt.{d}"])
-        if fullstatus:
-            return (s[f"que.{d}"], len(s[f"que.{succ[d]}"]) == capacity)
-        return s[f"que.{d}"]
+        return view
 
     policy = {(t, t) for t in names} | {(t, succ[t]) for t in names}
 
-    concrete = compile_system(
-        ConcurrentSystem(names, concrete_pool, concrete_vars),
-        names, policy, concrete_observe, budget)
-    abstract = compile_system(
-        ConcurrentSystem(names, abstract_pool, abstract_vars),
-        names, policy, abstract_observe, budget)
+    concrete, abstract, zeta = compile_levels(
+        names, events, (concrete_vars, abstract_vars),
+        (observe("obq"), observe("que")), names, policy, budget)
 
     def link():
         alpha = buffer_alpha(
             names, [f"cnt.{t}" for t in names if counter],
             [(f"que.{t}", f"obq.{t}", f"lock.{t}") for t in names],
             "abstract queues match committed queues; unlocked queues are clean")
-
-        def rule(comp: str, event: str, step: str):
-            if step in ("lock", "enqueue", "dequeue", "incr"):
-                return refinement.TAU
-            if step == "unlock":
-                return "send" if event.startswith("send") else "recv"
-            if step == "decr":
-                return "skip"
-            return None
-
-        pair = refinement.RefinementPair(
-            concrete, abstract, alpha, zeta_from_rule(concrete, abstract, rule))
+        pair = refinement.RefinementPair(concrete, abstract, alpha, zeta())
         return pair, _rely_guarantee(names)
 
     return ModelBundle(

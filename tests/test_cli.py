@@ -14,6 +14,7 @@ report must replay back to the same condition.
 import inspect
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -609,7 +610,7 @@ class TestReplay:
                                     "demo-insecure-counter",
                                     "--threads", "2")
         assert code == 1
-        data = json.loads(open(report, encoding="utf-8").read())
+        data = json.loads(pathlib.Path(report).read_text(encoding="utf-8"))
         c2 = [c for c in data["checks"] if c["name"] == "c2"][0]
         assert c2["status"] == "fail"
         assert c2["witness"]["trace"][-1].endswith("/incr")
@@ -665,7 +666,7 @@ class TestReplay:
     def test_malformed_report_is_rejected(self, run, saved_report, tmp_path,
                                           path, value):
         _, report = saved_report("check", "unwinding", "arinc-port-id")
-        data = json.loads(open(report, encoding="utf-8").read())
+        data = json.loads(pathlib.Path(report).read_text(encoding="utf-8"))
         *parents, key = path
         target = data
         for parent in parents:
@@ -725,7 +726,7 @@ class TestReplay:
 
     def test_unknown_builtin_is_rejected(self, run, saved_report, tmp_path):
         _, report = saved_report("check", "unwinding", "arinc-queuing-mode")
-        data = json.loads(open(report, encoding="utf-8").read())
+        data = json.loads(pathlib.Path(report).read_text(encoding="utf-8"))
         data["model"]["name"] = "nosuch"
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(data), encoding="utf-8")

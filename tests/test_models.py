@@ -20,7 +20,7 @@ import sys
 import pytest
 
 import ifsec
-from ifsec.core import BudgetError, UsageError, render_value
+from ifsec.core import BudgetError, ModelError, UsageError, render_value
 from ifsec.models import (
     build_arinc,
     build_auction,
@@ -30,7 +30,9 @@ from ifsec.models import (
     model_names,
 )
 from ifsec.models.auction import ledger_max
-from ifsec.refinement import _steps, check_simulation, joint_explore
+from ifsec.models.common import compile_levels
+from ifsec.programs import Await, Basic, Event, seq
+from ifsec.refinement import TAU, _steps, check_simulation, joint_explore
 from ifsec.unwinding import check_unwinding
 
 
@@ -187,12 +189,103 @@ def test_machines_are_pinned(name, params):
         == FINGERPRINTS[name, params]
 
 
+def zeta_fingerprint(bundle) -> str:
+    """SHA-256 over the sorted (concrete action, image or "tau") pairs
+    of the bundle's zeta."""
+    zeta = bundle.pair.zeta
+    pairs = sorted((action.display(), "tau" if zeta.is_silent(action)
+                    else zeta.map(action).display())
+                   for action in bundle.concrete.machine.actions)
+    return hashlib.sha256(repr(pairs).encode()).hexdigest()
+
+
+#: (name, params) -> fingerprint of the bundle's zeta, keyed as
+#: FINGERPRINTS. A change to which concrete step maps to which abstract
+#: step moves one.
+ZETAS = {
+    ("demo", ()):
+        "4798fa9ed2eac92a97d9ddfda28d48f22231dbb2ad3292ef1a1ad10bab4cbdb3",
+    ("demo-insecure-counter", (("threads", 2),)):
+        "281df42b4d8c283bd2f2cbbf2f6f54a85069dc2e416b38a7a20fa1ad6411c7c8",
+    ("demo-insecure-fullstatus", ()):
+        "4798fa9ed2eac92a97d9ddfda28d48f22231dbb2ad3292ef1a1ad10bab4cbdb3",
+    ("arinc", ()):
+        "79262bf145186c6f954e49ed646d4e0f714f09bdce2ffa3e81aa40f0b0dddf4f",
+    ("arinc-queuing-mode", ()):
+        "79262bf145186c6f954e49ed646d4e0f714f09bdce2ffa3e81aa40f0b0dddf4f",
+    ("arinc-port-id", ()):
+        "dbc8b929eee4a0e4132f701e642af0661777e7820a58db3ed4c3ed7c90b74cbb",
+    ("auction", ()):
+        "032b5e404fecee47721fc0b9332c3fb8ae01711bd60d55b163d4d397ed4ae9a0",
+    ("demo", (("capacity", 2),)):
+        "4798fa9ed2eac92a97d9ddfda28d48f22231dbb2ad3292ef1a1ad10bab4cbdb3",
+    ("arinc", (("capacity", 2),)):
+        "79262bf145186c6f954e49ed646d4e0f714f09bdce2ffa3e81aa40f0b0dddf4f",
+    ("auction", (("users", 3),)):
+        "3435f22e44d24d62f08b5753e8a54505a65e9e8a84e7c4b4f044e51107b5930d",
+}
+
+
+def test_zetas_are_keyed_as_the_machines():
+    assert sorted(ZETAS) == sorted(FINGERPRINTS)
+
+
+@pytest.mark.parametrize("name, params", sorted(ZETAS),
+                         ids=lambda value: value if isinstance(value, str)
+                         else ",".join(f"{k}={v}" for k, v in value) or "defaults")
+def test_zetas_are_pinned(name, params):
+    assert zeta_fingerprint(get_model(name, **dict(params))) \
+        == ZETAS[name, params]
+
+
 def test_builds_are_deterministic():
     first = build_demo()
     second = build_demo()
     assert first.concrete.machine.states == second.concrete.machine.states
     assert first.concrete.machine.actions == second.concrete.machine.actions
     assert first.abstract.machine.states == second.abstract.machine.states
+
+
+# --- zeta from the event pairs -------------------------------------------
+
+def bump(label: str) -> Basic:
+    return Basic(lambda s: {"x": (s["x"] + 1) % 3}, label)
+
+
+def one_event(concrete_body, abstract_body):
+    """Both levels of a one-component model with one event "e"."""
+    def always(s):
+        return True
+
+    pair = (Event("e", always, concrete_body, "d"),
+            Event("e", always, abstract_body, "d"))
+    return compile_levels(("c",), {"c": [pair]}, ({"x": 0}, {"x": 0}),
+                          (lambda d, s: s["x"],) * 2, ("d",), {("d", "d")},
+                          None)
+
+
+def test_zeta_maps_the_commit_to_the_abstract_step():
+    concrete, abstract, zeta = one_event(
+        seq(bump("first"), bump("commit")), bump("step"))
+    actions = {a.label: a for a in abstract.machine.actions}
+    assert {a.label: zeta().map(a) for a in concrete.machine.actions} == {
+        "c/e/invoke": actions["c/e/invoke"],
+        "c/e/first": TAU,
+        "c/e/commit": actions["c/e/step"],
+    }
+
+
+def test_an_abstract_event_takes_exactly_one_step():
+    with pytest.raises(ModelError, match="c/e takes 2 steps"):
+        one_event(bump("commit"), seq(bump("one"), bump("two")))
+
+
+def test_a_commit_the_abstract_machine_never_offers_is_a_model_error():
+    _, _, zeta = one_event(
+        bump("commit"), Await(lambda s: False, bump("claim"), "step"))
+    with pytest.raises(ModelError, match="'c/e/commit' to 'c/e/step', "
+                       "which the abstract machine does not offer"):
+        zeta()
 
 
 # --- parameter validation ------------------------------------------------

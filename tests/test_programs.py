@@ -24,7 +24,7 @@ from ifsec.core import (
     sort_actions,
 )
 from ifsec import programs
-from ifsec.models import arinc, auction, demo, get_model, model_names
+from ifsec.models import common, get_model, model_names
 from ifsec.programs import (
     IDLE,
     Atomic,
@@ -632,8 +632,7 @@ def test_builtins_compile_like_interpreter_oracle(monkeypatch, name, params):
         calls.append(args)
         return compile_system(*args)
 
-    for module in (demo, arinc, auction):
-        monkeypatch.setattr(module, "compile_system", recording)
+    monkeypatch.setattr(common, "compile_system", recording)
     get_model(name, **params)
     assert len(calls) == 2
     for system, domains, policy, observe, budget in calls:

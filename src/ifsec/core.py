@@ -687,12 +687,6 @@ class Exploration:
         steps.reverse()
         return tuple(steps)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Exploration) and \
-            (self.order, self.edges) == (other.order, other.edges)
-
-    __hash__ = None  # type: ignore[assignment]
-
 
 def explore(machine: StateMachine, depth: int | None = None,
             budget: int | None = None) -> Exploration:

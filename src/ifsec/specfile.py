@@ -49,9 +49,11 @@ action map, and optional per-component rely-guarantee contracts:
 
 `#` starts a comment; values are integers, bare names, `T`/`F` booleans
 or `-` for None. The printers emit a canonical form: parsing what they
-print yields an equal document. Observations are variable projections
-and transitions are explicit rules; models that need real program
-structure use the programs module directly.
+print yields an equal document. The parser states the file rules once:
+`ModelDocument.validate` accepts exactly the documents that print as
+text the parser reads back unchanged. Observations are variable
+projections and transitions are explicit rules; models that need real
+program structure use the programs module directly.
 """
 
 from __future__ import annotations
@@ -129,67 +131,20 @@ class ModelDocument:
     observe: tuple[tuple[str, tuple[str, ...]], ...]
 
     def validate(self) -> None:
-        """Reject a document whose parts do not fit together.
-
-        Parsing performs these checks with positions; this method covers
-        documents built in code.
-        """
-        if not self.domains:
-            raise ModelError("a model needs at least one domain")
-        if len(set(self.domains)) != len(self.domains):
-            raise ModelError("duplicate domain")
-        if not self.variables:
-            raise ModelError("a model needs at least one state variable")
-        var_names = [v.name for v in self.variables]
-        if len(set(var_names)) != len(var_names):
-            raise ModelError("duplicate state variable")
-        sets = {}
+        """Reject a document that no model file states: it must hold
+        scalar values and print as text that `parse_model` reads back
+        unchanged, so a document built in code meets exactly the rules
+        a file meets."""
         for decl in self.variables:
-            if not decl.values:
-                raise ModelError(f"variable {decl.name!r} has an empty value set")
             for value in decl.values:
                 _check_file_value(decl.name, value)
-            if len(set(decl.values)) != len(decl.values):
-                raise ModelError(f"variable {decl.name!r} repeats a value")
-            if decl.initial not in decl.values:
-                raise ModelError(
-                    f"initial value of {decl.name!r} is outside its declared set")
-            sets[decl.name] = set(decl.values)
-        for (u, v) in self.policy:
-            for d in (u, v):
-                if d not in self.domains:
-                    raise ModelError(f"policy edge mentions unknown domain {d!r}")
-        labels = [a.label for a in self.actions]
-        if len(set(labels)) != len(labels):
-            raise ModelError("duplicate action label")
-        for action in self.actions:
-            if action.domain not in self.domains:
-                raise ModelError(
-                    f"action {action.label!r} has unknown domain {action.domain!r}")
-            for rule in action.rules:
-                for side in (rule.pre, rule.post):
-                    for var, value in side:
-                        if var not in sets:
-                            raise ModelError(
-                                f"action {action.label!r} references "
-                                f"undeclared variable {var!r}")
-                        if value not in sets[var]:
-                            raise ModelError(
-                                f"action {action.label!r} uses value "
-                                f"{render_value(value)!r} outside the declared "
-                                f"set of {var!r}")
-        seen_obs = set()
-        for domain, vars_ in self.observe:
-            if domain not in self.domains:
-                raise ModelError(f"observation for unknown domain {domain!r}")
-            if domain in seen_obs:
-                raise ModelError(f"duplicate observation for domain {domain!r}")
-            seen_obs.add(domain)
-            for var in vars_:
-                if var not in sets:
-                    raise ModelError(
-                        f"observation of {domain!r} references undeclared "
-                        f"variable {var!r}")
+        try:
+            same = parse_model(print_model(self), name="model") == self
+        except ParseError as exc:
+            raise ModelError(exc.message) from None
+        if not same:
+            raise ModelError("model: printing and parsing it back gives a "
+                             "different document")
 
 
 @dataclass(frozen=True)
@@ -229,19 +184,21 @@ def _check_file_value(var: str, value: Value) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Lexical helpers
+# Lexical helpers and the section reader
 # ---------------------------------------------------------------------------
 
-def _column(raw: str, token: str) -> int:
-    at = raw.find(token)
-    return at + 1 if at >= 0 else 1
+class _Bad(ParseError):
+    """A fault in one line: its message, the token its column points at,
+    and a fix hint. `_read_sections` adds the file name and position;
+    raised outside it (a `pair:` state of a document built in code,
+    read at elaboration) it is a ParseError without them."""
+
+    def __init__(self, message: str, token: str, hint: str) -> None:
+        super().__init__(message, hint=hint)
+        self.token = token
 
 
-def _fail(message: str, lineno: int, raw: str, token: str, hint: str) -> ParseError:
-    return ParseError(message, line=lineno, column=_column(raw, token), hint=hint)
-
-
-def _parse_value(token: str, lineno: int, raw: str) -> Value:
+def _parse_value(token: str) -> Value:
     if token == "-":
         return None
     if token == "T":
@@ -252,22 +209,80 @@ def _parse_value(token: str, lineno: int, raw: str) -> Value:
         return int(token)
     if _NAME_RE.match(token):
         return token
-    raise _fail(f"malformed value {token!r}", lineno, raw, token,
-                "values are integers, bare names, T, F, or - for None")
+    raise _Bad(f"malformed value {token!r}", token,
+               "values are integers, bare names, T, F, or - for None")
 
 
-def _parse_name(token: str, what: str, lineno: int, raw: str) -> str:
+def _parse_name(token: str, what: str) -> str:
     if _NAME_RE.match(token):
         return token
-    raise _fail(f"malformed {what} {token!r}", lineno, raw, token,
-                "names are letters, digits, '_' and '.', starting with a letter")
+    raise _Bad(f"malformed {what} {token!r}", token,
+               "names are letters, digits, '_' and '.', starting with a letter")
 
 
-def _logical_lines(text: str) -> Iterable[tuple[int, str]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if line.strip():
-            yield lineno, line
+def _read_sections(text: str, name: str, builder):
+    """Feed each content line of `text`, comments stripped, to
+    `builder.take` with the section it is in, then return what
+    `builder.finish` makes of the sections seen. A fault becomes a
+    ParseError that starts with `name` and carries the line and column
+    of its token; a fault found at the end points at line 1."""
+    seen: list[tuple[str, str | None]] = []
+    lineno, line = 1, ""
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].rstrip()
+            stripped = line.strip()
+            if not stripped:
+                continue
+            if stripped.startswith("["):
+                seen.append(_header(stripped, builder.fixed, builder.named,
+                                    seen))
+            elif not seen:
+                raise _Bad("content before any section header", stripped,
+                           f"start the file with [{builder.fixed[0]}]")
+            else:
+                builder.take(*seen[-1], stripped)
+        lineno, line = 1, ""
+        return builder.finish(seen)
+    except _Bad as bad:
+        raise ParseError(f"{name}: {bad.message}", line=lineno,
+                         column=line.find(bad.token) + 1 or 1,
+                         hint=bad.hint) from None
+
+
+def _header(line: str, fixed: tuple[str, ...], named: tuple[str, ...],
+            seen: list[tuple[str, str | None]]) -> tuple[str, str | None]:
+    """The (kind, name) of the section header `line`. The `fixed` kinds
+    come once each, in order, and before any `named` kind; a `named`
+    kind comes once per name. Only a refinement file has named kinds."""
+    listing = ", ".join(f"[{kind}]" for kind in fixed)
+    header = _HEADER_RE.match(line)
+    kind, arg = header.groups() if header else (None, None)
+    if kind not in fixed + named or (arg and not named):
+        raise _Bad(f"unknown section header {line!r}", line,
+                   f"refinement sections are {listing}, [rely X], "
+                   "[guarantee X]" if named
+                   else f"model sections are {listing}, in that order")
+    if kind in named and arg is None:
+        raise _Bad(f"section [{kind}] needs a component name", line,
+                   f"write: [{kind} component]")
+    if kind in fixed and arg is not None:
+        raise _Bad(f"section [{kind}] takes no name", line,
+                   f"write just [{kind}]")
+    if (kind, arg) in seen:
+        title = kind if arg is None else f"{kind} {arg}"
+        raise _Bad(f"duplicate section [{title}]", line,
+                   "merge the two sections into one")
+    before = [k for k, _ in seen if k in fixed]
+    if kind in fixed and before \
+            and fixed.index(kind) < fixed.index(before[-1]):
+        raise _Bad(f"section [{kind}] is out of order", line,
+                   f"order sections as {listing}"
+                   + (", then contracts" if named else ""))
+    if kind in fixed and len(before) < len(seen):
+        raise _Bad(f"section [{kind}] appears after contract sections", line,
+                   "put [rely X] and [guarantee X] last")
+    return kind, arg
 
 
 # ---------------------------------------------------------------------------
@@ -275,213 +290,160 @@ def _logical_lines(text: str) -> Iterable[tuple[int, str]]:
 # ---------------------------------------------------------------------------
 
 class _ModelBuilder:
+    fixed, named = MODEL_SECTIONS, ()
+
     def __init__(self) -> None:
         self.domains: list[str] = []
         self.policy: list[tuple[str, str]] = []
-        self.variables: list[VarDecl] = []
-        self.actions: list[ActionDecl] = []
+        self.variables: dict[str, VarDecl] = {}
+        self.actions: list[tuple[str, str, list[Rule]]] = []
         self.observe: list[tuple[str, tuple[str, ...]]] = []
-        self.pending: tuple[str, str, list[Rule]] | None = None
-        self.var_sets: dict[str, set[Value]] = {}
-        self.obs_seen: set[str] = set()
 
-    def flush_action(self) -> None:
-        if self.pending is not None:
-            label, domain, rules = self.pending
-            self.actions.append(ActionDecl(label, domain, tuple(rules)))
-            self.pending = None
+    def take(self, section: str, _: None, line: str) -> None:
+        if section == "domains":
+            domain = _parse_name(line, "domain")
+            if domain in self.domains:
+                raise _Bad(f"duplicate domain {domain!r}", domain,
+                           "each domain is declared once")
+            self.domains.append(domain)
 
-
-def parse_model(text: str, name: str = "<string>") -> ModelDocument:
-    """Parse a model file; all names must resolve within the file."""
-    builder = _ModelBuilder()
-    section: str | None = None
-    seen: list[str] = []
-
-    for lineno, line in _logical_lines(text):
-        stripped = line.strip()
-        if stripped.startswith("["):
-            header = _HEADER_RE.match(stripped)
-            if not header or header.group(2) is not None \
-                    or header.group(1) not in MODEL_SECTIONS:
-                raise _fail(f"unknown section header {stripped!r} in {name}",
-                            lineno, line, stripped,
-                            "model sections are [domains], [policy], [state], "
-                            "[actions], [observe], in that order")
-            builder.flush_action()
-            section = header.group(1)
-            if section in seen:
-                raise _fail(f"duplicate section [{section}]", lineno, line,
-                            stripped, "merge the two sections into one")
-            if seen and MODEL_SECTIONS.index(section) < MODEL_SECTIONS.index(seen[-1]):
-                raise _fail(f"section [{section}] is out of order", lineno, line,
-                            stripped,
-                            "order sections as [domains], [policy], [state], "
-                            "[actions], [observe]")
-            seen.append(section)
-            continue
-        if section is None:
-            raise _fail("content before any section header", lineno, line,
-                        stripped, "start the file with [domains]")
-        _parse_model_line(builder, section, lineno, line)
-
-    builder.flush_action()
-    if not builder.domains:
-        raise ParseError(f"{name} declares no domains", line=1, column=1,
-                         hint="add a [domains] section with at least one name")
-    if not builder.variables:
-        raise ParseError(f"{name} declares no state variables", line=1, column=1,
-                         hint="add a [state] section such as: x in {0, 1} = 0")
-    return ModelDocument(
-        domains=tuple(builder.domains),
-        policy=tuple(builder.policy),
-        variables=tuple(builder.variables),
-        actions=tuple(builder.actions),
-        observe=tuple(builder.observe),
-    )
-
-
-def _parse_model_line(builder: _ModelBuilder, section: str, lineno: int,
-                      line: str) -> None:
-    stripped = line.strip()
-    if section == "domains":
-        domain = _parse_name(stripped, "domain", lineno, line)
-        if domain in builder.domains:
-            raise _fail(f"duplicate domain {domain!r}", lineno, line, domain,
-                        "each domain is declared once")
-        builder.domains.append(domain)
-        return
-
-    if section == "policy":
-        m = _POLICY_RE.match(stripped)
-        if not m:
-            raise _fail(f"malformed policy edge {stripped!r}", lineno, line,
-                        stripped, "write: source -> target")
-        u, v = m.group(1), _parse_name(m.group(2), "domain", lineno, line)
-        for d in (u, v):
-            if d not in builder.domains:
-                raise _fail(f"unknown domain {d!r} in policy edge", lineno, line,
-                            d, "declare it under [domains] first")
-        if (u, v) in builder.policy:
-            raise _fail(f"duplicate policy edge {u} -> {v}", lineno, line, u,
-                        "each edge is declared once")
-        builder.policy.append((u, v))
-        return
-
-    if section == "state":
-        m = _VAR_RE.match(stripped)
-        if not m:
-            raise _fail(f"malformed variable declaration {stripped!r}", lineno,
-                        line, stripped, "write: name in {v1, v2} = v1")
-        var, body, init_tok = m.groups()
-        if var in builder.var_sets:
-            raise _fail(f"duplicate variable {var!r}", lineno, line, var,
-                        "each variable is declared once")
-        tokens = [t.strip() for t in body.split(",")] if body.strip() else []
-        if not tokens or any(not t for t in tokens):
-            raise _fail(f"empty value in the set of {var!r}", lineno, line, var,
-                        "list one or more comma-separated values inside {}")
-        values = tuple(_parse_value(t, lineno, line) for t in tokens)
-        if len(set(values)) != len(values):
-            raise _fail(f"variable {var!r} repeats a value", lineno, line, var,
-                        "list each value once")
-        initial = _parse_value(init_tok, lineno, line)
-        if initial not in values:
-            raise _fail(f"initial value of {var!r} is outside its declared set",
-                        lineno, line, init_tok,
-                        "pick the initial value from the set in braces")
-        builder.variables.append(VarDecl(var, values, initial))
-        builder.var_sets[var] = set(values)
-        return
-
-    if section == "actions":
-        if stripped.startswith("act ") or stripped == "act":
-            m = _ACT_RE.match(stripped)
+        elif section == "policy":
+            m = _POLICY_RE.match(line)
             if not m:
-                raise _fail(f"malformed action header {stripped!r}", lineno,
-                            line, stripped, "write: act LABEL DOMAIN")
-            label, domain = m.group(1), _parse_name(m.group(2), "domain",
-                                                    lineno, line)
-            builder.flush_action()
-            if any(a.label == label for a in builder.actions):
-                raise _fail(f"duplicate action label {label!r}", lineno, line,
-                            label, "each action is declared once")
-            if domain not in builder.domains:
-                raise _fail(f"unknown domain {domain!r} for action {label!r}",
-                            lineno, line, domain,
-                            "declare it under [domains] first")
-            builder.pending = (label, domain, [])
-            return
-        if builder.pending is None:
-            raise _fail(f"transition rule outside any action: {stripped!r}",
-                        lineno, line, stripped,
-                        "start an action first with: act LABEL DOMAIN")
-        builder.pending[2].append(_parse_rule(builder, lineno, line, stripped))
-        return
+                raise _Bad(f"malformed policy edge {line!r}", line,
+                           "write: source -> target")
+            u, v = m.group(1), _parse_name(m.group(2), "domain")
+            for d in (u, v):
+                if d not in self.domains:
+                    raise _Bad(f"unknown domain {d!r} in policy edge", d,
+                               "declare it under [domains] first")
+            if (u, v) in self.policy:
+                raise _Bad(f"duplicate policy edge {u} -> {v}", u,
+                           "each edge is declared once")
+            self.policy.append((u, v))
 
-    if section == "observe":
-        m = _OBSERVE_RE.match(stripped)
-        if not m:
-            raise _fail(f"malformed observation {stripped!r}", lineno, line,
-                        stripped, "write: domain: var1 var2")
-        domain, rest = m.groups()
-        if domain not in builder.domains:
-            raise _fail(f"observation for unknown domain {domain!r}", lineno,
-                        line, domain, "declare it under [domains] first")
-        if domain in builder.obs_seen:
-            raise _fail(f"duplicate observation for domain {domain!r}", lineno,
-                        line, domain, "merge the two lines into one")
-        builder.obs_seen.add(domain)
-        vars_ = tuple(_parse_name(t, "variable", lineno, line)
-                      for t in rest.split())
-        for var in vars_:
-            if var not in builder.var_sets:
-                raise _fail(f"observation references undeclared variable {var!r}",
-                            lineno, line, var, "declare it under [state] first")
-        builder.observe.append((domain, vars_))
-        return
+        elif section == "state":
+            m = _VAR_RE.match(line)
+            if not m:
+                raise _Bad(f"malformed variable declaration {line!r}", line,
+                           "write: name in {v1, v2} = v1")
+            var, body, init_tok = m.groups()
+            if var in self.variables:
+                raise _Bad(f"duplicate variable {var!r}", var,
+                           "each variable is declared once")
+            tokens = [t.strip() for t in body.split(",")]
+            if not all(tokens):
+                raise _Bad(f"empty value in the set of {var!r}", var,
+                           "list one or more comma-separated values inside {}")
+            values = tuple(map(_parse_value, tokens))
+            if len(set(values)) != len(values):
+                raise _Bad(f"variable {var!r} repeats a value", var,
+                           "list each value once")
+            initial = _parse_value(init_tok)
+            if initial not in values:
+                raise _Bad(f"initial value of {var!r} is outside its declared "
+                           "set", init_tok,
+                           "pick the initial value from the set in braces")
+            self.variables[var] = VarDecl(var, values, initial)
 
-    raise AssertionError(f"unhandled section {section!r}")
+        elif section == "actions":
+            if line.startswith("act ") or line == "act":
+                m = _ACT_RE.match(line)
+                if not m:
+                    raise _Bad(f"malformed action header {line!r}", line,
+                               "write: act LABEL DOMAIN")
+                label, domain = m.group(1), _parse_name(m.group(2), "domain")
+                if any(a[0] == label for a in self.actions):
+                    raise _Bad(f"duplicate action label {label!r}", label,
+                               "each action is declared once")
+                if domain not in self.domains:
+                    raise _Bad(f"unknown domain {domain!r} for action "
+                               f"{label!r}", domain,
+                               "declare it under [domains] first")
+                self.actions.append((label, domain, []))
+            elif not self.actions:
+                raise _Bad(f"transition rule outside any action: {line!r}",
+                           line,
+                           "start an action first with: act LABEL DOMAIN")
+            else:
+                self.actions[-1][2].append(self.rule(line))
 
+        else:
+            m = _OBSERVE_RE.match(line)
+            if not m:
+                raise _Bad(f"malformed observation {line!r}", line,
+                           "write: domain: var1 var2")
+            domain, rest = m.groups()
+            if domain not in self.domains:
+                raise _Bad(f"observation for unknown domain {domain!r}",
+                           domain, "declare it under [domains] first")
+            if any(d == domain for d, _ in self.observe):
+                raise _Bad(f"duplicate observation for domain {domain!r}",
+                           domain, "merge the two lines into one")
+            vars_ = tuple(_parse_name(t, "variable") for t in rest.split())
+            for var in vars_:
+                if var not in self.variables:
+                    raise _Bad(f"observation references undeclared variable "
+                               f"{var!r}", var,
+                               "declare it under [state] first")
+            self.observe.append((domain, vars_))
 
-def _parse_rule(builder: _ModelBuilder, lineno: int, line: str,
-                stripped: str) -> Rule:
-    m = _RULE_RE.match(stripped)
-    if not m or "->" in m.group(2):
-        raise _fail(f"malformed transition rule {stripped!r}", lineno, line,
-                    stripped, "write: var=value, ... -> var:=value, ... "
-                    "(either side may be *)")
+    def rule(self, line: str) -> Rule:
+        m = _RULE_RE.match(line)
+        if not m or "->" in m.group(2):
+            raise _Bad(f"malformed transition rule {line!r}", line,
+                       "write: var=value, ... -> var:=value, ... "
+                       "(either side may be *)")
+        return Rule(self.bindings(m.group(1), "=", "condition"),
+                    self.bindings(m.group(2), ":=", "assignment"))
 
-    def bindings(side: str, op: str, what: str) -> tuple[tuple[str, Value], ...]:
+    def bindings(self, side: str, op: str,
+                 what: str) -> tuple[tuple[str, Value], ...]:
         side = side.strip()
         if side == "*":
             return ()
         out: list[tuple[str, Value]] = []
         for part in side.split(","):
             part = part.strip()
-            pieces = part.split(op)
-            if len(pieces) != 2 or not pieces[0].strip() or not pieces[1].strip():
-                raise _fail(f"malformed {what} {part!r}", lineno, line, part,
-                            f"write: var{op}value")
-            var = _parse_name(pieces[0].strip(), "variable", lineno, line)
-            if var not in builder.var_sets:
-                raise _fail(f"rule references undeclared variable {var!r}",
-                            lineno, line, var, "declare it under [state] first")
-            value = _parse_value(pieces[1].strip(), lineno, line)
-            if value not in builder.var_sets[var]:
-                raise _fail(
-                    f"value {render_value(value)!r} is outside the declared "
-                    f"set of {var!r}", lineno, line, pieces[1].strip(),
-                    "extend the variable's value set or fix the rule")
+            pieces = [piece.strip() for piece in part.split(op)]
+            if len(pieces) != 2 or not all(pieces):
+                raise _Bad(f"malformed {what} {part!r}", part,
+                           f"write: var{op}value")
+            var = _parse_name(pieces[0], "variable")
+            if var not in self.variables:
+                raise _Bad(f"rule references undeclared variable {var!r}", var,
+                           "declare it under [state] first")
+            value = _parse_value(pieces[1])
+            if value not in self.variables[var].values:
+                raise _Bad(f"value {render_value(value)!r} is outside the "
+                           f"declared set of {var!r}", pieces[1],
+                           "extend the variable's value set or fix the rule")
             if any(v == var for v, _ in out):
-                raise _fail(f"variable {var!r} bound twice in one {what} list",
-                            lineno, line, var, "bind each variable once")
+                raise _Bad(f"variable {var!r} bound twice in one {what} list",
+                           var, "bind each variable once")
             out.append((var, value))
         return tuple(out)
 
-    pre = bindings(m.group(1), "=", "condition")
-    post = bindings(m.group(2), ":=", "assignment")
-    return Rule(pre, post)
+    def finish(self, _: list) -> ModelDocument:
+        if not self.domains:
+            raise _Bad("declares no domains", "",
+                       "add a [domains] section with at least one name")
+        if not self.variables:
+            raise _Bad("declares no state variables", "",
+                       "add a [state] section such as: x in {0, 1} = 0")
+        return ModelDocument(
+            domains=tuple(self.domains),
+            policy=tuple(self.policy),
+            variables=tuple(self.variables.values()),
+            actions=tuple(ActionDecl(label, domain, tuple(rules))
+                          for label, domain, rules in self.actions),
+            observe=tuple(self.observe),
+        )
+
+
+def parse_model(text: str, name: str = "<string>") -> ModelDocument:
+    """Parse a model file; all names must resolve within the file."""
+    return _read_sections(text, name, _ModelBuilder())
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +459,7 @@ def _render_bindings(bindings: tuple[tuple[str, Value], ...], op: str) -> str:
 def print_model(doc: ModelDocument) -> str:
     """Render the canonical form; parsing it yields an equal document."""
     out: list[str] = ["[domains]"]
-    out.extend(doc.domains)
+    out.extend(map(str, doc.domains))
     out += ["", "[policy]"]
     out.extend(f"{u} -> {v}" for u, v in doc.policy)
     out += ["", "[state]"]
@@ -512,7 +474,8 @@ def print_model(doc: ModelDocument) -> str:
                        f"{_render_bindings(rule.post, ':=')}")
     out += ["", "[observe]"]
     for domain, vars_ in doc.observe:
-        out.append(f"{domain}:" + (" " + " ".join(vars_) if vars_ else ""))
+        out.append(f"{domain}:" + (" " + " ".join(map(str, vars_))
+                                   if vars_ else ""))
     return "\n".join(out) + "\n"
 
 
@@ -520,246 +483,154 @@ def print_model(doc: ModelDocument) -> str:
 # Refinement parsing
 # ---------------------------------------------------------------------------
 
-_FIXED_ORDER = ("refinement", "alpha", "zeta", "components")
+class _RefinementBuilder:
+    fixed, named = ("refinement", "alpha", "zeta", "components"), \
+        ("rely", "guarantee")
+
+    def __init__(self) -> None:
+        self.refs: dict[str, str] = {}
+        self.matches: list[tuple[str, str]] = []
+        self.pairs: list[tuple[str, str]] = []
+        self.zeta: dict[str, str] = {}
+        self.components: dict[str, str] = {}
+        self.contracts: dict[tuple[str, str], RelationSpec] = {}
+
+    def take(self, kind: str, arg: str | None, line: str) -> None:
+        keyed = _KEYED_RE.match(line)
+        key, rest = keyed.groups() if keyed else (None, "")
+        if kind == "refinement":
+            if key not in ("concrete", "abstract"):
+                raise _Bad(f"malformed reference {line!r}", line,
+                           "write: concrete: path.ifs or abstract: path.ifs")
+            if not rest.strip():
+                raise _Bad(f"empty path for {key!r}", line,
+                           "name a model file after the colon")
+            if key in self.refs:
+                raise _Bad(f"duplicate {key!r} reference", key,
+                           "name each model once")
+            self.refs[key] = rest.strip()
+
+        elif kind == "alpha":
+            if key not in ("match", "pair"):
+                raise _Bad(f"malformed alpha line {line!r}", line,
+                           "write: match: cvar == avar, or: "
+                           "pair: c-state ~ a-state")
+            if self.pairs if key == "match" else self.matches:
+                raise _Bad("alpha mixes match: and pair: lines", line,
+                           "use one form for the whole section")
+            if key == "pair":
+                self.pairs.append(_parse_state_pair(rest))
+                return
+            parts = re.fullmatch(rf"({_NAME})\s*==\s*({_NAME})", rest.strip())
+            if not parts:
+                raise _Bad(f"malformed match constraint {line!r}", line,
+                           "write: match: cvar == avar")
+            self.matches.append(parts.groups())
+
+        elif kind == "zeta":
+            m = _POLICY_RE.match(line)
+            if not m:
+                raise _Bad(f"malformed zeta entry {line!r}", line,
+                           "write: concrete-label -> abstract-label, or "
+                           "-> tau")
+            src, tgt = m.group(1), _parse_name(m.group(2), "action label")
+            if src in self.zeta:
+                raise _Bad(f"duplicate zeta entry for {src!r}", src,
+                           "map each concrete action once")
+            self.zeta[src] = tgt
+
+        elif kind == "components":
+            m = _OBSERVE_RE.match(line)
+            if not m or not m.group(2).strip():
+                raise _Bad(f"malformed component entry {line!r}", line,
+                           "write: action-label: component")
+            label = m.group(1)
+            component = _parse_name(m.group(2).strip(), "component")
+            if label in self.components:
+                raise _Bad(f"duplicate component entry for {label!r}", label,
+                           "map each action once")
+            self.components[label] = component
+
+        else:
+            frame_word = "keeps" if kind == "rely" else "may"
+            spec = self.contracts.get((arg, kind), RelationSpec())
+            if key not in ("keeps", "may", "pair"):
+                raise _Bad(f"malformed contract line {line!r}", line,
+                           f"write: {frame_word}: var1 var2, or: "
+                           "pair: state ~ state")
+            if key not in ("pair", frame_word):
+                raise _Bad(f"{key}: does not belong in a {kind} section", key,
+                           "rely sections use keeps:, guarantee sections "
+                           "use may:")
+            if key == frame_word and spec.frame is not None:
+                raise _Bad(f"second frame line in [{kind} {arg}]", line,
+                           "give one frame line per section")
+            if (spec.frame if key == "pair" else spec.pairs) is not None:
+                raise _Bad(f"[{kind} {arg}] mixes a frame with pair: lines",
+                           line, "use one form for the whole section")
+            self.contracts[arg, kind] = RelationSpec(
+                pairs=(spec.pairs or ()) + (_parse_state_pair(rest),)) \
+                if key == "pair" else RelationSpec(frame=tuple(
+                    _parse_name(t, "variable") for t in rest.split()))
+
+    def finish(self, seen: list[tuple[str, str | None]]
+               ) -> RefinementDocument:
+        for field in ("concrete", "abstract"):
+            if field not in self.refs:
+                raise _Bad(f"does not name a {field} model", "",
+                           f"add `{field}: path.ifs` under [refinement]")
+        for kind, arg in seen:
+            if kind in self.named and (arg, kind) not in self.contracts:
+                raise _Bad(f"section [{kind} {arg}] is empty", "",
+                           "give a frame line (keeps:/may:) or pair: lines")
+        return RefinementDocument(
+            concrete_ref=self.refs["concrete"],
+            abstract_ref=self.refs["abstract"],
+            alpha_matches=tuple(self.matches),
+            alpha_pairs=tuple(self.pairs),
+            zeta=tuple(self.zeta.items()),
+            components=tuple(self.components.items()),
+            contracts=tuple((comp, kind, spec) for (comp, kind), spec
+                            in sorted(self.contracts.items())),
+        )
 
 
 def parse_refinement(text: str, name: str = "<string>") -> RefinementDocument:
     """Parse a refinement file tying two referenced model files together."""
-    refs: dict[str, str] = {}
-    matches: list[tuple[str, str]] = []
-    pairs: list[tuple[str, str]] = []
-    zeta: list[tuple[str, str]] = []
-    components: list[tuple[str, str]] = []
-    contracts: dict[tuple[str, str], RelationSpec] = {}
-
-    section: str | None = None
-    contract_key: tuple[str, str] | None = None
-    seen_fixed: list[str] = []
-
-    for lineno, line in _logical_lines(text):
-        stripped = line.strip()
-        if stripped.startswith("["):
-            header = _HEADER_RE.match(stripped)
-            if not header:
-                raise _fail(f"unknown section header {stripped!r}", lineno, line,
-                            stripped, "refinement sections are [refinement], "
-                            "[alpha], [zeta], [components], [rely X], "
-                            "[guarantee X]")
-            kind, arg = header.groups()
-            if kind in _FIXED_ORDER:
-                if arg is not None:
-                    raise _fail(f"section [{kind}] takes no name", lineno, line,
-                                stripped, f"write just [{kind}]")
-                if kind in seen_fixed:
-                    raise _fail(f"duplicate section [{kind}]", lineno, line,
-                                stripped, "merge the two sections into one")
-                if seen_fixed and _FIXED_ORDER.index(kind) \
-                        < _FIXED_ORDER.index(seen_fixed[-1]):
-                    raise _fail(f"section [{kind}] is out of order", lineno,
-                                line, stripped,
-                                "order sections as [refinement], [alpha], "
-                                "[zeta], [components], then contracts")
-                if contracts:
-                    raise _fail(f"section [{kind}] appears after contract "
-                                "sections", lineno, line, stripped,
-                                "put [rely X] and [guarantee X] last")
-                seen_fixed.append(kind)
-                section, contract_key = kind, None
-            elif kind in ("rely", "guarantee"):
-                if arg is None:
-                    raise _fail(f"section [{kind}] needs a component name",
-                                lineno, line, stripped,
-                                f"write: [{kind} component]")
-                key = (arg, kind)
-                if key in contracts:
-                    raise _fail(f"duplicate section [{kind} {arg}]", lineno,
-                                line, stripped,
-                                "merge the two sections into one")
-                contracts[key] = RelationSpec()
-                section, contract_key = "contract", key
-            else:
-                raise _fail(f"unknown section header {stripped!r}", lineno,
-                            line, stripped,
-                            "refinement sections are [refinement], [alpha], "
-                            "[zeta], [components], [rely X], [guarantee X]")
-            continue
-        if section is None:
-            raise _fail("content before any section header", lineno, line,
-                        stripped, "start the file with [refinement]")
-        if section == "refinement":
-            _parse_ref_line(refs, lineno, line, stripped)
-        elif section == "alpha":
-            _parse_alpha_line(matches, pairs, lineno, line, stripped)
-        elif section == "zeta":
-            _parse_zeta_line(zeta, lineno, line, stripped)
-        elif section == "components":
-            _parse_component_line(components, lineno, line, stripped)
-        else:
-            assert contract_key is not None
-            contracts[contract_key] = _parse_contract_line(
-                contracts[contract_key], contract_key, lineno, line, stripped)
-
-    for field in ("concrete", "abstract"):
-        if field not in refs:
-            raise ParseError(f"{name} does not name a {field} model",
-                             line=1, column=1,
-                             hint=f"add `{field}: path.ifs` under [refinement]")
-    for (component, kind), spec in contracts.items():
-        if spec.frame is None and spec.pairs is None:
-            raise ParseError(
-                f"section [{kind} {component}] is empty", line=1, column=1,
-                hint="give a frame line (keeps:/may:) or pair: lines")
-    ordered = tuple(sorted(((comp, kind), spec)
-                           for (comp, kind), spec in contracts.items()))
-    return RefinementDocument(
-        concrete_ref=refs["concrete"],
-        abstract_ref=refs["abstract"],
-        alpha_matches=tuple(matches),
-        alpha_pairs=tuple(pairs),
-        zeta=tuple(zeta),
-        components=tuple(components),
-        contracts=tuple((comp, kind, spec) for (comp, kind), spec in ordered),
-    )
+    return _read_sections(text, name, _RefinementBuilder())
 
 
-def _parse_ref_line(refs: dict[str, str], lineno: int, line: str,
-                    stripped: str) -> None:
-    m = _KEYED_RE.match(stripped)
-    if not m or m.group(1) not in ("concrete", "abstract"):
-        raise _fail(f"malformed reference {stripped!r}", lineno, line, stripped,
-                    "write: concrete: path.ifs or abstract: path.ifs")
-    key, path = m.group(1), m.group(2).strip()
-    if not path:
-        raise _fail(f"empty path for {key!r}", lineno, line, stripped,
-                    "name a model file after the colon")
-    if key in refs:
-        raise _fail(f"duplicate {key!r} reference", lineno, line, key,
-                    "name each model once")
-    refs[key] = path
-
-
-def _parse_alpha_line(matches: list[tuple[str, str]],
-                      pairs: list[tuple[str, str]], lineno: int, line: str,
-                      stripped: str) -> None:
-    m = _KEYED_RE.match(stripped)
-    if not m or m.group(1) not in ("match", "pair"):
-        raise _fail(f"malformed alpha line {stripped!r}", lineno, line,
-                    stripped, "write: match: cvar == avar, or: "
-                    "pair: c-state ~ a-state")
-    if m.group(1) == "match":
-        if pairs:
-            raise _fail("alpha mixes match: and pair: lines", lineno, line,
-                        stripped, "use one form for the whole section")
-        parts = re.fullmatch(rf"({_NAME})\s*==\s*({_NAME})", m.group(2).strip())
-        if not parts:
-            raise _fail(f"malformed match constraint {stripped!r}", lineno,
-                        line, stripped, "write: match: cvar == avar")
-        matches.append((parts.group(1), parts.group(2)))
-    else:
-        if matches:
-            raise _fail("alpha mixes match: and pair: lines", lineno, line,
-                        stripped, "use one form for the whole section")
-        pairs.append(_parse_state_pair(m.group(2), lineno, line))
-
-
-def _parse_state_pair(body: str, lineno: int, line: str) -> tuple[str, str]:
-    parts = body.strip().split("~")
-    if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-        raise _fail(f"malformed state pair {body.strip()!r}", lineno, line,
-                    body.strip(), "write: pair: x=0;y=1 ~ x=0")
-    serials = []
-    for side in parts:
-        serial = side.strip()
+def _parse_state_pair(body: str) -> tuple[str, str]:
+    parts = [part.strip() for part in body.split("~")]
+    if len(parts) != 2 or not all(parts):
+        raise _Bad(f"malformed state pair {body.strip()!r}", body.strip(),
+                   "write: pair: x=0;y=1 ~ x=0")
+    for serial in parts:
         if re.search(r"\s", serial):
-            raise _fail(f"state {serial!r} contains whitespace", lineno, line,
-                        serial, "serialized states are var=value;var=value "
-                        "with no spaces")
-        _parse_serial(serial, lineno, line)
-        serials.append(serial)
-    return (serials[0], serials[1])
+            raise _Bad(f"state {serial!r} contains whitespace", serial,
+                       "serialized states are var=value;var=value "
+                       "with no spaces")
+        _parse_serial(serial)
+    return parts[0], parts[1]
 
 
-def _parse_serial(serial: str, lineno: int | None = None,
-                  line: str = "") -> State:
+def _parse_serial(serial: str) -> State:
     """Parse `a=1;b=x` into a State (scalar values only)."""
     items: dict[str, Value] = {}
     for piece in serial.split(";"):
         halves = piece.split("=")
-        if len(halves) != 2 or not halves[0] or not halves[1]:
-            raise _fail(f"malformed state {serial!r}", lineno or 1, line or serial,
-                        piece, "write: var=value;var=value")
+        if len(halves) != 2 or not all(halves):
+            raise _Bad(f"malformed state {serial!r}", piece,
+                       "write: var=value;var=value")
         var = halves[0]
         if not _NAME_RE.match(var):
-            raise _fail(f"malformed variable name {var!r}", lineno or 1,
-                        line or serial, var,
-                        "names are letters, digits, '_' and '.'")
+            raise _Bad(f"malformed variable name {var!r}", var,
+                       "names are letters, digits, '_' and '.'")
         if var in items:
-            raise _fail(f"variable {var!r} repeats in state {serial!r}",
-                        lineno or 1, line or serial, var,
-                        "list each variable once")
-        items[var] = _parse_value(halves[1], lineno or 1, line or serial)
+            raise _Bad(f"variable {var!r} repeats in state {serial!r}", var,
+                       "list each variable once")
+        items[var] = _parse_value(halves[1])
     return State(items)
-
-
-def _parse_zeta_line(zeta: list[tuple[str, str]], lineno: int, line: str,
-                     stripped: str) -> None:
-    m = _POLICY_RE.match(stripped)
-    if not m:
-        raise _fail(f"malformed zeta entry {stripped!r}", lineno, line,
-                    stripped, "write: concrete-label -> abstract-label, or "
-                    "-> tau")
-    src = m.group(1)
-    tgt = m.group(2) if m.group(2) == "tau" \
-        else _parse_name(m.group(2), "action label", lineno, line)
-    if any(s == src for s, _ in zeta):
-        raise _fail(f"duplicate zeta entry for {src!r}", lineno, line, src,
-                    "map each concrete action once")
-    zeta.append((src, tgt))
-
-
-def _parse_component_line(components: list[tuple[str, str]], lineno: int,
-                          line: str, stripped: str) -> None:
-    m = _OBSERVE_RE.match(stripped)
-    if not m or not m.group(2).strip():
-        raise _fail(f"malformed component entry {stripped!r}", lineno, line,
-                    stripped, "write: action-label: component")
-    label = m.group(1)
-    component = _parse_name(m.group(2).strip(), "component", lineno, line)
-    if any(l == label for l, _ in components):
-        raise _fail(f"duplicate component entry for {label!r}", lineno, line,
-                    label, "map each action once")
-    components.append((label, component))
-
-
-def _parse_contract_line(spec: RelationSpec, key: tuple[str, str], lineno: int,
-                         line: str, stripped: str) -> RelationSpec:
-    component, kind = key
-    frame_word = "keeps" if kind == "rely" else "may"
-    m = _KEYED_RE.match(stripped)
-    if not m or m.group(1) not in ("keeps", "may", "pair"):
-        raise _fail(f"malformed contract line {stripped!r}", lineno, line,
-                    stripped, f"write: {frame_word}: var1 var2, or: "
-                    "pair: state ~ state")
-    if m.group(1) in ("keeps", "may"):
-        if m.group(1) != frame_word:
-            raise _fail(f"{m.group(1)}: does not belong in a {kind} section",
-                        lineno, line, m.group(1),
-                        "rely sections use keeps:, guarantee sections use may:")
-        if spec.frame is not None:
-            raise _fail(f"second frame line in [{kind} {component}]", lineno,
-                        line, stripped, "give one frame line per section")
-        if spec.pairs is not None:
-            raise _fail(f"[{kind} {component}] mixes a frame with pair: lines",
-                        lineno, line, stripped,
-                        "use one form for the whole section")
-        vars_ = tuple(_parse_name(t, "variable", lineno, line)
-                      for t in m.group(2).split())
-        return RelationSpec(frame=vars_, pairs=spec.pairs)
-    if spec.frame is not None:
-        raise _fail(f"[{kind} {component}] mixes a frame with pair: lines",
-                    lineno, line, stripped, "use one form for the whole section")
-    pair = _parse_state_pair(m.group(2), lineno, line)
-    return RelationSpec(frame=None, pairs=(spec.pairs or ()) + (pair,))
 
 
 # ---------------------------------------------------------------------------

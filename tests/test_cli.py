@@ -303,6 +303,27 @@ class TestExitCodes:
         assert code == 3
         assert "hint:" in err
 
+    # Each file the command reads is named once, ahead of the message.
+    @pytest.mark.parametrize("name,old,new,message", [
+        ("concrete.ifs", "hi\nlo\n", "hi\nlo\nlo\n",
+         "duplicate domain 'lo' (line 4, column 1)"),
+        ("pair.ifs", "[alpha]", "[alpha beta]",
+         "section [alpha] takes no name (line 5, column 1)"),
+        ("pair.ifs", "[zeta]", "[bogus]",
+         "unknown section header '[bogus]' (line 8, column 1)"),
+        ("pair.ifs", "abstract: abstract.ifs\n", "",
+         "does not name a abstract model (line 1, column 1)"),
+    ], ids=["level-file", "takes-no-name", "unknown-header", "no-abstract"])
+    def test_parse_error_names_its_file_once(self, run, models, name, old,
+                                             new, message):
+        path = models / name
+        path.write_text(path.read_text(encoding="utf-8").replace(old, new, 1),
+                        encoding="utf-8")
+        code, _, err = run("check", "refine", str(models / "pair.ifs"))
+        assert code == 3
+        assert err.splitlines()[0] == f"ifsec: parse error: {path}: {message}"
+        assert err.count(name) == 1
+
     def test_model_error_is_three(self, run, models):
         short = PAIR.split("[components]")[0].replace(
             "cleanup -> tau\n", "")
@@ -682,6 +703,27 @@ class TestReplay:
         assert err.startswith("ifsec: error: report ")
         if key == "checks":
             assert "has no list of checks" in err
+
+    # `never` is a hi action that writes what lo sees, enabled only at
+    # x=1;y=1: it fails lr there, and it is disabled at the start.
+    @pytest.mark.parametrize("edit,fragment", [
+        ({"domain": "ghost"}, "the rebuilt model has no domain 'ghost'"),
+        ({"trace": ["never"]},
+         "witness trace does not execute: 'never' is disabled"),
+        ({"type": "c2"}, "a c2 witness needs a refinement target"),
+    ], ids=["unknown-domain", "disabled-step", "refinement-witness"])
+    def test_edited_witness_is_stale(self, run, saved_report, models, edit,
+                                     fragment):
+        gated = models / "gated.ifs"
+        gated.write_text(LEAKY.replace(
+            "[observe]", "act never hi\n  x=1, y=1 -> x:=0\n\n[observe]"),
+            encoding="utf-8")
+        code, report = saved_report("check", "unwinding", str(gated),
+                                    edit=edit)
+        assert code == 1
+        code, _, err = run("replay", report)
+        assert code == 2
+        assert fragment in err and "stale" in err
 
     def test_lr_witness_on_builtin_reproduces(self, run, saved_report):
         code, report = saved_report("check", "unwinding", "arinc-port-id")

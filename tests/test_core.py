@@ -475,6 +475,27 @@ class TestConfigValidation:
             SecureSystem(m, cfg)
 
 
+def _config(domains, dom):
+    return InfoFlowConfig(domains, frozenset(), dom, lambda d, s: None)
+
+
+@pytest.mark.parametrize("build,fragment", [
+    (lambda: StateMachine((State({"x": 0}),), (),
+                          {(State({"x": 0}), TICK): (State({"x": 0}),)},
+                          State({"x": 0})),
+     "transition on undeclared action 'tick'"),
+    (lambda: SecureSystem(tiny_machine(), _config(
+        ("dx", ""), {a: "dx" for a in tiny_machine().actions})),
+     "domain names must be non-empty strings"),
+    (lambda: SecureSystem(tiny_machine(), _config(
+        ("dx",), {a: "dz" for a in tiny_machine().actions})),
+     "action 'halt' maps to unknown domain 'dz'"),
+], ids=["undeclared-action", "empty-domain-name", "unknown-action-domain"])
+def test_model_errors(build, fragment):
+    with pytest.raises(ModelError, match=fragment):
+        build()
+
+
 #: A declared universe of 12 assignments, 6 of them reachable, with a
 #: nondeterministic action and one that is enabled only off the
 #: reachable set.

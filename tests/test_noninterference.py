@@ -23,6 +23,7 @@ from ifsec.core import (
     SecureSystem,
     State,
     StateMachine,
+    UsageError,
     equidom,
     run,
     sort_actions,
@@ -288,6 +289,15 @@ def quiet_system() -> SecureSystem:
         observe=lambda d, s: s["x"] if d == "lo" else None,
     )
     return SecureSystem(machine, cfg)
+
+
+@pytest.mark.parametrize("max_len,actions,fragment", [
+    (-1, None, "trace length bound must be >= 0"),
+    (2, [ActionId("ghost")], "unknown action 'ghost'"),
+])
+def test_check_ni_usage_errors(max_len, actions, fragment):
+    with pytest.raises(UsageError, match=fragment):
+        check_ni(leaky_system(), max_len, actions=actions)
 
 
 class TestCheckNI:

@@ -34,6 +34,7 @@ from ifsec.programs import (
     ConcurrentSystem,
     Done,
     Event,
+    Prog,
     Seq,
     While,
     compile_system,
@@ -128,6 +129,30 @@ def single_event_system() -> ConcurrentSystem:
         pool={"k": (Event("flip", lambda s: s["x"] == 0, setv("x", 1, "set"), "d"),)},
         initial={"x": 0},
     )
+
+
+def event(label: str, body: Prog | None = None) -> Event:
+    return Event(label, lambda s: True, body or setv("x", 1, "set"), "d")
+
+
+@pytest.mark.parametrize("components,pool,initial,fragment", [
+    (("k", "k"), {"k": (event("e"),)}, {"x": 0},
+     "component names must be unique"),
+    (("k",), {}, {"x": 0}, "component 'k' has no event pool"),
+    (("k",), {"k": (event("e"), event("e"))}, {"x": 0},
+     "duplicate event label on component 'k'"),
+    (("k",), {"k": (event("e"),)}, {"x": 0, "pc.k": 0},
+     "shared variable 'pc.k' collides with the program counter"),
+    (("k",), {"k": (event("e", seq(setv("x", 1, "s"), setv("x", 0, "s"))),)},
+     {"x": 0}, "duplicate step label within event 'e'"),
+    (("k",), {"k": (event("e", setv("x", 1, "invoke")),)}, {"x": 0},
+     "step label 'invoke' is reserved"),
+])
+def test_concurrent_system_validate_errors(components, pool, initial,
+                                           fragment):
+    system = ConcurrentSystem(components, pool, initial)
+    with pytest.raises(ModelError, match=fragment):
+        system.validate()
 
 
 class TestCompile:

@@ -9,6 +9,7 @@ observe `y`, which must fail LR at `toggle`.
 """
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -277,44 +278,56 @@ class TestParseModel:
         )
         assert parse_model(print_model(doc)) == doc
 
-    @pytest.mark.parametrize("text,line,fragment", [
-        ("[bogus]\n", 1, "unknown section header"),
-        ("x\n[domains]\nd\n", 1, "before any section"),
-        ("[domains]\nd\nd\n", 3, "duplicate domain"),
-        ("[domains]\nd\n[policy]\nd => d\n", 4, "malformed policy edge"),
-        ("[domains]\nd\n[policy]\nd -> ghost\n", 4, "unknown domain 'ghost'"),
-        ("[domains]\nd\n[state]\nv = 0\n", 4, "malformed variable"),
-        ("[domains]\nd\n[state]\nv in {0} = 1\n", 4, "outside its declared set"),
-        ("[domains]\nd\n[state]\nv in {0, 0} = 0\n", 4, "repeats a value"),
-        ("[domains]\nd\n[state]\nv in {0 1} = 0\n", 4, "malformed value"),
-        ("[domains]\nd\n[state]\nv in {(0,1)} = 0\n", 4, "malformed value"),
+    @pytest.mark.parametrize("text,line,column,fragment", [
+        ("[bogus]\n", 1, 1, "unknown section header"),
+        ("x\n[domains]\nd\n", 1, 1, "before any section"),
+        ("[domains]\nd\nd\n", 3, 1, "duplicate domain"),
+        ("[domains]\nd\n[policy]\nd => d\n", 4, 1, "malformed policy edge"),
+        ("[domains]\nd\n[policy]\nd -> ghost\n", 4, 6,
+         "unknown domain 'ghost'"),
+        ("[domains]\nd\n[policy]\nd -> d\n  d -> d\n", 5, 3,
+         "duplicate policy edge d -> d"),
+        ("[domains]\nd\n", 1, 1, "declares no state variables"),
+        ("[domains]\nd\n[state]\nv = 0\n", 4, 1, "malformed variable"),
+        ("[domains]\nd\n[state]\nv in {0} = 1\n", 4, 12,
+         "outside its declared set"),
+        ("[domains]\nd\n[state]\nv in {0, 0} = 0\n", 4, 1, "repeats a value"),
+        ("[domains]\nd\n[state]\nv in {0, , 1} = 0\n", 4, 1,
+         "empty value in the set of 'v'"),
+        ("[domains]\nd\n[state]\nv in {0 1} = 0\n", 4, 7, "malformed value"),
+        ("[domains]\nd\n[state]\nv in {(0,1)} = 0\n", 4, 7,
+         "malformed value"),
         ("[domains]\nd\n[state]\nv in {0} = 0\n[actions]\n  v=0 -> v:=0\n",
-         6, "outside any action"),
+         6, 3, "outside any action"),
         ("[domains]\nd\n[state]\nv in {0} = 0\n[actions]\nact only\n",
-         6, "malformed action header"),
+         6, 1, "malformed action header"),
         ("[domains]\nd\n[state]\nv in {0} = 0\n[actions]\nact a ghost\n",
-         6, "unknown domain 'ghost'"),
+         6, 7, "unknown domain 'ghost'"),
         ("[domains]\nd\n[state]\nv in {0} = 0\n"
-         "[actions]\nact a d\nact a d\n", 7, "duplicate action label"),
+         "[actions]\nact a d\nact a d\n", 7, 1, "duplicate action label"),
         ("[domains]\nd\n[state]\nv in {0} = 0\n"
-         "[actions]\nact a d\n  w=0 -> *\n", 7, "undeclared variable 'w'"),
+         "[actions]\nact a d\n  w=0 -> *\n", 7, 3, "undeclared variable 'w'"),
         ("[domains]\nd\n[state]\nv in {0} = 0\n"
-         "[actions]\nact a d\n  v=1 -> *\n", 7, "outside the declared set"),
+         "[actions]\nact a d\n  v=1 -> *\n", 7, 5, "outside the declared set"),
         ("[domains]\nd\n[state]\nv in {0} = 0\n"
-         "[actions]\nact a d\n  * -> v:=0, v:=0\n", 7, "bound twice"),
+         "[actions]\nact a d\n  * -> v:=0, v:=0\n", 7, 8, "bound twice"),
         ("[domains]\nd\n[state]\nv in {0} = 0\n[observe]\nd: w\n",
-         6, "undeclared variable 'w'"),
+         6, 4, "undeclared variable 'w'"),
         ("[domains]\nd\n[state]\nv in {0} = 0\n[observe]\nd: v\nd: v\n",
-         7, "duplicate observation"),
+         7, 1, "duplicate observation"),
+        ("[domains]\nd\n[state]\nv in {0} = 0\n[observe]\nd v\n",
+         6, 1, "malformed observation 'd v'"),
+        ("[domains]\nd\n[state]\nv in {0} = 0\n[observe]\n  ghost: v\n",
+         6, 3, "observation for unknown domain 'ghost'"),
         ("[domains]\nd\n[observe]\nd:\n[state]\nv in {0} = 0\n",
-         5, "out of order"),
-        ("[domains]\nd\n[domains]\nd2\n", 3, "duplicate section"),
+         5, 1, "out of order"),
+        ("[domains]\nd\n[domains]\nd2\n", 3, 1, "duplicate section"),
     ])
-    def test_diagnostics_carry_position_and_hint(self, text, line, fragment):
+    def test_diagnostics_carry_position_and_hint(self, text, line, column,
+                                                 fragment):
         with pytest.raises(ParseError) as err:
             parse_model(text)
-        assert err.value.line == line
-        assert err.value.column >= 1
+        assert (err.value.line, err.value.column) == (line, column)
         assert err.value.hint
         assert fragment in str(err.value)
 
@@ -386,6 +399,52 @@ class TestRoundTrip:
         again = parse_model(text)
         assert again == doc
         assert print_model(again) == text
+
+
+def round_trips(doc):
+    try:
+        return parse_model(print_model(doc)) == doc
+    except ParseError:
+        return False
+
+
+def _extra_action(doc, *pre):
+    return doc.actions + (
+        ActionDecl("extra", doc.domains[0], (Rule(pre, ()),)),)
+
+
+#: One fault each, in a document `model_documents` drew.
+MUTATIONS = {
+    "repeated policy edge": lambda doc: replace(
+        doc, policy=doc.policy + ((doc.domains[0], doc.domains[-1]),) * 2),
+    "variable bound twice": lambda doc: replace(doc, actions=_extra_action(
+        doc, *[(doc.variables[0].name, doc.variables[0].initial)] * 2)),
+    "domain with a space": lambda doc: replace(
+        doc, domains=doc.domains + ("a b",)),
+    "domain that is not a string": lambda doc: replace(
+        doc, domains=doc.domains + (5,)),
+    "observed name with a space": lambda doc: replace(doc, observe=(
+        (doc.domains[0], (f"{doc.variables[0].name} "
+                          f"{doc.variables[0].name}",)),)),
+    "undeclared variable": lambda doc: replace(
+        doc, actions=_extra_action(doc, ("ghost", 0))),
+    "undeclared domain": lambda doc: replace(
+        doc, policy=doc.policy + ((doc.domains[0], "ghost"),)),
+}
+
+
+class TestValidate:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(model_documents(), st.sampled_from([None, *MUTATIONS]))
+    def test_accepts_exactly_the_documents_that_round_trip(self, doc, fault):
+        if fault is not None:
+            doc = MUTATIONS[fault](doc)
+        try:
+            doc.validate()
+            accepted = True
+        except ModelError:
+            accepted = False
+        assert accepted == round_trips(doc) == (fault is None)
 
 
 # ---------------------------------------------------------------------------
@@ -634,39 +693,65 @@ class TestParseRefinement:
         assert parse_refinement(text) == doc
         assert print_refinement(parse_refinement(text)) == text
 
-    @pytest.mark.parametrize("text,line,fragment", [
-        ("[refinement]\nconcrete: a.ifs\n", 1, "does not name a"),
+    @pytest.mark.parametrize("text,line,column,fragment", [
+        ("[refinement]\nconcrete: a.ifs\n", 1, 1, "does not name a"),
         ("[refinement]\nconcrete: a.ifs\nconcrete: b.ifs\n"
-         "abstract: c.ifs\n", 3, "duplicate 'concrete'"),
+         "abstract: c.ifs\n", 3, 1, "duplicate 'concrete'"),
         ("[refinement]\nsideways: a.ifs\nconcrete: a.ifs\nabstract: b.ifs\n",
-         2, "malformed reference"),
+         2, 1, "malformed reference"),
+        ("[refinement]\n  concrete:\n", 2, 3, "empty path for 'concrete'"),
+        ("concrete: a.ifs\n[refinement]\n", 1, 1,
+         "content before any section header"),
+        (REFINEMENT_HEAD + "[a b c]\n", 4, 1,
+         "unknown section header '[a b c]'"),
+        (REFINEMENT_HEAD + "[alpha x]\n", 4, 1, "section [alpha] takes no name"),
         (REFINEMENT_HEAD + "[alpha]\nmatch: x == x\npair: x=0 ~ x=0\n",
-         6, "mixes match: and pair:"),
+         6, 1, "mixes match: and pair:"),
+        (REFINEMENT_HEAD + "[alpha]\npair: x=0 ~ x=0\nmatch: x == x\n",
+         6, 1, "alpha mixes match: and pair: lines"),
+        (REFINEMENT_HEAD + "[alpha]\nx == x\n", 5, 1,
+         "malformed alpha line 'x == x'"),
+        (REFINEMENT_HEAD + "[alpha]\nmatch: x = x\n", 5, 1,
+         "malformed match constraint 'match: x = x'"),
         (REFINEMENT_HEAD + "[alpha]\npair: x=0 y=0 ~ x=0\n",
-         5, "whitespace"),
-        (REFINEMENT_HEAD + "[zeta]\na -> b\na -> tau\n", 6,
+         5, 7, "whitespace"),
+        (REFINEMENT_HEAD + "[alpha]\npair: x=0\n", 5, 7,
+         "malformed state pair 'x=0'"),
+        (REFINEMENT_HEAD + "[alpha]\npair: x=0 ~ y\n", 5, 13,
+         "malformed state 'y'"),
+        (REFINEMENT_HEAD + "[alpha]\npair: x=0 ~ 1x=0\n", 5, 13,
+         "malformed variable name '1x'"),
+        (REFINEMENT_HEAD + "[alpha]\npair: x=0 ~ y=0;y=1\n", 5, 13,
+         "variable 'y' repeats in state 'y=0;y=1'"),
+        (REFINEMENT_HEAD + "[zeta]\na -> b\na -> tau\n", 6, 1,
          "duplicate zeta entry"),
-        (REFINEMENT_HEAD + "[zeta]\n[alpha]\n", 5, "out of order"),
-        (REFINEMENT_HEAD + "[rely w]\nmay: x\n", 5,
+        (REFINEMENT_HEAD + "[zeta]\n[alpha]\n", 5, 1, "out of order"),
+        (REFINEMENT_HEAD + "[rely w]\nmay: x\n", 5, 1,
          "does not belong in a rely"),
-        (REFINEMENT_HEAD + "[guarantee w]\nkeeps: x\n", 5,
+        (REFINEMENT_HEAD + "[guarantee w]\nkeeps: x\n", 5, 1,
          "does not belong in a guarantee"),
-        (REFINEMENT_HEAD + "[rely w]\nkeeps: x\nkeeps: y\n", 6,
+        (REFINEMENT_HEAD + "[rely w]\nkeeps: x\nkeeps: y\n", 6, 1,
          "second frame line"),
-        (REFINEMENT_HEAD + "[rely w]\nkeeps: x\npair: x=0 ~ x=0\n", 6,
+        (REFINEMENT_HEAD + "[rely w]\nkeeps: x\npair: x=0 ~ x=0\n", 6, 1,
          "mixes a frame with pair:"),
-        (REFINEMENT_HEAD + "[rely w]\n", 1, "is empty"),
-        (REFINEMENT_HEAD + "[rely]\n", 4, "needs a component name"),
-        (REFINEMENT_HEAD + "[rely w]\nkeeps: x\n[zeta]\n", 6,
+        (REFINEMENT_HEAD + "[rely w]\npair: x=0 ~ x=0\nkeeps: x\n", 6, 1,
+         "[rely w] mixes a frame with pair: lines"),
+        (REFINEMENT_HEAD + "[rely w]\nframe: x\n", 5, 1,
+         "malformed contract line 'frame: x'"),
+        (REFINEMENT_HEAD + "[rely w]\n", 1, 1, "is empty"),
+        (REFINEMENT_HEAD + "[rely]\n", 4, 1, "needs a component name"),
+        (REFINEMENT_HEAD + "[rely w]\nkeeps: x\n[rely w]\n", 6, 1,
+         "duplicate section [rely w]"),
+        (REFINEMENT_HEAD + "[rely w]\nkeeps: x\n[zeta]\n", 6, 1,
          "after contract sections"),
-        (REFINEMENT_HEAD + "[components]\na: w\na: v\n", 6,
+        (REFINEMENT_HEAD + "[components]\na: w\na: v\n", 6, 1,
          "duplicate component entry"),
     ])
-    def test_diagnostics_carry_position_and_hint(self, text, line, fragment):
+    def test_diagnostics_carry_position_and_hint(self, text, line, column,
+                                                 fragment):
         with pytest.raises(ParseError) as err:
             parse_refinement(text)
-        assert err.value.line == line
-        assert err.value.column >= 1
+        assert (err.value.line, err.value.column) == (line, column)
         assert err.value.hint
         assert fragment in str(err.value)
 
@@ -713,6 +798,14 @@ class TestElaborateRefinement:
         for condition in ("c1", "c2", "c3", "c4", "c5", "c6"):
             assert getattr(left, condition).status \
                 == getattr(right, condition).status
+
+    def test_no_alpha_lines_give_the_total_alpha(self, model_dir):
+        doc = parse_refinement(refinement_text(ZETA_FULL))
+        pair, _ = elaborate_refinement(doc, base_dir=str(model_dir))
+        assert pair.alpha.description == "total"
+        assert all(pair.alpha.holds(c, a)
+                   for c in universe_of(model_dir / "concrete.ifs")
+                   for a in universe_of(model_dir / "abstract.ifs"))
 
     def test_zeta_missing_action_names_it(self, model_dir):
         doc = parse_refinement(refinement_text(

@@ -8,11 +8,12 @@ to localize the simulation obligations per component.
 
 Start-up. `import ifsec` runs only `core`. The checker modules
 (`models`, `noninterference`, `programs`, `refinement`, `specfile` and
-`unwinding`) are put in `sys.modules` and on the package as lazy
-modules (`importlib.util.LazyLoader`): a module's body runs at the
-first attribute access, so a command runs only the modules it uses.
-`ifsec.models` registers its builder modules the same way. Two rules
-keep it so:
+`unwinding`) and `witness`, the witness JSON protocol that only a
+failing check and a replay use, are put in `sys.modules` and on the
+package as lazy modules (`importlib.util.LazyLoader`): a module's body
+runs at the first attribute access, so a command runs only the modules
+it uses. `ifsec.models` registers its builder modules the same way.
+Two rules keep it so:
 
 - A module that does not always need another one reaches it as
   `from ifsec import unwinding` and reads `unwinding.check_unwinding`
@@ -20,13 +21,18 @@ keep it so:
   `import ifsec.unwinding` runs the module at once, and so does a
   module-level table that holds its classes or functions; such tables
   are keyed by name and resolved when used.
-- There are no imports inside functions. Every module a command can
-  reach is in `sys.modules` from `import ifsec` on (a builder module
-  from the first use of `ifsec.models`). Tools that rebind functions
-  module by module, such as `bench/tracer.py`, look each module up in
-  `sys.modules` right after `import ifsec.cli`; their first attribute
-  access runs it, and every module that runs later imports the rebound
-  functions.
+- No `ifsec` module is imported inside a function. Every module a
+  command can reach is in `sys.modules` from `import ifsec` on (a
+  builder module from the first use of `ifsec.models`). Tools that
+  rebind functions module by module, such as `bench/tracer.py`, look
+  each module up in `sys.modules` right after `import ifsec.cli`; their
+  first attribute access runs it, and every module that runs later
+  imports the rebound functions.
+
+One standard-library module is imported inside a function: `hashlib`,
+which loads OpenSSL's libcrypto, is imported where `cli._sha256` runs.
+Only model files and their replays are hashed, so a command on a
+built-in model never loads OpenSSL.
 """
 
 from __future__ import annotations
@@ -92,3 +98,4 @@ programs = _lazy(__name__, __path__, "programs")
 refinement = _lazy(__name__, __path__, "refinement")
 specfile = _lazy(__name__, __path__, "specfile")
 unwinding = _lazy(__name__, __path__, "unwinding")
+witness = _lazy(__name__, __path__, "witness")

@@ -19,7 +19,9 @@ re-executes its traces, dumping the states they pass through, and
 re-checks the condition with the library's own predicate for it. A
 report whose model files changed, one that records a pass, and a
 witness that is damaged or no longer violates its condition are
-rejected as unusable rather than half-replayed.
+rejected as unusable rather than half-replayed. The witness JSON
+protocol, encoding and replay, is `ifsec.witness`; only a failing
+check and a replay run it.
 
 There is no --seed flag: every search in the toolkit is canonical, so
 two runs of the same command explore identical orders and report
@@ -29,27 +31,27 @@ identical witnesses.
 from __future__ import annotations
 
 import argparse
-import bisect
-import dataclasses
-import hashlib
 import json
 import os.path
 import sys
 import time
 import types
-import typing
 from typing import Any, Callable, Sequence
 
-from ifsec import models, noninterference, refinement, specfile, unwinding
+from ifsec import (
+    models,
+    noninterference,
+    refinement,
+    specfile,
+    unwinding,
+    witness,
+)
 from ifsec.core import (
-    ActionId,
     BudgetError,
     ModelError,
     ParseError,
     SecureSystem,
-    State,
     UsageError,
-    render_value,
 )
 
 SCHEMA = 1
@@ -77,6 +79,9 @@ class LoadedTarget:
 
 
 def _sha256(path: str) -> str:
+    # Imported here: hashlib loads OpenSSL's libcrypto, and only model
+    # files and their replays are hashed.
+    import hashlib
     try:
         with open(path, "rb") as handle:
             return hashlib.sha256(handle.read()).hexdigest()
@@ -149,84 +154,20 @@ def _warn_missing_reflexive(loaded: LoadedTarget) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Witness encoding
-# ---------------------------------------------------------------------------
-
-#: The `type` tag of a witness's JSON -> (home module, witness
-#: dataclass, the predicate that re-checks it). Classes and predicates
-#: are named, and read from the module only when used, so that the table
-#: runs no checker module. `replay` re-checks on the witness's level for
-#: lr, sc and ni, on the refinement pair for c1-c6, and with the
-#: contracts for a lemma; a cross-check is never replayed.
-_WITNESS_TYPES: dict[str, tuple[types.ModuleType, str, str | None]] = {
-    "lr": (unwinding, "LRViolation", "lr_violated"),
-    "sc": (unwinding, "SCViolation", "sc_violated"),
-    "ni": (noninterference, "NICounterexample", "ni_violated"),
-    "c1": (refinement, "C1Witness", "c1_violated"),
-    "c2": (refinement, "C2Witness", "c2_violated"),
-    "c3": (refinement, "C3Witness", "c3_violated"),
-    "c4": (refinement, "C4Witness", "c4_violated"),
-    "c5": (refinement, "C5Witness", "c5_violated"),
-    "c6": (refinement, "C6Witness", "c6_violated"),
-    "cross-check": (refinement, "CrossCheck", None),
-    "lemma": (refinement, "LemmaWitness", "lemma_violated"),
-}
-
-#: Witness dataclass name -> its tag.
-_WITNESS_TAGS = {name: tag for tag, (_, name, _) in _WITNESS_TYPES.items()}
-
-#: Fields holding observed values, which JSON carries rendered.
-_VIEW_FIELDS = ("full_view", "purged_view")
-
-#: Witness type -> (trace field, state field): the CLI adds the trace
-#: that the check's scope exploration took to each state, or null when
-#: the scope is the declared universe.
-_SCOPE_TRACES = {
-    "lr": (("trace", "state"),),
-    "sc": (("trace1", "s1"), ("trace2", "s2")),
-}
-
-
-def _encode(value: Any) -> Any:
-    if isinstance(value, State):
-        return value.serialize()
-    if isinstance(value, ActionId):
-        return value.display()
-    if isinstance(value, tuple):
-        return [_encode(v) for v in value]
-    return value
-
-
-def _witness_json(witness: Any,
-                  scope: unwinding.Scope | None) -> dict[str, Any]:
-    """One walk over the witness dataclass's fields: states by their
-    serialization, actions by their label, tuples as lists. With the
-    scope an lr or sc witness was found in, its scope traces are added."""
-    tag = _WITNESS_TAGS[type(witness).__name__]
-    out: dict[str, Any] = {"type": tag}
-    for field in dataclasses.fields(witness):
-        value = getattr(witness, field.name)
-        if field.name in _VIEW_FIELDS:
-            out[field.name] = [render_value(v) for v in value]
-        else:
-            out[field.name] = _encode(value)
-    for trace_field, state_field in _SCOPE_TRACES.get(tag, ()) if scope else ():
-        trace = scope.trace_to(getattr(witness, state_field))
-        out[trace_field] = None if trace is None else _encode(trace)
-    return out
-
-
-def _verdict_check(name: str, verdict) -> dict[str, Any]:
-    witness = None
-    if verdict.witness is not None:
-        witness = _witness_json(verdict.witness, None)
-    return {"name": name, "status": verdict.status, "note": verdict.note,
-            "witness": witness}
-
-
-# ---------------------------------------------------------------------------
 # Check runners
 # ---------------------------------------------------------------------------
+
+def _verdict_check(name: str, verdict) -> dict[str, Any]:
+    found = verdict.witness
+    if found is not None:
+        # A cross-check records two unwinding verdicts, pass or fail, and
+        # is never replayed: its plain fields are rendered here, so that
+        # a passing check does not run `witness`.
+        found = {"type": name, **vars(found)} if name == "cross-check" \
+            else witness.to_json(found, None)
+    return {"name": name, "status": verdict.status, "note": verdict.note,
+            "witness": found}
+
 
 def _unwind(system: SecureSystem, args) -> unwinding.UnwindingReport:
     if args.universe:
@@ -248,7 +189,7 @@ def _level_checks(loaded: LoadedTarget, label: str,
         "status": "pass" if violation is None else "fail",
         "note": f"scope: {report.scope_tag}",
         "witness": None if violation is None
-        else _witness_json(violation, report.scope),
+        else witness.to_json(violation, report.scope),
     } for name, violation in (("lr", report.lr), ("sc", report.sc))]
 
 
@@ -270,14 +211,12 @@ def _ni_checks(loaded: LoadedTarget, args,
                                           trace_budget=args.budget)
         prefix = f"{label}-" if len(loaded.levels) > 1 else ""
         counters[f"{label}_traces"] = result.traces_checked
-        witness = None
-        if result.counterexample is not None:
-            witness = _witness_json(result.counterexample, None)
         checks.append({
             "name": f"{prefix}ni",
             "status": "pass" if result.ok else "fail",
             "note": f"all traces up to length {result.max_len}",
-            "witness": witness,
+            "witness": None if result.counterexample is None
+            else witness.to_json(result.counterexample, None),
         })
     return checks
 
@@ -532,259 +471,6 @@ def _rebuild_target(data: dict[str, Any]) -> tuple[LoadedTarget, bool]:
     return load_target(kind, path, {}, None, universe), universe
 
 
-def _system_for(loaded: LoadedTarget, check_name: str) -> SecureSystem:
-    by_label = dict(loaded.levels)
-    for label in by_label:
-        if check_name.startswith(f"{label}-"):
-            return by_label[label]
-    return loaded.levels[0][1]
-
-
-def _stale(what: str) -> UsageError:
-    return UsageError(f"{what}; the report is stale")
-
-
-#: Witness type -> the runs replay re-executes from the initial state
-#: and prints: (title, trace field, anchors). The anchors are state
-#: fields the run must end at: the last one in the run's last state
-#: set, the one before it a step earlier; a pair anchors by its
-#: concrete state. A run shorter than its anchors (lemma 4's guarantee
-#: moves, which lie on no trace) is not printed. NI runs stutter on
-#: disabled actions, as `check_ni` does; the others take raw steps.
-_RUNS = {
-    "lr": (("run to the violating state ({check})", "trace", ("state",)),),
-    "sc": (("run to the first state ({check})", "trace1", ("s1",)),
-           ("run to the second state ({check})", "trace2", ("s2",))),
-    "ni": (("full trace", "trace", ()), ("purged trace", "purged", ())),
-    "c1": (),
-    "c2": (("concrete run (ends at the breaking step)", "trace",
-            ("state", "successor")),),
-    "c3": (("concrete run (ends at the unmatched step)", "trace",
-            ("state", "successor")),),
-    "c4": (),
-    "c5": (),
-    "c6": (("first concrete run", "first_trace", ("first",)),
-           ("second concrete run", "second_trace", ("second",))),
-    "lemma": (("{level} run (ends at the offending step)", "trace",
-               ("state", "successor")),),
-}
-
-#: Witness type -> (summary, the witness fields shown as facts). The
-#: summary is formatted with the witness's JSON fields.
-_EXPLAIN = {
-    "lr": ("action {action!r} changes what domain {domain!r} observes, "
-           "with no policy edge to allow it",
-           ("action", "domain", "successor")),
-    "sc": ("two states that domain {domain!r} cannot tell apart become "
-           "distinguishable after {action!r}",
-           ("action", "domain", "s1_successor", "s2_successor")),
-    "ni": ("dropping the actions that domain {domain!r} may not learn "
-           "about changes what it observes",
-           ("domain", "full_view", "purged_view")),
-    "c1": ("the two initial states are not related",
-           ("concrete_initial", "abstract_initial")),
-    "c2": ("silent action {action!r} leaves the state relation while the "
-           "abstract side stands still",
-           ("action", "abstract_state", "state", "successor")),
-    "c3": ("no abstract step on {abstract_action!r} matches the concrete "
-           "step {action!r}",
-           ("action", "abstract_action", "abstract_candidates")),
-    "c4": ("{action!r} belongs to domain {concrete_domain!r} but its "
-           "abstract image {abstract_action!r} belongs to "
-           "{abstract_domain!r}",
-           ("action", "abstract_action", "concrete_domain",
-            "abstract_domain")),
-    "c5": ("policy edge {source} -> {target} exists on only one level",
-           ("source", "target")),
-    "c6": ("domain {domain!r} tells a pair of runs apart on one level but "
-           "not the other",
-           ("domain", "concrete_indist", "abstract_indist")),
-    "lemma": ("component {component!r}: {reason}",
-              ("component", "reason", "state", "successor",
-               "other_component")),
-}
-
-
-class _Decoder:
-    """Reads a witness's JSON back into the library's witness dataclass.
-
-    Each field is read by its type: an action by its label among the
-    level's actions, a state by its serialization among the level's
-    `by_id` (its universe when the report's scope is the universe, else
-    its reachable states), an observed value by its rendering among what
-    the witness's domain observes at the end of the runs. Fields named
-    `abstract_*`, and the second state of a pair, are read on the
-    abstract level. A missing, null or mistyped field is a UsageError.
-    """
-
-    def __init__(self, raw: dict[str, Any], system: SecureSystem,
-                 abstract: SecureSystem | None) -> None:
-        self.raw = raw
-        self.system = system
-        self.abstract = abstract
-        self.ends: list[State] = []
-        self.read: dict[str, Any] = {}
-
-    def field(self, name: str, hint: Any) -> Any:
-        if name not in self.raw:
-            raise UsageError(f"the witness has no field {name!r}")
-        system = self.abstract if name.startswith("abstract_") else self.system
-        value = self.read[name] = self.value(hint, self.raw[name], name, system)
-        if name == "domain" and value not in system.config.domains:
-            raise _stale(f"the rebuilt model has no domain {value!r}")
-        return value
-
-    def witness(self, cls: type) -> Any:
-        hints = typing.get_type_hints(cls)
-        return cls(**{f.name: self.field(f.name, hints[f.name])
-                      for f in dataclasses.fields(cls)})
-
-    def value(self, hint: Any, raw: Any, name: str, system: SecureSystem) -> Any:
-        args = typing.get_args(hint)
-        if typing.get_origin(hint) is types.UnionType:
-            if raw is None and type(None) in args:
-                return None
-            hint = next(a for a in args if a is not type(None))
-            args = typing.get_args(hint)
-        if typing.get_origin(hint) is tuple:
-            if not isinstance(raw, list) or (args[-1] is not Ellipsis
-                                              and len(raw) != len(args)):
-                raise UsageError(f"witness field {name!r} has the wrong shape")
-            if args[-1] is Ellipsis:
-                return tuple(self.value(args[0], v, name, system) for v in raw)
-            return tuple(self.value(a, v, name, level) for a, v, level
-                         in zip(args, raw, (system, self.abstract)))
-        if type(raw) is not (str if hint in (ActionId, State, object) else hint):
-            raise UsageError(f"witness field {name!r} has the wrong shape")
-        if hint is ActionId:
-            for action in system.machine.actions:
-                if action.display() == raw:
-                    return action
-            raise _stale(f"the rebuilt model has no action {raw!r}")
-        if hint is State:
-            by_id = system.machine.by_id
-            i = bisect.bisect_left(by_id, raw, key=State.serialize)
-            if i < len(by_id) and by_id[i].serialize() == raw:
-                return by_id[i]
-            raise _stale(f"witness state {raw!r} is not a state of the "
-                         "rebuilt model")
-        if hint is object:
-            for state in self.ends:
-                seen = system.config.observe(self.read["domain"], state)
-                if render_value(seen) == raw:
-                    return seen
-            raise _stale(f"no run ends where the witness observes {raw!r}")
-        return raw
-
-
-def _execute(system: SecureSystem, actions: Sequence[ActionId],
-             start: Sequence[State], total: bool) -> list[tuple[State, ...]]:
-    current = frozenset(start)
-    sets = [tuple(sorted(current))]
-    step = system.machine.step_total if total else system.machine.step
-    for action in actions:
-        nxt: set[State] = set()
-        for state in current:
-            nxt.update(step(state, action))
-        if not nxt:
-            raise _stale(f"witness trace does not execute: "
-                         f"{action.display()!r} is disabled at this point")
-        current = frozenset(nxt)
-        sets.append(tuple(sorted(current)))
-    return sets
-
-
-def _run_payload(labels: Sequence[str] | None,
-                 sets: Sequence[tuple[State, ...]]) -> list[dict[str, Any]]:
-    steps = [{"action": None, "states": [s.serialize() for s in sets[0]]}]
-    for i, label in enumerate(labels or [], start=1):
-        steps.append({"action": label,
-                      "states": [s.serialize() for s in sets[i]]})
-    return steps
-
-
-def _replay(loaded: LoadedTarget, universe: bool, name: str,
-            raw: dict[str, Any]) -> dict[str, Any]:
-    """Decode the witness `raw` of failing check `name`, re-execute its
-    runs, and re-check it with the library's predicate. `universe` is
-    the report's scope."""
-    tag = raw["type"]
-    home, cls_name, predicate = _WITNESS_TYPES[tag]
-    if tag in ("lr", "sc", "ni"):
-        system = subject = _system_for(loaded, name)
-    elif loaded.bundle is None or (tag == "lemma" and
-                                   loaded.bundle.rely_guarantee is None):
-        raise _stale(f"a {tag} witness needs a refinement target with the "
-                     "contracts it speaks about")
-    else:
-        subject = loaded.bundle.pair
-        system = subject.abstract if raw.get("level") == "abstract" \
-            else subject.concrete
-    decoder = _Decoder(raw, system, dict(loaded.levels).get("abstract"))
-    scope_traces = dict(_SCOPE_TRACES.get(tag, ()))
-    traced = []
-    for title, trace_field, anchors in _RUNS[tag]:
-        if trace_field in scope_traces:
-            trace = decoder.field(trace_field, tuple[ActionId, ...] | None)
-            if (trace is None) != universe:
-                raise UsageError(f"witness field {trace_field!r} does not "
-                                 "fit the scope the report records")
-        else:
-            trace = decoder.field(trace_field, tuple[ActionId, ...])
-        sets = None
-        if trace is not None:
-            sets = _execute(system, trace, [system.machine.initial],
-                            tag == "ni")
-            decoder.ends += sets[-1]
-        traced.append((title, trace_field, anchors, sets))
-    witness = decoder.witness(getattr(home, cls_name))
-
-    runs = []
-    for title, trace_field, anchors, sets in traced:
-        if sets is None:
-            sets = [(getattr(witness, scope_traces[trace_field]),)]
-        elif len(sets) < len(anchors):
-            continue
-        for states, anchor in zip(reversed(sets), reversed(anchors)):
-            state = getattr(witness, anchor)
-            if isinstance(state, tuple):
-                state = state[0]
-            if state not in states:
-                raise _stale(f"the witness's {anchor} is not where its "
-                             "trace leads")
-        title = title.format(check=name, level=raw.get("level"))
-        runs.append({"title": title,
-                     "steps": _run_payload(raw[trace_field], sets)})
-    recheck = getattr(home, predicate)
-    if tag == "lemma":
-        violated = recheck(subject, loaded.bundle.rely_guarantee, name,
-                           witness)
-    else:
-        violated = recheck(subject, witness)
-    if not violated:
-        raise _stale(f"the recorded {tag} violation no longer reproduces")
-
-    encoded = _witness_json(witness, None)
-    summary, shown = _EXPLAIN[tag]
-    facts = {key: encoded[key] for key in shown}
-    if tag == "lr":
-        observe = system.config.observe
-        facts["observation_before"] = render_value(
-            observe(witness.domain, witness.state))
-        facts["observation_after"] = render_value(
-            observe(witness.domain, witness.successor))
-    if tag == "c5":
-        edge = (witness.source, witness.target)
-        facts["concrete_has_edge"] = edge in subject.concrete.config.policy
-        facts["abstract_has_edge"] = edge in subject.abstract.config.policy
-    return {
-        "condition": name if tag == "lemma" else tag,
-        "summary": summary.format(**encoded),
-        "runs": runs,
-        "facts": facts,
-    }
-
-
 def _print_replay_text(outcome: dict[str, Any]) -> None:
     print(f"replay: check {outcome['kind']} {outcome['target']} "
           f"({outcome['check']})")
@@ -819,15 +505,15 @@ def cmd_replay(args) -> int:
         raise UsageError("the report records a pass; there is no violation "
                          "to replay")
     check = failing[0]
-    witness = check.get("witness")
-    if not isinstance(witness, dict) or "type" not in witness:
+    raw = check.get("witness")
+    if not isinstance(raw, dict) or "type" not in raw:
         raise UsageError("the failing check carries no witness to replay")
     if not isinstance(check.get("name"), str) \
-            or not isinstance(witness["type"], str) \
-            or witness["type"] not in _RUNS:
-        raise UsageError(f"cannot replay witness type {witness['type']!r}")
+            or not isinstance(raw["type"], str) \
+            or raw["type"] not in witness.RUNS:
+        raise UsageError(f"cannot replay witness type {raw['type']!r}")
     loaded, universe = _rebuild_target(data)
-    outcome = _replay(loaded, universe, check["name"], witness)
+    outcome = witness.replay(loaded, universe, check["name"], raw)
     outcome.update({
         "kind": data["kind"],
         "target": data.get("target"),

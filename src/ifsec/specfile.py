@@ -575,9 +575,10 @@ class _RefinementBuilder:
 
     def finish(self, seen: list[tuple[str, str | None]]
                ) -> RefinementDocument:
-        for field in ("concrete", "abstract"):
+        for field, named in (("concrete", "a concrete"),
+                             ("abstract", "an abstract")):
             if field not in self.refs:
-                raise _Bad(f"does not name a {field} model", "",
+                raise _Bad(f"does not name {named} model", "",
                            f"add `{field}: path.ifs` under [refinement]")
         for kind, arg in seen:
             if kind in self.named and (arg, kind) not in self.contracts:

@@ -312,7 +312,7 @@ class TestExitCodes:
         ("pair.ifs", "[zeta]", "[bogus]",
          "unknown section header '[bogus]' (line 8, column 1)"),
         ("pair.ifs", "abstract: abstract.ifs\n", "",
-         "does not name a abstract model (line 1, column 1)"),
+         "does not name an abstract model (line 1, column 1)"),
     ], ids=["level-file", "takes-no-name", "unknown-header", "no-abstract"])
     def test_parse_error_names_its_file_once(self, run, models, name, old,
                                              new, message):
@@ -798,7 +798,8 @@ class TestReplay:
 
 #: Run in a fresh interpreter: `ifsec.cli.main` on the arguments, then
 #: one JSON line on stderr with the exit code, the `ifsec` modules whose
-#: body ran, and those still waiting as lazy modules.
+#: body ran, those still waiting as lazy modules, and whether OpenSSL's
+#: `_hashlib` was loaded.
 FOOTPRINT = """\
 import importlib.util, json, sys, types
 import ifsec.cli
@@ -810,13 +811,15 @@ print(json.dumps({
     "ran": sorted(n for n, k in kinds.items() if k is types.ModuleType),
     "lazy": sorted(n for n, k in kinds.items()
                    if k is importlib.util._LazyModule),
+    "openssl": "_hashlib" in sys.modules,
 }), file=sys.stderr)
 """
 
-#: Every lazy module: the package's checker modules and, once the
-#: registry has run, its builder modules.
+#: Every lazy module: the package's checker modules, the witness
+#: protocol and, once the registry has run, its builder modules.
 CHECKERS = {"ifsec.models", "ifsec.noninterference", "ifsec.programs",
-            "ifsec.refinement", "ifsec.specfile", "ifsec.unwinding"}
+            "ifsec.refinement", "ifsec.specfile", "ifsec.unwinding",
+            "ifsec.witness"}
 BUILDERS = {"ifsec.models.arinc", "ifsec.models.auction",
             "ifsec.models.common", "ifsec.models.demo"}
 
@@ -829,16 +832,20 @@ BASE = {"ifsec.cli", "ifsec.core", "ifsec.models"}
 BUILTIN = BASE | {"ifsec.models.common", "ifsec.programs"}
 
 
-def footprint(*argv: str) -> tuple[int, set[str], set[str]]:
-    """Exit code, modules run and modules left lazy by one command in a
-    fresh interpreter."""
+def child_env() -> dict[str, str]:
     src = os.path.dirname(os.path.dirname(ifsec.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv], env=env,
-                          capture_output=True, text=True)
+    return dict(os.environ, PYTHONPATH=src)
+
+
+def footprint(*argv: str) -> tuple[int, set[str], set[str], bool]:
+    """Exit code, modules run, modules left lazy and whether OpenSSL was
+    loaded by one command in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv],
+                          env=child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stderr.splitlines()[-1])
-    return result["code"], set(result["ran"]), set(result["lazy"])
+    return (result["code"], set(result["ran"]), set(result["lazy"]),
+            result["openssl"])
 
 
 class TestStartup:
@@ -849,7 +856,8 @@ class TestStartup:
     interpreter. A module whose body has not run is still a lazy module
     (`importlib.util._LazyModule`); every checker module is in
     `sys.modules` either way, which tools that rebind functions by
-    module rely on.
+    module rely on. Only a failing check and a replay run the witness
+    protocol, and only model files, which are hashed, load OpenSSL.
     """
 
     @pytest.mark.parametrize("argv,code,ran", [
@@ -864,9 +872,10 @@ class TestStartup:
         (("check", "ni", "auction", "--max-len", "2"), 0,
          BUILTIN | {"ifsec.models.auction", "ifsec.noninterference"}),
         (("check", "unwinding", "@/leaky.ifs"), 1,
-         BASE | {"ifsec.specfile", "ifsec.unwinding"}),
+         BASE | {"ifsec.specfile", "ifsec.unwinding", "ifsec.witness"}),
         (("check", "ni", "@/leaky.ifs"), 1,
-         BASE | {"ifsec.specfile", "ifsec.noninterference"}),
+         BASE | {"ifsec.specfile", "ifsec.noninterference",
+                 "ifsec.witness"}),
         (("check", "refine", "@/pair.ifs"), 0,
          BASE | {"ifsec.specfile", "ifsec.refinement", "ifsec.unwinding"}),
         (("check", "compositional", "@/pair.ifs"), 0,
@@ -875,32 +884,59 @@ class TestStartup:
             "builtin-compositional", "builtin-ni", "file-unwinding",
             "file-ni", "file-refine", "file-compositional"])
     def test_command_runs_only_its_modules(self, models, argv, code, ran):
+        from_file = any(a.startswith("@") for a in argv)
         argv = [a.replace("@", str(models)) for a in argv]
-        got_code, got_ran, lazy = footprint(*argv)
+        got_code, got_ran, lazy, openssl = footprint(*argv)
         assert got_code == code
         assert got_ran == ran
         assert got_ran | lazy == CHECKERS | BUILDERS | BASE
+        assert openssl == from_file
 
     def test_replay_runs_only_its_modules(self, saved_report, models):
         code, report = saved_report("check", "unwinding",
                                     str(models / "leaky.ifs"))
         assert code == 1
-        got_code, ran, _ = footprint("replay", report)
+        got_code, ran, _, openssl = footprint("replay", report)
         assert got_code == 0
-        assert ran == BASE | {"ifsec.specfile", "ifsec.unwinding"}
+        assert ran == BASE | {"ifsec.specfile", "ifsec.unwinding",
+                              "ifsec.witness"}
+        assert openssl
+
+    def test_module_run_replays_without_a_second_cli(self, run, saved_report,
+                                                     models):
+        """Under `python -m ifsec.cli` the CLI runs as `__main__`. No
+        module it reaches may import `ifsec.cli`, which would run cli.py
+        a second time; `-X importtime` lists every module imported."""
+        _, report = saved_report("check", "unwinding",
+                                 str(models / "leaky.ifs"))
+        _, expected, _ = run("replay", report)
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "ifsec.cli", "replay",
+             report], env=child_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected
+        imported = {line.rsplit("|", 1)[-1].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "ifsec" in imported
+        assert "ifsec.cli" not in imported
 
     # An ni witness is replayed on its level alone, so the pair is not
-    # built; a c2 witness is re-checked on the pair.
+    # built; a c2 witness is re-checked on the pair. A built-in is not
+    # hashed.
     @pytest.mark.parametrize("argv,ran", [
         (("ni", "demo-insecure-fullstatus", "--domain", "t1"),
-         BUILTIN | {"ifsec.models.demo", "ifsec.noninterference"}),
+         BUILTIN | {"ifsec.models.demo", "ifsec.noninterference",
+                    "ifsec.witness"}),
         (("refine", "demo-insecure-counter", "--threads", "2"),
-         BUILTIN | {"ifsec.models.demo", "ifsec.refinement"}),
+         BUILTIN | {"ifsec.models.demo", "ifsec.refinement",
+                    "ifsec.witness"}),
     ], ids=["ni", "c2"])
     def test_builtin_replay_builds_the_pair_only_for_it(self, saved_report,
                                                         argv, ran):
         code, report = saved_report("check", *argv)
         assert code == 1
-        got_code, got_ran, _ = footprint("replay", report)
+        got_code, got_ran, _, openssl = footprint("replay", report)
         assert got_code == 0
         assert got_ran == ran
+        assert not openssl

@@ -27,10 +27,11 @@ Conventions used throughout the package:
   order (`by_id`), each state is one object, and each action has one
   table from a state id to its successor ids.  Every checker's search,
   bounded NI's too, runs on those ids and on per-(domain, state id)
-  observation classes (`InfoFlowConfig.classes`); `State` objects are
-  what `step`, `run` (witness re-checks, replay), the `transitions`
-  view, scopes and witnesses hand out, and what the user's relations
-  (alpha's keys or predicate, relies, guarantees) are given.
+  observation classes (`InfoFlowConfig.classes`), lists filled in one
+  pass over `by_id` (`class_table`); `State` objects are what `step`,
+  `run` (witness re-checks, replay), the `transitions` view, scopes and
+  witnesses hand out, and what the user's relations (alpha's keys or
+  predicate, relies, guarantees) are given.
 - The states of one machine share a schema, the sorted variable names
   with their positions; a state is a values tuple over it, and
   `assign` copies the values without sorting.  Code that reads values
@@ -143,7 +144,8 @@ class _Schema:
         self.names = names
         self.index = {name: i for i, name in enumerate(names)}
         self.hash = hash(names)
-        # per position, value key -> "name=value" text; see State.serialize
+        # per position, value id -> (value, text) and value key -> text,
+        # the text being "name=value"; see State.serialize
         self.fragments: tuple[dict, ...] | None = None
         # layout function -> what it made of `index`; see `layout`
         self.layouts: dict[Callable, object] = {}
@@ -226,9 +228,13 @@ class State:
         """`name=value` pairs in name order, joined with semicolons.
 
         The pair text of each (schema position, value) is rendered once
-        and kept with the schema.  It is keyed by the value's exact type,
-        and a tuple by its repr, because equal values of different types
-        render differently (`1` and `True`, `(1,)` and `(True,)`).
+        and kept with the schema.  It is looked up first by the value
+        object's `id`, whose entry holds the object, so the id is not
+        reused while the cache lives; successor states share most value
+        objects with their parent.  On a miss it is looked up by the
+        value's exact type, and a tuple by its repr, because equal values
+        of different types render differently (`1` and `True`, `(1,)` and
+        `(True,)`).
         """
         serial = self._serial
         if serial is None:
@@ -238,13 +244,16 @@ class State:
                 caches = schema.fragments = tuple({} for _ in schema.names)
             parts = []
             for cache, name, value in zip(caches, schema.names, self._values):
-                kind = type(value)
-                key = value if kind is str else \
-                    (kind, repr(value) if kind is tuple else value)
-                fragment = cache.get(key)
-                if fragment is None:
-                    fragment = cache[key] = f"{name}={render_value(value)}"
-                parts.append(fragment)
+                entry = cache.get(id(value))
+                if entry is None:
+                    kind = type(value)
+                    key = value if kind is str else \
+                        (kind, repr(value) if kind is tuple else value)
+                    fragment = cache.get(key)
+                    if fragment is None:
+                        fragment = cache[key] = f"{name}={render_value(value)}"
+                    entry = cache[id(value)] = (value, fragment)
+                parts.append(entry[1])
             serial = self._serial = ";".join(parts)
         return serial
 
@@ -488,29 +497,19 @@ class _Transitions(Mapping):
         return sum(map(len, self._machine.successor_ids))
 
 
-class _Classes(dict):
-    """State id -> class of a view of the state, filled on first lookup.
+def class_table(view: Callable[[State], Value], machine: StateMachine,
+                class_of: dict[Value, int] | None = None) -> list[int]:
+    """The class of `view`'s value in each state of `machine`, by state id.
 
-    Two ids share a class exactly when their views are equal; tables
-    made with one `class_of` table share its classes.  Entries are keyed
-    by the machine's own int objects, so a caller that computes an id
-    (say by `divmod`) adds no int to the table.
+    One pass over `by_id` runs `view` once per state.  Two ids share a
+    class exactly when their views are equal; tables made with one
+    `class_of` table share its classes, numbered in the order the pass
+    meets new views.
     """
-
-    def __init__(self, view: Callable[[State], Value], machine: StateMachine,
-                 class_of: dict[Value, int] | None = None) -> None:
-        super().__init__()
-        self._view = view
-        self._by_id = machine.by_id
-        self._ids = machine._ids
-        self._class_of: dict[Value, int] = {} if class_of is None else class_of
-
-    def __missing__(self, i: int) -> int:
-        state = self._by_id[i]
-        view = self._view(state)
-        c = self[self._ids[state]] = self._class_of.setdefault(
-            view, len(self._class_of))
-        return c
+    if class_of is None:
+        class_of = {}
+    number = class_of.setdefault
+    return [number(value, len(class_of)) for value in map(view, machine.by_id)]
 
 
 @dataclass(frozen=True)
@@ -525,17 +524,18 @@ class InfoFlowConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "_classes", {})
 
-    def classes(self, machine: StateMachine, domain: str) -> Mapping[int, int]:
+    def classes(self, machine: StateMachine, domain: str) -> list[int]:
         """`domain`'s observation class of each state id of `machine`.
 
         Two ids share a class exactly when `domain` observes equal values
-        in their states.  `observe` runs once per (domain, state), at the
-        first lookup of the id, and the table stays with the config.
+        in their states.  The list is filled in one pass, the first time
+        a (machine, domain) is asked for, so `observe` runs once per
+        (domain, state); the table stays with the config.
         """
         tables = self._classes  # type: ignore[attr-defined]
         table = tables.get((machine, domain))
         if table is None:
-            table = tables[(machine, domain)] = _Classes(
+            table = tables[(machine, domain)] = class_table(
                 partial(self.observe, domain), machine)
         return table
 

@@ -26,7 +26,7 @@ cross-validates them against the joint exploration the same way.
 The joint search runs on pairs of machine state ids. It tests alpha on
 ids (`Alpha.on_ids`): a keyed alpha, which every built-in model and
 every `match:` line of a model file gives, compares integer key
-classes, and each level's key runs once per state id. One walk
+classes filled in one pass, running each key once per state. One walk
 (`_steps`) enumerates and matches the steps from the search's pairs:
 the search grows from it, and the lemmas read it once more over the
 finished search, without stepping the machines. c6 compares the two
@@ -54,7 +54,7 @@ from ifsec.core import (
     SecureSystem,
     State,
     StateMachine,
-    _Classes,
+    class_table,
     indist,
     layout,
     values_getter,
@@ -249,9 +249,9 @@ class Alpha:
 
         A keyed alpha compares key classes: both levels' keys are
         interned in one table, where None has class -1 and every other
-        key a class from 0 up, and each level's key runs once per state
-        id, at the id's first lookup. A predicate alpha is given the two
-        states.
+        key a non-negative class, and each level's key runs once per state
+        id, in one pass over the machine (`core.class_table`). A
+        predicate alpha is given the two states.
         """
         made = self._on_ids  # type: ignore[attr-defined]
         if (concrete, abstract) not in made:
@@ -261,8 +261,8 @@ class Alpha:
                     predicate(cby[i], aby[a]))
             else:
                 class_of: dict[Hashable, int] = {None: -1}
-                left = _Classes(self.concrete_key, concrete, class_of)
-                right = _Classes(self.abstract_key, abstract, class_of)
+                left = class_table(self.concrete_key, concrete, class_of)
+                right = class_table(self.abstract_key, abstract, class_of)
                 made[concrete, abstract] = lambda i, a: left[i] == right[a] >= 0
         return made[concrete, abstract]
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
 
@@ -97,6 +98,12 @@ class TestState:
         assert [s.serialize() for s in states] == [uncached(s) for s in states]
         assert [s.serialize() for s in sorted(states)] == \
             sorted(uncached(s) for s in states)
+        # Fresh copies, each dropped with its state before the next is
+        # made, so that a copy may take the address of the one before.
+        for value in values * 3:
+            state = first.assign({"x": pickle.loads(pickle.dumps(value))})
+            assert state.serialize() == uncached(state)
+            del state
 
     def test_assign_replaces_without_mutating(self):
         s = State({"x": 0, "y": 1})

@@ -10,6 +10,7 @@ paper before the checks existed.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -476,6 +477,74 @@ def test_constructed_scope_is_what_explore_reaches(example):
     system, _, _ = example
     assert not system.machine.tabulated
     assert_scope_is_what_explore_reaches(system)
+
+
+def assert_class_tables_are_the_observations(system):
+    """Each domain's `classes` list has one entry per state id; two ids
+    share a class exactly when the domain observes equal values in their
+    states; and `observe` runs once per (domain, state), however often
+    lr and sc read the tables."""
+    machine, observe = system.machine, system.config.observe
+    calls = Counter()
+
+    def counting(domain, state):
+        calls[domain, state] += 1
+        return observe(domain, state)
+
+    config = replace(system.config, observe=counting)
+    counted = SecureSystem(machine, config)
+    for _ in range(2):
+        check_lr(counted, scope_reachable(counted))
+        check_sc(counted, scope_reachable(counted))
+    for domain in config.domains:
+        table = config.classes(machine, domain)
+        assert config.classes(machine, domain) is table
+        assert len(table) == len(machine.by_id)
+        views = [observe(domain, state) for state in machine.by_id]
+        # equal classes exactly at equal views: a bijection between them
+        assert len(set(table)) == len(set(views)) \
+            == len(set(zip(table, views)))
+    assert calls == Counter({(domain, state): 1 for domain in config.domains
+                             for state in machine.by_id})
+
+
+@pytest.mark.parametrize("name,params", BUILTIN_SIZES,
+                         ids=[name + "".join(f"-{k}{v}" for k, v in p.items())
+                              for name, p in BUILTIN_SIZES])
+def test_builtin_class_tables_are_the_observations(name, params):
+    bundle = get_model(name, **params)
+    for system in (bundle.abstract, bundle.concrete):
+        assert_class_tables_are_the_observations(system)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(concurrent_systems())
+def test_generated_class_tables_are_the_observations(example):
+    concurrent, _ = example
+    system = failure_text(compile_system, concurrent, ("d0", "d1"),
+                          [("d0", "d1")], lambda d, s: s["x"] if d == "d0"
+                          else (s["x"] + s["y"]) % 2)
+    if isinstance(system, str):  # the build raised; nothing to observe
+        return
+    assert_class_tables_are_the_observations(system)
+
+
+def test_class_tables_tell_views_of_equal_hash_apart():
+    # hash(-1) == hash(-2) in CPython: equal hashes, unequal views.
+    states = tuple(State({"x": x}) for x in (-2, -1, 0))
+    step = ActionId("step")
+    machine = StateMachine(
+        states=tuple(sorted(states)), actions=(step,),
+        transitions={(states[0], step): (states[1],),
+                     (states[1], step): (states[2],)},
+        initial=states[0])
+    system = SecureSystem(machine, InfoFlowConfig(
+        domains=("d",), policy=frozenset({("d", "d")}), dom={step: "d"},
+        observe=lambda d, s: s["x"]))
+    assert hash(-1) == hash(-2)
+    assert_class_tables_are_the_observations(system)
+    report = check_unwinding(system)
+    assert report.lr is None and report.sc is None
 
 
 def count_explores(monkeypatch):

@@ -23,9 +23,12 @@ Conventions used throughout the package:
   search over values tuples with one `State` per distinct tuple.  Its
   machines' `state_ids` are what `explore` reaches, so a reachable
   scope explores only to trace a witness.
-- A machine is indexed: its states are numbered 0..n-1 in serialization
-  order (`by_id`), each state is one object, and each action has one
-  table from a state id to its successor ids.  Every checker's search,
+- A machine is indexed: its states are numbered 0..n-1 (`by_id`), by
+  `tabulate` in discovery order, not serialization order; each state is
+  one object, and each action has one table from a state id to its
+  successor ids.  No verdict or witness depends on the numbering: a
+  canonical witness compares serializations, and only once it has
+  found a failure.  Every checker's search,
   bounded NI's too, runs on those ids and on per-(domain, state id)
   observation classes (`InfoFlowConfig.classes`), lists filled in one
   pass over `by_id` (`class_table`); `State` objects are what `step`,
@@ -354,9 +357,12 @@ class StateMachine:
     """An explicit machine: states, actions, set-valued step, initial state.
 
     A machine is indexed.  `by_id` numbers every state it knows, its
-    states, its universe and every successor, 0..n-1 in serialization
-    order, so ids do not depend on hashing; `id_of` maps back.  Each
-    state is one object: every successor is the `by_id` entry.
+    states, its universe and every successor, 0..n-1 in the builder's
+    order: `tabulate`'s is discovery order, not serialization order, and
+    the constructor's is serialization order.  Either way ids do not
+    depend on hashing, and no checker's output depends on them; `id_of`
+    maps back.  Each state is one object: every successor is the `by_id`
+    entry.
     `successor_ids[k]` is the table of `actions[k]`: it maps the id of
     each state that enables the action to its successor ids, keys in
     ascending order, no empty entries.  `state_ids` and `universe_ids`
@@ -743,71 +749,53 @@ def tabulate(initial: State,
     serialization, which fixes the discovery order.  The search runs on
     values tuples; each discovered tuple is made a `State` once, when it
     is expanded, and that state is both `successors`' argument and the
-    machine's.  Rows keep each successor as its position in the search,
-    and the ids are ranked by serialization.
+    machine's.  A state's id is its position in the search, discovery
+    order, not serialization order: the roots come first, and each
+    state's table entries are filled when it is expanded.
 
     The alphabet is `actions` when given (sorted), else the actions
     enabled in some discovered state: an action that never fires would
     only stutter, so leaving it out changes no verdict while bounded-trace
     enumeration budgets on the real alphabet.  The `universe` tuples are
-    further roots, kept with `initial` as the machine's universe; its
-    `states` are what `explore_ids` reaches from `initial`.  More than
-    `budget` states (default DEFAULT_STATE_BUDGET) raises BudgetError.
+    further roots, kept with `initial` as the machine's universe, ids
+    0..U-1; its `states` are what `explore_ids` reaches from `initial`.
+    More than `budget` states (default DEFAULT_STATE_BUDGET) raises
+    BudgetError.
     """
     search = Exploration(initial.values, budget,
                          more_roots=() if universe is None else universe)
     index, add = search.index, search.add
     make = initial.with_values
-    # rows[k]: the steps of search.order[k] as one flat tuple: action,
-    # position, or action, positions where some action has several
-    # successors.  Pair tuples or lists here would share allocator pools
-    # with the states, and the table fill would free them into pools it
-    # cannot reuse: about 5 MB more peak RSS building a 19,683-root
-    # universe.
-    rows: list = []
+    tables: dict[ActionId, dict[int, tuple[int, ...]]] = \
+        defaultdict(dict) if actions is None else {a: {} for a in actions}
     states: list[State] = []
-    for values in search:
+    for i, values in enumerate(search):
         state = make(values)
         states.append(state)
         steps = successors(state)
         grouped = dict(steps)
-        row = []
         if len(grouped) == len(steps):
             for action, succ in grouped.items():
                 # most successors were seen before: find them without a call
                 k = index.get(succ)
-                row += action, add(succ, values, action) if k is None else k
+                tables[action][i] = \
+                    (add(succ, values, action) if k is None else k,)
         else:
             groups: dict[ActionId, set[tuple]] = {}
             for action, succ in steps:
                 groups.setdefault(action, set()).add(succ)
             for action, succs in groups.items():
-                row += action, tuple([
+                tables[action][i] = tuple([
                     add(succ, values, action)
                     for succ in sorted(
                         succs, key=lambda v: make(v).serialize())])
-        rows.append(tuple(row))
-    serials = [state.serialize() for state in states]
-    ranked = sorted(range(len(states)), key=serials.__getitem__)
-    new_id = [0] * len(states)
-    for i, k in enumerate(ranked):
-        new_id[k] = i
-    tables: dict[ActionId, dict[int, tuple[int, ...]]] = \
-        defaultdict(dict) if actions is None else {a: {} for a in actions}
-    for i, k in enumerate(ranked):
-        row = iter(rows[k])
-        for action, targets in zip(row, row):
-            tables[action][i] = (new_id[targets],) if type(targets) is int \
-                else tuple([new_id[j] for j in targets])
-        rows[k] = None
     if actions is None:
         actions = sort_actions(tables)
-    successor_ids, start = [tables[a] for a in actions], new_id[0]
+    successor_ids = [tables[a] for a in actions]
     state_ids = universe_ids = None
     if universe is not None:
-        universe_ids = sorted(new_id[:search.edges.count(None)])
-        state_ids = sorted(explore_ids(start, actions, successor_ids,
+        universe_ids = range(search.edges.count(None))
+        state_ids = sorted(explore_ids(0, actions, successor_ids,
                                        budget=budget).order)
-    return StateMachine.from_tables(
-        tuple(states[k] for k in ranked), actions, successor_ids, start,
-        state_ids, universe_ids, tabulated=True)
+    return StateMachine.from_tables(tuple(states), actions, successor_ids, 0,
+                                    state_ids, universe_ids, tabulated=True)

@@ -100,8 +100,9 @@ def ipurge(trace: Sequence[ActionId], d: str, config: InfoFlowConfig) -> tuple[A
 class NICounterexample:
     """A trace whose purged variant yields a different view for `domain`.
 
-    `full_view` and `purged_view` are the observation images (sorted,
-    deduplicated) over the final state sets of the two runs; they differ
+    `full_finals` and `purged_finals` are the final state sets of the
+    two runs, sorted by serialization. `full_view` and `purged_view` are
+    the observation images (sorted, deduplicated) over them; they differ
     by construction.
     """
 
@@ -301,7 +302,7 @@ def check_ni(
         return NIResult(True, None, total, max_len, doms, acts)
     _, indices, node, d = best
     trace = tuple(acts[i] for i in indices)
-    finals, purged_finals = [tuple(machine.by_id[i] for i in ids)
+    finals, purged_finals = [tuple(sorted(machine.by_id[i] for i in ids))
                              for ids in node[:2]]
     counterexample = NICounterexample(
         trace, d, ipurge(trace, d, config), finals, purged_finals,

@@ -660,39 +660,55 @@ def check_alpha_preserves_indist(pair: RefinementPair,
     well-defined injective function per domain; the first conflict in
     (domain, sorted pair) order is the witness, which makes the verdict
     symmetric in the two offending pairs. Views are compared as the
-    levels' observation classes (`InfoFlowConfig.classes`) of the ids;
-    nodes sort as (concrete id, abstract id), which is pair order.
+    levels' observation classes (`InfoFlowConfig.classes`) of the ids.
+    Whether a domain has a conflict does not depend on the order of the
+    pairs, so each domain is scanned in discovery order; only the first
+    conflicting one is scanned again, with the pairs sorted by their
+    serialized states (then ids), to find the witness.
     """
     mc, ma = pair.concrete.machine, pair.abstract.machine
     width = exploration.width
-    ordered = sorted(exploration.nodes)
+    nodes = exploration.nodes
     for domain in sorted(pair.concrete.config.domains):
-        concrete_view = pair.concrete.config.classes(mc, domain)
-        abstract_view = pair.abstract.config.classes(ma, domain)
-        forward: dict[int, tuple[int, int]] = {}
-        backward: dict[int, tuple[int, int]] = {}
-        for node in ordered:
+        views = (pair.concrete.config.classes(mc, domain),
+                 pair.abstract.config.classes(ma, domain))
+        if _c6_conflict(nodes, width, *views) is None:
+            continue
+
+        def pair_order(node: int) -> tuple:
             i, a = divmod(node, width)
-            cview, aview = concrete_view[i], abstract_view[a]
-            conflict = None
-            if cview in forward and forward[cview][0] != aview:
-                conflict = forward[cview][1], True
-            elif aview in backward and backward[aview][0] != cview:
-                conflict = backward[aview][1], False
-            if conflict is not None:
-                earlier, concrete_indist = conflict
-                first, second = (exploration.pair_at(earlier),
-                                 exploration.pair_at(node))
-                return Verdict.failed(C6Witness(
-                    domain=domain, first=first, second=second,
-                    first_trace=exploration.search.trace_to(earlier),
-                    second_trace=exploration.search.trace_to(node),
-                    concrete_indist=concrete_indist,
-                    abstract_indist=not concrete_indist,
-                ))
-            forward.setdefault(cview, (aview, node))
-            backward.setdefault(aview, (cview, node))
+            return mc.by_id[i].serialize(), i, ma.by_id[a].serialize(), a
+
+        earlier, node, concrete_indist = _c6_conflict(
+            sorted(nodes, key=pair_order), width, *views)
+        return Verdict.failed(C6Witness(
+            domain=domain, first=exploration.pair_at(earlier),
+            second=exploration.pair_at(node),
+            first_trace=exploration.search.trace_to(earlier),
+            second_trace=exploration.search.trace_to(node),
+            concrete_indist=concrete_indist,
+            abstract_indist=not concrete_indist,
+        ))
     return Verdict.passed()
+
+
+def _c6_conflict(nodes: Iterable[int], width: int, concrete_view: list[int],
+                 abstract_view: list[int]) -> tuple[int, int, bool] | None:
+    """The first node of `nodes` whose views conflict with an earlier
+    node's, as (earlier node, node, whether the two are concretely
+    indistinguishable), or None."""
+    forward: dict[int, tuple[int, int]] = {}
+    backward: dict[int, tuple[int, int]] = {}
+    for node in nodes:
+        i, a = divmod(node, width)
+        cview, aview = concrete_view[i], abstract_view[a]
+        if cview in forward and forward[cview][0] != aview:
+            return forward[cview][1], node, True
+        if aview in backward and backward[aview][0] != cview:
+            return backward[aview][1], node, False
+        forward.setdefault(cview, (aview, node))
+        backward.setdefault(aview, (cview, node))
+    return None
 
 
 @dataclass(frozen=True)
@@ -976,8 +992,9 @@ def _check_compatibility(
     """Lemma 4: guarantee of each component within every other's rely.
 
     A component without a concrete enumerator has no concrete moves
-    here: lemma 3 checks its steps. Witnessed abstract moves sort as id
-    pairs, which is state pair order."""
+    here: lemma 3 checks its steps. Within the first (mover, other,
+    level) with a failing move, the witness is the least failing move
+    by its two states' serializations."""
     cby, aby = exploration.concrete.by_id, exploration.abstract.by_id
     nodes, width = exploration.nodes, exploration.width
     concrete_ids = sorted({node // width for node in nodes})
@@ -994,11 +1011,10 @@ def _check_compatibility(
         if verdict is not None:
             continue
         moves = [] if declared is None else [
-            (cby[i], s2) for i in concrete_ids
-            for s2 in sorted(declared(cby[i]))]
+            (cby[i], s2) for i in concrete_ids for s2 in declared(cby[i])]
         if abstract_declared is not None:
             abstract_moves = [(aby[a], a2) for a in abstract_ids
-                              for a2 in sorted(abstract_declared(aby[a]))]
+                              for a2 in abstract_declared(aby[a])]
         else:
             abstract_moves = [(aby[a], aby[a2]) for a, a2 in
                               sorted(abstract_moves_by[mover])]
@@ -1008,18 +1024,18 @@ def _check_compatibility(
             other_contract = rg.contracts[other]
             for level, level_moves in (("concrete", moves),
                                        ("abstract", abstract_moves)):
-                for s, s2 in level_moves:
-                    reason = _rely_failure(other_contract, level, s, s2)
-                    if reason is not None:
-                        verdict = Verdict.failed(LemmaWitness(
-                            component=mover, other_component=other,
-                            trace=(), state=s, abstract_state=None,
-                            action=None, successor=s2,
-                            abstract_successor=None, reason=reason,
-                            level=level,
-                        ))
-                        break
-                if verdict is not None:
+                failing = [(s, s2) for s, s2 in level_moves
+                           if _rely_failure(other_contract, level, s, s2)]
+                if failing:
+                    s, s2 = min(failing, key=lambda move: (
+                        move[0].serialize(), move[1].serialize()))
+                    verdict = Verdict.failed(LemmaWitness(
+                        component=mover, other_component=other,
+                        trace=(), state=s, abstract_state=None,
+                        action=None, successor=s2, abstract_successor=None,
+                        reason=_rely_failure(other_contract, level, s, s2),
+                        level=level,
+                    ))
                     break
             if verdict is not None:
                 break

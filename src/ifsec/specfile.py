@@ -697,11 +697,13 @@ def elaborate_model(doc: ModelDocument, budget: int | None = None,
     its `states` are the assignments reachable from the initial one.
 
     `core.tabulate` builds the machine, with the compiled rules as its
-    successor function and ids ranked by serialization.  By default it
-    searches from the initial assignment alone, so `by_id` holds the
-    reachable states and `universe` is None.  With `universe`, the whole
-    declared product is searched too and kept as the universe, for
-    checks that quantify over unreachable states.
+    successor function and ids in discovery order, not serialization
+    order.  By default it searches from the initial assignment alone,
+    so `by_id` holds the reachable states and `universe` is None.  With
+    `universe`, the whole declared product is searched too and kept as
+    the universe, for checks that quantify over unreachable states; the
+    initial assignment and then the product are the search's roots, so
+    they take the first ids.
     """
     doc.validate()
     limit = DEFAULT_STATE_BUDGET if budget is None else budget

@@ -9,8 +9,12 @@ either) must land in states the observer still cannot tell apart.
 Both checks pass exactly when every quantified instance holds over the
 chosen scope of states; a failure is reported with the lexicographically
 least witness under (action, domain, serialized states), so reruns always
-produce the identical counterexample.  Both quantify over the raw step
-relation: a disabled action contributes no instances.
+produce the identical counterexample.  The scans run in id order, which
+is the builder's and need not be serialization order; once a check has
+found its first failing (action, domain), it compares serializations to
+pick the least witness there, so a passing check serializes nothing.
+Both quantify over the raw step relation: a disabled action contributes
+no instances.
 """
 
 from __future__ import annotations
@@ -36,8 +40,9 @@ from .core import (
 class Scope:
     """The states a check quantifies over, with its provenance tag.
 
-    `ids` are the machine's ids of the scoped states, ascending, which is
-    serialization order.  A reachable scope traces a state by the
+    `ids` are the machine's ids of the scoped states, ascending: the
+    builder's order (discovery order for `tabulate`), not serialization
+    order.  A reachable scope traces a state by the
     breadth-first search that reached it: `search` returns that
     `Exploration`, and runs at the first `trace_to`, not before, so a
     check that finds no witness explores nothing.  A universe scope has
@@ -191,9 +196,11 @@ def check_lr(system: SecureSystem, scope: Scope,
              domains: Iterable[str] | None = None) -> LRViolation | None:
     """First (least) local-respect violation in the scope, or None.
 
-    Iterates actions, then domains the action may not flow to, then states
-    in serialization order; the first observation change found is the
-    canonical witness.
+    Iterates actions, then domains the action may not flow to, then
+    states in id order, the builder's order.  At the first (action,
+    domain) with an observation change, the canonical witness is its
+    least state in serialization order, then id, with that state's first
+    changing successor.
     """
     machine, config = system.machine, system.config
     chosen = config.select_domains(domains)
@@ -205,12 +212,17 @@ def check_lr(system: SecureSystem, scope: Scope,
         rows = _enabled(table, scope)
         for domain in blocked:
             view = config.classes(machine, domain)
+            changes = {}  # id -> its first successor `domain` tells apart
             for i, successors in rows:
                 before = view[i]
                 for j in successors:
                     if view[j] != before:
-                        return LRViolation(action, domain, machine.by_id[i],
-                                           machine.by_id[j])
+                        changes[i] = j
+                        break
+            if changes:
+                by_id = machine.by_id
+                i = min(changes, key=lambda i: by_id[i].serialize())
+                return LRViolation(action, domain, by_id[i], by_id[changes[i]])
     return None
 
 
@@ -222,8 +234,10 @@ def check_sc(system: SecureSystem, scope: Scope,
     (equal observer view, plus equal acting-domain view when the policy
     lets the acting domain reach the observer).  The condition holds for a
     class iff all successors agree on the observer's view, so a class with
-    two successor views is a violation; the witness is the least offending
-    ordered state pair within the first such class.
+    two successor views is a violation.  Of the violating classes of the
+    first such (action, domain), the witness comes from the one whose
+    least member in serialization order is least: its least offending
+    ordered state pair, members taken in serialization order, then id.
     """
     machine, config = system.machine, system.config
     chosen = config.select_domains(domains)
@@ -239,8 +253,7 @@ def check_sc(system: SecureSystem, scope: Scope,
                 premise = [(view[i], acting_view[i]) for i, _ in rows]
             else:
                 premise = [view[i] for i, _ in rows]
-            # The successor view each premise class met first; rows are
-            # ascending, so classes are met in order of least member.
+            # The successor view each premise class met first.
             seen: dict = {}
             violating = set()
             for key, (_, successors) in zip(premise, rows):
@@ -250,8 +263,7 @@ def check_sc(system: SecureSystem, scope: Scope,
                         violating.add(key)
             if not violating:
                 continue
-            key = next(k for k in seen if k in violating)
-            members = [row for row, k in zip(rows, premise) if k == key]
+            members = _least_class(machine, rows, premise, violating)
             for i1, successors1 in members:
                 for j1 in successors1:
                     for i2, successors2 in members:
@@ -262,6 +274,19 @@ def check_sc(system: SecureSystem, scope: Scope,
                                     action, domain, by_id[i1], by_id[i2],
                                     by_id[j1], by_id[j2])
     return None
+
+
+def _least_class(machine: StateMachine,
+                 rows: Collection[tuple[int, tuple[int, ...]]],
+                 premise: list, violating: set) -> list:
+    """The rows of the violating premise class whose least member in
+    serialization order is least, in serialization order, then id;
+    `premise[k]` is the class of `rows[k]`."""
+    by_id = machine.by_id
+    ordered = sorted((by_id[row[0]].serialize(), row, key)
+                     for row, key in zip(rows, premise) if key in violating)
+    least = ordered[0][2]
+    return [row for _, row, key in ordered if key == least]
 
 
 def has_stutter(system: SecureSystem, scope: Scope) -> bool:

@@ -4,7 +4,9 @@ A run report carries each failing check's witness as JSON: one walk
 over the witness dataclass's fields (`to_json`). `replay` reads that
 JSON back into the library's witness object against a freshly rebuilt
 target, re-executes its traces, and re-checks the condition with the
-library's own predicate for it.
+library's own predicate for it. A witness names states by their
+serialization: ids follow discovery order, not serialization order, and
+differ between builds of different code, so no id enters a report.
 
 Only a failing check and a replay use this module, so `ifsec` registers
 it as a lazy module: a passing check never runs its body. It does not
@@ -14,7 +16,6 @@ import `ifsec.cli`; under `python -m ifsec.cli` the running CLI is
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import types
 import typing
@@ -166,8 +167,9 @@ class _Decoder:
     Each field is read by its type: an action by its label among the
     level's actions, a state by its serialization among the level's
     `by_id` (its universe when the report's scope is the universe, else
-    its reachable states), an observed value by its rendering among what
-    the witness's domain observes at the end of the runs. Fields named
+    its reachable states), found by a scan that assumes no id order; an
+    observed value by its rendering among what the witness's domain
+    observes at the end of the runs. Fields named
     `abstract_*`, and the second state of a pair, are read on the
     abstract level. A missing, null or mistyped field is a UsageError.
     """
@@ -217,10 +219,9 @@ class _Decoder:
                     return action
             raise _stale(f"the rebuilt model has no action {raw!r}")
         if hint is State:
-            by_id = system.machine.by_id
-            i = bisect.bisect_left(by_id, raw, key=State.serialize)
-            if i < len(by_id) and by_id[i].serialize() == raw:
-                return by_id[i]
+            for state in system.machine.by_id:
+                if state.serialize() == raw:
+                    return state
             raise _stale(f"witness state {raw!r} is not a state of the "
                          "rebuilt model")
         if hint is object:

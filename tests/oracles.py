@@ -35,7 +35,7 @@ def build_machine(initial: State,
     `successors` yields the (action, successor) steps of a state.  Steps
     are grouped by action in first-appearance order and each group is
     sorted, which fixes the discovery order.  The machine's `states` is
-    the reachable set, sorted, and its alphabet is the set of actions
+    the reachable set, and its alphabet is the set of actions
     enabled in some reachable state: an action that never fires would
     only stutter, so leaving it out changes no verdict while bounded-trace
     enumeration budgets on the real alphabet.
@@ -43,47 +43,28 @@ def build_machine(initial: State,
     A state's steps are grouped in one dict, which is the whole grouping
     when no action has two steps there; each successor is kept only as
     its position in the search, so the search's object is the state, and
-    ids are the positions ranked by serialization.
+    a state's id is its position, discovery order.
     """
     search = Exploration(initial, budget)
     index, add = search.index, search.add
-    alphabet: set[ActionId] = set()
-    # rows[k]: the steps of search.order[k] as (action, position), or as
-    # (action, positions) where some action has several successors
-    rows: list = []
-    for state in search:
+    tables: dict[ActionId, dict[int, tuple[int, ...]]] = {}
+    for i, state in enumerate(search):
         steps = list(successors(state))
         grouped = dict(steps)
-        alphabet.update(grouped)
-        row = []
         if len(grouped) == len(steps):
             for action, succ in grouped.items():
                 # most successors were seen before: find them without a call
                 k = index.get(succ)
-                row.append((action, add(succ, state, action) if k is None
-                            else k))
+                tables.setdefault(action, {})[i] = (
+                    add(succ, state, action) if k is None else k,)
         else:
             groups: dict[ActionId, set[State]] = {}
             for action, succ in steps:
                 groups.setdefault(action, set()).add(succ)
             for action, succs in groups.items():
-                row.append((action, tuple([
+                tables.setdefault(action, {})[i] = tuple([
                     add(succ, state, action)
-                    for succ in sorted(succs, key=State.serialize)])))
-        rows.append(row)
-    order = search.order
-    serial = [state.serialize() for state in order]
-    ranked = sorted(range(len(order)), key=serial.__getitem__)
-    new_id = [0] * len(order)
-    for i, k in enumerate(ranked):
-        new_id[k] = i
-    tables: dict[ActionId, dict[int, tuple[int, ...]]] = {
-        action: {} for action in sort_actions(alphabet)}
-    for i, k in enumerate(ranked):
-        for action, targets in rows[k]:
-            tables[action][i] = (new_id[targets],) if type(targets) is int \
-                else tuple([new_id[j] for j in targets])
-        rows[k] = None
+                    for succ in sorted(succs, key=State.serialize)])
+    actions = sort_actions(tables)
     return StateMachine.from_tables(
-        tuple(order[k] for k in ranked), tuple(tables), tables.values(),
-        new_id[0])
+        tuple(search.order), actions, [tables[a] for a in actions], 0)

@@ -326,14 +326,16 @@ class TestTabulate:
 
     def test_universe_roots_are_kept_and_states_are_reachable(self):
         # x counts up to 2 from 0, and from 3 to 4; the universe repeats
-        # the initial tuple and leaves out 1, 2 and 4.
+        # the initial tuple and leaves out 1, 2 and 4. The roots take
+        # the first ids, and the rest are numbered as the search finds
+        # them: 1 from 0, 4 from 3, then 2 from 1.
         tick = ActionId("tick")
         m = tabulate(State({"x": 0}),
                      lambda s: [(tick, (s["x"] + 1,))] if s["x"] in (0, 1, 3)
                      else [], universe=[(3,), (0,)])
-        assert [s["x"] for s in m.by_id] == [0, 1, 2, 3, 4]
-        assert m.universe_ids == (0, 3)
-        assert m.state_ids == (0, 1, 2)
+        assert [s["x"] for s in m.by_id] == [0, 3, 1, 4, 2]
+        assert m.universe_ids == (0, 1)
+        assert m.state_ids == (0, 2, 4)
         assert m.step(State({"x": 3}), tick) == (State({"x": 4}),)
 
     def test_discovery_follows_sorted_groups_not_yield_order(self):
@@ -575,10 +577,8 @@ class TestIndexedMachine:
                     assert succ is m.by_id[m.id_of(succ)], name
                 assert m.step(state, action) == successors
 
-    def test_ids_follow_serialization_order(self, machines):
+    def test_ids_follow_discovery_order(self, machines):
         for name, m in machines.items():
-            serials = [s.serialize() for s in m.by_id]
-            assert serials == sorted(serials), name
             assert all(m.id_of(s) == i for i, s in enumerate(m.by_id))
             assert list(m.state_ids) == sorted(set(m.state_ids)), name
             assert m.states == tuple(m.by_id[i] for i in m.state_ids)
@@ -587,6 +587,34 @@ class TestIndexedMachine:
             for table in m.successor_ids:
                 assert list(table) == sorted(table), name
                 assert all(table.values()), name
+            if not m.tabulated:
+                # the constructor numbers its states in serialization order
+                serials = [s.serialize() for s in m.by_id]
+                assert serials == sorted(serials), name
+                continue
+            # The roots come first: the initial state, then the universe.
+            assert m.initial_id == 0, name
+            roots = 1 if m.universe_ids is None else len(m.universe_ids)
+            assert m.universe_ids in (None, tuple(range(roots))), name
+            # The build expands states in id order, so a state's BFS
+            # parent, the first to reach it, is its least predecessor.
+            parent: dict[int, int] = {}
+            for table in m.successor_ids:
+                for i, successors in table.items():
+                    for j in successors:
+                        parent[j] = min(parent.get(j, i), i)
+            assert all(parent[j] < j for j in range(roots, len(m.by_id))), \
+                name
+            if m.universe_ids is None:
+                # The ids within depth d of the initial state are a prefix
+                # range(n_d): depth never falls as the id grows.
+                depth = {0: 0}
+                for i in explore(m).order:
+                    for table in m.successor_ids:
+                        for j in table.get(i, ()):
+                            depth.setdefault(j, depth[i] + 1)
+                depths = [depth[i] for i in range(len(m.by_id))]
+                assert depths == sorted(depths), name
 
     def test_transitions_view_matches_the_dict_builder(self, machines):
         # Recorded from the (state, action)-keyed dictionaries that

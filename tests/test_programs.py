@@ -418,8 +418,8 @@ def oracle_run_atomic(prog, state):
 def oracle_compile(system, budget=None):
     """The machine `compile_system` builds, as (by_id, actions, tables,
     initial id, dom): successors by `oracle_prog_step` with a pc value
-    looked up per step, grouped in a set per action and ranked by
-    uncached serialization."""
+    looked up per step, grouped in a set per action and sorted by
+    uncached serialization, ids in discovery order."""
     system.validate()
     encode, decode, counters = {}, {}, {}
 
@@ -479,16 +479,13 @@ def oracle_compile(system, budget=None):
             (action, [search.add(succ, state, action) for succ in (
                 sorted(succs, key=serial) if len(succs) > 1 else succs)])
             for action, succs in grouped.items()])
-    order = search.order
-    ranked = sorted(range(len(order)), key=lambda k: serial(order[k]))
-    new_id = {k: i for i, k in enumerate(ranked)}
     actions = sort_actions({action for row in rows for action, _ in row})
     tables = {action: {} for action in actions}
-    for i, k in enumerate(ranked):
-        for action, targets in rows[k]:
-            tables[action][i] = tuple(new_id[j] for j in targets)
-    return (tuple(order[k] for k in ranked), actions, list(tables.values()),
-            new_id[0], {a: interned[a.label][1] for a in actions})
+    for i, row in enumerate(rows):
+        for action, targets in row:
+            tables[action][i] = tuple(targets)
+    return (tuple(search.order), actions, list(tables.values()), 0,
+            {a: interned[a.label][1] for a in actions})
 
 
 def failure_text(run, *args):

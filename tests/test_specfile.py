@@ -453,8 +453,9 @@ class TestValidate:
 
 def oracle_elaborate(doc, universe):
     """The machine of `elaborate_model(doc, universe=universe)`, built
-    as two separate paths over `State`s: the declared product tabulated
-    for the universe scope, and `build_machine` from the initial state,
+    as two separate paths over `State`s: the declared product numbered
+    after the initial state, in product order, for the universe scope,
+    and `build_machine` from the initial state,
     laid out again over the declared alphabet, for the reachable one.
     Rules are evaluated on states by name, not compiled."""
     initial = State({v.name: v.initial for v in doc.variables})
@@ -473,19 +474,19 @@ def oracle_elaborate(doc, universe):
             built.by_id, actions, [enabled.get(a, {}) for a in actions],
             built.initial_id)
     declared = {v.name: v.values for v in doc.variables}
-    by_id = tuple(sorted(
-        (initial.with_values(values) for values in itertools.product(
-            *(declared[name] for name in initial.names))),
-        key=State.serialize))
+    by_id = tuple(dict.fromkeys((initial, *(
+        initial.with_values(values) for values in itertools.product(
+            *(declared[name] for name in initial.names))))))
     ids = {state: i for i, state in enumerate(by_id)}
     position = {action: k for k, action in enumerate(actions)}
     tables = [{} for _ in actions]
     for i, state in enumerate(by_id):
         found = {}
         for action, successor in steps(state):
-            found.setdefault(position[action], set()).add(ids[successor])
-        for k, successor_ids in found.items():
-            tables[k][i] = tuple(sorted(successor_ids))
+            found.setdefault(position[action], set()).add(successor)
+        for k, successors in found.items():
+            tables[k][i] = tuple(ids[successor] for successor in sorted(
+                successors, key=State.serialize))
     start = ids[initial]
     return StateMachine.from_tables(
         by_id, actions, tables, start,
@@ -605,8 +606,8 @@ class TestElaborateModel:
         f, r = full.machine, reach.machine
         assert r.universe is None
         assert r.by_id == r.states
-        assert [s.serialize() for s in r.states] == \
-            [s.serialize() for s in f.states]
+        assert sorted(s.serialize() for s in r.states) == \
+            sorted(s.serialize() for s in f.states)
         assert r.initial == f.initial and r.actions == f.actions
         assert dict(reach.config.dom) == dict(full.config.dom)
         for state in f.states:

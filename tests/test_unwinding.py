@@ -305,7 +305,8 @@ def _oracle_domains(system, domains):
 
 
 def oracle_check_lr(system, scope, domains=None):
-    """Local respect over `scope.states` and the (state, action) view."""
+    """Local respect over `scope.states` in serialization order and the
+    (state, action) view."""
     machine, config = system.machine, system.config
     observe = config.observe
     for action in machine.actions:
@@ -313,7 +314,7 @@ def oracle_check_lr(system, scope, domains=None):
         blocked = [d for d in _oracle_domains(system, domains)
                    if not config.allows(acting, d)]
         for domain in blocked:
-            for state in scope.states:
+            for state in sorted(scope.states, key=State.serialize):
                 successors = machine.transitions.get((state, action))
                 if not successors:
                     continue
@@ -326,7 +327,8 @@ def oracle_check_lr(system, scope, domains=None):
 
 def oracle_check_sc(system, scope, domains=None):
     """Step consistency by premise classes of states, as `check_sc`
-    documents it, over `scope.states` and the (state, action) view."""
+    documents it, over `scope.states` in serialization order and the
+    (state, action) view."""
     machine, config = system.machine, system.config
     observe = config.observe
     for action in machine.actions:
@@ -334,7 +336,7 @@ def oracle_check_sc(system, scope, domains=None):
         for domain in _oracle_domains(system, domains):
             relevant = config.allows(acting, domain)
             groups: dict = {}
-            for state in scope.states:
+            for state in sorted(scope.states, key=State.serialize):
                 if (state, action) not in machine.transitions:
                     continue
                 key = (observe(domain, state),

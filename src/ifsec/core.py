@@ -24,12 +24,13 @@ Conventions used throughout the package:
   machines' `state_ids` are what `explore` reaches, so a reachable
   scope explores only to trace a witness.
 - A machine is indexed: its states are numbered 0..n-1 (`by_id`), by
-  `tabulate` in discovery order, not serialization order; each state is
-  one object, and each action has one table from a state id to its
-  successor ids.  No verdict or witness depends on the numbering: a
-  canonical witness compares serializations, and only once it has
-  found a failure.  Every checker's search,
-  bounded NI's too, runs on those ids and on per-(domain, state id)
+  `tabulate` in discovery order, not serialization order; each state,
+  each id and each single-successor tuple `(k,)` is one object, and
+  each action has one table from a state id to its successor ids.  No
+  verdict or witness depends on the numbering: a canonical witness
+  compares serializations, and only once it has found a failure.
+  Every checker's search, bounded NI's too, runs on those ids (so a
+  passing check hashes no state) and on per-(domain, state id)
   observation classes (`InfoFlowConfig.classes`), lists filled in one
   pass over `by_id` (`class_table`); `State` objects are what `step`,
   `run` (witness re-checks, replay), the `transitions` view, scopes and
@@ -161,9 +162,10 @@ def _name(item: tuple[str, Value]) -> str:
 class State:
     """An immutable finite map from variable names to values.
 
-    A state is a values tuple over a schema of sorted variable names.
-    Serialization is `name=value` pairs sorted by name and joined with
-    semicolons; it is the canonical order used for witness selection.
+    A state is a values tuple over a schema of sorted variable names,
+    hashed at the first `hash`.  Serialization is `name=value` pairs
+    sorted by name and joined with semicolons; it is the canonical
+    order used for witness selection.
     """
 
     __slots__ = ("_schema", "_values", "_hash", "_serial")
@@ -180,7 +182,7 @@ class State:
     def _set(self, schema: _Schema, values: tuple) -> None:
         self._schema = schema
         self._values = values
-        self._hash = hash((schema.hash, values))
+        self._hash: int | None = None
         self._serial: str | None = None
 
     @property
@@ -268,7 +270,10 @@ class State:
                      or self._schema.names == other._schema.names))
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self._schema.hash, self._values))
+        return h
 
     def __lt__(self, other: "State") -> bool:
         return self.serialize() < other.serialize()
@@ -361,8 +366,9 @@ class StateMachine:
     order: `tabulate`'s is discovery order, not serialization order, and
     the constructor's is serialization order.  Either way ids do not
     depend on hashing, and no checker's output depends on them; `id_of`
-    maps back.  Each state is one object: every successor is the `by_id`
-    entry.
+    maps back, by a map made at the first `id_of`, `step` or `enabled`.
+    Each state is one object: every successor is the `by_id` entry; both
+    builders also make each id one int and each lone successor k one `(k,)`.
     `successor_ids[k]` is the table of `actions[k]`: it maps the id of
     each state that enables the action to its successor ids, keys in
     ascending order, no empty entries.  `state_ids` and `universe_ids`
@@ -389,6 +395,7 @@ class StateMachine:
             known.update(successors)
         by_id = tuple(sorted(known, key=State.serialize))
         ids = {state: i for i, state in enumerate(by_id)}
+        singles = [(i,) for i in ids.values()]
         actions = tuple(actions)
         tables: list[dict[int, tuple[int, ...]]] = [{} for _ in actions]
         position = {action: k for k, action in enumerate(actions)}
@@ -398,8 +405,9 @@ class StateMachine:
                 raise ModelError(
                     f"transition on undeclared action {action.display()!r}")
             if successors:
-                tables[position[action]][ids[state]] = tuple(
-                    ids[s] for s in successors)
+                row = tuple(ids[s] for s in successors)
+                tables[position[action]][ids[state]] = \
+                    singles[row[0]] if len(row) == 1 else row
         self._lay_out(by_id, actions, tables, ids[initial],
                       sorted({ids[s] for s in states}),
                       None if universe is None
@@ -427,7 +435,7 @@ class StateMachine:
             return tuple(by_id[i] for i in chosen)
 
         self.by_id: tuple[State, ...] = by_id
-        self._ids = {state: i for i, state in enumerate(by_id)}
+        self._ids: dict[State, int] | None = None
         self.actions: tuple[ActionId, ...] = tuple(actions)
         self._position = {action: k for k, action in enumerate(self.actions)}
         self.successor_ids: tuple[dict[int, tuple[int, ...]], ...] = tuple(
@@ -451,7 +459,10 @@ class StateMachine:
 
     def id_of(self, state: State) -> int | None:
         """The id of `state`, or None when the machine does not know it."""
-        return self._ids.get(state)
+        ids = self._ids
+        if ids is None:
+            ids = self._ids = {state: i for i, state in enumerate(self.by_id)}
+        return ids.get(state)
 
     def has_action(self, action: ActionId) -> bool:
         return action in self._position
@@ -461,7 +472,7 @@ class StateMachine:
         k = self._position.get(action)
         if k is None:
             raise UsageError(f"unknown action {action.display()!r}")
-        successors = self.successor_ids[k].get(self._ids.get(state))
+        successors = self.successor_ids[k].get(self.id_of(state))
         if not successors:
             return ()
         by_id = self.by_id
@@ -473,7 +484,7 @@ class StateMachine:
         return successors if successors else (state,)
 
     def enabled(self, state: State) -> tuple[ActionId, ...]:
-        i = self._ids.get(state)
+        i = self.id_of(state)
         return tuple(a for a, table in zip(self.actions, self.successor_ids)
                      if i in table)
 
@@ -638,8 +649,9 @@ class Exploration:
     iterating the exploration yields `order` while the caller grows it
     with `add`.  `index` maps each discovered node to its position in
     `order`, its dense BFS id; it is the seen set.  `edges[k]` is the
-    (parent position, action) edge that first reached `order[k]`, None
-    for a root, and `trace_to` walks them back to a shortest trace.
+    position of the parent that first reached `order[k]`, None for a
+    root, and `actions[k]` the action it took; `trace_to` walks them
+    back to a shortest trace.
     `depth` is the BFS depth of the node being expanded.  The roots,
     `initial` and the distinct `more_roots`, are at depth 0.
     """
@@ -649,7 +661,8 @@ class Exploration:
                  more_roots: Iterable[Hashable] = ()) -> None:
         self.order: list = list(dict.fromkeys((initial, *more_roots)))
         self.index: dict = {node: k for k, node in enumerate(self.order)}
-        self.edges: list[tuple[int, Hashable] | None] = [None] * len(self.order)
+        self.edges: list[int | None] = [None] * len(self.order)
+        self.actions: list = [None] * len(self.order)
         self.depth = 0
         self._limit = DEFAULT_STATE_BUDGET if budget is None else budget
         self._noun = noun
@@ -679,17 +692,17 @@ class Exploration:
                 f"budget of {self._limit} {self._noun} exceeded at BFS depth "
                 f"{self.depth + 1} (raise --budget or shrink the model)")
         self.index[node] = k
-        self.edges.append((self.index[parent], action))
+        self.edges.append(self.index[parent])
+        self.actions.append(action)
         self.order.append(node)
         return k
 
     def trace_to(self, node: Hashable) -> tuple:
         steps: list = []
-        edge = self.edges[self.index[node]]
-        while edge is not None:
-            k, action = edge
-            steps.append(action)
-            edge = self.edges[k]
+        edges, actions, k = self.edges, self.actions, self.index[node]
+        while edges[k] is not None:
+            steps.append(actions[k])
+            k = edges[k]
         steps.reverse()
         return tuple(steps)
 
@@ -751,7 +764,8 @@ def tabulate(initial: State,
     is expanded, and that state is both `successors`' argument and the
     machine's.  A state's id is its position in the search, discovery
     order, not serialization order: the roots come first, and each
-    state's table entries are filled when it is expanded.
+    state's table entries are filled when it is expanded, naming id k
+    by the one int the search's `index` holds and one shared `(k,)`.
 
     The alphabet is `actions` when given (sorted), else the actions
     enabled in some discovered state: an action that never fires would
@@ -765,11 +779,13 @@ def tabulate(initial: State,
     search = Exploration(initial.values, budget,
                          more_roots=() if universe is None else universe)
     index, add = search.index, search.add
+    singles = [(k,) for k in index.values()]  # (k,) for id k, k from `index`
     make = initial.with_values
     tables: dict[ActionId, dict[int, tuple[int, ...]]] = \
         defaultdict(dict) if actions is None else {a: {} for a in actions}
     states: list[State] = []
-    for i, values in enumerate(search):
+    # `singles` grows with `search`, so the two stay in step
+    for (i,), values in zip(singles, search):
         state = make(values)
         states.append(state)
         steps = successors(state)
@@ -778,23 +794,26 @@ def tabulate(initial: State,
             for action, succ in grouped.items():
                 # most successors were seen before: find them without a call
                 k = index.get(succ)
-                tables[action][i] = \
-                    (add(succ, values, action) if k is None else k,)
+                if k is None:
+                    k = add(succ, values, action)
+                    singles.append((k,))
+                tables[action][i] = singles[k]
         else:
             groups: dict[ActionId, set[tuple]] = {}
             for action, succ in steps:
                 groups.setdefault(action, set()).add(succ)
             for action, succs in groups.items():
-                tables[action][i] = tuple([
-                    add(succ, values, action)
-                    for succ in sorted(
-                        succs, key=lambda v: make(v).serialize())])
+                seen = len(singles)
+                ids = tuple([add(succ, values, action) for succ in sorted(
+                    succs, key=lambda v: make(v).serialize())])
+                singles.extend([(k,) for k in ids if k >= seen])
+                tables[action][i] = singles[ids[0]] if len(ids) == 1 else ids
     if actions is None:
         actions = sort_actions(tables)
     successor_ids = [tables[a] for a in actions]
-    state_ids = universe_ids = None
+    state_ids, universe_ids = tuple(index.values()), None
     if universe is not None:
-        universe_ids = range(search.edges.count(None))
+        universe_ids = state_ids[:search.edges.count(None)]
         state_ids = sorted(explore_ids(0, actions, successor_ids,
                                        budget=budget).order)
     return StateMachine.from_tables(tuple(states), actions, successor_ids, 0,

@@ -173,16 +173,18 @@ def build_arinc(variant: str = "secure", capacity: int = 1,
                 for p in partitions}
 
     def observe(queue_var: str):
+        # each domain's variable names, formatted once
+        current = {d: f"cur.{d}" for d in scheds}
+        shown = {p: (f"st.{p}", *(f"{queue_var}.{ch}" for ch in incoming[p]))
+                 for p in partitions}
+        full = {p: tuple(f"qbuf.{ch}" for ch in outgoing[p] if queuing_mode)
+                for p in partitions}
+
         def view(d: str, s: State) -> Value:
-            if d in scheds:
-                return s[f"cur.{d}"]
-            parts: list[Value] = [s[f"st.{d}"]]
-            for ch in incoming[d]:
-                parts.append(s[f"{queue_var}.{ch}"])
-            if queuing_mode:
-                for ch in outgoing[d]:
-                    parts.append(len(s[f"qbuf.{ch}"]) == capacity)
-            return tuple(parts)
+            if d in current:
+                return s[current[d]]
+            return (*[s[name] for name in shown[d]],
+                    *[len(s[name]) == capacity for name in full[d]])
 
         return view
 

@@ -141,13 +141,16 @@ def build_demo(threads: int = 3, capacity: int = 1, messages: int = 1,
                      **{f"lock.{t}": None for t in names}}
 
     def observe(queue: str):
+        # each domain's variable names, formatted once
+        own = {d: f"{queue}.{d}" for d in names}
+        other = {d: f"cnt.{d}" if counter else f"que.{succ[d]}" for d in names}
+
         def view(d: str, s: State) -> Value:
-            own = s[f"{queue}.{d}"]
             if counter:
-                return (own, s[f"cnt.{d}"])
+                return (s[own[d]], s[other[d]])
             if fullstatus:
-                return (own, len(s[f"que.{succ[d]}"]) == capacity)
-            return own
+                return (s[own[d]], len(s[other[d]]) == capacity)
+            return s[own[d]]
 
         return view
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
 
 import ifsec
 from ifsec.core import (
@@ -35,7 +36,11 @@ from ifsec.models import get_model
 from ifsec.programs import Basic, ConcurrentSystem, Event, compile_system
 from ifsec.refinement import Alpha, RefinementPair, Zeta, joint_explore
 from ifsec.specfile import elaborate_model, parse_model
+from ifsec.unwinding import check_unwinding
 from oracles import build_machine
+from test_programs import BUILTIN_SIZES
+from test_specfile import model_documents
+from test_unwinding import universe_systems
 
 
 def tiny_machine() -> StateMachine:
@@ -663,3 +668,76 @@ class TestIndexedMachine:
                                   check=True)
             digests.add(proc.stdout)
         assert len(digests) == 1
+
+
+def assert_one_object_per_id(m: StateMachine) -> None:
+    """Id k is one int object in table keys, `state_ids`, `universe_ids`
+    and successor tuples, and every single-successor entry naming k is
+    one `(k,)` tuple."""
+    ints: dict[int, int] = {}
+    singles: dict[int, tuple[int]] = {}
+    for table in m.successor_ids:
+        for i, successors in table.items():
+            if len(successors) == 1:
+                assert singles.setdefault(successors[0], successors) \
+                    is successors
+            for k in (i, *successors):
+                assert ints.setdefault(k, k) is k
+    for k in (*m.state_ids, *(m.universe_ids or ())):
+        assert ints.setdefault(k, k) is k
+
+
+def assert_lookups_answer(m: StateMachine, stride: int = 1) -> None:
+    """`id_of`, `step` and `enabled` read the tables, for a machine's
+    states and for copies of them over their own schema; a state over
+    other variables, and one the machine does not know, have no id,
+    step nowhere and enable nothing."""
+    for i in range(0, len(m.by_id), stride):
+        s = m.by_id[i]
+        rows = [(a, table.get(i, ())) for a, table in
+                zip(m.actions, m.successor_ids)]
+        for state in (s, State(dict(s.items))):
+            assert m.id_of(state) == i
+            assert m.enabled(state) == tuple(a for a, row in rows if row)
+            for a, row in rows:
+                assert m.step(state, a) == tuple(m.by_id[j] for j in row)
+    unknown = m.initial.assign({m.initial.names[0]: ("no such value",)})
+    assert unknown.serialize() not in {s.serialize() for s in m.by_id}
+    for state in (State({"no such variable": 0}), unknown):
+        assert m.id_of(state) is None and m.enabled(state) == ()
+        assert all(m.step(state, a) == () for a in m.actions)
+
+
+class TestCompactLayout:
+    """One object per state id, and nothing built before it is read."""
+
+    @pytest.mark.parametrize(
+        "name,params", BUILTIN_SIZES,
+        ids=[name + "".join(f"-{k}{v}" for k, v in p.items())
+             for name, p in BUILTIN_SIZES])
+    def test_builtin_levels(self, name, params):
+        bundle = get_model(name, **params)
+        for level in (bundle.concrete, bundle.abstract):
+            m = level.machine
+            if check_unwinding(level).ok:
+                # a passing check runs on ids: it looks up no state's id
+                # and hashes no state
+                assert m._ids is None
+                assert all(s._hash is None for s in m.by_id)
+            assert_one_object_per_id(m)
+            assert_lookups_answer(m, stride=max(1, len(m.by_id) // 300))
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(universe_systems())
+    def test_constructor_built_machines(self, example):
+        system, _, _ = example
+        assert_one_object_per_id(system.machine)
+        assert_lookups_answer(system.machine)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(model_documents())
+    def test_model_file_machines(self, doc):
+        for universe in (False, True):
+            m = elaborate_model(doc, universe=universe).machine
+            assert_one_object_per_id(m)
+            assert_lookups_answer(m)

@@ -42,13 +42,16 @@ Conventions used throughout the package:
   by position (frames, alpha keys, model-file observations) resolves
   the positions once per schema through `layout`, and `values_getter`
   reads some variables' values off a values tuple or a state.
+- Value objects of the library (actions, configurations, programs,
+  reports, witnesses, documents) are frozen records (`record`): fields
+  from class annotations, dataclass-style equality, hash and repr, with
+  `fields` and `replace` to read and copy them.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
 
@@ -93,6 +96,152 @@ class ParseError(Exception):
         if self.hint:
             text += f"\n  hint: {self.hint}"
         return text
+
+
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+_MISSING = object()
+
+
+class Field:
+    """One field of a `record` class: its name, its default (`_MISSING`
+    when it has none) and whether `repr` shows it and equality and
+    hashing compare it.  A class body gives a field's options as its
+    value, `name: type = Field(...)`."""
+
+    __slots__ = ("name", "default", "repr", "compare")
+
+    def __init__(self, *, default: object = _MISSING, repr: bool = True,
+                 compare: bool = True) -> None:
+        self.name = ""
+        self.default = default
+        self.repr = repr
+        self.compare = compare
+
+
+def _frozen_setattr(self: object, name: str, value: object) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self: object, name: str) -> None:
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def record(cls: type) -> type:
+    """Make `cls` a frozen record over its annotated fields.
+
+    The semantics are `@dataclass(frozen=True)`'s, built from closures:
+    defining a record generates and compiles no code, and nothing
+    imports the module of `@dataclass`, which imports `inspect`:
+    - `__init__` takes the fields by position or keyword, in order,
+      inherited record fields first, fills in defaults and then calls
+      `__post_init__` when the class has one;
+    - `__eq__` compares the compared fields as a tuple, and only between
+      instances of one class; `__hash__` hashes that tuple;
+    - `__repr__` is `Name(field=value, ...)` over the shown fields;
+    - assigning or deleting an attribute raises AttributeError, so
+      `__post_init__` sets derived attributes by `object.__setattr__`,
+      and `functools.cached_property`, which writes to the instance
+      `__dict__`, works.
+    A field's class attribute is its default, or a `Field`. A method
+    the class body defines is kept.
+    """
+    specs = {f.name: f for base in reversed(cls.__mro__[1:])
+             for f in vars(base).get("__record_fields__", ())}
+    for name in vars(cls).get("__annotations__", {}):
+        value = vars(cls).get(name, _MISSING)
+        spec = value if isinstance(value, Field) else Field(default=value)
+        spec.name = name
+        if spec.default is not _MISSING:
+            setattr(cls, name, spec.default)
+        elif value is not _MISSING:
+            delattr(cls, name)
+        specs[name] = spec
+    fields_ = tuple(specs.values())
+    names = tuple(specs)
+    defaults = {f.name: f.default for f in fields_
+                if f.default is not _MISSING}
+    compared = tuple(f.name for f in fields_ if f.compare)
+    shown = tuple(f.name for f in fields_ if f.repr)
+    post_init = hasattr(cls, "__post_init__")
+
+    def key(self: object) -> tuple:
+        return tuple([getattr(self, name) for name in compared])
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        if kwargs or len(args) != len(names):
+            args = _arguments(cls, names, defaults, args, kwargs)
+        self.__dict__.update(zip(names, args))
+        if post_init:
+            self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(key(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
+        return f"{self.__class__.__qualname__}({body})"
+
+    cls.__record_fields__ = fields_
+    for name, method in (("__init__", __init__), ("__eq__", __eq__),
+                         ("__repr__", __repr__),
+                         ("__setattr__", _frozen_setattr),
+                         ("__delattr__", _frozen_delattr)):
+        if name not in vars(cls):
+            setattr(cls, name, method)
+    # a class body that defines `__eq__` alone gets `__hash__ = None`
+    if vars(cls).get("__hash__") is None:
+        cls.__hash__ = __hash__
+    return cls
+
+
+def _arguments(cls: type, names: tuple[str, ...], defaults: dict,
+               args: tuple, kwargs: dict) -> tuple:
+    """A record's field values, in field order, from `__init__`'s
+    arguments; a TypeError as for a function with those parameters."""
+    where = f"{cls.__qualname__}.__init__()"
+    if len(args) > len(names):
+        raise TypeError(f"{where} takes {len(names) + 1} positional "
+                        f"arguments but {len(args) + 1} were given")
+    values = dict(zip(names, args))
+    for name, value in kwargs.items():
+        if name not in names:
+            raise TypeError(
+                f"{where} got an unexpected keyword argument {name!r}")
+        if name in values:
+            raise TypeError(
+                f"{where} got multiple values for argument {name!r}")
+        values[name] = value
+    missing = [name for name in names
+               if name not in values and name not in defaults]
+    if missing:
+        raise TypeError(f"{where} missing required argument "
+                        f"{', '.join(map(repr, missing))}")
+    return tuple(values[name] if name in values else defaults[name]
+                 for name in names)
+
+
+def fields(obj: object) -> tuple[Field, ...]:
+    """The fields of a record class or instance, in `__init__`'s order."""
+    try:
+        return obj.__record_fields__  # type: ignore[attr-defined]
+    except AttributeError:
+        raise TypeError(f"{obj!r} is not a record") from None
+
+
+def replace(obj: object, /, **changes: object) -> object:
+    """A copy of the record `obj` with the given fields replaced;
+    `__post_init__` runs on the copy."""
+    for spec in fields(obj):
+        changes.setdefault(spec.name, getattr(obj, spec.name))
+    return obj.__class__(**changes)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +473,7 @@ def values_getter(names: Iterable[str], index: Mapping[str, int] | None = None
     return itemgetter(*positions) if positions else lambda values: ()
 
 
-@dataclass(frozen=True)
+@record
 class ActionId:
     """An action identifier: an opaque label plus an optional finite payload."""
 
@@ -529,7 +678,7 @@ def class_table(view: Callable[[State], Value], machine: StateMachine,
     return [number(value, len(class_of)) for value in map(view, machine.by_id)]
 
 
-@dataclass(frozen=True)
+@record
 class InfoFlowConfig:
     """Domains, permitted-flow policy, domain map and observations."""
 
@@ -596,7 +745,7 @@ class InfoFlowConfig:
                     f"action {action.display()!r} maps to unknown domain {d!r}")
 
 
-@dataclass(frozen=True)
+@record
 class SecureSystem:
     """A machine paired with its information-flow configuration."""
 

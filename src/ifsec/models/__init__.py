@@ -17,11 +17,10 @@ builds with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from ifsec import _lazy
-from ifsec.core import UsageError
+from ifsec.core import UsageError, record
 
 common = _lazy(__name__, __path__, "common")
 arinc = _lazy(__name__, __path__, "arinc")
@@ -53,7 +52,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
+@record
 class RegistryEntry:
     """A built-in model: `build` calls `build_<family>` of the builder
     module `family` with `variant` (when given) and the parameters.

@@ -20,7 +20,6 @@ checks against every other component's rely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Collection, Iterable, Mapping
 
@@ -32,6 +31,7 @@ from ifsec.core import (
     State,
     Value,
     layout,
+    record,
     values_getter,
 )
 from ifsec.programs import (
@@ -51,7 +51,7 @@ from ifsec.programs import (
 Observe = Callable[[str, State], Value]
 
 
-@dataclass(frozen=True)
+@record
 class ModelBundle:
     """A ready-to-check model: its two levels, the parameters it was
     built with, and the refinement pair plus contracts that join them.

@@ -29,7 +29,6 @@ report flags that as an alarm instead of trusting either side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ifsec import unwinding
@@ -44,6 +43,7 @@ from ifsec.core import (
     UsageError,
     Value,
     equidom,
+    record,
     run,
     sort_actions,
     value_key,
@@ -96,7 +96,7 @@ def ipurge(trace: Sequence[ActionId], d: str, config: InfoFlowConfig) -> tuple[A
     return tuple(kept)
 
 
-@dataclass(frozen=True)
+@record
 class NICounterexample:
     """A trace whose purged variant yields a different view for `domain`.
 
@@ -115,7 +115,7 @@ class NICounterexample:
     purged_view: tuple[Value, ...]
 
 
-@dataclass(frozen=True)
+@record
 class NIResult:
     """Outcome of a bounded noninterference search.
 
@@ -132,7 +132,7 @@ class NIResult:
     actions: tuple[ActionId, ...]
 
 
-@dataclass(frozen=True)
+@record
 class TheoremCrossCheck:
     """Agreement record between unwinding and the bounded search.
 

@@ -35,7 +35,6 @@ alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping
 
 from .core import (
@@ -46,6 +45,8 @@ from .core import (
     State,
     UsageError,
     Value,
+    fields,
+    record,
     tabulate,
 )
 
@@ -75,7 +76,7 @@ Done = _Done()
 
 
 class _Shape:
-    """Base of the program shapes: frozen dataclasses that hash their
+    """Base of the program shapes: frozen records that hash their
     fields once, as `ActionId` does, since residual programs key the pc
     tables and the plans' residual caches."""
 
@@ -88,8 +89,8 @@ class _Shape:
 
 
 def _shape(cls):
-    """A frozen dataclass over `cls` that keeps `_Shape`'s cached hash."""
-    cls = dataclass(frozen=True)(cls)
+    """A frozen record over `cls` that keeps `_Shape`'s cached hash."""
+    cls = record(cls)
     cls.__hash__ = _Shape._cached_hash
     return cls
 
@@ -366,7 +367,7 @@ def step_labels(prog: Prog) -> tuple[str, ...]:
     raise ModelError(f"unknown program shape: {prog!r}")
 
 
-@dataclass(frozen=True)
+@record
 class Event:
     """A guarded handler: invoking it schedules `body` on the component.
 
@@ -389,7 +390,7 @@ class Event:
         return not callable(self.domain)
 
 
-@dataclass(frozen=True)
+@record
 class ConcurrentSystem:
     """Components with event pools over a shared initial state."""
 

@@ -43,13 +43,13 @@ level down, so the checker follows it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from ifsec import unwinding
 from ifsec.core import (
     ActionId,
     Exploration,
+    Field,
     ModelError,
     SecureSystem,
     State,
@@ -57,6 +57,7 @@ from ifsec.core import (
     class_table,
     indist,
     layout,
+    record,
     values_getter,
 )
 
@@ -205,7 +206,7 @@ def frame_guarantee(allowed: Iterable[str], holder: str | None = None,
     return guarantee
 
 
-@dataclass(frozen=True)
+@record
 class Alpha:
     """State relation between concrete and abstract states.
 
@@ -219,8 +220,8 @@ class Alpha:
 
     predicate: Relation
     description: str = "predicate"
-    concrete_key: Key | None = field(default=None, repr=False)
-    abstract_key: Key | None = field(default=None, repr=False)
+    concrete_key: Key | None = Field(default=None, repr=False)
+    abstract_key: Key | None = Field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_on_ids", {})
@@ -267,7 +268,7 @@ class Alpha:
         return made[concrete, abstract]
 
 
-@dataclass(frozen=True)
+@record
 class Zeta:
     """Total map from concrete actions to abstract actions or TAU."""
 
@@ -289,7 +290,7 @@ class Zeta:
         return self.map(action) is TAU
 
 
-@dataclass(frozen=True)
+@record
 class RefinementPair:
     """A concrete system simulating an abstract one via alpha and zeta."""
 
@@ -316,7 +317,7 @@ class RefinementPair:
                 )
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     """Outcome of one condition: pass, fail (with witness), or skipped."""
 
@@ -344,13 +345,13 @@ class Verdict:
 Pair = tuple[State, State]
 
 
-@dataclass(frozen=True)
+@record
 class C1Witness:
     concrete_initial: State
     abstract_initial: State
 
 
-@dataclass(frozen=True)
+@record
 class C2Witness:
     trace: tuple[ActionId, ...]
     action: ActionId
@@ -359,7 +360,7 @@ class C2Witness:
     successor: State
 
 
-@dataclass(frozen=True)
+@record
 class C3Witness:
     trace: tuple[ActionId, ...]
     action: ActionId
@@ -370,7 +371,7 @@ class C3Witness:
     abstract_candidates: tuple[State, ...]
 
 
-@dataclass(frozen=True)
+@record
 class C4Witness:
     action: ActionId
     abstract_action: ActionId
@@ -378,13 +379,13 @@ class C4Witness:
     abstract_domain: str
 
 
-@dataclass(frozen=True)
+@record
 class C5Witness:
     source: str
     target: str
 
 
-@dataclass(frozen=True)
+@record
 class C6Witness:
     domain: str
     first: Pair
@@ -395,7 +396,7 @@ class C6Witness:
     abstract_indist: bool
 
 
-@dataclass(frozen=True)
+@record
 class LemmaWitness:
     """Shared witness shape for the four compositional lemmas."""
 
@@ -411,7 +412,7 @@ class LemmaWitness:
     other_component: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class JointExploration:
     """Alpha pairs discovered from the initial pair, plus c1..c3 verdicts.
 
@@ -424,8 +425,8 @@ class JointExploration:
     violation.
     """
 
-    concrete: StateMachine = field(repr=False)
-    abstract: StateMachine = field(repr=False)
+    concrete: StateMachine = Field(repr=False)
+    abstract: StateMachine = Field(repr=False)
     search: Exploration
     c1: Verdict
     c2: Verdict
@@ -711,7 +712,7 @@ def _c6_conflict(nodes: Iterable[int], width: int, concrete_view: list[int],
     return None
 
 
-@dataclass(frozen=True)
+@record
 class CrossCheck:
     """Executable form of the soundness claim a passing report relies on."""
 
@@ -719,7 +720,7 @@ class CrossCheck:
     concrete_unwinding_ok: bool | None
 
 
-@dataclass(frozen=True)
+@record
 class SimulationReport:
     c1: Verdict
     c2: Verdict
@@ -801,7 +802,7 @@ def check_simulation(pair: RefinementPair,
 MoveEnumerator = Callable[[State], Iterable[State]]
 
 
-@dataclass(frozen=True)
+@record
 class ComponentContract:
     """Rely and guarantee for one component, at both levels.
 
@@ -822,7 +823,7 @@ class ComponentContract:
     abstract_guarantee_moves: MoveEnumerator | None = None
 
 
-@dataclass(frozen=True)
+@record
 class RelyGuaranteeSpec:
     contracts: Mapping[str, ComponentContract]
     component_of: Callable[[ActionId], str]
@@ -837,7 +838,7 @@ class RelyGuaranteeSpec:
         return name
 
 
-@dataclass(frozen=True)
+@record
 class CompositionalReport:
     lemma1: Verdict
     lemma2: Verdict
@@ -938,7 +939,9 @@ def check_compositional(pair: RefinementPair, rg: RelyGuaranteeSpec,
             match = _mapped_match(pair, contract, current[1], image, j,
                                   counterpart, relates)
             if match is not None:
-                abstract_moves_by[mover].add((node % width, ma.id_of(match)))
+                # the counterpart's id is known; a later candidate's is not
+                a2 = m if match is counterpart else ma.id_of(match)
+                abstract_moves_by[mover].add((node % width, a2))
         if (lemma, mover) not in failures:
             reason = _own_step_failure(contract, current, image, successor,
                                        match)

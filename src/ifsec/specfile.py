@@ -62,7 +62,6 @@ import itertools
 import math
 import os.path
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from ifsec import refinement
@@ -76,6 +75,7 @@ from ifsec.core import (
     SecureSystem,
     State,
     Value,
+    record,
     render_value,
     sort_actions,
     tabulate,
@@ -100,14 +100,14 @@ _KEYED_RE = re.compile(r"([a-z]+)\s*:\s*(.*)\Z")
 # Documents
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class VarDecl:
     name: str
     values: tuple[Value, ...]
     initial: Value
 
 
-@dataclass(frozen=True)
+@record
 class Rule:
     """One transition rule: if every `pre` equality holds, apply `post`."""
 
@@ -115,14 +115,14 @@ class Rule:
     post: tuple[tuple[str, Value], ...]
 
 
-@dataclass(frozen=True)
+@record
 class ActionDecl:
     label: str
     domain: str
     rules: tuple[Rule, ...]
 
 
-@dataclass(frozen=True)
+@record
 class ModelDocument:
     domains: tuple[str, ...]
     policy: tuple[tuple[str, str], ...]
@@ -147,7 +147,7 @@ class ModelDocument:
                              "different document")
 
 
-@dataclass(frozen=True)
+@record
 class RelationSpec:
     """A relation in a file: a variable frame or an explicit pair list."""
 
@@ -155,7 +155,7 @@ class RelationSpec:
     pairs: tuple[tuple[str, str], ...] | None = None
 
 
-@dataclass(frozen=True)
+@record
 class RefinementDocument:
     concrete_ref: str
     abstract_ref: str

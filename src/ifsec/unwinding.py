@@ -20,23 +20,24 @@ no instances.
 from __future__ import annotations
 
 from collections.abc import Callable, Collection, Iterable, Mapping
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 from .core import (
     DEFAULT_STATE_BUDGET,
     ActionId,
     Exploration,
+    Field,
     SecureSystem,
     State,
     StateMachine,
     UsageError,
     explore,
     indist,
+    record,
 )
 
 
-@dataclass(frozen=True)
+@record
 class Scope:
     """The states a check quantifies over, with its provenance tag.
 
@@ -49,10 +50,10 @@ class Scope:
     no search and no traces.
     """
 
-    machine: StateMachine = field(compare=False, repr=False)
+    machine: StateMachine = Field(compare=False, repr=False)
     ids: tuple[int, ...]
     tag: str
-    search: Callable[[], Exploration] | None = field(
+    search: Callable[[], Exploration] | None = Field(
         default=None, compare=False, repr=False)
 
     @property
@@ -114,7 +115,7 @@ def scope_universe(system: SecureSystem) -> Scope:
     return Scope(machine, machine.universe_ids, "universe")
 
 
-@dataclass(frozen=True)
+@record
 class LRViolation:
     action: ActionId
     domain: str
@@ -122,7 +123,7 @@ class LRViolation:
     successor: State
 
 
-@dataclass(frozen=True)
+@record
 class SCViolation:
     action: ActionId
     domain: str
@@ -132,7 +133,7 @@ class SCViolation:
     s2_successor: State
 
 
-@dataclass(frozen=True)
+@record
 class UnwindingReport:
     lr: LRViolation | None
     sc: SCViolation | None

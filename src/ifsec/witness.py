@@ -1,7 +1,7 @@
 """The witness JSON protocol: encode a violation, decode and replay it.
 
 A run report carries each failing check's witness as JSON: one walk
-over the witness dataclass's fields (`to_json`). `replay` reads that
+over the witness record's fields (`to_json`). `replay` reads that
 JSON back into the library's witness object against a freshly rebuilt
 target, re-executes its traces, and re-checks the condition with the
 library's own predicate for it. A witness names states by their
@@ -16,16 +16,16 @@ import `ifsec.cli`; under `python -m ifsec.cli` the running CLI is
 
 from __future__ import annotations
 
-import dataclasses
 import types
 import typing
 from typing import Any, Sequence
 
 from ifsec import noninterference, refinement, unwinding
-from ifsec.core import ActionId, SecureSystem, State, UsageError, render_value
+from ifsec.core import (ActionId, SecureSystem, State, UsageError, fields,
+                        render_value)
 
 #: The `type` tag of a witness's JSON -> (home module, witness
-#: dataclass, the predicate that re-checks it). Classes and predicates
+#: record, the predicate that re-checks it). Classes and predicates
 #: are named, and read from the module only when used, so that the table
 #: runs no checker module. `replay` re-checks on the witness's level for
 #: lr, sc and ni, on the refinement pair for c1-c6, and with the
@@ -44,7 +44,7 @@ _WITNESS_TYPES: dict[str, tuple[types.ModuleType, str, str]] = {
     "lemma": (refinement, "LemmaWitness", "lemma_violated"),
 }
 
-#: Witness dataclass name -> its tag.
+#: Witness record name -> its tag.
 _WITNESS_TAGS = {name: tag for tag, (_, name, _) in _WITNESS_TYPES.items()}
 
 #: Fields holding observed values, which JSON carries rendered.
@@ -70,12 +70,12 @@ def _encode(value: Any) -> Any:
 
 
 def to_json(witness: Any, scope: unwinding.Scope | None) -> dict[str, Any]:
-    """One walk over the witness dataclass's fields: states by their
+    """One walk over the witness record's fields: states by their
     serialization, actions by their label, tuples as lists. With the
     scope an lr or sc witness was found in, its scope traces are added."""
     tag = _WITNESS_TAGS[type(witness).__name__]
     out: dict[str, Any] = {"type": tag}
-    for field in dataclasses.fields(witness):
+    for field in fields(witness):
         value = getattr(witness, field.name)
         if field.name in _VIEW_FIELDS:
             out[field.name] = [render_value(v) for v in value]
@@ -162,7 +162,7 @@ _EXPLAIN = {
 
 
 class _Decoder:
-    """Reads a witness's JSON back into the library's witness dataclass.
+    """Reads a witness's JSON back into the library's witness record.
 
     Each field is read by its type: an action by its label among the
     level's actions, a state by its serialization among the level's
@@ -194,7 +194,7 @@ class _Decoder:
     def witness(self, cls: type) -> Any:
         hints = typing.get_type_hints(cls)
         return cls(**{f.name: self.field(f.name, hints[f.name])
-                      for f in dataclasses.fields(cls)})
+                      for f in fields(cls)})
 
     def value(self, hint: Any, raw: Any, name: str, system: SecureSystem) -> Any:
         args = typing.get_args(hint)

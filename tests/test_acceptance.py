@@ -26,11 +26,10 @@ The secure/insecure verdict table behind these asserts:
 import json
 import random
 import time
-from dataclasses import replace
 from functools import lru_cache
 
 from ifsec.cli import main
-from ifsec.core import ActionId, InfoFlowConfig
+from ifsec.core import ActionId, InfoFlowConfig, replace
 from ifsec.models import build_demo, get_model
 from ifsec.models.auction import ledger_max
 from ifsec.noninterference import (

@@ -800,19 +800,24 @@ class TestReplay:
 #: one JSON line on stderr with the exit code, the `ifsec` modules whose
 #: body ran, those still waiting as lazy modules, and whether OpenSSL's
 #: `_hashlib` was loaded.
-FOOTPRINT = """\
+#: Standard-library modules no command needs: the module of
+#: `@dataclass`, and `inspect`, which it imports.
+UNNEEDED = ("dataclasses", "inspect")
+
+FOOTPRINT = f"""\
 import importlib.util, json, sys, types
 import ifsec.cli
 code = ifsec.cli.main(sys.argv[1:])
-kinds = {name: type(module) for name, module in sys.modules.items()
-         if name.startswith("ifsec.")}
-print(json.dumps({
+kinds = {{name: type(module) for name, module in sys.modules.items()
+         if name.startswith("ifsec.")}}
+print(json.dumps({{
     "code": code,
     "ran": sorted(n for n, k in kinds.items() if k is types.ModuleType),
     "lazy": sorted(n for n, k in kinds.items()
                    if k is importlib.util._LazyModule),
     "openssl": "_hashlib" in sys.modules,
-}), file=sys.stderr)
+    "unneeded": [n for n in {UNNEEDED!r} if n in sys.modules],
+}}), file=sys.stderr)
 """
 
 #: Every lazy module: the package's checker modules, the witness
@@ -837,15 +842,28 @@ def child_env() -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=src)
 
 
-def footprint(*argv: str) -> tuple[int, set[str], set[str], bool]:
-    """Exit code, modules run, modules left lazy and whether OpenSSL was
-    loaded by one command in a fresh interpreter."""
+def footprint(*argv: str) -> tuple[int, set[str], set[str], bool, set[str]]:
+    """Exit code, modules run, modules left lazy, whether OpenSSL was
+    loaded and which `UNNEEDED` modules were imported by one command in
+    a fresh interpreter."""
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv],
                           env=child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stderr.splitlines()[-1])
     return (result["code"], set(result["ran"]), set(result["lazy"]),
-            result["openssl"])
+            result["openssl"], set(result["unneeded"]))
+
+
+@pytest.fixture(scope="module")
+def bare_unneeded() -> set[str]:
+    """The `UNNEEDED` modules a bare interpreter in the same environment
+    imports: `site` hooks differ between machines, and some import
+    `inspect`."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; print(*(n for n in {UNNEEDED!r} if n in sys.modules))"],
+        env=child_env(), capture_output=True, text=True, check=True)
+    return set(proc.stdout.split())
 
 
 class TestStartup:
@@ -857,7 +875,9 @@ class TestStartup:
     (`importlib.util._LazyModule`); every checker module is in
     `sys.modules` either way, which tools that rebind functions by
     module rely on. Only a failing check and a replay run the witness
-    protocol, and only model files, which are hashed, load OpenSSL.
+    protocol, and only model files, which are hashed, load OpenSSL. No
+    command imports an `UNNEEDED` module that a bare interpreter does
+    not: records are `core.record` classes, not dataclasses.
     """
 
     @pytest.mark.parametrize("argv,code,ran", [
@@ -883,24 +903,28 @@ class TestStartup:
     ], ids=["list", "builtin-unwinding", "builtin-refine",
             "builtin-compositional", "builtin-ni", "file-unwinding",
             "file-ni", "file-refine", "file-compositional"])
-    def test_command_runs_only_its_modules(self, models, argv, code, ran):
+    def test_command_runs_only_its_modules(self, models, bare_unneeded,
+                                           argv, code, ran):
         from_file = any(a.startswith("@") for a in argv)
         argv = [a.replace("@", str(models)) for a in argv]
-        got_code, got_ran, lazy, openssl = footprint(*argv)
+        got_code, got_ran, lazy, openssl, unneeded = footprint(*argv)
         assert got_code == code
         assert got_ran == ran
         assert got_ran | lazy == CHECKERS | BUILDERS | BASE
         assert openssl == from_file
+        assert unneeded <= bare_unneeded
 
-    def test_replay_runs_only_its_modules(self, saved_report, models):
+    def test_replay_runs_only_its_modules(self, saved_report, models,
+                                          bare_unneeded):
         code, report = saved_report("check", "unwinding",
                                     str(models / "leaky.ifs"))
         assert code == 1
-        got_code, ran, _, openssl = footprint("replay", report)
+        got_code, ran, _, openssl, unneeded = footprint("replay", report)
         assert got_code == 0
         assert ran == BASE | {"ifsec.specfile", "ifsec.unwinding",
                               "ifsec.witness"}
         assert openssl
+        assert unneeded <= bare_unneeded
 
     def test_module_run_replays_without_a_second_cli(self, run, saved_report,
                                                      models):
@@ -933,10 +957,12 @@ class TestStartup:
                     "ifsec.witness"}),
     ], ids=["ni", "c2"])
     def test_builtin_replay_builds_the_pair_only_for_it(self, saved_report,
-                                                        argv, ran):
+                                                        bare_unneeded, argv,
+                                                        ran):
         code, report = saved_report("check", *argv)
         assert code == 1
-        got_code, got_ran, _, openssl = footprint("replay", report)
+        got_code, got_ran, _, openssl, unneeded = footprint("replay", report)
         assert got_code == 0
         assert got_ran == ran
         assert not openssl
+        assert unneeded <= bare_unneeded

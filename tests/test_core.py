@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import os
 import pickle
@@ -25,18 +24,29 @@ from ifsec.core import (
     UsageError,
     equidom,
     explore,
+    fields,
     indist,
     reachable,
-    run,
+    record,
     render_value,
+    replace,
+    run,
     sort_actions,
     tabulate,
 )
 from ifsec.models import get_model
 from ifsec.programs import Basic, ConcurrentSystem, Event, compile_system
-from ifsec.refinement import Alpha, RefinementPair, Zeta, joint_explore
+from ifsec.refinement import (
+    Alpha,
+    C5Witness,
+    RefinementPair,
+    Verdict,
+    Zeta,
+    joint_explore,
+    total_relation,
+)
 from ifsec.specfile import elaborate_model, parse_model
-from ifsec.unwinding import check_unwinding
+from ifsec.unwinding import Scope, check_unwinding
 from oracles import build_machine
 from test_programs import BUILTIN_SIZES
 from test_specfile import model_documents
@@ -164,13 +174,132 @@ class TestActionId:
 
     def test_hash_follows_equality(self):
         a = ActionId("send", ("t2", "m1"))
-        b = dataclasses.replace(ActionId("send"), payload=("t2", "m1"))
+        b = replace(ActionId("send"), payload=("t2", "m1"))
         assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
         assert a != ActionId("send") and a != ActionId("recv", ("t2", "m1"))
 
     def test_display_includes_payload(self):
         assert ActionId("send", ("t2", "m1")).display() == "send:[t2,m1]"
         assert ActionId("send").display() == "send"
+
+
+@record
+class Twin:
+    """A record with C5Witness's fields: equal values, another class."""
+
+    source: str
+    target: str
+
+
+@record
+class Grown(Twin):
+    note: str = "n"
+
+
+class TestRecords:
+    """`core.record` keeps the semantics of a frozen dataclass."""
+
+    def test_construction_by_position_keyword_and_default(self):
+        witness = C5Witness("a", "b")
+        assert (witness.source, witness.target) == ("a", "b")
+        assert C5Witness(target="b", source="a") == witness
+        assert C5Witness("a", target="b") == witness
+        assert Verdict("pass") == Verdict(status="pass", witness=None,
+                                          note=None)
+        assert ActionId("tick").payload is None
+        alpha = Alpha(total_relation)
+        assert (alpha.description, alpha.concrete_key,
+                alpha.abstract_key) == ("predicate", None, None)
+        assert Scope(tiny_machine(), (0,), "reachable").search is None
+
+    @pytest.mark.parametrize("make", [
+        lambda: C5Witness("a"),
+        lambda: C5Witness(target="b"),
+        lambda: Verdict(),
+        lambda: C5Witness("a", "b", "c"),
+        lambda: C5Witness("a", "b", colour="c"),
+        lambda: C5Witness("a", source="b"),
+        lambda: ActionId(payload=1),
+    ], ids=["missing", "missing-keyword", "missing-all", "too-many",
+            "unknown", "twice", "missing-before-default"])
+    def test_bad_arguments_are_a_type_error(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_equality_only_within_one_class(self):
+        witness = C5Witness("a", "b")
+        assert witness == C5Witness("a", "b") and witness != C5Witness("a", "c")
+        assert witness != Twin("a", "b") and Twin("a", "b") != witness
+        assert witness != ("a", "b") and witness != Grown("a", "b")
+        assert Verdict("skipped", None, "x") != Verdict("skipped", None, "y")
+
+    def test_hash_is_the_hash_of_the_compared_fields(self):
+        witness = C5Witness("a", "b")
+        assert hash(witness) == hash(("a", "b"))
+        verdict = Verdict("fail", witness, "n")
+        assert hash(verdict) == hash(("fail", witness, "n"))
+        assert hash(ActionId("send", 1)) == hash(("send", 1))
+        # `machine` and `search` are not compared
+        ids = (0, 2)
+        one = Scope(tiny_machine(), ids, "reachable")
+        other = Scope(tiny_machine(), ids, "reachable", lambda: None)
+        assert one == other and hash(one) == hash((ids, "reachable"))
+        assert one != Scope(one.machine, ids, "universe")
+        alpha = Alpha(total_relation, "d")
+        assert alpha != Alpha(total_relation, "d", len, len)
+        assert hash(alpha) == hash((total_relation, "d", None, None))
+
+    def test_repr(self):
+        assert repr(C5Witness("a", "b")) == "C5Witness(source='a', target='b')"
+        assert repr(Verdict("pass", None, "n")) == \
+            "Verdict(status='pass', witness=None, note='n')"
+        assert repr(Grown("a", "b")) == \
+            "Grown(source='a', target='b', note='n')"
+        # `repr=False` fields are left out
+        assert repr(Scope(tiny_machine(), (0, 2), "reachable")) == \
+            "Scope(ids=(0, 2), tag='reachable')"
+        assert repr(Alpha(total_relation, "d", len, len)) == \
+            f"Alpha(predicate={total_relation!r}, description='d')"
+        # a `__repr__` written in the class body wins
+        assert repr(ActionId("send", ("t2", "m1"))) == "ActionId(send:[t2,m1])"
+
+    @pytest.mark.parametrize("change", [
+        lambda v: setattr(v, "status", "fail"),
+        lambda v: setattr(v, "colour", "red"),
+        lambda v: delattr(v, "note"),
+    ], ids=["assign", "add", "delete"])
+    def test_fields_are_frozen(self, change):
+        verdict = Verdict("pass", None, "n")
+        with pytest.raises(AttributeError):
+            change(verdict)
+        assert verdict == Verdict("pass", None, "n")
+
+    def test_post_init_and_cached_property_may_set_attributes(self):
+        assert hash(ActionId("tick")) == ActionId("tick")._hash
+        scope = Scope(tiny_machine(), (0, 2), "reachable")
+        assert scope.member is scope.member
+        assert list(scope.member) == [1, 0, 1, 0]
+
+    def test_fields_in_order_inherited_first(self):
+        assert [f.name for f in fields(Verdict)] == ["status", "witness",
+                                                     "note"]
+        assert fields(Verdict("pass")) == fields(Verdict)
+        assert [f.name for f in fields(Grown)] == ["source", "target", "note"]
+        assert Grown("a", "b").note == "n" and Grown("a", "b", "m").note == "m"
+        assert [(f.name, f.repr, f.compare) for f in fields(Scope)] == [
+            ("machine", False, False), ("ids", True, True),
+            ("tag", True, True), ("search", False, False)]
+        with pytest.raises(TypeError):
+            fields(("a", "b"))
+
+    def test_replace(self):
+        verdict = Verdict("fail", C5Witness("a", "b"), "n")
+        copy = replace(verdict, note="m")
+        assert copy == Verdict("fail", C5Witness("a", "b"), "m")
+        assert verdict.note == "n" and type(copy) is Verdict
+        assert replace(verdict) == verdict
+        with pytest.raises(TypeError):
+            replace(verdict, colour="red")
 
 
 class TestStepAndRun:

@@ -11,7 +11,6 @@ on two threads, where every checker runs in milliseconds.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import os
 import subprocess
@@ -20,7 +19,8 @@ import sys
 import pytest
 
 import ifsec
-from ifsec.core import BudgetError, ModelError, State, UsageError, render_value
+from ifsec.core import (BudgetError, ModelError, State, UsageError, render_value,
+                        replace)
 from ifsec.models import (
     build_arinc,
     build_auction,
@@ -84,7 +84,7 @@ def test_pair_and_contracts_come_from_one_link_call(name):
         calls.append(name)
         return built.link()
 
-    bundle = dataclasses.replace(built, link=link)
+    bundle = replace(built, link=link)
     assert calls == []
     assert bundle.rely_guarantee is bundle.rely_guarantee
     assert bundle.pair is bundle.pair

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +24,7 @@ from ifsec.core import (
     StateMachine,
     UsageError,
     equidom,
+    replace,
     run,
     sort_actions,
     value_key,

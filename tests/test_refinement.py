@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +25,7 @@ from ifsec.core import (
     State,
     StateMachine,
     UsageError,
+    replace,
     values_getter,
 )
 from ifsec.models import get_model, model_names

@@ -9,7 +9,6 @@ observe `y`, which must fail LR at `toggle`.
 """
 
 import itertools
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,6 +22,7 @@ from ifsec.core import (
     StateMachine,
     explore,
     explore_ids,
+    replace,
     sort_actions,
 )
 from ifsec import specfile

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +27,7 @@ from ifsec.core import (
     StateMachine,
     UsageError,
     explore,
+    replace,
 )
 from ifsec.models import get_model
 from ifsec.programs import compile_system

@@ -26,7 +26,11 @@ Conventions used throughout the package:
 - A machine is indexed: its states are numbered 0..n-1 (`by_id`), by
   `tabulate` in discovery order, not serialization order; each state,
   each id and each single-successor tuple `(k,)` is one object, and
-  each action has one table from a state id to its successor ids.  No
+  each action has one table from a state id to its successor ids.
+  A walk over a whole machine's steps (the joint search and the
+  rely-guarantee lemmas) reads them state by state off `rows`, three
+  flat lists made once from the tables; every other reader keeps to
+  the per-action tables, so a passing unwinding check makes none.  No
   verdict or witness depends on the numbering: a canonical witness
   compares serializations, and only once it has found a failure.
   Every checker's search, bounded NI's too, runs on those ids (so a
@@ -507,6 +511,11 @@ def sort_actions(actions: Iterable[ActionId]) -> tuple[ActionId, ...]:
 # Machines
 # ---------------------------------------------------------------------------
 
+#: A machine's steps by state: offsets by id, action positions, successor
+#: ids (`StateMachine.rows`).
+Rows = tuple[list[int], list[int], list[tuple[int, ...]]]
+
+
 class StateMachine:
     """An explicit machine: states, actions, set-valued step, initial state.
 
@@ -526,7 +535,8 @@ class StateMachine:
     that order.  A machine `tabulate` built is `tabulated`: its
     `state_ids` are the ids `explore` reaches, where the constructor's
     `states` may hold unreachable ones.  `transitions` is a read-only
-    (state, action) -> successors view of the tables.
+    (state, action) -> successors view of the tables, and `rows`, made
+    at its first call, lists the same steps state by state.
 
     The constructor indexes a machine given as a transition mapping;
     builders that number the states themselves call `from_tables`.
@@ -585,6 +595,7 @@ class StateMachine:
 
         self.by_id: tuple[State, ...] = by_id
         self._ids: dict[State, int] | None = None
+        self._rows: Rows | None = None
         self.actions: tuple[ActionId, ...] = tuple(actions)
         self._position = {action: k for k, action in enumerate(self.actions)}
         self.successor_ids: tuple[dict[int, tuple[int, ...]], ...] = tuple(
@@ -612,6 +623,37 @@ class StateMachine:
         if ids is None:
             ids = self._ids = {state: i for i, state in enumerate(self.by_id)}
         return ids.get(state)
+
+    def rows(self) -> Rows:
+        """The steps state by state, as three flat lists `(offsets, xs,
+        successors)`: the entries of state i are the positions from
+        `offsets[i]` up to `offsets[i + 1]`, in action order, and entry
+        k is action `xs[k]`'s table entry for i, `successors[k]` being
+        the table's own tuple.  Made at the first call, in one pass over
+        `successor_ids` that probes no table, and kept: a walk over a
+        whole machine reads a state's steps without testing every
+        action's table for it."""
+        rows = self._rows
+        if rows is None:
+            tables = self.successor_ids
+            offsets = [0] * (len(self.by_id) + 1)
+            for table in tables:
+                for i in table:
+                    offsets[i] += 1
+            total = 0
+            for i, count in enumerate(offsets):
+                total += count
+                offsets[i] = total
+            # Each offset is now the end of its row.  Rows fill from the
+            # end, last action first, and each offset ends at its row's
+            # start.
+            xs, successors = [0] * total, [()] * total
+            for x in range(len(tables) - 1, -1, -1):
+                for i, row in tables[x].items():
+                    k = offsets[i] = offsets[i] - 1
+                    xs[k], successors[k] = x, row
+            rows = self._rows = (offsets, xs, successors)
+        return rows
 
     def has_action(self, action: ActionId) -> bool:
         return action in self._position

@@ -17,6 +17,7 @@ builds with.
 
 from __future__ import annotations
 
+import sys
 from typing import Mapping
 
 from ifsec import _lazy
@@ -39,16 +40,23 @@ __all__ = [
     "model_names",
 ]
 
-#: Names re-exported from the builder modules, by home module; they are
-#: read there on first use.
-_EXPORTS = {"build_arinc": arinc, "build_auction": auction,
-            "build_demo": demo, "ModelBundle": common,
-            "component_of": common}
+#: Names re-exported from the builder modules, by the name of their home
+#: module; they are read there on first use.
+_EXPORTS = {"build_arinc": "arinc", "build_auction": "auction",
+            "build_demo": "demo", "ModelBundle": "common",
+            "component_of": "common"}
+
+
+def _builder_module(name: str):
+    """The builder module `name`, looked up when used: an import
+    statement that names it first puts an eagerly run module in
+    `sys.modules` in place of the lazy one made above."""
+    return sys.modules[f"{__name__}.{name}"]
 
 
 def __getattr__(name: str):
     if name in _EXPORTS:
-        return getattr(_EXPORTS[name], name)
+        return getattr(_builder_module(_EXPORTS[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -68,7 +76,7 @@ class RegistryEntry:
         builder = f"build_{self.family}"
         if self.variant is not None:
             kwargs["variant"] = self.variant
-        return getattr(_EXPORTS[builder], builder)(**kwargs)
+        return getattr(_builder_module(self.family), builder)(**kwargs)
 
 
 _DEMO = {"threads": 3, "capacity": 1, "messages": 1}

@@ -151,17 +151,27 @@ def frame_rely(fixed: Iterable[str], holder: str | None = None,
 
     def positions(index: Mapping[str, int]) -> tuple:
         return (values_getter(fixed, index),
+                values_getter([lock for lock, _ in frames], index),
                 tuple((index[lock], values_getter(frame, index))
                       for lock, frame in frames))
 
+    last = [None, None]  # the schema of the last step and its positions
+
     def rely(before: State, after: State) -> bool:
-        kept, held = layout(positions, before, after)
-        old, new = before.values, after.values
+        schema = before._schema
+        if schema is last[0] and after._schema is schema:
+            kept, lock_values, held = last[1]
+        else:
+            kept, lock_values, held = last[1] = layout(positions, before,
+                                                       after)
+            last[0] = schema
+        old, new = before._values, after._values
         if kept(new) != kept(old):
             return False
-        for lock, frame in held:
-            if old[lock] == holder and frame(new) != frame(old):
-                return False
+        if holder in lock_values(old):
+            for lock, frame in held:
+                if old[lock] == holder and frame(new) != frame(old):
+                    return False
         return True
 
     return rely
@@ -186,13 +196,25 @@ def frame_guarantee(allowed: Iterable[str], holder: str | None = None,
     guard = {v: lock for lock, guarded in locks.items() for v in guarded}
 
     def positions(index: Mapping[str, int]) -> tuple:
-        return tuple((k, _LOCK if name in locks
-                      else index[guard[name]] if name in guard else _KEPT)
-                     for name, k in index.items() if name not in allowed)
+        names = [name for name in index if name not in allowed]
+        return values_getter(names, index), tuple(
+            (index[name], _LOCK if name in locks
+             else index[guard[name]] if name in guard else _KEPT)
+            for name in names)
+
+    last = [None, None]  # the schema of the last step and its positions
 
     def guarantee(before: State, after: State) -> bool:
-        old, new = before.values, after.values
-        for k, rule in layout(positions, before, after):
+        schema = before._schema
+        if schema is last[0] and after._schema is schema:
+            constrained, rules = last[1]
+        else:
+            constrained, rules = last[1] = layout(positions, before, after)
+            last[0] = schema
+        old, new = before._values, after._values
+        if constrained(new) == constrained(old):
+            return True
+        for k, rule in rules:
             value, changed = old[k], new[k]
             if value == changed:
                 continue
@@ -481,21 +503,20 @@ def _steps(pair: RefinementPair, search: Exploration
     if alpha (on ids) still relates it; a mapped step's is the first
     successor on zeta's image of the action that alpha relates. None
     when there is none. Pairs the caller adds while it reads are walked
-    too."""
+    too. A pair's steps are read off the concrete machine's rows."""
     mc, ma = pair.concrete.machine, pair.abstract.machine
     width = len(ma.by_id)
     related = pair.alpha.on_ids(mc, ma)
     abstract = dict(zip(ma.actions, ma.successor_ids))
-    columns = []
-    for x, (action, table) in enumerate(zip(mc.actions, mc.successor_ids)):
-        image = pair.zeta.map(action)
-        columns.append((x, table, None if image is TAU else abstract[image]))
+    columns = [None if image is TAU else abstract[image]
+               for image in map(pair.zeta.map, mc.actions)]
+    offsets, xs, successors = mc.rows()
     for node in search:
         i, a = divmod(node, width)
-        for x, table, targets in columns:
-            if i not in table:
-                continue
-            for j in table[i]:
+        for k in range(offsets[i], offsets[i + 1]):
+            x = xs[k]
+            targets = columns[x]
+            for j in successors[k]:
                 if targets is None:
                     m = a if related(j, a) else None
                 else:
@@ -903,8 +924,16 @@ def check_compositional(pair: RefinementPair, rg: RelyGuaranteeSpec,
 
     mc, ma = pair.concrete.machine, pair.abstract.machine
     related = pair.alpha.on_ids(mc, ma)
-    movers = [rg.component(action) for action in mc.actions]
-    images = [pair.zeta.map(action) for action in mc.actions]
+    #: per concrete action: its mover, the mover's contract, its image,
+    #: its own lemma's key, and each other component's lemma 3 key and
+    #: contract
+    facts = []
+    for action in mc.actions:
+        mover, image = rg.component(action), pair.zeta.map(action)
+        facts.append((mover, rg.contracts[mover], image,
+                      ("lemma1" if image is TAU else "lemma2", mover),
+                      [(("lemma3", observer, mover), rg.contracts[observer])
+                       for observer in components if observer != mover]))
     abstract_moves_by: dict[str, set[tuple[int, int]]] = {
         k: set() for k in components}
     search, width = exploration.search, exploration.width
@@ -927,31 +956,30 @@ def check_compositional(pair: RefinementPair, rg: RelyGuaranteeSpec,
             reason=reason,
         ))
 
+    at = None  # the node whose pair `current` holds
     for node, x, j, m in _steps(pair, search):
-        mover, image = movers[x], images[x]
-        contract = rg.contracts[mover]
-        current, successor = exploration.pair_at(node), mc.by_id[j]
+        mover, contract, image, own, others = facts[x]
+        if node != at:
+            at, current = node, exploration.pair_at(node)
+        successor = mc.by_id[j]
         counterpart = None if m is None else ma.by_id[m]
-        if image is TAU:
-            lemma, match = "lemma1", counterpart
-        else:
-            lemma = "lemma2"
+        match = counterpart
+        if image is not TAU:
             match = _mapped_match(pair, contract, current[1], image, j,
                                   counterpart, relates)
             if match is not None:
                 # the counterpart's id is known; a later candidate's is not
                 a2 = m if match is counterpart else ma.id_of(match)
                 abstract_moves_by[mover].add((node % width, a2))
-        if (lemma, mover) not in failures:
+        if own not in failures:
             reason = _own_step_failure(contract, current, image, successor,
                                        match)
             if reason is not None:
-                fail((lemma, mover), node, x, successor, reason)
-        for observer in components:
-            key = ("lemma3", observer, mover)
-            if observer != mover and key not in failures:
-                failure = _environment_failure(rg.contracts[observer], current,
-                                               image, successor, counterpart)
+                fail(own, node, x, successor, reason)
+        for key, observer in others:
+            if key not in failures:
+                failure = _environment_failure(observer, current, image,
+                                               successor, counterpart)
                 if failure is not None:
                     fail(key, node, x, successor, *failure)
 

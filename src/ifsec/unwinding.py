@@ -78,9 +78,12 @@ class Scope:
     def _exploration(self) -> Exploration | None:
         return None if self.search is None else self.search()
 
-    def trace_to(self, state: State) -> tuple[ActionId, ...] | None:
+    def trace_to(self, state: State, i: int | None = None
+                 ) -> tuple[ActionId, ...] | None:
+        """The search's trace to `state`, whose id is `i` when given."""
         exploration = self._exploration
-        i = self.machine.id_of(state)
+        if i is None:
+            i = self.machine.id_of(state)
         if exploration is None or i not in exploration.index:
             return None
         return exploration.trace_to(i)
@@ -115,12 +118,21 @@ def scope_universe(system: SecureSystem) -> Scope:
     return Scope(machine, machine.universe_ids, "universe")
 
 
+def _state_id() -> Field:
+    """A witness state's id, which the check that found the witness
+    knows: a scope traces the state by it, without mapping every state
+    to its id. No part of the witness: equality, repr and JSON leave it
+    out."""
+    return Field(default=None, compare=False, repr=False)
+
+
 @record
 class LRViolation:
     action: ActionId
     domain: str
     state: State
     successor: State
+    state_id: int | None = _state_id()
 
 
 @record
@@ -131,6 +143,8 @@ class SCViolation:
     s2: State
     s1_successor: State
     s2_successor: State
+    s1_id: int | None = _state_id()
+    s2_id: int | None = _state_id()
 
 
 @record
@@ -223,7 +237,8 @@ def check_lr(system: SecureSystem, scope: Scope,
             if changes:
                 by_id = machine.by_id
                 i = min(changes, key=lambda i: by_id[i].serialize())
-                return LRViolation(action, domain, by_id[i], by_id[changes[i]])
+                return LRViolation(action, domain, by_id[i],
+                                   by_id[changes[i]], i)
     return None
 
 
@@ -249,21 +264,24 @@ def check_sc(system: SecureSystem, scope: Scope,
             continue
         for domain in chosen:
             view = config.classes(machine, domain)
-            if config.allows(acting, domain):
-                acting_view = config.classes(machine, acting)
-                premise = [(view[i], acting_view[i]) for i, _ in rows]
-            else:
-                premise = [view[i] for i, _ in rows]
-            # The successor view each premise class met first.
+            acting_view = config.classes(machine, acting) \
+                if config.allows(acting, domain) else None
+            # The successor view each premise class met first.  A row's
+            # class is made as the row is read: a list of them would be
+            # the largest allocation of a check over a large scope.
             seen: dict = {}
             violating = set()
-            for key, (_, successors) in zip(premise, rows):
+            for i, successors in rows:
+                key = view[i] if acting_view is None \
+                    else (view[i], acting_view[i])
                 for j in successors:
                     after = view[j]
                     if seen.setdefault(key, after) != after:
                         violating.add(key)
             if not violating:
                 continue
+            premise = [view[i] if acting_view is None
+                       else (view[i], acting_view[i]) for i, _ in rows]
             members = _least_class(machine, rows, premise, violating)
             for i1, successors1 in members:
                 for j1 in successors1:
@@ -273,7 +291,7 @@ def check_sc(system: SecureSystem, scope: Scope,
                                 by_id = machine.by_id
                                 return SCViolation(
                                     action, domain, by_id[i1], by_id[i2],
-                                    by_id[j1], by_id[j2])
+                                    by_id[j1], by_id[j2], i1, i2)
     return None
 
 

@@ -72,19 +72,27 @@ def _encode(value: Any) -> Any:
 def to_json(witness: Any, scope: unwinding.Scope | None) -> dict[str, Any]:
     """One walk over the witness record's fields: states by their
     serialization, actions by their label, tuples as lists. With the
-    scope an lr or sc witness was found in, its scope traces are added."""
+    scope an lr or sc witness was found in, its scope traces are added.
+    A field that equality ignores is no part of the witness: a state's
+    id, which the scope traces it by (`state_id`, `s1_id`, `s2_id`)."""
     tag = _WITNESS_TAGS[type(witness).__name__]
     out: dict[str, Any] = {"type": tag}
-    for field in fields(witness):
+    for field in _witness_fields(witness):
         value = getattr(witness, field.name)
         if field.name in _VIEW_FIELDS:
             out[field.name] = [render_value(v) for v in value]
         else:
             out[field.name] = _encode(value)
     for trace_field, state_field in _SCOPE_TRACES.get(tag, ()) if scope else ():
-        trace = scope.trace_to(getattr(witness, state_field))
+        trace = scope.trace_to(getattr(witness, state_field),
+                               getattr(witness, f"{state_field}_id"))
         out[trace_field] = None if trace is None else _encode(trace)
     return out
+
+
+def _witness_fields(witness: Any) -> list:
+    """The fields of a witness record or class that its JSON carries."""
+    return [field for field in fields(witness) if field.compare]
 
 
 def _system_for(loaded: Any, check_name: str) -> SecureSystem:
@@ -194,7 +202,7 @@ class _Decoder:
     def witness(self, cls: type) -> Any:
         hints = typing.get_type_hints(cls)
         return cls(**{f.name: self.field(f.name, hints[f.name])
-                      for f in fields(cls)})
+                      for f in _witness_fields(cls)})
 
     def value(self, hint: Any, raw: Any, name: str, system: SecureSystem) -> Any:
         args = typing.get_args(hint)

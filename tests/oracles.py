@@ -1,10 +1,13 @@
-"""The `State`-keyed machine build, kept as a test oracle.
+"""Plain forms of the machine layout and the frames, kept as test oracles.
 
 `build_machine` is the build that `ifsec.core.tabulate` replaced: a
 breadth-first search over `State` objects rather than values tuples.
 Tests compare the two machines' layouts (`machine_layout`), so the
 tabulation must keep this search's discovery order, alphabet, ids and
-budget errors.
+budget errors. `probed_rows` finds each state's steps by testing every
+action's table, as `StateMachine.rows` must list them, and the two
+frame oracles check one variable at a time by name, as the frames'
+shortcuts must decide.
 """
 
 from __future__ import annotations
@@ -68,3 +71,45 @@ def build_machine(initial: State,
     actions = sort_actions(tables)
     return StateMachine.from_tables(
         tuple(search.order), actions, [tables[a] for a in actions], 0)
+
+
+def probed_rows(machine: StateMachine) -> list[list[tuple[int, tuple]]]:
+    """Each state's steps as (action position, successor ids), found by
+    testing every action's table for the state's id."""
+    return [[(x, table[i]) for x, table in enumerate(machine.successor_ids)
+             if i in table] for i in range(len(machine.by_id))]
+
+
+def oracle_frame_rely(fixed, holder=None, locks=None):
+    """`frame_rely`, one variable at a time by name: the step keeps
+    every fixed variable and, for each lock `holder` holds before it,
+    the lock and what it guards."""
+    def rely(before: State, after: State) -> bool:
+        if any(before[v] != after[v] for v in fixed):
+            return False
+        return all(before[lock] != holder
+                   or all(before[v] == after[v] for v in (lock, *guarded))
+                   for lock, guarded in (locks or {}).items())
+    return rely
+
+
+def oracle_frame_guarantee(allowed, holder=None, locks=None):
+    """`frame_guarantee`, one variable at a time by name: a variable
+    that is not allowed may change only if it is a lock that `holder`
+    takes or releases, or is guarded by a lock `holder` holds before
+    the step."""
+    locks = locks or {}
+    guard = {v: lock for lock, guarded in locks.items() for v in guarded}
+
+    def guarantee(before: State, after: State) -> bool:
+        for name in before.names:
+            old, new = before[name], after[name]
+            if name in allowed or old == new:
+                continue
+            if name in locks:
+                if holder not in (old, new):
+                    return False
+            elif name not in guard or before[guard[name]] != holder:
+                return False
+        return True
+    return guarantee

@@ -866,6 +866,35 @@ def bare_unneeded() -> set[str]:
     return set(proc.stdout.split())
 
 
+def test_failing_unwinding_maps_no_state_to_its_id(run, monkeypatch):
+    """lr and sc keep the ids of the states they report, so the report
+    traces each witness without mapping every state of its level to its
+    id, and the traces are the search's."""
+    built = []
+    get_model = ifsec.models.get_model
+
+    def recording(*args, **kwargs):
+        built.append(get_model(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(ifsec.models, "get_model", recording)
+    code, out, _ = run("check", "unwinding", "demo-insecure-fullstatus",
+                       "--json")
+    assert code == 1
+    (bundle,) = built
+    assert [level.machine._ids for level in (bundle.concrete,
+                                             bundle.abstract)] == [None, None]
+    checks = {check["name"]: check for check in json.loads(out)["checks"]}
+    for label, level in (("concrete", bundle.concrete),
+                         ("abstract", bundle.abstract)):
+        lr = checks[f"{label}-lr"]["witness"]
+        search = ifsec.explore(level.machine)
+        state = next(s for s in level.machine.by_id
+                     if s.serialize() == lr["state"])
+        assert lr["trace"] == [a.display() for a in search.trace_to(
+            level.machine.id_of(state))]
+
+
 class TestStartup:
     """Each command runs only the modules it uses.
 
@@ -913,6 +942,23 @@ class TestStartup:
         assert got_ran | lazy == CHECKERS | BUILDERS | BASE
         assert openssl == from_file
         assert unneeded <= bare_unneeded
+
+    @pytest.mark.parametrize("family", ["arinc", "auction", "demo"])
+    def test_builder_imported_first_still_builds(self, family):
+        """An import statement that names a builder module before
+        `ifsec.models` has run puts an eagerly run module in
+        `sys.modules`; the registry builds with that one."""
+        module = f"ifsec.models.{family}"
+        proc = subprocess.run([sys.executable, "-c", (
+            f"import sys, {module}\n"
+            "from ifsec import models\n"
+            f"bundle = models.get_model({family!r})\n"
+            f"assert models.build_{family} is "
+            f"sys.modules[{module!r}].build_{family}\n"
+            "print(type(bundle).__name__)")],
+            env=child_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ModelBundle\n"
 
     def test_replay_runs_only_its_modules(self, saved_report, models,
                                           bare_unneeded):

@@ -47,7 +47,7 @@ from ifsec.refinement import (
 )
 from ifsec.specfile import elaborate_model, parse_model
 from ifsec.unwinding import Scope, check_unwinding
-from oracles import build_machine
+from oracles import build_machine, probed_rows
 from test_programs import BUILTIN_SIZES
 from test_specfile import model_documents
 from test_unwinding import universe_systems
@@ -816,6 +816,22 @@ def assert_one_object_per_id(m: StateMachine) -> None:
         assert ints.setdefault(k, k) is k
 
 
+def assert_rows_are_probed_tables(m: StateMachine) -> None:
+    """The row view lists each state's steps as a probe of every
+    action's table finds them, in action order, each successor tuple
+    the table's own; it is made once and kept."""
+    offsets, xs, successors = rows = m.rows()
+    assert m.rows() is rows and m._rows is rows
+    assert len(offsets) == len(m.by_id) + 1 and offsets[0] == 0
+    assert offsets[-1] == len(xs) == len(successors)
+    got = [[(xs[k], successors[k]) for k in range(offsets[i], offsets[i + 1])]
+           for i in range(len(m.by_id))]
+    probed = probed_rows(m)
+    assert got == probed
+    assert all(mine is theirs for row, other in zip(got, probed)
+               for (_, mine), (_, theirs) in zip(row, other))
+
+
 def assert_lookups_answer(m: StateMachine, stride: int = 1) -> None:
     """`id_of`, `step` and `enabled` read the tables, for a machine's
     states and for copies of them over their own schema; a state over
@@ -849,12 +865,14 @@ class TestCompactLayout:
         for level in (bundle.concrete, bundle.abstract):
             m = level.machine
             if check_unwinding(level).ok:
-                # a passing check runs on ids: it looks up no state's id
-                # and hashes no state
-                assert m._ids is None
+                # a passing check runs on ids: it looks up no state's id,
+                # hashes no state and reads the per-action tables, so it
+                # builds no rows
+                assert m._ids is None and m._rows is None
                 assert all(s._hash is None for s in m.by_id)
             assert_one_object_per_id(m)
             assert_lookups_answer(m, stride=max(1, len(m.by_id) // 300))
+            assert_rows_are_probed_tables(m)
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(universe_systems())
@@ -862,6 +880,7 @@ class TestCompactLayout:
         system, _, _ = example
         assert_one_object_per_id(system.machine)
         assert_lookups_answer(system.machine)
+        assert_rows_are_probed_tables(system.machine)
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(model_documents())
@@ -870,3 +889,4 @@ class TestCompactLayout:
             m = elaborate_model(doc, universe=universe).machine
             assert_one_object_per_id(m)
             assert_lookups_answer(m)
+            assert_rows_are_probed_tables(m)

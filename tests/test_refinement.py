@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifsec import core
+from ifsec import core, refinement
 from ifsec.core import (
     ActionId,
     BudgetError,
@@ -72,6 +72,8 @@ from test_cli import (
     PAIR_BAD_GUARANTEE,
     pair_with_worker_rely,
 )
+from oracles import oracle_frame_guarantee, oracle_frame_rely
+from test_core import assert_rows_are_probed_tables
 from test_models import own_moves
 
 INC = ActionId("inc")
@@ -486,6 +488,77 @@ class TestFrames:
     def test_locks_need_a_holder(self):
         with pytest.raises(ModelError, match="holds them"):
             frame_rely(OWNED, locks=LOCKS)
+
+
+#: Generated frame steps: locks l1 and l2, the variables they may guard,
+#: and free ones. A lock is held by t, by u, or by nobody.
+FRAME_VARIABLES = ("a", "b", "g1", "g2", "l1", "l2")
+FRAME_VALUES = (None, 0, 1, "t", "u")
+FRAME_LOCKS = [None, {"l1": ("g1",), "l2": ("g2", "a")}, {"l1": ("g1", "g2")}]
+
+
+@st.composite
+def frame_steps(draw):
+    """A frame's variables, holder and locks, and one to four steps: a
+    state over `FRAME_VARIABLES` and that state with some variables
+    changed, the after-state sometimes on a schema of its own."""
+    names = draw(st.lists(st.sampled_from(("a", "b", "g1", "g2")),
+                          unique=True))
+    locks = draw(st.sampled_from(FRAME_LOCKS))
+    holder = "t" if locks or draw(st.booleans()) else None
+    values = st.sampled_from(FRAME_VALUES)
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        before = State({v: draw(values) for v in FRAME_VARIABLES})
+        changed = draw(st.lists(st.sampled_from(FRAME_VARIABLES),
+                                unique=True))
+        after = before.assign({v: draw(values) for v in changed})
+        if draw(st.booleans()):
+            after = State(dict(after.items))
+        steps.append((before, after))
+    return names, holder, locks, steps
+
+
+def assert_frames_match_oracles(frames, steps) -> None:
+    """Each (frame, oracle) agrees on each step, asked twice, so that a
+    frame meets the schema it kept from the step before."""
+    for frame, oracle in frames:
+        for _ in range(2):
+            for before, after in steps:
+                assert frame(before, after) is oracle(before, after), \
+                    (before, after)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(frame_steps())
+def test_frames_match_per_variable_oracles(example):
+    names, holder, locks, steps = example
+    assert_frames_match_oracles(
+        [(frame_rely(names, holder, locks),
+          oracle_frame_rely(names, holder, locks)),
+         (frame_guarantee(names, holder, locks),
+          oracle_frame_guarantee(names, holder, locks))], steps)
+
+
+@pytest.mark.parametrize("name", ["demo", "arinc", "auction"])
+def test_builtin_frames_match_per_variable_oracles(monkeypatch, name):
+    """Every rely and guarantee frame of a built-in's contracts agrees
+    with its oracle on each concrete step and on the step reversed, in
+    which a lock the step takes is released."""
+    made = []
+    for kind, oracle in (("frame_rely", oracle_frame_rely),
+                         ("frame_guarantee", oracle_frame_guarantee)):
+        def recording(*args, frame=getattr(refinement, kind), oracle=oracle):
+            made.append((frame(*args), oracle(*args)))
+            return made[-1][0]
+        monkeypatch.setattr(refinement, kind, recording)
+    bundle = get_model(name)
+    assert bundle.rely_guarantee is not None and made
+    by_id = bundle.concrete.machine.by_id
+    steps = [(by_id[i], by_id[j])
+             for table in bundle.concrete.machine.successor_ids
+             for i, row in table.items() for j in row]
+    assert_frames_match_oracles(made, steps + [(t, s) for s, t in steps])
 
 
 def two_component_system(hit_changes_x: bool) -> SecureSystem:
@@ -1166,6 +1239,14 @@ def test_id_refinement_matches_state_oracles(example):
         assert lemmas.cross_check.status != "fail"
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(generated_pairs())
+def test_generated_pair_rows_are_probed_tables(example):
+    pair, _, _ = example
+    for level in (pair.concrete, pair.abstract):
+        assert_rows_are_probed_tables(level.machine)
+
+
 @pytest.mark.parametrize("name", model_names())
 def test_id_refinement_matches_state_oracles_on_builtins(name):
     bundle = get_model(name)
@@ -1412,8 +1493,10 @@ def _layout_kind(make) -> str:
 def test_each_layout_runs_once_per_schema(monkeypatch, tmp_path, name,
                                           frames, keys):
     """Across `check_simulation` then `check_compositional`, each frame
-    and key layout runs once on the one schema of its level, and every
-    later call finds it there. `demo` (capacity 2) has a rely and a
+    and key layout runs once on the one schema of its level. Every later
+    key and observation call finds it there; a frame keeps the positions
+    of the last schema it met, so it never looks them up again.
+    `demo` (capacity 2) has a rely and a
     guarantee frame per thread and a pc key per level; `pair.ifs` has
     two `keeps:` and two `may:` frames, and its two `match:` keys and
     four observations (two domains per level) read through
@@ -1439,7 +1522,8 @@ def test_each_layout_runs_once_per_schema(monkeypatch, tmp_path, name,
     assert (kinds["frame"], kinds["key"]) == (frames, keys)
     assert kinds["values"] == (0 if keys else 6)
     assert set(runs.values()) == {1}
-    assert all(hits[make] for make in runs)
+    assert all(bool(hits[make]) is (_layout_kind(make) != "frame")
+               for make in runs)
 
 
 @pytest.mark.parametrize("read", [

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifsec import core, unwinding
+from ifsec import core, unwinding, witness
 from ifsec.cli import main
 from ifsec.core import (
     ActionId,
@@ -423,6 +423,33 @@ def test_id_checks_match_state_oracles(example):
     assert check_sc(system, scope, chosen) == oracle_check_sc(
         system, scope, chosen)
     assert has_stutter(system, scope) == oracle_has_stutter(system, scope)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(universe_systems())
+def test_witness_states_carry_their_ids(example):
+    """lr and sc hand back the ids of the states a scope traces, so
+    `witness.to_json` traces them without mapping every state to its
+    id, to the traces `Scope.trace_to` finds by state."""
+    system, scope, chosen = example
+    machine = system.machine
+    found = [(violation, anchors, witness.to_json(violation, scope))
+             for violation, anchors in (
+                 (check_lr(system, scope, chosen), ("state",)),
+                 (check_sc(system, scope, chosen), ("s1", "s2")))
+             if violation is not None]
+    assert machine._ids is None
+    for violation, anchors, encoded in found:
+        ids = [getattr(violation, f"{anchor}_id") for anchor in anchors]
+        assert [machine.by_id[i] for i in ids] == \
+            [getattr(violation, anchor) for anchor in anchors]
+        traces = [scope.trace_to(getattr(violation, anchor))
+                  for anchor in anchors]
+        assert [encoded[field] for field, _ in
+                witness._SCOPE_TRACES[encoded["type"]]] == [
+            None if trace is None else [a.display() for a in trace]
+            for trace in traces]
+        assert not any(key.endswith("_id") for key in encoded)
 
 
 @pytest.mark.parametrize("name", ["demo", "demo-insecure-fullstatus", "arinc",

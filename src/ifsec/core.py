@@ -18,9 +18,14 @@ Conventions used throughout the package:
 - Every state and pair search is an `Exploration`: FIFO over the
   successors in the order the caller adds them, so the caller's
   successor order alone fixes the discovery order, the first-reaching
-  parent edges and the witness traces; never iterate a set there.
+  parent edges and the witness traces; never iterate a set there.  A
+  search names a successor's parent by its position, so it hashes no
+  parent again.
 - Programs and model files alike build machines by `tabulate`, one
-  search over values tuples with one `State` per distinct tuple.  Its
+  search over values tuples with one `State` per distinct tuple.  A
+  step names its action by position in an alphabet the caller owns,
+  and each action's steps from a state are adjacent, so the build
+  fills one table per position and hashes no `ActionId`.  Its
   machines' `state_ids` are what `explore` reaches, so a reachable
   scope explores only to trace a witness.
 - A machine is indexed: its states are numbered 0..n-1 (`by_id`), by
@@ -54,9 +59,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from collections import defaultdict
-from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
+from collections.abc import (Callable, Hashable, Iterable, Iterator, Mapping,
+                             Sequence)
 from functools import partial
+from itertools import chain
 from operator import itemgetter
 
 #: Exploration ceiling applied when a caller does not pass an explicit budget.
@@ -838,13 +844,16 @@ class Exploration:
 
     `order` lists nodes in discovery order and is also the FIFO queue:
     iterating the exploration yields `order` while the caller grows it
-    with `add`.  `index` maps each discovered node to its position in
-    `order`, its dense BFS id; it is the seen set.  `edges[k]` is the
-    position of the parent that first reached `order[k]`, None for a
-    root, and `actions[k]` the action it took; `trace_to` walks them
-    back to a shortest trace.
+    with `add`, which takes the position of the node being expanded
+    (its index in that iteration), so no search hashes a parent again.
+    `index` maps each discovered node to its position in `order`, its
+    dense BFS id; it is the seen set.  `edges[k]` is the position of
+    the parent that first reached `order[k]`, None for a root, and
+    `actions[k]` the action it took; `trace_to` walks them back to a
+    shortest trace.
     `depth` is the BFS depth of the node being expanded.  The roots,
-    `initial` and the distinct `more_roots`, are at depth 0.
+    `initial` and the distinct `more_roots`, are at depth 0; more of
+    them than the budget raises BudgetError at depth 0.
     """
 
     def __init__(self, initial: Hashable, budget: float | None = None,
@@ -857,6 +866,13 @@ class Exploration:
         self.depth = 0
         self._limit = DEFAULT_STATE_BUDGET if budget is None else budget
         self._noun = noun
+        if len(self.order) > self._limit:
+            raise self._exceeded(0)
+
+    def _exceeded(self, depth: int) -> BudgetError:
+        return BudgetError(
+            f"budget of {self._limit} {self._noun} exceeded at BFS depth "
+            f"{depth} (raise --budget or shrink the model)")
 
     def __iter__(self) -> Iterator:
         self.depth = 0
@@ -868,9 +884,9 @@ class Exploration:
                 level_end = len(self.order)
             yield node
 
-    def add(self, node: Hashable, parent: Hashable, action: Hashable) -> int:
-        """Record `node` as reached from `parent` by `action`, unless seen,
-        and return its position in `order`.
+    def add(self, node: Hashable, parent: int, action: Hashable) -> int:
+        """Record `node` as reached by `action` from the node at position
+        `parent` in `order`, unless seen, and return its position.
 
         Raises BudgetError when `node` would be one more than the budget.
         """
@@ -879,11 +895,9 @@ class Exploration:
             return k
         k = len(self.order)
         if k >= self._limit:
-            raise BudgetError(
-                f"budget of {self._limit} {self._noun} exceeded at BFS depth "
-                f"{self.depth + 1} (raise --budget or shrink the model)")
+            raise self._exceeded(self.depth + 1)
         self.index[node] = k
-        self.edges.append(self.index[parent])
+        self.edges.append(parent)
         self.actions.append(action)
         self.order.append(node)
         return k
@@ -918,14 +932,14 @@ def explore_ids(initial_id: int, actions: Iterable[ActionId],
     """`explore` over bare successor tables, one per action."""
     search = Exploration(initial_id, budget)
     columns = tuple(zip(actions, successor_ids))
-    for i in search:
+    for k, i in enumerate(search):
         if depth is not None and search.depth >= depth:
             break
         for action, table in columns:
             successors = table.get(i)
             if successors:
                 for j in successors:
-                    search.add(j, i, action)
+                    search.add(j, k, action)
     return search
 
 
@@ -940,31 +954,42 @@ def reachable(machine: StateMachine, depth: int | None = None,
 # Machine construction
 # ---------------------------------------------------------------------------
 
+#: A step of no action after a state's last one, so that `tabulate`'s
+#: loop fills a state's last run of steps too.
+_END = ((-2, None),)
+
+
 def tabulate(initial: State,
-             successors: Callable[[State], list[tuple[ActionId, tuple]]],
-             budget: int | None = None,
-             actions: tuple[ActionId, ...] | None = None,
+             successors: Callable[[State], list[tuple[int, tuple]]],
+             actions: Sequence[ActionId], budget: int | None = None,
              universe: Iterable[tuple] | None = None) -> StateMachine:
     """Materialize an explicit StateMachine by BFS over values tuples.
 
-    `successors` returns the list of (action, successor values) steps of
-    a state, the values over `initial`'s schema.  Steps are grouped by
-    action in first-appearance order and each group is sorted by
-    serialization, which fixes the discovery order.  The search runs on
-    values tuples; each discovered tuple is made a `State` once, when it
-    is expanded, and that state is both `successors`' argument and the
-    machine's.  A state's id is its position in the search, discovery
-    order, not serialization order: the roots come first, and each
-    state's table entries are filled when it is expanded, naming id k
-    by the one int the search's `index` holds and one shared `(k,)`.
+    `successors` returns the list of (action position, successor values)
+    steps of a state, the values over `initial`'s schema and the
+    position an index into `actions`, which fills one table per
+    position.  Each action's steps are adjacent in the list: a lone step
+    is filled as it comes, hashing no `ActionId`, and a run of steps of
+    one action is sorted by serialization, which fixes the discovery
+    order.  An action whose steps are not adjacent is a UsageError.
+    The search runs on values tuples; each discovered tuple is made a
+    `State` once, when it is expanded, and that state is both
+    `successors`' argument and the machine's.  A state's id is its
+    position in the search, discovery order, not serialization order:
+    the roots come first, and each state's table entries are filled
+    when it is expanded, naming id k by the one int the search's
+    `index` holds and one shared `(k,)`.
 
-    The alphabet is `actions` when given (sorted), else the actions
-    enabled in some discovered state: an action that never fires would
-    only stutter, so leaving it out changes no verdict while bounded-trace
-    enumeration budgets on the real alphabet.  The `universe` tuples are
-    further roots, kept with `initial` as the machine's universe, ids
-    0..U-1; its `states` are what `explore_ids` reaches from `initial`.
-    More than `budget` states (default DEFAULT_STATE_BUDGET) raises
+    The caller owns the alphabet `actions`.  A tuple is declared whole
+    and is the machine's alphabet.  A list may grow while the search
+    runs, `successors` putting each action at the next position when it
+    first meets it, and the machine's alphabet is its actions with a
+    step, sorted: an action that never fires would only stutter, so
+    leaving it out changes no verdict while bounded-trace enumeration
+    budgets on the real alphabet.  The `universe` tuples are further
+    roots, kept with `initial` as the machine's universe, ids 0..U-1;
+    its `states` are what `explore_ids` reaches from `initial`.  More
+    than `budget` states (default DEFAULT_STATE_BUDGET) raises
     BudgetError.
     """
     search = Exploration(initial.values, budget,
@@ -972,40 +997,57 @@ def tabulate(initial: State,
     index, add = search.index, search.add
     singles = [(k,) for k in index.values()]  # (k,) for id k, k from `index`
     make = initial.with_values
-    tables: dict[ActionId, dict[int, tuple[int, ...]]] = \
-        defaultdict(dict) if actions is None else {a: {} for a in actions}
+    tables: list[dict[int, tuple[int, ...]]] = [{} for _ in actions]
     states: list[State] = []
     # `singles` grows with `search`, so the two stay in step
     for (i,), values in zip(singles, search):
         state = make(values)
         states.append(state)
         steps = successors(state)
-        grouped = dict(steps)
-        if len(grouped) == len(steps):
-            for action, succ in grouped.items():
-                # most successors were seen before: find them without a call
-                k = index.get(succ)
-                if k is None:
-                    k = add(succ, values, action)
-                    singles.append((k,))
-                tables[action][i] = singles[k]
-        else:
-            groups: dict[ActionId, set[tuple]] = {}
-            for action, succ in steps:
-                groups.setdefault(action, set()).add(succ)
-            for action, succs in groups.items():
-                seen = len(singles)
-                ids = tuple([add(succ, values, action) for succ in sorted(
-                    succs, key=lambda v: make(v).serialize())])
-                singles.extend([(k,) for k in ids if k >= seen])
-                tables[action][i] = singles[ids[0]] if len(ids) == 1 else ids
-    if actions is None:
-        actions = sort_actions(tables)
-    successor_ids = [tables[a] for a in actions]
+        if len(tables) < len(actions):
+            tables += [{} for _ in range(len(actions) - len(tables))]
+        # x is the action of the run of steps not yet filled (-1 before
+        # the first step), filled when a step of another action comes;
+        # `run` holds its successors once it has two steps
+        x, succ, run = -1, None, None
+        for y, following in chain(steps, _END):
+            if y == x:
+                if run is None:
+                    run = {succ}
+                run.add(following)
+                continue
+            if x >= 0:
+                table = tables[x]
+                if i in table:
+                    raise UsageError(
+                        f"the steps of action {actions[x].display()!r} from "
+                        f"{state.serialize()} are not adjacent; list each "
+                        "action's steps together")
+                if run is None:
+                    # most successors were seen before: find them without a call
+                    k = index.get(succ)
+                    if k is None:
+                        k = add(succ, i, x)
+                        singles.append((k,))
+                    table[i] = singles[k]
+                else:
+                    seen = len(singles)
+                    ids = tuple([add(v, i, x) for v in sorted(
+                        run, key=lambda v: make(v).serialize())])
+                    singles.extend([(k,) for k in ids if k >= seen])
+                    table[i] = singles[ids[0]] if len(ids) == 1 else ids
+            x, succ, run = y, following, None
+    if isinstance(actions, tuple):
+        alphabet, successor_ids = actions, tables
+    else:
+        xs = sorted((x for x, table in enumerate(tables) if table),
+                    key=lambda x: actions[x].sort_key())
+        alphabet = tuple([actions[x] for x in xs])
+        successor_ids = [tables[x] for x in xs]
     state_ids, universe_ids = tuple(index.values()), None
     if universe is not None:
         universe_ids = state_ids[:search.edges.count(None)]
-        state_ids = sorted(explore_ids(0, actions, successor_ids,
+        state_ids = sorted(explore_ids(0, alphabet, successor_ids,
                                        budget=budget).order)
-    return StateMachine.from_tables(tuple(states), actions, successor_ids, 0,
+    return StateMachine.from_tables(tuple(states), alphabet, successor_ids, 0,
                                     state_ids, universe_ids, tabulated=True)

@@ -273,7 +273,7 @@ def check_ni(
         view = config.classes(machine, d)
         roots = [(initial, initial, g, False) for g in starts]
         explored = Exploration(roots[0], float("inf"), more_roots=roots[1:])
-        for node in explored:
+        for k, node in enumerate(explored):
             if explored.depth >= bound:
                 break
             full, purged, guess, dropped = node
@@ -284,7 +284,7 @@ def check_ni(
                 for g in guesses:
                     found = (node_full, node_purged, g, node_dropped)
                     n = len(explored.order)
-                    if explored.add(found, node, i) < n or g != target \
+                    if explored.add(found, k, i) < n or g != target \
                             or not node_dropped:
                         continue
                     # not equidom: more than one class over both id sets

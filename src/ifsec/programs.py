@@ -447,7 +447,7 @@ class _Handler:
 
     def __init__(self, comp: str, name: str, domain: str,
                  decode: dict[str, tuple[str, Prog]],
-                 action_of: Callable[[str, str], tuple[ActionId, str]]) -> None:
+                 action_of: Callable[[str, str], tuple[int, str]]) -> None:
         self.prefix = f"{comp}/{name}/"
         self.name = name
         self.decode = decode
@@ -455,7 +455,8 @@ class _Handler:
         self.numbers: dict[Prog, str] = {}
         self.invoke, self.domain = action_of(self.prefix + INVOKE, domain)
 
-    def action(self, label: str) -> ActionId:
+    def action(self, label: str) -> int:
+        """The alphabet position of the action of step `label`."""
         return self._action_of(self.prefix + label, self.domain)[0]
 
     def pc(self, residual: Prog) -> str:
@@ -492,13 +493,14 @@ class _Point:
 
 
 class _Step:
-    """One move of a component, or an invocation: its action, its
-    updates and the residual it leaves, with that residual's pc value
-    once known when `finished` decides it without reading the state."""
+    """One move of a component, or an invocation: its action's alphabet
+    position, its updates and the residual it leaves, with that
+    residual's pc value once known when `finished` decides it without
+    reading the state."""
 
     __slots__ = ("handler", "action", "updates", "rest", "finished", "pc")
 
-    def __init__(self, handler: _Handler, action: ActionId,
+    def __init__(self, handler: _Handler, action: int,
                  updates: Callable[[State], tuple], rest: Prog) -> None:
         self.handler = handler
         self.action = action
@@ -509,10 +511,12 @@ class _Step:
         self.finished = plan.finished if plan.done is None else None
         self.pc = IDLE if plan.done else None
 
-    def fire(self, state: State, positions: tuple[Mapping[str, int], int],
-             out: list[tuple[ActionId, tuple]]) -> None:
-        """Append the step's (action, successor values) pairs to `out`;
-        `positions` are the variables' and the component's pc's."""
+    def fire(self, state: State, values: tuple,
+             positions: tuple[Mapping[str, int], int],
+             out: list[tuple[int, tuple]]) -> None:
+        """Append the step's (action position, successor values) pairs
+        to `out`; `values` are `state`'s, and `positions` are the
+        variables' and the component's pc's."""
         updates = self.updates(state)
         if not updates:
             return
@@ -521,7 +525,7 @@ class _Step:
         if pc is None and self.finished is None:
             pc = self.pc = self.handler.pc(self.rest)
         for u in updates:
-            new = list(state.values)
+            new = list(values)
             for name, value in u.items():
                 i = index.get(name)
                 if i is None:
@@ -542,8 +546,13 @@ def compile_system(system: ConcurrentSystem,
     """Build the explicit interleaving machine and pair it with its policy.
 
     Successors are values tuples, listed component by component, events
-    in pool order, and `core.tabulate` explores them; its alphabet is the
-    set of actions enabled in at least one reachable state.
+    in pool order, and `core.tabulate` explores them.  Each step names
+    its action by position in an alphabet list that grows as the
+    successor function meets a new step label, which it interns at the
+    next position; a component's steps from one state are one event's
+    or one move's, so each action's steps are adjacent, as `tabulate`
+    requires.  The machine's alphabet is the set of actions enabled in
+    at least one reachable state, sorted.
     """
     system.validate()
 
@@ -552,13 +561,16 @@ def compile_system(system: ConcurrentSystem,
         initial_vars[_pc_var(comp)] = IDLE
     initial = State(initial_vars)
 
-    # One ActionId per label, with the domain its event resolved to.
-    interned: dict[str, tuple[ActionId, str]] = {}
+    # One ActionId per label, at its position in `alphabet`, with the
+    # domain its event resolved to.
+    alphabet: list[ActionId] = []
+    interned: dict[str, tuple[int, str]] = {}
 
-    def action_of(label: str, domain: str) -> tuple[ActionId, str]:
+    def action_of(label: str, domain: str) -> tuple[int, str]:
         entry = interned.get(label)
         if entry is None:
-            entry = interned[label] = (ActionId(label), domain)
+            entry = interned[label] = (len(alphabet), domain)
+            alphabet.append(ActionId(label))
         return entry
 
     # (component, event name) -> its handler and its invocation
@@ -585,8 +597,8 @@ def compile_system(system: ConcurrentSystem,
              [[event, None] for event in system.pool[comp]], {}, {})
             for comp in system.components]
 
-    def successors(state: State) -> list[tuple[ActionId, tuple]]:
-        out: list[tuple[ActionId, tuple]] = []
+    def successors(state: State) -> list[tuple[int, tuple]]:
+        out: list[tuple[int, tuple]] = []
         values = state.values
         for comp, positions, events, decode, points in rows:
             pc = values[positions[1]]
@@ -599,7 +611,7 @@ def compile_system(system: ConcurrentSystem,
                         step = invocation(comp, event, state, decode)
                         if event.domain_is_static():
                             entry[1] = step
-                    step.fire(state, positions, out)
+                    step.fire(state, values, positions, out)
             else:
                 point = points.get(pc)
                 if point is None:
@@ -618,10 +630,10 @@ def compile_system(system: ConcurrentSystem,
                     if move is None:
                         continue
                     step = point.step(move)
-                step.fire(state, positions, out)
+                step.fire(state, values, positions, out)
         return out
 
-    machine = tabulate(initial, successors, budget)
+    machine = tabulate(initial, successors, alphabet, budget)
     config = InfoFlowConfig(
         domains=tuple(sorted(set(domains))),
         policy=frozenset(policy),

@@ -495,15 +495,16 @@ def _abstract_witness(alpha: Alpha, candidates: Iterable[State],
 
 
 def _steps(pair: RefinementPair, search: Exploration
-           ) -> Iterator[tuple[int, int, int, int | None]]:
+           ) -> Iterator[tuple[int, int, int, int, int | None]]:
     """Every concrete step from the pairs of the joint `search`, in
-    search order (pair, action, successor): the pair's node, the
-    action's index, the successor's id, and the abstract id the step is
-    matched with. A silent step's match is the abstract state itself,
-    if alpha (on ids) still relates it; a mapped step's is the first
-    successor on zeta's image of the action that alpha relates. None
-    when there is none. Pairs the caller adds while it reads are walked
-    too. A pair's steps are read off the concrete machine's rows."""
+    search order (pair, action, successor): the pair's position in the
+    search and its node, the action's index, the successor's id, and
+    the abstract id the step is matched with. A silent step's match is
+    the abstract state itself, if alpha (on ids) still relates it; a
+    mapped step's is the first successor on zeta's image of the action
+    that alpha relates. None when there is none. Pairs the caller adds
+    while it reads are walked too. A pair's steps are read off the
+    concrete machine's rows."""
     mc, ma = pair.concrete.machine, pair.abstract.machine
     width = len(ma.by_id)
     related = pair.alpha.on_ids(mc, ma)
@@ -511,7 +512,7 @@ def _steps(pair: RefinementPair, search: Exploration
     columns = [None if image is TAU else abstract[image]
                for image in map(pair.zeta.map, mc.actions)]
     offsets, xs, successors = mc.rows()
-    for node in search:
+    for position, node in enumerate(search):
         i, a = divmod(node, width)
         for k in range(offsets[i], offsets[i + 1]):
             x = xs[k]
@@ -525,7 +526,7 @@ def _steps(pair: RefinementPair, search: Exploration
                             break
                     else:
                         m = None
-                yield node, x, j, m
+                yield position, node, x, j, m
 
 
 def joint_explore(pair: RefinementPair,
@@ -555,14 +556,14 @@ def joint_explore(pair: RefinementPair,
         return result(Verdict.failed(C1Witness(mc.initial, ma.initial)),
                       skip, skip)
 
-    for node, x, j, m in _steps(pair, search):
+    for k, node, x, j, m in _steps(pair, search):
         action = mc.actions[x]
         if m is None:
             i, a = divmod(node, width)
             return result(Verdict.passed(), *_joint_failure(
                 pair, search.trace_to(node) + (action,), action,
                 mc.by_id[i], ma.by_id[a], mc.by_id[j]))
-        search.add(j * width + m, node, action)
+        search.add(j * width + m, k, action)
     return result(Verdict.passed(), Verdict.passed(), Verdict.passed())
 
 
@@ -957,7 +958,7 @@ def check_compositional(pair: RefinementPair, rg: RelyGuaranteeSpec,
         ))
 
     at = None  # the node whose pair `current` holds
-    for node, x, j, m in _steps(pair, search):
+    for _, node, x, j, m in _steps(pair, search):
         mover, contract, image, own, others = facts[x]
         if node != at:
             at, current = node, exploration.pair_at(node)

@@ -717,7 +717,7 @@ def elaborate_model(doc: ModelDocument, budget: int | None = None,
     actions = sort_actions(ActionId(a.label) for a in doc.actions)
     declared = {v.name: v.values for v in doc.variables}
     machine = tabulate(
-        initial, _compile_rules(doc, initial.names, actions), budget, actions,
+        initial, _compile_rules(doc, initial.names, actions), actions, budget,
         itertools.product(*map(declared.get, initial.names)) if universe
         else None)
 
@@ -738,25 +738,26 @@ def elaborate_model(doc: ModelDocument, budget: int | None = None,
 
 def _compile_rules(doc: ModelDocument, names: tuple[str, ...],
                    actions: tuple[ActionId, ...]
-                   ) -> Callable[[State], list[tuple[ActionId, tuple]]]:
+                   ) -> Callable[[State], list[tuple[int, tuple]]]:
     """The successor function of a document's rules over states, reading
     their values tuples with variables at their positions in `names`.
 
-    It returns, in the order of `actions`, each enabled action with the
-    values its firing rules produce, one step per rule (two rules may
-    produce the same values).
+    It returns, in the order of `actions`, each enabled action's
+    position in `actions` with the values its firing rules produce, one
+    step per rule (two rules may produce the same values), so each
+    action's steps are adjacent, as `core.tabulate` requires.
     """
     position = {name: i for i, name in enumerate(names)}
     by_label = {a.label: a for a in doc.actions}
     compiled = tuple(
-        (action, tuple((tuple((position[var], value) for var, value in rule.pre),
-                        tuple((position[var], value) for var, value in rule.post))
-                       for rule in by_label[action.label].rules))
-        for action in actions)
+        (x, tuple((tuple((position[var], value) for var, value in rule.pre),
+                   tuple((position[var], value) for var, value in rule.post))
+                  for rule in by_label[action.label].rules))
+        for x, action in enumerate(actions))
 
-    def successors(state: State) -> list[tuple[ActionId, tuple]]:
+    def successors(state: State) -> list[tuple[int, tuple]]:
         values, steps = state.values, []
-        for action, rules in compiled:
+        for x, rules in compiled:
             for pre, post in rules:
                 for i, value in pre:
                     if values[i] != value:
@@ -765,7 +766,7 @@ def _compile_rules(doc: ModelDocument, names: tuple[str, ...],
                     new = list(values)
                     for i, value in post:
                         new[i] = value
-                    steps.append((action, tuple(new)))
+                    steps.append((x, tuple(new)))
         return steps
 
     return successors

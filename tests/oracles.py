@@ -59,14 +59,14 @@ def build_machine(initial: State,
                 # most successors were seen before: find them without a call
                 k = index.get(succ)
                 tables.setdefault(action, {})[i] = (
-                    add(succ, state, action) if k is None else k,)
+                    add(succ, i, action) if k is None else k,)
         else:
             groups: dict[ActionId, set[State]] = {}
             for action, succ in steps:
                 groups.setdefault(action, set()).add(succ)
             for action, succs in groups.items():
                 tables.setdefault(action, {})[i] = tuple([
-                    add(succ, state, action)
+                    add(succ, i, action)
                     for succ in sorted(succs, key=State.serialize)])
     actions = sort_actions(tables)
     return StateMachine.from_tables(

@@ -431,14 +431,14 @@ def _counter(modulus: int, budget=None) -> StateMachine:
 
 def _tabulated(modulus: int, budget=None) -> StateMachine:
     return tabulate(State({"n": 0}), lambda s: [
-        (TICK, ((s["n"] + 1) % modulus,))], budget=budget)
+        (0, ((s["n"] + 1) % modulus,))], [TICK], budget=budget)
 
 
 class TestTabulate:
     def test_tabulate_from_successor_function_matches_explicit(self):
         tick = ActionId("tick")
         s0, s1 = State({"x": 0}), State({"x": 1})
-        m = tabulate(s0, lambda s: [(tick, (1 - s["x"],))])
+        m = tabulate(s0, lambda s: [(0, (1 - s["x"],))], [tick])
         assert m.states == (s0, s1)
         assert m.transitions == {(s0, tick): (s1,), (s1, tick): (s0,)}
         assert m.universe is None
@@ -446,14 +446,15 @@ class TestTabulate:
     def test_alphabet_is_the_enabled_actions(self):
         tick, halt = ActionId("tick"), ActionId("halt")
         m = tabulate(State({"x": 0}),
-                     lambda s: [(tick, (1,))] if s.values == (0,) else [])
+                     lambda s: [(1, (1,))] if s.values == (0,) else [],
+                     [halt, tick])
         assert m.actions == (tick,)
         assert not m.has_action(halt)
 
     def test_declared_actions_are_the_alphabet(self):
         tick, halt = ActionId("tick"), ActionId("halt")
         m = tabulate(State({"x": 0}),
-                     lambda s: [(tick, (1,))] if s.values == (0,) else [],
+                     lambda s: [(1, (1,))] if s.values == (0,) else [],
                      actions=(halt, tick))
         assert m.actions == (halt, tick)
         assert m.successor_ids == ({}, {0: (1,)})
@@ -465,8 +466,8 @@ class TestTabulate:
         # them: 1 from 0, 4 from 3, then 2 from 1.
         tick = ActionId("tick")
         m = tabulate(State({"x": 0}),
-                     lambda s: [(tick, (s["x"] + 1,))] if s["x"] in (0, 1, 3)
-                     else [], universe=[(3,), (0,)])
+                     lambda s: [(0, (s["x"] + 1,))] if s["x"] in (0, 1, 3)
+                     else [], [tick], universe=[(3,), (0,)])
         assert [s["x"] for s in m.by_id] == [0, 3, 1, 4, 2]
         assert m.universe_ids == (0, 1)
         assert m.state_ids == (0, 2, 4)
@@ -483,18 +484,61 @@ class TestTabulate:
             seen.append(s["x"])
             if s["x"] != 0:
                 return []
-            outs = [(go, (w,)) for w in (1, 2, 3)]
-            return [(stop, (9,))] + (outs[::-1] if reverse else outs)
+            outs = [(0, (w,)) for w in (1, 2, 3)]
+            return [(1, (9,))] + (outs[::-1] if reverse else outs)
 
         for reverse in (False, True):
             seen.clear()
-            m = tabulate(s0, lambda s: successors(s, reverse))
+            m = tabulate(s0, lambda s: successors(s, reverse), [go, stop])
             assert seen == [0, 9, 1, 2, 3]
             assert m.transitions[(s0, go)] == tuple(
                 State({"x": v}) for v in (1, 2, 3))
             ex = explore(m)
             # explore walks actions in sorted order: go before stop.
             assert [m.by_id[i]["x"] for i in ex.order] == [0, 1, 2, 3, 9]
+
+    def test_actions_join_a_growing_alphabet_as_they_are_met(self):
+        # The successor function puts each action at the next position
+        # the first time it fires; the machine's alphabet is sorted.
+        alphabet = []
+
+        def successors(s):
+            if s["x"] >= 2:
+                return []
+            action = ActionId(f"step{2 - s['x']}")
+            if action not in alphabet:
+                alphabet.append(action)
+            return [(alphabet.index(action), (s["x"] + 1,))]
+
+        m = tabulate(State({"x": 0}), successors, alphabet)
+        assert alphabet == [ActionId("step2"), ActionId("step1")]
+        assert m.actions == (ActionId("step1"), ActionId("step2"))
+        assert m.successor_ids == ({1: (2,)}, {0: (1,)})
+
+    def test_adjacent_steps_of_one_action_are_one_sorted_group(self):
+        go, stop = ActionId("go"), ActionId("stop")
+        m = tabulate(State({"x": 0}), lambda s: [
+            (0, (3,)), (0, (1,)), (0, (3,)), (1, (2,))] if s["x"] == 0
+            else [], [go, stop])
+        assert [s["x"] for s in m.by_id] == [0, 1, 3, 2]
+        assert m.successor_ids == ({0: (1, 2)}, {0: (3,)})
+
+    def test_split_steps_of_one_action_raise_naming_it(self):
+        go, stop = ActionId("go"), ActionId("stop")
+        with pytest.raises(UsageError, match=r"steps of action 'go' from "
+                                             r"x=0 are not adjacent"):
+            tabulate(State({"x": 0}), lambda s: [
+                (0, (1,)), (1, (2,)), (0, (3,))], (go, stop))
+
+    def test_more_roots_than_the_budget_raise_at_depth_zero(self):
+        with pytest.raises(BudgetError, match=r"budget of 2 states exceeded "
+                                              r"at BFS depth 0.*--budget"):
+            tabulate(State({"x": 0}), lambda s: [], (),
+                     budget=2, universe=[(1,), (2,), (3,)])
+        # exactly `budget` roots pass
+        m = tabulate(State({"x": 0}), lambda s: [], (),
+                     budget=3, universe=[(1,), (2,)])
+        assert len(m.by_id) == 3
 
     def test_build_budget_error_names_limit_and_depth(self):
         with pytest.raises(BudgetError, match=r"budget of 3 states exceeded "
@@ -538,11 +582,11 @@ class TestMultiRootExploration:
     def test_roots_are_depth_zero_with_empty_traces(self):
         search = Exploration("a", more_roots=("b", "c"))
         depths = {}
-        for node in search:
+        for k, node in enumerate(search):
             depths[node] = search.depth
             if len(node) == 1:
-                search.add("b", node, "again")  # a root is already seen
-                search.add(node * 2, node, node.upper())
+                search.add("b", k, "again")  # a root is already seen
+                search.add(node * 2, k, node.upper())
         assert search.order == ["a", "b", "c", "aa", "bb", "cc"]
         assert depths == {"a": 0, "b": 0, "c": 0, "aa": 1, "bb": 1, "cc": 1}
         assert search.edges[:3] == [None, None, None]
@@ -551,12 +595,15 @@ class TestMultiRootExploration:
 
     def test_roots_count_against_the_budget(self):
         search = Exploration("a", 4, more_roots=("b", "c"))
-        search.add("d", "a", "x")
+        search.add("d", 0, "x")
         with pytest.raises(BudgetError, match="budget of 4 states exceeded "
                                               "at BFS depth 1"):
-            search.add("e", "a", "x")
+            search.add("e", 0, "x")
         with pytest.raises(BudgetError, match="budget of 3 states"):
-            Exploration("a", 3, more_roots=("b", "c")).add("d", "a", "x")
+            Exploration("a", 3, more_roots=("b", "c")).add("d", 0, "x")
+        with pytest.raises(BudgetError, match="budget of 2 states exceeded "
+                                              "at BFS depth 0"):
+            Exploration("a", 2, more_roots=("b", "c"))
 
     def test_repeated_roots_are_kept_once(self):
         search = Exploration("a", 3, more_roots=("b", "a", "b"))
@@ -566,9 +613,9 @@ class TestMultiRootExploration:
         depths = [search.depth for _ in search]
         assert depths == [0, 0]
         # two distinct roots leave room for one more node under budget 3
-        assert search.add("c", "b", "x") == 2
+        assert search.add("c", 1, "x") == 2
         with pytest.raises(BudgetError, match="budget of 3 states"):
-            search.add("d", "a", "x")
+            search.add("d", 0, "x")
 
 
 class TestBudgetBoundary:

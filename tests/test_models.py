@@ -183,6 +183,8 @@ FINGERPRINTS = {
         "36c12264a292e6a46a9c4b790f0dcf7c3cb2742690d8f5206b3d3896a8a34c67",
     ("demo", (("capacity", 2),)):
         "199253af36f9d13d2353915bb2a9691232485e9ffc49c3be7839a9936a716f51",
+    ("demo", (("messages", 2),)):
+        "47d894b76a6d3dafc18ecd13f6fb05f5a4f5c5b1617c789c59e95209718e3660",
     ("arinc", (("capacity", 2),)):
         "dc541a642a124ec81420eabafdd7037c8670c37f164320e7720e7317b0c90f73",
     ("auction", (("users", 3),)):
@@ -228,6 +230,8 @@ ZETAS = {
         "032b5e404fecee47721fc0b9332c3fb8ae01711bd60d55b163d4d397ed4ae9a0",
     ("demo", (("capacity", 2),)):
         "4798fa9ed2eac92a97d9ddfda28d48f22231dbb2ad3292ef1a1ad10bab4cbdb3",
+    ("demo", (("messages", 2),)):
+        "78fbbf9b98832b816c9573f308d849e7b1926b5a7be4e4a43a362a9ce912ae43",
     ("arinc", (("capacity", 2),)):
         "79262bf145186c6f954e49ed646d4e0f714f09bdce2ffa3e81aa40f0b0dddf4f",
     ("auction", (("users", 3),)):
@@ -460,7 +464,7 @@ def test_machine_moves_match_the_state_enumerator(name):
     exploration = joint_explore(pair)
     components = tuple(sorted(rg.contracts))
     recorded: dict[str, dict[int, set[int]]] = {k: {} for k in components}
-    for node, x, j, _ in _steps(pair, exploration.search):
+    for _, node, x, j, _ in _steps(pair, exploration.search):
         recorded[rg.component(machine.actions[x])].setdefault(
             node // exploration.width, set()).add(j)
     discovered = sorted({node // exploration.width

@@ -471,12 +471,12 @@ def oracle_compile(system, budget=None):
 
     search = Exploration(initial, budget)
     rows = []
-    for state in search:
+    for k, state in enumerate(search):
         grouped = {}
         for action, succ in successors(state):
             grouped.setdefault(action, set()).add(succ)
         rows.append([
-            (action, [search.add(succ, state, action) for succ in (
+            (action, [search.add(succ, k, action) for succ in (
                 sorted(succs, key=serial) if len(succs) > 1 else succs)])
             for action, succs in grouped.items()])
     actions = sort_actions({action for row in rows for action, _ in row})
@@ -668,12 +668,13 @@ LAYOUT_SIZES = [(name, {}) for name in model_names()
     ("demo", {"capacity": 2}), ("demo-insecure-counter", {"threads": 2})]
 
 
-def state_keyed(initial, successors, budget=None):
+def state_keyed(initial, successors, actions, budget=None):
     """`tabulate`'s machine, built by the `State`-keyed oracle from the
-    same values-tuple successor function."""
+    same values-tuple successor function, its action positions mapped
+    through the alphabet `actions`."""
     return build_machine(initial, lambda state: [
-        (action, state.with_values(values))
-        for action, values in successors(state)], budget)
+        (actions[x], state.with_values(values))
+        for x, values in successors(state)], budget)
 
 
 @pytest.mark.parametrize("name,params", LAYOUT_SIZES,

@@ -784,7 +784,7 @@ def oracle_joint_explore(pair, budget=None):
     def result(c2, c3):
         return OracleJoint(tuple(search.order), search, Verdict.passed(), c2, c3)
 
-    for current in search:
+    for k, current in enumerate(search):
         s, sigma = current
         for action in mc.actions:
             image = zeta.map(action)
@@ -809,7 +809,7 @@ def oracle_joint_explore(pair, budget=None):
                                 search.trace_to(current) + (action,), action,
                                 image, s, sigma, successor, tuple(candidates))))
                     nxt = (successor, sigma2)
-                search.add(nxt, current, action)
+                search.add(nxt, k, action)
     return result(Verdict.passed(), Verdict.passed())
 
 

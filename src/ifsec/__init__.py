@@ -37,7 +37,7 @@ built-in model never loads OpenSSL.
 No module uses the standard library's `@dataclass` or imports its
 module. A frozen dataclass compiles and runs generated methods when its
 module runs, and the module imports `inspect`, `ast`, `dis` and
-`tokenize`; a command defines up to 34 record classes. On CPython 3.11
+`tokenize`; a command defines up to 33 record classes. On CPython 3.11
 (the host of BENCH_28.json) a four-field class took 0.9 ms that way and
 the import 8.7 ms. Records are `core.record` classes instead, whose
 methods are closures made without compiling anything: 0.02 ms a class.

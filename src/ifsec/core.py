@@ -12,8 +12,8 @@ Conventions used throughout the package:
 - `step` is the raw transition relation and may be empty; `step_total`
   stutters on disabled actions.  Security checks quantify over raw steps,
   trace execution (`run`) uses the stuttering form.
-- All iteration orders are canonical: actions sort by (label, payload),
-  states by their serialization, exploration is breadth-first with sorted
+- All iteration orders are canonical: actions sort by label, states
+  by their serialization, exploration is breadth-first with sorted
   action order.  Identical inputs always produce identical outputs.
 - Every state and pair search is an `Exploration`: FIFO over the
   successors in the order the caller adds them, so the caller's
@@ -25,7 +25,7 @@ Conventions used throughout the package:
   search over values tuples with one `State` per distinct tuple.  A
   step names its action by position in an alphabet the caller owns,
   and each action's steps from a state are adjacent, so the build
-  fills one table per position and hashes no `ActionId`.  Its
+  fills one table per position and hashes no action.  Its
   machines' `state_ids` are what `explore` reaches, so a reachable
   scope explores only to trace a witness.
 - A machine is indexed: its states are numbered 0..n-1 (`by_id`), by
@@ -51,9 +51,10 @@ Conventions used throughout the package:
   by position (frames, alpha keys, model-file observations) resolves
   the positions once per schema through `layout`, and `values_getter`
   reads some variables' values off a values tuple or a state.
-- Value objects of the library (actions, configurations, programs,
-  reports, witnesses, documents) are frozen records (`record`): fields
-  from class annotations, dataclass-style equality, hash and repr, with
+- An action is its label, a `str` (`ActionId`).  The other value
+  objects of the library (configurations, programs, reports,
+  witnesses, documents) are frozen records (`record`): fields from
+  class annotations, dataclass-style equality, hash and repr, with
   `fields` and `replace` to read and copy them.
 """
 
@@ -64,6 +65,7 @@ from collections.abc import (Callable, Hashable, Iterable, Iterator, Mapping,
 from functools import partial
 from itertools import chain
 from operator import itemgetter
+from typing import NewType
 
 #: Exploration ceiling applied when a caller does not pass an explicit budget.
 DEFAULT_STATE_BUDGET = 2_000_000
@@ -301,15 +303,12 @@ class _Schema:
     name table between them.
     """
 
-    __slots__ = ("names", "index", "hash", "fragments", "layouts")
+    __slots__ = ("names", "index", "hash", "layouts")
 
     def __init__(self, names: tuple[str, ...]) -> None:
         self.names = names
         self.index = {name: i for i, name in enumerate(names)}
         self.hash = hash(names)
-        # per position, value id -> (value, text) and value key -> text,
-        # the text being "name=value"; see State.serialize
-        self.fragments: tuple[dict, ...] | None = None
         # layout function -> what it made of `index`; see `layout`
         self.layouts: dict[Callable, object] = {}
 
@@ -389,36 +388,13 @@ class State:
         return state
 
     def serialize(self) -> str:
-        """`name=value` pairs in name order, joined with semicolons.
-
-        The pair text of each (schema position, value) is rendered once
-        and kept with the schema.  It is looked up first by the value
-        object's `id`, whose entry holds the object, so the id is not
-        reused while the cache lives; successor states share most value
-        objects with their parent.  On a miss it is looked up by the
-        value's exact type, and a tuple by its repr, because equal values
-        of different types render differently (`1` and `True`, `(1,)` and
-        `(True,)`).
-        """
+        """`name=value` pairs in name order, joined with semicolons,
+        rendered at the first call and kept with the state."""
         serial = self._serial
         if serial is None:
-            schema = self._schema
-            caches = schema.fragments
-            if caches is None:
-                caches = schema.fragments = tuple({} for _ in schema.names)
-            parts = []
-            for cache, name, value in zip(caches, schema.names, self._values):
-                entry = cache.get(id(value))
-                if entry is None:
-                    kind = type(value)
-                    key = value if kind is str else \
-                        (kind, repr(value) if kind is tuple else value)
-                    fragment = cache.get(key)
-                    if fragment is None:
-                        fragment = cache[key] = f"{name}={render_value(value)}"
-                    entry = cache[id(value)] = (value, fragment)
-                parts.append(entry[1])
-            serial = self._serial = ";".join(parts)
+            serial = self._serial = ";".join([
+                f"{name}={render_value(value)}"
+                for name, value in zip(self._schema.names, self._values)])
         return serial
 
     def __eq__(self, other: object) -> bool:
@@ -483,34 +459,8 @@ def values_getter(names: Iterable[str], index: Mapping[str, int] | None = None
     return itemgetter(*positions) if positions else lambda values: ()
 
 
-@record
-class ActionId:
-    """An action identifier: an opaque label plus an optional finite payload."""
-
-    label: str
-    payload: Value = None
-
-    def __post_init__(self) -> None:
-        # Actions key every transition table and domain map; hash once.
-        object.__setattr__(self, "_hash", hash((self.label, self.payload)))
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
-
-    def sort_key(self) -> tuple:
-        return (self.label, value_key(self.payload))
-
-    def display(self) -> str:
-        if self.payload is None:
-            return self.label
-        return f"{self.label}:{render_value(self.payload)}"
-
-    def __repr__(self) -> str:
-        return f"ActionId({self.display()})"
-
-
-def sort_actions(actions: Iterable[ActionId]) -> tuple[ActionId, ...]:
-    return tuple(sorted(actions, key=ActionId.sort_key))
+#: An action is its label; the type marks the fields that name actions.
+ActionId = NewType("ActionId", str)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +518,7 @@ class StateMachine:
                 transitions.items(), key=lambda item: ids[item[0][0]]):
             if action not in position:
                 raise ModelError(
-                    f"transition on undeclared action {action.display()!r}")
+                    f"transition on undeclared action {action!r}")
             if successors:
                 row = tuple(ids[s] for s in successors)
                 tables[position[action]][ids[state]] = \
@@ -668,7 +618,7 @@ class StateMachine:
         """Raw successors of `state` under `action`; empty when disabled."""
         k = self._position.get(action)
         if k is None:
-            raise UsageError(f"unknown action {action.display()!r}")
+            raise UsageError(f"unknown action {action!r}")
         successors = self.successor_ids[k].get(self.id_of(state))
         if not successors:
             return ()
@@ -761,7 +711,7 @@ class InfoFlowConfig:
             return self.dom[action]
         except KeyError:
             raise UsageError(
-                f"action {action.display()!r} has no assigned domain") from None
+                f"action {action!r} has no assigned domain") from None
 
     def select_domains(self, domains: Iterable[str] | None) -> tuple[str, ...]:
         """`domains` sorted and without repeats, or every domain when it
@@ -790,7 +740,7 @@ class InfoFlowConfig:
             d = self.domain_of(action)
             if d not in self.domains:
                 raise ModelError(
-                    f"action {action.display()!r} maps to unknown domain {d!r}")
+                    f"action {action!r} maps to unknown domain {d!r}")
 
 
 @record
@@ -969,7 +919,7 @@ def tabulate(initial: State,
     steps of a state, the values over `initial`'s schema and the
     position an index into `actions`, which fills one table per
     position.  Each action's steps are adjacent in the list: a lone step
-    is filled as it comes, hashing no `ActionId`, and a run of steps of
+    is filled as it comes, hashing no action, and a run of steps of
     one action is sorted by serialization, which fixes the discovery
     order.  An action whose steps are not adjacent is a UsageError.
     The search runs on values tuples; each discovered tuple is made a
@@ -1020,7 +970,7 @@ def tabulate(initial: State,
                 table = tables[x]
                 if i in table:
                     raise UsageError(
-                        f"the steps of action {actions[x].display()!r} from "
+                        f"the steps of action {actions[x]!r} from "
                         f"{state.serialize()} are not adjacent; list each "
                         "action's steps together")
                 if run is None:
@@ -1041,7 +991,7 @@ def tabulate(initial: State,
         alphabet, successor_ids = actions, tables
     else:
         xs = sorted((x for x, table in enumerate(tables) if table),
-                    key=lambda x: actions[x].sort_key())
+                    key=actions.__getitem__)
         alphabet = tuple([actions[x] for x in xs])
         successor_ids = [tables[x] for x in xs]
     state_ids, universe_ids = tuple(index.values()), None

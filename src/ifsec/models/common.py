@@ -123,24 +123,22 @@ def compile_levels(components: tuple[str, ...],
         for pool, variables, view in zip(pools, initial, observe))
 
     def zeta() -> refinement.Zeta:
-        offered = {a.label: a for a in abstract.machine.actions}
         mapping: dict[ActionId, ActionId | refinement._Tau] = {}
         for action in concrete.machine.actions:
-            comp, event, step = action.label.split("/", 2)
+            comp, event, step = action.split("/", 2)
             commit, target = commits[comp, event]
             if step == INVOKE:
-                label = action.label
+                label = action
             elif step == commit:
                 label = f"{comp}/{event}/{target}"
             else:
                 mapping[action] = refinement.TAU
                 continue
-            image = offered.get(label)
-            if image is None:
+            if not abstract.machine.has_action(label):
                 raise ModelError(
-                    f"zeta maps {action.display()!r} to {label!r}, which "
+                    f"zeta maps {action!r} to {label!r}, which "
                     "the abstract machine does not offer")
-            mapping[action] = image
+            mapping[action] = label
         return refinement.Zeta(mapping)
 
     return concrete, abstract, zeta
@@ -162,7 +160,7 @@ def locked_update(lock: str, holder: str, buffer: str, copy: str,
 
 def component_of(action: ActionId) -> str:
     """Component that executes a compiled action (the label prefix)."""
-    return action.label.split("/", 1)[0]
+    return action.split("/", 1)[0]
 
 
 def _pc_event(value: Value) -> Value:

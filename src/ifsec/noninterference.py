@@ -45,7 +45,6 @@ from ifsec.core import (
     equidom,
     record,
     run,
-    sort_actions,
     value_key,
 )
 
@@ -219,7 +218,7 @@ def check_ni(
     """Search all traces up to `max_len` for a purge-visible difference.
 
     The reported counterexample is canonical: no shorter trace fails, no
-    same-length trace that sorts earlier (in `sort_actions` order) does,
+    same-length trace that sorts earlier (actions by label) does,
     and no domain earlier by name fails on the same trace. A trace its
     purge leaves whole is never a counterexample, even when its run ends
     in states the domain tells apart. Raises BudgetError before
@@ -230,10 +229,10 @@ def check_ni(
         raise UsageError("trace length bound must be >= 0")
     machine, config = system.machine, system.config
     doms = config.select_domains(domains)
-    acts = sort_actions(machine.actions if actions is None else set(actions))
+    acts = tuple(sorted(machine.actions if actions is None else set(actions)))
     for a in acts:
         if not machine.has_action(a):
-            raise UsageError(f"unknown action {a.display()!r}")
+            raise UsageError(f"unknown action {a!r}")
     limit = DEFAULT_TRACE_BUDGET if trace_budget is None else trace_budget
     width = len(acts)
     # Count the traces, but only until the count passes the limit: from

@@ -38,7 +38,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping
 
 from .core import (
-    ActionId,
     InfoFlowConfig,
     ModelError,
     SecureSystem,
@@ -77,8 +76,8 @@ Done = _Done()
 
 class _Shape:
     """Base of the program shapes: frozen records that hash their
-    fields once, as `ActionId` does, since residual programs key the pc
-    tables and the plans' residual caches."""
+    fields once, since residual programs key the pc tables and the
+    plans' residual caches."""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash(tuple(
@@ -561,16 +560,16 @@ def compile_system(system: ConcurrentSystem,
         initial_vars[_pc_var(comp)] = IDLE
     initial = State(initial_vars)
 
-    # One ActionId per label, at its position in `alphabet`, with the
-    # domain its event resolved to.
-    alphabet: list[ActionId] = []
+    # Each label at its position in `alphabet`, with the domain its
+    # event resolved to.
+    alphabet: list[str] = []
     interned: dict[str, tuple[int, str]] = {}
 
     def action_of(label: str, domain: str) -> tuple[int, str]:
         entry = interned.get(label)
         if entry is None:
             entry = interned[label] = (len(alphabet), domain)
-            alphabet.append(ActionId(label))
+            alphabet.append(label)
         return entry
 
     # (component, event name) -> its handler and its invocation
@@ -637,7 +636,7 @@ def compile_system(system: ConcurrentSystem,
     config = InfoFlowConfig(
         domains=tuple(sorted(set(domains))),
         policy=frozenset(policy),
-        dom={a: interned[a.label][1] for a in machine.actions},
+        dom={a: interned[a][1] for a in machine.actions},
         observe=observe,
     )
     return SecureSystem(machine, config)

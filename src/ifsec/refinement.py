@@ -305,7 +305,7 @@ class Zeta:
             return self.mapping[action]
         except KeyError:
             raise ModelError(
-                f"zeta is not total: no image for action {action.display()!r}"
+                f"zeta is not total: no image for action {action!r}"
             ) from None
 
     def is_silent(self, action: ActionId) -> bool:
@@ -329,13 +329,13 @@ class RefinementPair:
                 "refinement levels must share one domain set; "
                 f"concrete has {sorted(cd)}, abstract has {sorted(ad)}"
             )
-        abstract_actions = set(self.abstract.machine.actions)
+        has_action = self.abstract.machine.has_action
         for action in self.concrete.machine.actions:
             image = self.zeta.map(action)
-            if image is not TAU and image not in abstract_actions:
+            if image is not TAU and not has_action(image):
                 raise ModelError(
-                    f"zeta maps {action.display()!r} to "
-                    f"{image.display()!r}, which the abstract machine lacks"
+                    f"zeta maps {action!r} to {image!r}, "
+                    "which the abstract machine lacks"
                 )
 
 
@@ -854,7 +854,7 @@ class RelyGuaranteeSpec:
         name = self.component_of(action)
         if name not in self.contracts:
             raise ModelError(
-                f"action {action.display()!r} belongs to component {name!r}, "
+                f"action {action!r} belongs to component {name!r}, "
                 "which has no rely-guarantee contract"
             )
         return name

@@ -77,7 +77,6 @@ from ifsec.core import (
     Value,
     record,
     render_value,
-    sort_actions,
     tabulate,
     values_getter,
 )
@@ -714,7 +713,7 @@ def elaborate_model(doc: ModelDocument, budget: int | None = None,
             "shrink a value set or raise --budget")
 
     initial = State({v.name: v.initial for v in doc.variables})
-    actions = sort_actions(ActionId(a.label) for a in doc.actions)
+    actions = tuple(sorted(a.label for a in doc.actions))
     declared = {v.name: v.values for v in doc.variables}
     machine = tabulate(
         initial, _compile_rules(doc, initial.names, actions), actions, budget,
@@ -730,7 +729,7 @@ def elaborate_model(doc: ModelDocument, budget: int | None = None,
     config = InfoFlowConfig(
         domains=tuple(sorted(doc.domains)),
         policy=frozenset(doc.policy),
-        dom={ActionId(a.label): a.domain for a in doc.actions},
+        dom={a.label: a.domain for a in doc.actions},
         observe=observe,
     )
     return SecureSystem(machine, config)
@@ -752,7 +751,7 @@ def _compile_rules(doc: ModelDocument, names: tuple[str, ...],
     compiled = tuple(
         (x, tuple((tuple((position[var], value) for var, value in rule.pre),
                    tuple((position[var], value) for var, value in rule.post))
-                  for rule in by_label[action.label].rules))
+                  for rule in by_label[action].rules))
         for x, action in enumerate(actions))
 
     def successors(state: State) -> list[tuple[int, tuple]]:
@@ -841,20 +840,16 @@ def _state_pairs(pairs: Iterable[tuple[str, str]], where: str,
 
 def _elaborate_zeta(doc: RefinementDocument, concrete: SecureSystem,
                     abstract: SecureSystem) -> refinement.Zeta:
-    concrete_labels = {a.label: a for a in concrete.machine.actions}
-    abstract_labels = {a.label: a for a in abstract.machine.actions}
     mapping = {}
     for src, tgt in doc.zeta:
-        action = concrete_labels.get(src)
-        if action is None:
+        if not concrete.machine.has_action(src):
             raise ModelError(f"zeta maps unknown concrete action {src!r}")
         if tgt == "tau":
-            mapping[action] = refinement.TAU
-            continue
-        target = abstract_labels.get(tgt)
-        if target is None:
+            mapping[src] = refinement.TAU
+        elif abstract.machine.has_action(tgt):
+            mapping[src] = tgt
+        else:
             raise ModelError(f"zeta target {tgt!r} is not an abstract action")
-        mapping[action] = target
     return refinement.Zeta(mapping)
 
 
@@ -863,9 +858,9 @@ def _elaborate_contracts(doc: RefinementDocument, concrete_doc: ModelDocument,
                          ) -> refinement.RelyGuaranteeSpec:
     component_map = dict(doc.components)
     for action in concrete.machine.actions:
-        if action.label not in component_map:
+        if action not in component_map:
             raise ModelError(
-                f"action {action.label!r} has no entry in [components]")
+                f"action {action!r} has no entry in [components]")
     known = set(component_map.values())
     var_names = {v.name for v in concrete_doc.variables}
 
@@ -896,5 +891,5 @@ def _elaborate_contracts(doc: RefinementDocument, concrete_doc: ModelDocument,
     }
     return refinement.RelyGuaranteeSpec(
         contracts=contracts,
-        component_of=lambda action: component_map[action.label],
+        component_of=component_map.__getitem__,
     )

@@ -62,8 +62,6 @@ _SCOPE_TRACES = {
 def _encode(value: Any) -> Any:
     if isinstance(value, State):
         return value.serialize()
-    if isinstance(value, ActionId):
-        return value.display()
     if isinstance(value, tuple):
         return [_encode(v) for v in value]
     return value
@@ -206,7 +204,7 @@ class _Decoder:
 
     def value(self, hint: Any, raw: Any, name: str, system: SecureSystem) -> Any:
         args = typing.get_args(hint)
-        if typing.get_origin(hint) is types.UnionType:
+        if typing.get_origin(hint) in (types.UnionType, typing.Union):
             if raw is None and type(None) in args:
                 return None
             hint = next(a for a in args if a is not type(None))
@@ -222,9 +220,8 @@ class _Decoder:
         if type(raw) is not (str if hint in (ActionId, State, object) else hint):
             raise UsageError(f"witness field {name!r} has the wrong shape")
         if hint is ActionId:
-            for action in system.machine.actions:
-                if action.display() == raw:
-                    return action
+            if system.machine.has_action(raw):
+                return raw
             raise _stale(f"the rebuilt model has no action {raw!r}")
         if hint is State:
             for state in system.machine.by_id:
@@ -252,7 +249,7 @@ def _execute(system: SecureSystem, actions: Sequence[ActionId],
             nxt.update(step(state, action))
         if not nxt:
             raise _stale(f"witness trace does not execute: "
-                         f"{action.display()!r} is disabled at this point")
+                         f"{action!r} is disabled at this point")
         current = frozenset(nxt)
         sets.append(tuple(sorted(current)))
     return sets

@@ -19,7 +19,6 @@ from ifsec.core import (
     Exploration,
     State,
     StateMachine,
-    sort_actions,
 )
 
 
@@ -68,7 +67,7 @@ def build_machine(initial: State,
                 tables.setdefault(action, {})[i] = tuple([
                     add(succ, i, action)
                     for succ in sorted(succs, key=State.serialize)])
-    actions = sort_actions(tables)
+    actions = tuple(sorted(tables))
     return StateMachine.from_tables(
         tuple(search.order), actions, [tables[a] for a in actions], 0)
 

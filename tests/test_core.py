@@ -31,12 +31,12 @@ from ifsec.core import (
     render_value,
     replace,
     run,
-    sort_actions,
     tabulate,
 )
 from ifsec.models import get_model
 from ifsec.programs import Basic, ConcurrentSystem, Event, compile_system
 from ifsec.refinement import (
+    TAU,
     Alpha,
     C5Witness,
     RefinementPair,
@@ -45,10 +45,17 @@ from ifsec.refinement import (
     joint_explore,
     total_relation,
 )
-from ifsec.specfile import elaborate_model, parse_model
+from ifsec.specfile import (
+    elaborate_model,
+    elaborate_refinement,
+    load_model,
+    load_refinement,
+    parse_model,
+)
 from ifsec.unwinding import Scope, check_unwinding
 from oracles import build_machine, probed_rows
 from test_programs import BUILTIN_SIZES
+from test_spec_mutants import seed_files
 from test_specfile import model_documents
 from test_unwinding import universe_systems
 
@@ -166,34 +173,62 @@ class TestState:
             State([("x", 0), ("x", "a")])
 
 
+def assert_alphabet_of_labels(system: SecureSystem) -> None:
+    actions = system.machine.actions
+    assert type(actions) is tuple and list(actions) == sorted(actions)
+    assert all(type(action) is str for action in actions)
+    assert set(system.config.dom) == set(actions)
+
+
+def assert_zeta_is_total(pair: RefinementPair) -> None:
+    for action in pair.concrete.machine.actions:
+        image = pair.zeta.map(action)
+        assert image is TAU or pair.abstract.machine.has_action(image)
+
+
 class TestActionId:
-    def test_sort_order_is_label_then_payload(self):
-        acts = [ActionId("b"), ActionId("a", 2), ActionId("a", 1), ActionId("a")]
-        assert sort_actions(acts) == (
-            ActionId("a"), ActionId("a", 1), ActionId("a", 2), ActionId("b"))
+    def test_an_action_is_its_label(self):
+        assert ActionId("tick") == "tick" and type(ActionId("tick")) is str
 
-    def test_hash_follows_equality(self):
-        a = ActionId("send", ("t2", "m1"))
-        b = replace(ActionId("send"), payload=("t2", "m1"))
-        assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
-        assert a != ActionId("send") and a != ActionId("recv", ("t2", "m1"))
+    @pytest.mark.parametrize(
+        "name,params", BUILTIN_SIZES,
+        ids=[name + "".join(f"-{k}{v}" for k, v in p.items())
+             for name, p in BUILTIN_SIZES])
+    def test_builtin_alphabets_are_sorted_labels(self, name, params):
+        bundle = get_model(name, **params)
+        assert_alphabet_of_labels(bundle.concrete)
+        assert_alphabet_of_labels(bundle.abstract)
+        assert_zeta_is_total(bundle.pair)
 
-    def test_display_includes_payload(self):
-        assert ActionId("send", ("t2", "m1")).display() == "send:[t2,m1]"
-        assert ActionId("send").display() == "send"
+    def test_model_file_alphabets_are_sorted_labels(self, tmp_path):
+        for name, text in seed_files(tmp_path).items():
+            path = str(tmp_path / name)
+            if "[refinement]" in text.splitlines():
+                pair, _ = elaborate_refinement(load_refinement(path),
+                                               str(tmp_path))
+                assert_zeta_is_total(pair)
+            else:
+                assert_alphabet_of_labels(elaborate_model(load_model(path)))
 
 
 @record
 class Twin:
-    """A record with C5Witness's fields: equal values, another class."""
+    """A record with C5Witness's fields: equal values, another class,
+    and a `__repr__` of its own."""
 
     source: str
     target: str
+
+    def __repr__(self) -> str:
+        return f"Twin({self.source} -> {self.target})"
 
 
 @record
 class Grown(Twin):
     note: str = "n"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "width", len(self.note))
 
 
 class TestRecords:
@@ -206,7 +241,7 @@ class TestRecords:
         assert C5Witness("a", target="b") == witness
         assert Verdict("pass") == Verdict(status="pass", witness=None,
                                           note=None)
-        assert ActionId("tick").payload is None
+        assert Grown(target="b", source="a") == Grown("a", "b", "n")
         alpha = Alpha(total_relation)
         assert (alpha.description, alpha.concrete_key,
                 alpha.abstract_key) == ("predicate", None, None)
@@ -219,7 +254,7 @@ class TestRecords:
         lambda: C5Witness("a", "b", "c"),
         lambda: C5Witness("a", "b", colour="c"),
         lambda: C5Witness("a", source="b"),
-        lambda: ActionId(payload=1),
+        lambda: Grown(note="m"),
     ], ids=["missing", "missing-keyword", "missing-all", "too-many",
             "unknown", "twice", "missing-before-default"])
     def test_bad_arguments_are_a_type_error(self, make):
@@ -238,7 +273,7 @@ class TestRecords:
         assert hash(witness) == hash(("a", "b"))
         verdict = Verdict("fail", witness, "n")
         assert hash(verdict) == hash(("fail", witness, "n"))
-        assert hash(ActionId("send", 1)) == hash(("send", 1))
+        assert hash(Grown("a", "b")) == hash(("a", "b", "n"))
         # `machine` and `search` are not compared
         ids = (0, 2)
         one = Scope(tiny_machine(), ids, "reachable")
@@ -260,8 +295,8 @@ class TestRecords:
             "Scope(ids=(0, 2), tag='reachable')"
         assert repr(Alpha(total_relation, "d", len, len)) == \
             f"Alpha(predicate={total_relation!r}, description='d')"
-        # a `__repr__` written in the class body wins
-        assert repr(ActionId("send", ("t2", "m1"))) == "ActionId(send:[t2,m1])"
+        # a `__repr__` written in the class body wins, in that class only
+        assert repr(Twin("a", "b")) == "Twin(a -> b)"
 
     @pytest.mark.parametrize("change", [
         lambda v: setattr(v, "status", "fail"),
@@ -275,7 +310,8 @@ class TestRecords:
         assert verdict == Verdict("pass", None, "n")
 
     def test_post_init_and_cached_property_may_set_attributes(self):
-        assert hash(ActionId("tick")) == ActionId("tick")._hash
+        assert Grown("a", "b").width == 1
+        assert replace(Grown("a", "b"), note="mm").width == 2
         scope = Scope(tiny_machine(), (0, 2), "reachable")
         assert scope.member is scope.member
         assert list(scope.member) == [1, 0, 1, 0]
@@ -291,6 +327,12 @@ class TestRecords:
             ("tag", True, True), ("search", False, False)]
         with pytest.raises(TypeError):
             fields(("a", "b"))
+
+    def test_hash_follows_equality(self):
+        a = Grown("a", "b", "m")
+        b = replace(Grown("a", "b"), note="m")
+        assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+        assert a != Grown("a", "b") and a != Grown("c", "b", "m")
 
     def test_replace(self):
         verdict = Verdict("fail", C5Witness("a", "b"), "n")
@@ -738,7 +780,7 @@ def transition_digest(machine: StateMachine) -> tuple[int, str]:
     transitions view, one `state action -> successors` line per entry,
     successors in their stored order."""
     lines = sorted(
-        f"{s.serialize()} {a.display()} -> "
+        f"{s.serialize()} {a} -> "
         + " ".join(t.serialize() for t in successors)
         for (s, a), successors in machine.transitions.items())
     return len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]

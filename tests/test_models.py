@@ -149,7 +149,7 @@ def fingerprint(bundle) -> str:
         states = sorted(machine.by_id, key=State.serialize)
         digest.update(repr((
             sorted(serial),
-            [action.display() for action in machine.actions],
+            list(machine.actions),
             [sorted((serial[i], tuple(serial[j] for j in successors))
                     for i, successors in table.items())
              for table in machine.successor_ids],
@@ -204,8 +204,8 @@ def zeta_fingerprint(bundle) -> str:
     """SHA-256 over the sorted (concrete action, image or "tau") pairs
     of the bundle's zeta."""
     zeta = bundle.pair.zeta
-    pairs = sorted((action.display(), "tau" if zeta.is_silent(action)
-                    else zeta.map(action).display())
+    pairs = sorted((action, "tau" if zeta.is_silent(action)
+                    else zeta.map(action))
                    for action in bundle.concrete.machine.actions)
     return hashlib.sha256(repr(pairs).encode()).hexdigest()
 
@@ -280,11 +280,10 @@ def one_event(concrete_body, abstract_body):
 def test_zeta_maps_the_commit_to_the_abstract_step():
     concrete, abstract, zeta = one_event(
         seq(bump("first"), bump("commit")), bump("step"))
-    actions = {a.label: a for a in abstract.machine.actions}
-    assert {a.label: zeta().map(a) for a in concrete.machine.actions} == {
-        "c/e/invoke": actions["c/e/invoke"],
+    assert {a: zeta().map(a) for a in concrete.machine.actions} == {
+        "c/e/invoke": "c/e/invoke",
         "c/e/first": TAU,
-        "c/e/commit": actions["c/e/step"],
+        "c/e/commit": "c/e/step",
     }
 
 
@@ -387,8 +386,8 @@ def test_counter_variant_fails_the_silent_step_condition_at_the_bump():
     assert not report.ok
     assert report.c2.status == "fail"
     witness = report.c2.witness
-    assert witness.action.label == "t1/send(t2,m1)/incr"
-    assert [a.label for a in witness.trace] == [
+    assert witness.action == "t1/send(t2,m1)/incr"
+    assert list(witness.trace) == [
         "t1/send(t2,m1)/invoke", "t1/send(t2,m1)/incr"]
 
 
@@ -396,11 +395,11 @@ def test_fullstatus_variant_fails_unwinding_at_the_receivers_dequeue():
     bundle = build_demo(variant="insecure_fullstatus")
     concrete = check_unwinding(bundle.concrete)
     assert not concrete.ok
-    assert concrete.lr.action.label == "t1/recv/dequeue"
+    assert concrete.lr.action == "t1/recv/dequeue"
     assert concrete.lr.domain == "t3"
     abstract = check_unwinding(bundle.abstract)
     assert not abstract.ok
-    assert abstract.lr.action.label == "t1/recv/recv"
+    assert abstract.lr.action == "t1/recv/recv"
     assert abstract.lr.domain == "t3"
 
 
@@ -417,17 +416,17 @@ def test_queuing_mode_variant_leaks_to_the_sender():
     for system in (bundle.concrete, bundle.abstract):
         report = check_unwinding(system)
         assert not report.ok
-        assert report.lr.action.label == "cpu2/Recv_QMsg(pd)/dequeue"
+        assert report.lr.action == "cpu2/Recv_QMsg(pd)/dequeue"
         assert report.lr.domain == "p11"
 
 
 def test_port_id_variant_leaks_through_the_foreign_port():
     bundle = build_arinc(variant="port_id")
     concrete = check_unwinding(bundle.concrete)
-    assert concrete.lr.action.label == "cpu1/Send_QMsg(ps,m1)@p12/unlock"
+    assert concrete.lr.action == "cpu1/Send_QMsg(ps,m1)@p12/unlock"
     assert concrete.lr.domain == "p21"
     abstract = check_unwinding(bundle.abstract)
-    assert abstract.lr.action.label == "cpu1/Send_QMsg(ps,m1)@p12/enqueue"
+    assert abstract.lr.action == "cpu1/Send_QMsg(ps,m1)@p12/enqueue"
     assert abstract.lr.domain == "p21"
 
 

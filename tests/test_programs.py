@@ -21,7 +21,6 @@ from ifsec.core import (
     State,
     UsageError,
     render_value,
-    sort_actions,
 )
 from ifsec import programs
 from ifsec.models import common, get_model, model_names
@@ -161,7 +160,7 @@ class TestCompile:
         sys_ = compile_system(single_event_system(), ["d"], [("d", "d")],
                               lambda d, s: s["x"])
         assert len(sys_.machine.states) == 3
-        labels = [a.label for a in sys_.machine.actions]
+        labels = list(sys_.machine.actions)
         assert labels == ["k/flip/invoke", "k/flip/set"]
         assert sys_.config.dom[ActionId("k/flip/invoke")] == "d"
 
@@ -235,7 +234,7 @@ class TestCompile:
         )
         sys_ = compile_system(cs, ["alice"], [("alice", "alice")],
                               lambda d, s: None)
-        labels = [a.label for a in sys_.machine.actions]
+        labels = list(sys_.machine.actions)
         assert "k/op@alice/invoke" in labels and "k/op@alice/go" in labels
         assert sys_.config.dom[ActionId("k/op@alice/go")] == "alice"
 
@@ -336,8 +335,8 @@ class TestCompile:
 def _next_labels(sys_, state, comp):
     out = []
     for a in sys_.machine.actions:
-        if a.label.startswith(f"{comp}/") and (state, a) in sys_.machine.transitions:
-            out.append(a.label.rsplit("/", 1)[1])
+        if a.startswith(f"{comp}/") and (state, a) in sys_.machine.transitions:
+            out.append(a.rsplit("/", 1)[1])
     return out
 
 
@@ -479,13 +478,13 @@ def oracle_compile(system, budget=None):
             (action, [search.add(succ, k, action) for succ in (
                 sorted(succs, key=serial) if len(succs) > 1 else succs)])
             for action, succs in grouped.items()])
-    actions = sort_actions({action for row in rows for action, _ in row})
+    actions = tuple(sorted({action for row in rows for action, _ in row}))
     tables = {action: {} for action in actions}
     for i, row in enumerate(rows):
         for action, targets in row:
             tables[action][i] = tuple(targets)
     return (tuple(search.order), actions, list(tables.values()), 0,
-            {a: interned[a.label][1] for a in actions})
+            {a: interned[a][1] for a in actions})
 
 
 def failure_text(run, *args):

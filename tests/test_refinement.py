@@ -575,7 +575,7 @@ def two_component_system(hit_changes_x: bool) -> SecureSystem:
 
 
 def component_prefix(action: ActionId) -> str:
-    return action.label.split("/", 1)[0]
+    return action.split("/", 1)[0]
 
 
 class TestCompositional:

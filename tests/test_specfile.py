@@ -23,7 +23,6 @@ from ifsec.core import (
     explore,
     explore_ids,
     replace,
-    sort_actions,
 )
 from ifsec import specfile
 from ifsec.refinement import check_compositional, check_simulation
@@ -459,12 +458,12 @@ def oracle_elaborate(doc, universe):
     laid out again over the declared alphabet, for the reachable one.
     Rules are evaluated on states by name, not compiled."""
     initial = State({v.name: v.initial for v in doc.variables})
-    actions = sort_actions(ActionId(a.label) for a in doc.actions)
+    actions = tuple(sorted(a.label for a in doc.actions))
     rules = {a.label: a.rules for a in doc.actions}
 
     def steps(state):
         return [(action, state.assign(dict(rule.post)))
-                for action in actions for rule in rules[action.label]
+                for action in actions for rule in rules[action]
                 if all(state[var] == value for var, value in rule.pre)]
 
     if not universe:
@@ -500,7 +499,7 @@ class TestElaborateModel:
         machine = system.machine
         assert len(machine.states) == 4
         assert machine.universe is not None and len(machine.universe) == 4
-        assert [a.label for a in machine.actions] == ["poke", "toggle"]
+        assert machine.actions == ("poke", "toggle")
         assert len(machine.transitions) == 8
         assert machine.initial.serialize() == "x=0;y=0"
         assert system.config.observe("lo", machine.initial) == (0,)
@@ -538,7 +537,7 @@ class TestElaborateModel:
         report = check_unwinding(system)
         assert not report.ok
         assert report.lr is not None
-        assert report.lr.action.label == "toggle"
+        assert report.lr.action == "toggle"
         assert report.lr.domain == "lo"
         assert report.lr.state.serialize() == "x=0;y=0"
 
@@ -571,7 +570,7 @@ class TestElaborateModel:
                 "act never d\n  v=2 -> v:=0\n[observe]\nd: v\n")
         machine = elaborate_model(parse_model(text)).machine
         spin, never = machine.actions[1], machine.actions[0]
-        assert spin.label == "spin" and never.label == "never"
+        assert spin == "spin" and never == "never"
         successors = machine.step(machine.initial, spin)
         assert [s["v"] for s in successors] == [1, 2]
         assert never not in machine.enabled(machine.initial)
@@ -593,7 +592,7 @@ class TestElaborateModel:
             "a=0;b=0;c=0;d=0;e=0;f=0", "a=2;b=0;c=1;d=0;e=0;f=0",
             "a=2;b=1;c=2;d=0;e=0;f=0"]
         # `never` is declared but never enabled: it keeps an empty table
-        assert [a.label for a in machine.actions] == ["never", "tick"]
+        assert machine.actions == ("never", "tick")
         assert [len(t) for t in machine.successor_ids] == [0, 3]
         full = elaborate_model(parse_model(SPARSE_SHAPED),
                                universe=True).machine

@@ -447,7 +447,7 @@ def test_witness_states_carry_their_ids(example):
                   for anchor in anchors]
         assert [encoded[field] for field, _ in
                 witness._SCOPE_TRACES[encoded["type"]]] == [
-            None if trace is None else [a.display() for a in trace]
+            None if trace is None else list(trace)
             for trace in traces]
         assert not any(key.endswith("_id") for key in encoded)
 
